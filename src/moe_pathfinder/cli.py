@@ -361,6 +361,7 @@ def cmd_prune(args) -> int:
     outputs = [mask_path, report_path]
     if args.model:
         model = load_model(args.model)
+        _check_mask_fits(mask, mask_path, model, args.model)
         pruned, kept = apply_mask(model, mask)
         pruned_dir = os.path.join(args.out, "pruned-model")
         save_model(pruned, pruned_dir)
@@ -375,9 +376,19 @@ def cmd_prune(args) -> int:
     return 0
 
 
+def _check_mask_fits(mask, mask_path, model, model_path) -> None:
+    cfg = model.config
+    if mask.keep.shape != (cfg.num_layers, cfg.experts_per_layer):
+        raise FormatError(
+            f"mask {mask_path} is {mask.num_layers} x {mask.experts_per_layer} (L x Ne), "
+            f"but model {model_path} is {cfg.num_layers} x {cfg.experts_per_layer}"
+        )
+
+
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     mask = load_mask(args.mask)
+    _check_mask_fits(mask, args.mask, model, args.model)
     samples = load_data(args.data)
     result = eval_mask(model, mask, samples)
     obj = {
@@ -584,7 +595,7 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("selfcheck", help="DP vs brute-force oracle suite")
+    p = sub.add_parser("selfcheck", help="planner vs brute-force oracle suite")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_selfcheck)

@@ -6,7 +6,8 @@ reconstruction loss against the traced layer output, and the importance
 score softmax(-loss) with multiplicative boundary corrections at the first
 (own routing preference) and last (own activation strength) layers.
 Transition matrices between adjacent layers are the rank-1 outer products
-activation x next-layer routing preference.
+activation x next-layer routing preference, so a graph file stores only the
+four per-layer vectors and the transitions are recomputed when it is loaded.
 
 Everything is computed for all experts, routed-to or not, from exactly one
 forward pass plus one output evaluation per (layer, expert).  Log fields are
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import FormatError
 from .model import ForwardTrace, MoELayer, MoEModel, SampleBatch, model_forward, route
-from .numerics import load_tensor, matmul_transpose, save_tensor, softmax
+from .numerics import matmul_transpose, softmax
 
 LOG_CLAMP = 1e-300
 
@@ -140,7 +141,13 @@ def score_trace(model: MoEModel, trace: ForwardTrace) -> SampleGraph:
         else:
             imp = importance_scores(losses, "interior")
         scores.append(LayerScore(act, routing, losses, imp))
+    return graph_from_scores(scores)
 
+
+def graph_from_scores(scores: list[LayerScore]) -> SampleGraph:
+    """The sample graph over per-layer scores: rank-1 transitions between
+    adjacent layers and the clamped log node and edge weights."""
+    L, n = len(scores), len(scores[0].importance)
     transitions = [
         transition_intensity(scores[l].activation, scores[l + 1].routing)
         for l in range(L - 1)
@@ -149,40 +156,24 @@ def score_trace(model: MoEModel, trace: ForwardTrace) -> SampleGraph:
     if transitions:
         log_edge = np.stack([clamped_log(t) for t in transitions])
     else:
-        n = model.config.experts_per_layer
         log_edge = np.zeros((0, n, n))
-    return SampleGraph(
-        num_layers=L,
-        experts_per_layer=model.config.experts_per_layer,
-        layer_scores=scores,
-        transitions=transitions,
-        log_node=log_node,
-        log_edge=log_edge,
-    )
+    return SampleGraph(L, n, scores, transitions, log_node, log_edge)
+
+
+_GRAPH_FIELDS = ("activation", "routing", "recon_loss", "importance")
 
 
 def save_graph(graph: SampleGraph, dirpath, stem: str) -> str:
-    """Write `{stem}.json` plus one .tnsr blob per transition matrix; returns
-    the JSON filename."""
+    """Write `{stem}.json` with the per-layer score vectors; returns its
+    filename.  Transitions are not stored: they are rebuilt on load."""
     os.makedirs(dirpath, exist_ok=True)
-    blobs = []
-    for l, t in enumerate(graph.transitions):
-        blob = f"{stem}.t{l}.tnsr"
-        save_tensor(os.path.join(dirpath, blob), t)
-        blobs.append(blob)
     obj = {
         "num_layers": graph.num_layers,
         "experts_per_layer": graph.experts_per_layer,
         "layers": [
-            {
-                "activation": s.activation.tolist(),
-                "routing": s.routing.tolist(),
-                "recon_loss": s.recon_loss.tolist(),
-                "importance": s.importance.tolist(),
-            }
+            {field: getattr(s, field).tolist() for field in _GRAPH_FIELDS}
             for s in graph.layer_scores
         ],
-        "transition_blobs": blobs,
     }
     name = f"{stem}.json"
     with open(os.path.join(dirpath, name), "w") as f:
@@ -192,6 +183,10 @@ def save_graph(graph: SampleGraph, dirpath, stem: str) -> str:
 
 
 def load_graph(dirpath, name: str) -> SampleGraph:
+    """Read a graph written by save_graph.  Every per-layer vector must hold
+    experts_per_layer finite numbers; transitions are recomputed with
+    transition_intensity, which is the same single multiply score_trace does,
+    so the rebuilt graph is bit-identical to the one saved."""
     path = os.path.join(dirpath, name)
     try:
         with open(path) as f:
@@ -203,28 +198,24 @@ def load_graph(dirpath, name: str) -> SampleGraph:
     try:
         L = int(obj["num_layers"])
         n = int(obj["experts_per_layer"])
-        scores = [
-            LayerScore(
-                activation=np.array(entry["activation"], dtype=np.float64),
-                routing=np.array(entry["routing"], dtype=np.float64),
-                recon_loss=np.array(entry["recon_loss"], dtype=np.float64),
-                importance=np.array(entry["importance"], dtype=np.float64),
+        layers = obj["layers"]
+        if L < 1 or n < 1 or len(layers) != L:
+            raise FormatError(
+                f"graph {path}: {len(layers)} layers listed, num_layers is {L}, "
+                f"experts_per_layer is {n}"
             )
-            for entry in obj["layers"]
-        ]
-        blob_names = obj["transition_blobs"]
+        scores = []
+        for l, entry in enumerate(layers):
+            fields = {}
+            for field in _GRAPH_FIELDS:
+                v = np.array(entry[field], dtype=np.float64)
+                if v.shape != (n,) or not np.all(np.isfinite(v)):
+                    raise FormatError(
+                        f"graph {path}: layer {l} field {field!r} must hold "
+                        f"{n} finite numbers"
+                    )
+                fields[field] = v
+            scores.append(LayerScore(**fields))
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"graph {path} is inconsistent: {e}") from e
-    if len(scores) != L or len(blob_names) != L - 1:
-        raise FormatError(f"graph {path}: layer/transition counts disagree with num_layers")
-    transitions = [load_tensor(os.path.join(dirpath, b)) for b in blob_names]
-    for l, t in enumerate(transitions):
-        if t.shape != (n, n):
-            raise FormatError(f"graph {path}: transition {l} has shape {t.shape}, expected ({n}, {n})")
-    log_node = np.stack([clamped_log(s.importance) for s in scores])
-    log_edge = (
-        np.stack([clamped_log(t) for t in transitions])
-        if transitions
-        else np.zeros((0, n, n))
-    )
-    return SampleGraph(L, n, scores, transitions, log_node, log_edge)
+    return graph_from_scores(scores)

@@ -137,6 +137,51 @@ def test_missing_data_is_format_error(tmp_path):
                    "-o", tmp_path / "c.json") == 2
 
 
+@pytest.mark.parametrize("activation", [[1.0, 2.0], [float("nan"), 1.0, 1.0, 1.0]])
+def test_plan_rejects_malformed_graph_vector(pipeline, capsys, activation):
+    tmp, model, data = pipeline
+    graphs = tmp / "graphs"
+    run_cli("score", "--model", model, "--data", data, "-o", graphs)
+    graph_file = graphs / "sample0003.json"
+    obj = json.loads(graph_file.read_text())
+    obj["layers"][1]["activation"] = activation
+    graph_file.write_text(json.dumps(obj))
+    assert run_cli("plan", "--graphs", graphs, "--m", 2, "-o", tmp / "paths") == 2
+    err = capsys.readouterr().err
+    assert str(graph_file) in err and "'activation'" in err
+
+
+def test_prune_rejects_truncated_path_set(pipeline, capsys):
+    tmp, model, data = pipeline
+    graphs, paths = tmp / "graphs", tmp / "paths"
+    run_cli("score", "--model", model, "--data", data, "-o", graphs)
+    run_cli("plan", "--graphs", graphs, "--m", 2, "-o", paths)
+    sample = paths / "sample0000.paths.json"
+    sample.write_text(sample.read_text()[:40])
+    assert run_cli("prune", "--paths", paths, "-o", tmp / "pruned") == 2
+    assert str(sample) in capsys.readouterr().err
+    sample.write_text(json.dumps({"m": 2}))
+    assert run_cli("prune", "--paths", paths, "-o", tmp / "pruned") == 2
+    assert str(sample) in capsys.readouterr().err
+
+
+def test_mask_model_shape_mismatch_is_format_error(pipeline, capsys):
+    tmp, model, data = pipeline
+    mask = tmp / "mask.json"
+    mask.write_text(json.dumps({"L": 3, "Ne": 2, "keep": [[1, 0]] * 3}))
+    assert run_cli("eval", "--model", model, "--mask", mask, "--data", data,
+                   "-o", tmp / "eval.json") == 2
+    assert str(mask) in capsys.readouterr().err
+
+    other = tmp / "other-model"
+    run_cli("gen-model", "--layers", 3, "--experts", 6, "--dim", 8, "--topk", 2,
+            "--seed", 7, "-o", other)
+    graphs, pruned = tmp / "graphs", tmp / "pruned"
+    run_cli("score", "--model", model, "--data", data, "-o", graphs)
+    assert run_cli("prune", "--graphs", graphs, "--m", 1, "--model", other, "-o", pruned) == 2
+    assert str(pruned / "mask.json") in capsys.readouterr().err
+
+
 def test_unreachable_target_is_invariant_error(pipeline):
     tmp, model, data = pipeline
     graphs = tmp / "graphs"

@@ -1,14 +1,17 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moe_pathfinder.errors import InvariantError
+from moe_pathfinder.harness import ablate_graph
 from moe_pathfinder.numerics import Rng
 from moe_pathfinder.planner import (
     PathSet,
     PrefixPath,
-    _dp_queues,
     load_pathset,
     oracle_selfcheck,
     path_log_weight,
@@ -16,8 +19,9 @@ from moe_pathfinder.planner import (
     save_pathset,
     top_m_paths_bruteforce,
     top_m_paths_dp,
+    with_twin,
 )
-from moe_pathfinder.scoring import LayerScore, SampleGraph, clamped_log
+from moe_pathfinder.scoring import LayerScore, SampleGraph, clamped_log, graph_from_scores
 
 
 def graph_from_weights(node, edges):
@@ -86,6 +90,51 @@ def test_dp_equals_bruteforce_on_random_graphs():
                 assert a.log_weight == b.log_weight  # same accumulation order
 
 
+# 0.0 hits the 1e-300 log clamp; the dyadic values make exact ties between
+# paths through different experts
+_VALUES = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 2.0))
+
+
+@st.composite
+def rank1_graphs(draw):
+    """Rank-1 graphs with N_e^L <= 256, some experts copied onto others
+    (twins), under one of the three signal sets of ablate_graph."""
+    L, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def vector():
+        return np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)))
+
+    g = graph_from_scores([LayerScore(vector(), vector(), np.zeros(n), vector()) for _ in range(L)])
+    copies = st.tuples(st.integers(0, L - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    for l, src, dst in draw(st.lists(copies, max_size=3)):
+        g = with_twin(g, l, src, dst)
+    signals = draw(st.sampled_from([(True, True), (False, True), (True, False)]))
+    return ablate_graph(g, *signals)
+
+
+@given(rank1_graphs())
+@settings(max_examples=300, deadline=None)
+def test_dp_equals_bruteforce_with_twins_clamps_and_ablations(g):
+    n, L = g.experts_per_layer, g.num_layers
+    ranking = top_m_paths_bruteforce(g, n**L).paths
+    for m in (1, 3, 10, n**L):
+        dp = top_m_paths_dp(g, m).paths
+        bf = ranking[:m]
+        assert [p.experts for p in dp] == [p.experts for p in bf]
+        assert [p.log_weight.hex() for p in dp] == [p.log_weight.hex() for p in bf]
+
+
+def test_all_equal_graph_returns_lexicographic_first_quickly():
+    L, n = 12, 32
+    g = graph_from_weights(np.ones((L, n)), [np.ones((n, n))] * (L - 1))
+    start = time.monotonic()
+    ps = top_m_paths_dp(g, 8)
+    elapsed = time.monotonic() - start
+    assert [p.experts for p in ps.paths] == [(0,) * (L - 1) + (i,) for i in range(8)]
+    assert all(p.log_weight == 0.0 for p in ps.paths)
+    assert elapsed < 1.0
+
+
 def test_dp_m1_is_exhaustive_argmax():
     rng = Rng(7)
     for _ in range(10):
@@ -151,18 +200,6 @@ def test_layer_shift_invariance():
     assert [p.experts for p in shifted.paths] == [p.experts for p in base.paths]
     for a, b in zip(shifted.paths, base.paths):
         assert a.log_weight == pytest.approx(b.log_weight + c, rel=1e-12)
-
-
-def test_best_path_prefixes_live_in_their_node_queues():
-    rng = Rng(12)
-    for _ in range(5):
-        g = random_sample_graph(4, 3, rng)
-        queues = _dp_queues(g, 4)
-        best = top_m_paths_dp(g, 1).paths[0]
-        for l in range(1, g.num_layers + 1):
-            prefix = best.experts[:l]
-            node_queue = queues[l - 1][prefix[-1]]
-            assert prefix in [p.experts for p in node_queue]
 
 
 def test_bruteforce_counts_and_cap():

@@ -273,6 +273,7 @@ def test_graph_save_load_roundtrip(tmp_path):
     model = gen_model(cfg, 24)
     graph = score_sample(model, gen_data(cfg, 1, 4, 25)[0])
     name = save_graph(graph, tmp_path, "sample0000")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
     back = load_graph(tmp_path, name)
     assert back.num_layers == graph.num_layers
     for sa, sb in zip(graph.layer_scores, back.layer_scores):

@@ -7,7 +7,6 @@ per-seed table.  `--plain-family` switches off the structured instance family
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,6 +18,7 @@ from moe_pathfinder.harness import (
     run_comparison,
     run_manifest,
 )
+from moe_pathfinder.numerics import save_json
 
 
 def main():
@@ -46,12 +46,11 @@ def main():
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "comparison.csv"), "w", newline="") as f:
         f.write(comparison_csv(report))
-    with open(os.path.join(args.out, "summary.json"), "w") as f:
-        json.dump(comparison_summary(report), f, indent=2)
-        f.write("\n")
-    with open(os.path.join(args.out, "manifest.json"), "w") as f:
-        json.dump(run_manifest(config, __version__, {"out": args.out}), f, indent=2)
-        f.write("\n")
+    save_json(os.path.join(args.out, "summary.json"), comparison_summary(report))
+    save_json(
+        os.path.join(args.out, "manifest.json"),
+        run_manifest(config, __version__, {"out": args.out}),
+    )
 
     print(f"{'seed':>6} {'pathfinder':>12} {'rand median':>12} {'ratio':>7}  win")
     for o in report.outcomes:

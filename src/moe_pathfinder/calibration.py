@@ -8,13 +8,12 @@ calibration set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SampleBatch
-from .numerics import Rng
+from .numerics import Rng, load_json, save_json
 
 
 @dataclass
@@ -168,11 +167,8 @@ def build_calibration_set(
 
 
 def save_calibration(calib: CalibrationSet, path) -> None:
-    with open(path, "w") as f:
-        json.dump(calib.to_json(), f, indent=2)
-        f.write("\n")
+    save_json(path, calib.to_json())
 
 
 def load_calibration(path) -> CalibrationSet:
-    with open(path) as f:
-        return CalibrationSet.from_json(json.load(f))
+    return load_json(path, "calibration set", CalibrationSet.from_json)

@@ -12,11 +12,10 @@ violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .harness import (
     comparison_summary,
     eval_mask,
     export_heatmap,
+    map_jobs,
     run_comparison,
     run_manifest,
 )
@@ -40,7 +40,7 @@ from .model import (
     load_model,
     save_model,
 )
-from .numerics import load_tensor, save_tensor
+from .numerics import load_json, load_tensor, save_json, save_tensor
 from .planner import (
     PathSet,
     load_pathset,
@@ -74,40 +74,31 @@ class PipelineManifest:
         return {"tool_version": self.tool_version, "stages": self.stages, "seeds": self.seeds}
 
 
+def _parse_manifest(obj) -> PipelineManifest:
+    stages, seeds = dict(obj["stages"]), dict(obj["seeds"])
+    return PipelineManifest(str(obj.get("tool_version", "unknown")), stages, seeds)
+
+
 def update_manifest(path, stage: str, outputs, seed: int | None = None) -> None:
     if os.path.exists(path):
-        with open(path) as f:
-            obj = json.load(f)
+        manifest = load_json(path, "manifest", _parse_manifest)
     else:
-        obj = {"tool_version": __version__, "stages": {}, "seeds": {}}
-    obj["tool_version"] = __version__
-    obj["stages"][stage] = outputs
+        manifest = PipelineManifest(__version__, {}, {})
+    manifest.tool_version = __version__
+    manifest.stages[stage] = outputs
     if seed is not None:
-        obj["seeds"][stage] = seed
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+        manifest.seeds[stage] = seed
+    save_json(path, manifest.to_json())
 
 
 def load_manifest(path) -> PipelineManifest:
     """Load and validate: every referenced file must exist."""
-    try:
-        with open(path) as f:
-            obj = json.load(f)
-    except OSError as e:
-        raise FormatError(f"cannot read manifest {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"malformed manifest {path}: {e}") from e
-    for stage, outputs in obj.get("stages", {}).items():
-        entries = outputs if isinstance(outputs, list) else [outputs]
-        for entry in entries:
+    manifest = load_json(path, "manifest", _parse_manifest)
+    for stage, outputs in manifest.stages.items():
+        for entry in outputs if isinstance(outputs, list) else [outputs]:
             if not os.path.exists(entry):
                 raise FormatError(f"manifest {path}: stage {stage} references missing {entry}")
-    return PipelineManifest(
-        tool_version=obj.get("tool_version", "unknown"),
-        stages=obj.get("stages", {}),
-        seeds=obj.get("seeds", {}),
-    )
+    return manifest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,23 +135,21 @@ def save_data(samples: list[SampleBatch], seed: int, dirpath) -> None:
         "seed": seed,
         "blob": "tokens.tnsr",
     }
-    with open(os.path.join(dirpath, "data.json"), "w") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
+    save_json(os.path.join(dirpath, "data.json"), meta)
 
 
 def load_data(dirpath) -> list[SampleBatch]:
     meta_path = os.path.join(dirpath, "data.json")
-    try:
-        with open(meta_path) as f:
-            meta = json.load(f)
-    except OSError as e:
-        raise FormatError(f"cannot read data manifest: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"malformed data manifest {meta_path}: {e}") from e
-    stacked = load_tensor(os.path.join(dirpath, meta["blob"]))
-    if stacked.ndim != 3 or stacked.shape[0] != meta["n_samples"]:
-        raise FormatError(f"data blob shape {stacked.shape} disagrees with manifest")
+    blob, n_samples = load_json(
+        meta_path, "data manifest", lambda meta: (str(meta["blob"]), int(meta["n_samples"]))
+    )
+    blob_path = os.path.join(dirpath, blob)
+    stacked = load_tensor(blob_path)
+    if stacked.ndim != 3 or stacked.shape[0] != n_samples:
+        raise FormatError(
+            f"data blob {blob_path} has shape {stacked.shape}, "
+            f"but {meta_path} lists {n_samples} samples"
+        )
     return [SampleBatch(stacked[i]) for i in range(stacked.shape[0])]
 
 
@@ -211,11 +200,6 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _score_worker(payload):
-    model, sample = payload
-    return score_sample(model, sample)
-
-
 def cmd_score(args) -> int:
     model = load_model(args.model)
     samples = load_data(args.data)
@@ -223,16 +207,13 @@ def cmd_score(args) -> int:
         ids = load_calibration(args.calibration).sample_ids
         for i in ids:
             if not (0 <= i < len(samples)):
-                raise FormatError(f"calibration id {i} out of range for {len(samples)} samples")
+                raise FormatError(
+                    f"calibration set {args.calibration}: id {i} out of range "
+                    f"for {len(samples)} samples"
+                )
     else:
         ids = list(range(len(samples)))
-    jobs = _resolve_jobs(args)
-    payloads = [(model, samples[i]) for i in ids]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            graphs = list(ex.map(_score_worker, payloads))
-    else:
-        graphs = [_score_worker(p) for p in payloads]
+    graphs = map_jobs(partial(score_sample, model), [samples[i] for i in ids], _resolve_jobs(args))
     os.makedirs(args.out, exist_ok=True)
     index = {
         "num_layers": model.config.num_layers,
@@ -242,41 +223,42 @@ def cmd_score(args) -> int:
     for i, graph in zip(ids, graphs):
         name = save_graph(graph, args.out, f"sample{i:04d}")
         index["samples"].append({"id": i, "graph": name})
-    with open(os.path.join(args.out, "graphs.json"), "w") as f:
-        json.dump(index, f, indent=2)
-        f.write("\n")
+    save_json(os.path.join(args.out, "graphs.json"), index)
     if args.manifest:
         update_manifest(args.manifest, "score", args.out)
     print(f"scored {len(ids)} samples -> {args.out}")
     return 0
 
 
-def _load_graph_index(dirpath) -> dict:
-    path = os.path.join(dirpath, "graphs.json")
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as e:
-        raise FormatError(f"cannot read graph index {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"malformed graph index {path}: {e}") from e
+def _load_index(dirpath, name: str, entry: str, keys: tuple[str, ...]) -> dict:
+    """A stage index: its integer `keys`, and "samples" as (id, file) pairs
+    read from each sample's "id" and `entry` fields."""
+
+    def parse(obj) -> dict:
+        index = {key: int(obj[key]) for key in keys}
+        index["samples"] = [(int(e["id"]), str(e[entry])) for e in obj["samples"]]
+        return index
+
+    return load_json(os.path.join(dirpath, name), "index", parse)
 
 
-def _plan_worker(payload):
-    graph, m = payload
-    return top_m_paths_dp(graph, m)
+def _load_graphs(dirpath) -> tuple[dict, list]:
+    """graphs.json and every graph it lists, each checked against its L x Ne."""
+    index = _load_index(dirpath, "graphs.json", "graph", ("num_layers", "experts_per_layer"))
+    L, n = index["num_layers"], index["experts_per_layer"]
+    graphs = [load_graph(dirpath, name) for _, name in index["samples"]]
+    for (_, name), g in zip(index["samples"], graphs):
+        if (g.num_layers, g.experts_per_layer) != (L, n):
+            raise FormatError(
+                f"graph {os.path.join(dirpath, name)} is {g.num_layers} x {g.experts_per_layer} "
+                f"(L x Ne), but {os.path.join(dirpath, 'graphs.json')} lists {L} x {n}"
+            )
+    return index, graphs
 
 
 def cmd_plan(args) -> int:
-    index = _load_graph_index(args.graphs)
-    graphs = [(entry["id"], load_graph(args.graphs, entry["graph"])) for entry in index["samples"]]
-    jobs = _resolve_jobs(args)
-    payloads = [(g, args.m) for _, g in graphs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            pathsets = list(ex.map(_plan_worker, payloads))
-    else:
-        pathsets = [_plan_worker(p) for p in payloads]
+    index, graphs = _load_graphs(args.graphs)
+    pathsets = map_jobs(partial(top_m_paths_dp, m=args.m), graphs, _resolve_jobs(args))
     os.makedirs(args.out, exist_ok=True)
     out_index = {
         "m": args.m,
@@ -284,13 +266,11 @@ def cmd_plan(args) -> int:
         "experts_per_layer": index["experts_per_layer"],
         "samples": [],
     }
-    for (i, _), ps in zip(graphs, pathsets):
+    for (i, _), ps in zip(index["samples"], pathsets):
         name = f"sample{i:04d}.paths.json"
         save_pathset(ps, os.path.join(args.out, name))
         out_index["samples"].append({"id": i, "paths": name})
-    with open(os.path.join(args.out, "paths.json"), "w") as f:
-        json.dump(out_index, f, indent=2)
-        f.write("\n")
+    save_json(os.path.join(args.out, "paths.json"), out_index)
     if args.manifest:
         update_manifest(args.manifest, "plan", args.out)
     print(f"planned top-{args.m} paths for {len(graphs)} samples -> {args.out}")
@@ -298,15 +278,22 @@ def cmd_plan(args) -> int:
 
 
 def _load_path_index(dirpath) -> tuple[dict, list[PathSet]]:
-    path = os.path.join(dirpath, "paths.json")
-    try:
-        with open(path) as f:
-            index = json.load(f)
-    except OSError as e:
-        raise FormatError(f"cannot read path index {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"malformed path index {path}: {e}") from e
-    pathsets = [load_pathset(os.path.join(dirpath, entry["paths"])) for entry in index["samples"]]
+    """paths.json and every path set it lists, each checked to hold at least
+    one path and only paths that fit the index's L x Ne."""
+    index = _load_index(dirpath, "paths.json", "paths", ("m", "num_layers", "experts_per_layer"))
+    L, n = index["num_layers"], index["experts_per_layer"]
+    pathsets = []
+    for _, name in index["samples"]:
+        path = os.path.join(dirpath, name)
+        ps = load_pathset(path)
+        if not ps.paths or any(
+            len(p.experts) != L or not all(0 <= i < n for i in p.experts) for p in ps.paths
+        ):
+            raise FormatError(
+                f"path set {path} is empty or does not fit the {L} x {n} (L x Ne) "
+                f"that {os.path.join(dirpath, 'paths.json')} lists"
+            )
+        pathsets.append(ps)
     return index, pathsets
 
 
@@ -327,28 +314,14 @@ def cmd_prune(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.paths:
         index, pathsets = _load_path_index(args.paths)
-        n_experts = index["experts_per_layer"]
-        mask = mask_from_pathsets(pathsets, n_experts)
-        report = RetentionReport(
-            retained_per_layer=[int(c) for c in mask.keep.sum(axis=1)],
-            retained_total=mask.retained_total(),
-            retention_fraction=mask.retention_fraction(),
-            m_used=index["m"],
-            samples_used=len(pathsets),
-        )
+        mask = mask_from_pathsets(pathsets, index["experts_per_layer"])
+        report = RetentionReport.from_mask(mask, index["m"], len(pathsets))
     else:
-        gindex = _load_graph_index(args.graphs)
-        graphs = [load_graph(args.graphs, e["graph"]) for e in gindex["samples"]]
+        gindex, graphs = _load_graphs(args.graphs)
         if args.m is not None:
             pathsets = [top_m_paths_dp(g, args.m) for g in graphs]
             mask = mask_from_pathsets(pathsets, gindex["experts_per_layer"])
-            report = RetentionReport(
-                retained_per_layer=[int(c) for c in mask.keep.sum(axis=1)],
-                retained_total=mask.retained_total(),
-                retention_fraction=mask.retention_fraction(),
-                m_used=args.m,
-                samples_used=len(graphs),
-            )
+            report = RetentionReport.from_mask(mask, args.m, len(graphs))
         else:
             mask, report = target_sparsity_search(
                 graphs, args.target_retention, m_max=args.m_max
@@ -396,9 +369,7 @@ def cmd_eval(args) -> int:
         "per_layer_errors": result.per_layer_errors,
         "retention_fraction": result.retention_fraction,
     }
-    with open(args.out, "w") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+    save_json(args.out, obj)
     if args.manifest:
         update_manifest(args.manifest, "eval", args.out)
     print(f"mean final-layer error {result.mean_final_error!r} -> {args.out}")
@@ -407,16 +378,16 @@ def cmd_eval(args) -> int:
 
 def cmd_heatmap(args) -> int:
     index, pathsets = _load_path_index(args.paths)
-    outliers = None
-    if args.outliers:
-        try:
-            with open(args.outliers) as f:
-                outliers = {(int(l), int(i)) for l, i in json.load(f)}
-        except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
-            raise FormatError(f"bad outlier file {args.outliers}: {e}") from e
-    counts = selection_frequency(
-        pathsets, index["num_layers"], index["experts_per_layer"], outliers
-    )
+    L, n = index["num_layers"], index["experts_per_layer"]
+
+    def parse_outliers(pairs) -> set[tuple[int, int]]:
+        outliers = {(int(l), int(i)) for l, i in pairs}
+        if not all(0 <= l < L and 0 <= i < n for l, i in outliers):
+            raise ValueError(f"an outlier lies outside {L} x {n} (L x Ne)")
+        return outliers
+
+    outliers = load_json(args.outliers, "outlier file", parse_outliers) if args.outliers else None
+    counts = selection_frequency(pathsets, L, n, outliers)
     export_heatmap(counts, args.out)
     if args.manifest:
         update_manifest(args.manifest, "heatmap", args.out)
@@ -457,17 +428,11 @@ def cmd_compare(args) -> int:
     with open(csv_path, "w", newline="") as f:
         f.write(comparison_csv(report))
     summary_path = os.path.join(args.out, "summary.json")
-    with open(summary_path, "w") as f:
-        json.dump(comparison_summary(report), f, indent=2)
-        f.write("\n")
-    manifest_path = os.path.join(args.out, "manifest.json")
-    with open(manifest_path, "w") as f:
-        json.dump(
-            run_manifest(config, __version__, {"comparison": csv_path, "summary": summary_path}),
-            f,
-            indent=2,
-        )
-        f.write("\n")
+    save_json(summary_path, comparison_summary(report))
+    save_json(
+        os.path.join(args.out, "manifest.json"),
+        run_manifest(config, __version__, {"comparison": csv_path, "summary": summary_path}),
+    )
     print(f"pathfinder wins {report.wins}/{len(report.outcomes)} seeds -> {args.out}")
     return 0
 

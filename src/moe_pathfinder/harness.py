@@ -278,6 +278,15 @@ def _seed_task(args) -> SeedOutcome:
     return _seed_outcome(*args)
 
 
+def map_jobs(fn, items, jobs: int = 1) -> list:
+    """[fn(x) for x in items], spread over `jobs` worker processes when
+    jobs > 1; the order of results follows items either way."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def run_comparison(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:
     """Per model seed: generate model and data, calibrate, score, plan, prune
     at the target retention, then compare against layer-uniform random masks
@@ -291,12 +300,7 @@ def run_comparison(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:
         (config, ms, pool_seeds[i], eval_seeds[i], mask_seeds[i], centers_seeds[i])
         for i, ms in enumerate(config.model_seeds)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            outcomes = list(ex.map(_seed_task, tasks))
-    else:
-        outcomes = [_seed_outcome(*t) for t in tasks]
-    return ComparisonReport(config=config, outcomes=outcomes)
+    return ComparisonReport(config=config, outcomes=map_jobs(_seed_task, tasks, jobs))
 
 
 def comparison_csv(report: ComparisonReport) -> str:

@@ -9,14 +9,15 @@ selection always break toward the lower expert index.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InvariantError
-from .numerics import Rng, load_tensor, matmul_transpose, save_tensor, softmax_rows
+from .numerics import (
+    Rng, load_json, load_tensor, matmul_transpose, save_json, save_tensor, softmax_rows,
+)
 
 NONLINEARITIES = ("none", "tanh")
 
@@ -236,55 +237,49 @@ def save_model(model: MoEModel, dirpath) -> None:
         },
         "layers": manifest_layers,
     }
-    with open(os.path.join(dirpath, "model.json"), "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+    save_json(os.path.join(dirpath, "model.json"), manifest)
+
+
+def _parse_model_manifest(manifest) -> tuple[MoEConfig, list[tuple[str, list[str]]]]:
+    c = manifest["config"]
+    counts = c.get("layer_expert_counts")
+    config = MoEConfig(
+        num_layers=c["num_layers"],
+        experts_per_layer=c["experts_per_layer"],
+        hidden_dim=c["hidden_dim"],
+        top_k=c["top_k"],
+        nonlinearity=c["nonlinearity"],
+        layer_expert_counts=tuple(counts) if counts is not None else None,
+    )
+    blobs = [(str(e["router"]), [str(b) for b in e["experts"]]) for e in manifest["layers"]]
+    if len(blobs) != config.num_layers:
+        raise ValueError(f"{len(blobs)} layers listed, config says {config.num_layers}")
+    for l, (_, experts) in enumerate(blobs):
+        if len(experts) != config.expert_count(l):
+            raise ValueError(
+                f"layer {l} lists {len(experts)} experts, expected {config.expert_count(l)}"
+            )
+    return config, blobs
 
 
 def load_model(dirpath) -> MoEModel:
-    manifest_path = os.path.join(dirpath, "model.json")
-    try:
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-    except OSError as e:
-        raise FormatError(f"cannot read model manifest: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"malformed model manifest {manifest_path}: {e}") from e
-    try:
-        c = manifest["config"]
-        counts = c.get("layer_expert_counts")
-        config = MoEConfig(
-            num_layers=c["num_layers"],
-            experts_per_layer=c["experts_per_layer"],
-            hidden_dim=c["hidden_dim"],
-            top_k=c["top_k"],
-            nonlinearity=c["nonlinearity"],
-            layer_expert_counts=tuple(counts) if counts is not None else None,
-        )
-        layer_entries = manifest["layers"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"model manifest {manifest_path} is inconsistent: {e}") from e
-    if len(layer_entries) != config.num_layers:
-        raise FormatError(f"manifest lists {len(layer_entries)} layers, config says {config.num_layers}")
-
+    config, blobs = load_json(
+        os.path.join(dirpath, "model.json"), "model manifest", _parse_model_manifest
+    )
     d = config.hidden_dim
+
+    def load_blob(name, shape, what):
+        path = os.path.join(dirpath, name)
+        w = load_tensor(path)
+        if w.shape != shape:
+            raise FormatError(f"{path}: {what} blob has shape {w.shape}, expected {shape}")
+        return w
+
     layers = []
-    for l, entry in enumerate(layer_entries):
-        router = load_tensor(os.path.join(dirpath, entry["router"]))
-        n = config.expert_count(l)
-        if router.shape != (n, d):
-            raise FormatError(
-                f"layer {l}: router blob has shape {router.shape}, expected ({n}, {d})"
-            )
-        if len(entry["experts"]) != n:
-            raise FormatError(f"layer {l}: manifest lists {len(entry['experts'])} experts, expected {n}")
-        experts = []
-        for i, blob in enumerate(entry["experts"]):
-            w = load_tensor(os.path.join(dirpath, blob))
-            if w.shape != (d, d):
-                raise FormatError(
-                    f"layer {l}: expert {i} blob has shape {w.shape}, expected ({d}, {d})"
-                )
-            experts.append(w)
+    for l, (router_blob, expert_blobs) in enumerate(blobs):
+        router = load_blob(router_blob, (config.expert_count(l), d), f"layer {l} router")
+        experts = [
+            load_blob(b, (d, d), f"layer {l} expert {i}") for i, b in enumerate(expert_blobs)
+        ]
         layers.append(MoELayer(experts=experts, router=router))
     return MoEModel(config=config, layers=layers)

@@ -1,4 +1,5 @@
-"""Dense float64 kernels, deterministic randomness, and the .tnsr format.
+"""Dense float64 kernels, deterministic randomness, and the on-disk formats:
+`.tnsr` blobs and JSON artifacts.
 
 Matrices are plain 2-D float64 numpy arrays (row-major).  The PRNG is
 SplitMix64, spelled out in full so that generated models are bit-identical
@@ -8,6 +9,9 @@ for anything that ends up in a file.
 
 from __future__ import annotations
 
+import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -134,25 +138,64 @@ def save_tensor(path, arr: np.ndarray) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    """Read a `.tnsr` blob; anything but exactly one finite tensor in the
+    file is a FormatError naming it."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise FormatError(f"cannot read tensor {path}: {e}") from e
     if data[:4] != TNSR_MAGIC:
         raise FormatError(f"{path}: bad magic, not a .tnsr file")
     if len(data) < 5 or data[4] != TNSR_VERSION:
         raise FormatError(f"{path}: unsupported .tnsr version")
-    off = 5
-    if len(data) < off + 4:
-        raise FormatError(f"{path}: truncated header")
-    (rank,) = struct.unpack_from("<I", data, off)
-    off += 4
-    if len(data) < off + 4 * rank:
-        raise FormatError(f"{path}: truncated header")
-    dims = struct.unpack_from(f"<{rank}I", data, off)
-    off += 4 * rank
-    count = 1
-    for dim in dims:
-        count *= dim
-    if len(data) < off + 8 * count:
+    try:
+        (rank,) = struct.unpack_from("<I", data, 5)
+        dims = struct.unpack_from(f"<{rank}I", data, 9)
+    except struct.error as e:
+        raise FormatError(f"{path}: truncated header") from e
+    off = 9 + 4 * rank
+    end = off + 8 * math.prod(dims)
+    if len(data) < end:
         raise FormatError(f"{path}: unexpected end of tensor payload")
-    arr = np.frombuffer(data, dtype="<f8", count=count, offset=off)
+    if len(data) > end:
+        raise FormatError(f"{path}: {len(data) - end} trailing bytes after tensor payload")
+    arr = np.frombuffer(data, dtype="<f8", offset=off)
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{path}: non-finite entry in tensor payload")
     return arr.reshape(dims).astype(np.float64)
+
+
+def save_json(path, obj) -> None:
+    """Write obj as JSON with indent=2 and a trailing newline.
+
+    The bytes go to `path + ".tmp"` first and replace `path` only once
+    complete, so a stage that fails or is interrupted mid-write leaves the
+    previous file, or none, never a partial one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            json.dump(obj, f, indent=2)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def load_json(path, what: str, parse=lambda obj: obj):
+    """Read a JSON artifact and return parse(decoded object).
+
+    `parse` indexes and converts what its caller needs.  An unreadable file,
+    bad JSON, and a missing key or value of the wrong type or range met by
+    `parse` all raise one FormatError naming `what` and the path."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except OSError as e:
+        raise FormatError(f"cannot read {what} {path}: {e}") from e
+    except KeyError as e:
+        raise FormatError(f"{what} {path} has no key {e}") from e
+    except (ValueError, TypeError, IndexError, AttributeError) as e:
+        raise FormatError(f"malformed {what} {path}: {e}") from e

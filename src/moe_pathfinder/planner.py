@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvariantError
-from .numerics import Rng
+from .errors import InvariantError
+from .numerics import Rng, load_json, save_json
 from .scoring import LayerScore, SampleGraph, graph_from_scores
 
 BRUTEFORCE_CAP = 10**6
@@ -297,16 +296,8 @@ def oracle_selfcheck(trials: int, seed: int, tol: float = 1e-9) -> tuple[int, li
 
 
 def save_pathset(pathset: PathSet, path) -> None:
-    with open(path, "w") as f:
-        json.dump(pathset.to_json(), f, indent=2)
-        f.write("\n")
+    save_json(path, pathset.to_json())
 
 
 def load_pathset(path) -> PathSet:
-    try:
-        with open(path) as f:
-            return PathSet.from_json(json.load(f))
-    except OSError as e:
-        raise FormatError(f"cannot read path set {path}: {e}") from e
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"malformed path set {path}: {e}") from e
+    return load_json(path, "path set", PathSet.from_json)

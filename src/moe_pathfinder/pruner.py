@@ -9,13 +9,13 @@ selected experts back to the exact budget without ever emptying a layer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvariantError
 from .model import MoEConfig, MoELayer, MoEModel
+from .numerics import load_json, save_json
 from .planner import PathSet, top_m_paths_dp
 from .scoring import SampleGraph
 
@@ -56,7 +56,7 @@ class PruneMask:
     def from_json(cls, obj: dict) -> "PruneMask":
         keep = np.array(obj["keep"], dtype=bool)
         if keep.shape != (int(obj["L"]), int(obj["Ne"])):
-            raise InvariantError("mask keep grid does not match its L/Ne header")
+            raise ValueError("keep grid does not match the L/Ne header")
         return cls(keep)
 
 
@@ -68,6 +68,19 @@ class RetentionReport:
     m_used: int
     samples_used: int
     trimmed: list[tuple[int, int]] = field(default_factory=list)
+
+    @classmethod
+    def from_mask(
+        cls, mask: PruneMask, m_used: int, samples_used: int, trimmed=()
+    ) -> "RetentionReport":
+        return cls(
+            retained_per_layer=[int(c) for c in mask.keep.sum(axis=1)],
+            retained_total=mask.retained_total(),
+            retention_fraction=mask.retention_fraction(),
+            m_used=m_used,
+            samples_used=samples_used,
+            trimmed=list(trimmed),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -200,15 +213,7 @@ def target_sparsity_search(
             per_layer[l] -= 1
             trimmed.append((l, i))
 
-    report = RetentionReport(
-        retained_per_layer=[int(c) for c in mask.keep.sum(axis=1)],
-        retained_total=mask.retained_total(),
-        retention_fraction=mask.retention_fraction(),
-        m_used=m,
-        samples_used=len(graphs),
-        trimmed=trimmed,
-    )
-    return mask, report
+    return mask, RetentionReport.from_mask(mask, m, len(graphs), trimmed)
 
 
 def apply_mask(model: MoEModel, mask: PruneMask) -> tuple[MoEModel, list[list[int]]]:
@@ -249,23 +254,16 @@ def apply_mask(model: MoEModel, mask: PruneMask) -> tuple[MoEModel, list[list[in
 
 
 def save_mask(mask: PruneMask, path) -> None:
-    with open(path, "w") as f:
-        json.dump(mask.to_json(), f, indent=2)
-        f.write("\n")
+    save_json(path, mask.to_json())
 
 
 def load_mask(path) -> PruneMask:
-    with open(path) as f:
-        return PruneMask.from_json(json.load(f))
+    return load_json(path, "mask", PruneMask.from_json)
 
 
 def save_report(report: RetentionReport, path) -> None:
-    with open(path, "w") as f:
-        json.dump(report.to_json(), f, indent=2)
-        f.write("\n")
+    save_json(path, report.to_json())
 
 
 def save_remap(kept: list[list[int]], path) -> None:
-    with open(path, "w") as f:
-        json.dump({"kept": kept}, f, indent=2)
-        f.write("\n")
+    save_json(path, {"kept": kept})

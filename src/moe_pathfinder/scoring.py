@@ -17,15 +17,13 @@ simply rank last.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
 from .model import ForwardTrace, MoELayer, MoEModel, SampleBatch, model_forward, route
-from .numerics import matmul_transpose, softmax
+from .numerics import load_json, matmul_transpose, save_json, softmax
 
 LOG_CLAMP = 1e-300
 
@@ -176,10 +174,28 @@ def save_graph(graph: SampleGraph, dirpath, stem: str) -> str:
         ],
     }
     name = f"{stem}.json"
-    with open(os.path.join(dirpath, name), "w") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+    save_json(os.path.join(dirpath, name), obj)
     return name
+
+
+def _parse_scores(obj) -> list[LayerScore]:
+    L = int(obj["num_layers"])
+    n = int(obj["experts_per_layer"])
+    layers = obj["layers"]
+    if L < 1 or n < 1 or len(layers) != L:
+        raise ValueError(
+            f"{len(layers)} layers listed, num_layers is {L}, experts_per_layer is {n}"
+        )
+    scores = []
+    for l, entry in enumerate(layers):
+        fields = {}
+        for field in _GRAPH_FIELDS:
+            v = np.array(entry[field], dtype=np.float64)
+            if v.shape != (n,) or not np.all(np.isfinite(v)):
+                raise ValueError(f"layer {l} field {field!r} must hold {n} finite numbers")
+            fields[field] = v
+        scores.append(LayerScore(**fields))
+    return scores
 
 
 def load_graph(dirpath, name: str) -> SampleGraph:
@@ -187,35 +203,4 @@ def load_graph(dirpath, name: str) -> SampleGraph:
     experts_per_layer finite numbers; transitions are recomputed with
     transition_intensity, which is the same single multiply score_trace does,
     so the rebuilt graph is bit-identical to the one saved."""
-    path = os.path.join(dirpath, name)
-    try:
-        with open(path) as f:
-            obj = json.load(f)
-    except OSError as e:
-        raise FormatError(f"cannot read graph {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"malformed graph {path}: {e}") from e
-    try:
-        L = int(obj["num_layers"])
-        n = int(obj["experts_per_layer"])
-        layers = obj["layers"]
-        if L < 1 or n < 1 or len(layers) != L:
-            raise FormatError(
-                f"graph {path}: {len(layers)} layers listed, num_layers is {L}, "
-                f"experts_per_layer is {n}"
-            )
-        scores = []
-        for l, entry in enumerate(layers):
-            fields = {}
-            for field in _GRAPH_FIELDS:
-                v = np.array(entry[field], dtype=np.float64)
-                if v.shape != (n,) or not np.all(np.isfinite(v)):
-                    raise FormatError(
-                        f"graph {path}: layer {l} field {field!r} must hold "
-                        f"{n} finite numbers"
-                    )
-                fields[field] = v
-            scores.append(LayerScore(**fields))
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"graph {path} is inconsistent: {e}") from e
-    return graph_from_scores(scores)
+    return graph_from_scores(load_json(os.path.join(dirpath, name), "graph", _parse_scores))

@@ -1,9 +1,16 @@
 import json
+import os
+import shutil
+import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from moe_pathfinder.cli import load_data, load_manifest, main
 from moe_pathfinder.errors import FormatError
@@ -275,3 +282,187 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "oracle: 3/3" in proc.stdout
+
+
+# Every stage run from the pipeline fixture's directory with relative paths,
+# so manifests hold no temporary-directory names and copies compare by bytes.
+STAGES = [
+    "calibrate --data data --k 4 --seed 9 -o calib.json --manifest manifest.json",
+    "score --model model --data data --calibration calib.json -o graphs --manifest manifest.json",
+    "plan --graphs graphs --m 2 -o paths --manifest manifest.json",
+    "prune --paths paths -o pruned --manifest manifest.json",
+]
+
+
+@pytest.fixture
+def staged(pipeline, monkeypatch):
+    tmp = pipeline[0]
+    monkeypatch.chdir(tmp)
+    for argv in STAGES:
+        assert run_cli(*argv.split()) == 0
+    (tmp / "outliers.json").write_text("[[0, 1], [2, 3]]\n")
+    return tmp
+
+
+def _first_id(staged):
+    return f'{json.loads((staged / "graphs" / "graphs.json").read_text())["samples"][0]["id"]:04d}'
+
+
+def _truncate(n):
+    return lambda p: p.write_bytes(p.read_bytes()[:n])
+
+
+def _replace(obj):
+    return lambda p: p.write_text(json.dumps(obj))
+
+
+def _edit(fn):
+    def apply(p):
+        obj = json.loads(p.read_text())
+        fn(obj)
+        p.write_text(json.dumps(obj))
+
+    return apply
+
+
+def _nan_last_entry(p):
+    p.write_bytes(p.read_bytes()[:-8] + struct.pack("<d", float("nan")))
+
+
+EVAL = "eval --model model --mask pruned/mask.json --data data -o eval.json"
+SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, argv",
+    [
+        pytest.param("pruned/mask.json", _truncate(30), EVAL, id="mask-truncated"),
+        pytest.param("graphs/graphs.json", _replace({"num_layers": 3}),
+                     "plan --graphs graphs --m 2 -o p2", id="graph-index-no-samples"),
+        pytest.param("paths/paths.json", _replace({}), "prune --paths paths -o pr2",
+                     id="path-index-empty"),
+        pytest.param("paths/paths.json", _edit(lambda o: o["samples"][1].pop("paths")),
+                     "heatmap --paths paths -o h.csv", id="path-index-entry-no-paths"),
+        pytest.param("calib.json", _replace([]), SCORE_CALIB, id="calibration-list"),
+        pytest.param("calib.json", _truncate(20), SCORE_CALIB, id="calibration-truncated"),
+        pytest.param("calib.json", Path.unlink, SCORE_CALIB, id="calibration-missing"),
+        pytest.param("pruned/mask.json", _edit(lambda o: o.pop("keep")), EVAL, id="mask-no-keep"),
+        pytest.param("pruned/mask.json", Path.unlink, EVAL, id="mask-missing"),
+        pytest.param("pruned/mask.json", _edit(lambda o: o.update(Ne=3)), EVAL,
+                     id="mask-grid-disagrees-with-header"),
+        pytest.param("data/data.json", _edit(lambda o: o.pop("blob")),
+                     "calibrate --data data --k 2 --seed 0 -o c2.json", id="data-no-blob"),
+        pytest.param("manifest.json", _truncate(30),
+                     "plan --graphs graphs --m 1 -o p2 --manifest manifest.json",
+                     id="manifest-truncated"),
+        pytest.param("model/layer1.expert2.tnsr", Path.unlink, EVAL, id="blob-missing"),
+        pytest.param("model/layer1.expert2.tnsr",
+                     lambda p: p.write_bytes(p.read_bytes() + bytes(8)), EVAL,
+                     id="blob-trailing-bytes"),
+        pytest.param("model/layer0.router.tnsr", _nan_last_entry,
+                     "score --model model --data data -o g2", id="blob-nan"),
+        pytest.param("graphs/graphs.json", _edit(lambda o: o.update(experts_per_layer=5)),
+                     "prune --graphs graphs --m 1 -o pr2", id="graph-index-disagrees"),
+        pytest.param("paths/sample{first}.paths.json",
+                     _edit(lambda o: o["paths"][0].update(experts=[0, 4, 1])),
+                     "heatmap --paths paths -o h.csv", id="path-outside-index"),
+        pytest.param("outliers.json", _replace([[3, 0]]),
+                     "heatmap --paths paths --outliers outliers.json -o h.csv",
+                     id="outlier-outside-index"),
+    ],
+)
+def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
+    name = name.format(first=_first_id(staged))
+    corrupt(staged / name)
+    capsys.readouterr()
+    assert run_cli(*argv.split()) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
+# (artifact, the stage that reads it); each stage writes only under out/
+# and, with --manifest, to manifest.json
+READERS = [
+    ("model/model.json", "score --model model --data data -o out"),
+    ("data/data.json", "calibrate --data data --k 4 --seed 9 -o out/calib.json"),
+    ("calib.json", "score --model model --data data --calibration calib.json -o out"),
+    ("graphs/graphs.json", "plan --graphs graphs --m 3 -o out"),
+    ("graphs/sample{first}.json", "plan --graphs graphs --m 3 -o out"),
+    ("paths/paths.json", "prune --paths paths -o out"),
+    ("paths/sample{first}.paths.json", "heatmap --paths paths --outliers outliers.json -o out/h.csv"),
+    ("outliers.json", "heatmap --paths paths --outliers outliers.json -o out/h.csv"),
+    ("pruned/mask.json", "eval --model model --mask pruned/mask.json --data data -o out/eval.json"),
+    ("manifest.json", "plan --graphs graphs --m 1 -o out --manifest manifest.json"),
+]
+
+# stage -> output map of the manifest: dropping one of their entries is a
+# different valid manifest, not a damaged one
+DATA_MAPS = ("stages", "seeds")
+
+
+def _key_paths(obj, prefix=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            if key not in DATA_MAPS:
+                yield from _key_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _key_paths(value, prefix + (i,))
+
+
+def _run_in_copy(base, argv, corrupt=None):
+    """Run one stage on a copy of base; (exit code, output bytes)."""
+    with tempfile.TemporaryDirectory() as d:
+        work = Path(d) / "w"
+        shutil.copytree(base, work)
+        (work / "out").mkdir()
+        os.chdir(work)
+        try:
+            if corrupt is not None:
+                corrupt(work)
+            code = run_cli(*argv.split())
+            out = {
+                str(p.relative_to(work)): p.read_bytes()
+                for p in sorted(work.rglob("*"))
+                if p.is_file() and (p.parts[len(work.parts)] == "out" or p.name == "manifest.json")
+            }
+        finally:
+            os.chdir(base)
+    return code, out
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_artifact_is_exit_0_identical_or_exit_2_named(staged, capsys, data):
+    name, argv = data.draw(st.sampled_from(READERS))
+    name = name.format(first=_first_id(staged))
+    raw = (staged / name).read_bytes()
+    keys = list(_key_paths(json.loads(raw)))
+    if keys and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(keys))
+
+        def corrupt(work):
+            obj = json.loads(raw)
+            node = obj
+            for k in key[:-1]:
+                node = node[k]
+            del node[key[-1]]
+            (work / name).write_text(json.dumps(obj, indent=2) + "\n")
+    else:
+        cut = data.draw(st.integers(0, len(raw) - 1))
+
+        def corrupt(work):
+            (work / name).write_bytes(raw[:cut])
+
+    ref_code, ref_out = _run_in_copy(staged, argv)
+    assert ref_code == 0
+    capsys.readouterr()
+    code, out = _run_in_copy(staged, argv, corrupt)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert out == ref_out
+    else:
+        assert code == 2 and name in err, err

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,10 @@ from moe_pathfinder.errors import FormatError
 from moe_pathfinder.numerics import (
     Rng,
     l2_norm,
+    load_json,
     load_tensor,
     matmul_transpose,
+    save_json,
     save_tensor,
     softmax,
     softmax_rows,
@@ -202,3 +207,67 @@ def test_tnsr_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(FormatError, match="unexpected end of tensor payload"):
         load_tensor(path)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda raw: raw[:7], "truncated header"),
+        (lambda raw: raw + bytes(8), "8 trailing bytes"),
+        (lambda raw: raw[:-8] + struct.pack("<d", float("nan")), "non-finite"),
+        (lambda raw: raw[:-8] + struct.pack("<d", float("-inf")), "non-finite"),
+        (lambda raw: None, "cannot read tensor"),
+    ],
+)
+def test_tnsr_bad_blob_names_the_file(tmp_path, damage, message):
+    path = tmp_path / "x.tnsr"
+    save_tensor(path, np.ones((2, 2)))
+    raw = damage(path.read_bytes())
+    if raw is None:
+        path.unlink()
+    else:
+        path.write_bytes(raw)
+    with pytest.raises(FormatError, match=message) as info:
+        load_tensor(path)
+    assert str(path) in str(info.value)
+
+
+def test_save_json_layout_and_roundtrip(tmp_path):
+    path = tmp_path / "a.json"
+    obj = {"b": [1, 2.5], "a": {"c": None}}
+    save_json(path, obj)
+    assert path.read_text() == json.dumps(obj, indent=2) + "\n"
+    assert load_json(path, "thing") == obj
+    assert load_json(path, "thing", lambda o: o["b"][1]) == 2.5
+
+
+def test_save_json_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "a.json"
+    save_json(path, {"ok": True})
+    before = path.read_bytes()
+    # the set is met after "first" has been written to the temp file
+    with pytest.raises(TypeError):
+        save_json(path, {"first": list(range(1000)), "bad": {1, 2}})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+@pytest.mark.parametrize(
+    "content, parse, message",
+    [
+        (None, lambda o: o, "cannot read"),
+        ('{"a": ', lambda o: o, "malformed"),
+        ('{"a": 1}', lambda o: o["b"], "has no key 'b'"),
+        ('{"a": 1}', lambda o: o["a"]["b"], "malformed"),
+        ('{"a": []}', lambda o: o["a"][0], "malformed"),
+        ('{"a": "x"}', lambda o: int(o["a"]), "malformed"),
+        ("[]", lambda o: o.get("a"), "malformed"),
+    ],
+)
+def test_load_json_failures_name_the_file(tmp_path, content, parse, message):
+    path = tmp_path / "a.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(FormatError, match=message) as info:
+        load_json(path, "thing", parse)
+    assert f"thing {path}" in str(info.value)

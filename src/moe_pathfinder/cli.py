@@ -40,7 +40,7 @@ from .model import (
     load_model,
     save_model,
 )
-from .numerics import load_json, load_tensor, save_json, save_tensor
+from .numerics import _write_atomic, load_json, load_tensor, save_json, save_tensor
 from .planner import (
     PathSet,
     load_pathset,
@@ -106,6 +106,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not a fraction in (0, 1]")
+    return value
 
 
 def _resolve_jobs(args) -> int:
@@ -192,6 +206,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_calibrate(args) -> int:
     samples = load_data(args.data)
+    if args.k > len(samples):
+        sys.stderr.write(f"calibrate: --k {args.k} exceeds the {len(samples)} samples\n")
+        return 1
     calib = build_calibration_set(samples, args.k, args.seed, args.max_iters)
     save_calibration(calib, args.out)
     if args.manifest:
@@ -298,17 +315,9 @@ def _load_path_index(dirpath) -> tuple[dict, list[PathSet]]:
 
 
 def cmd_prune(args) -> int:
-    if args.m is not None and args.target_retention is not None:
-        sys.stderr.write("prune: --m and --target-retention are mutually exclusive\n")
-        return 1
-    if args.paths and (args.m is not None or args.target_retention is not None):
-        sys.stderr.write("prune: --paths already fixes m; drop --m/--target-retention\n")
-        return 1
-    if not args.paths and not args.graphs:
-        sys.stderr.write("prune: need either --paths or --graphs\n")
-        return 1
-    if args.graphs and args.m is None and args.target_retention is None:
-        sys.stderr.write("prune: --graphs needs one of --m or --target-retention\n")
+    # the parser already makes --paths/--graphs and --m/--target-retention exclusive
+    if (args.paths is not None) == (args.m is not None or args.target_retention is not None):
+        sys.stderr.write("prune: --graphs needs --m or --target-retention; --paths fixes m\n")
         return 1
 
     os.makedirs(args.out, exist_ok=True)
@@ -425,8 +434,7 @@ def cmd_compare(args) -> int:
     report = run_comparison(config, jobs=_resolve_jobs(args))
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "comparison.csv")
-    with open(csv_path, "w", newline="") as f:
-        f.write(comparison_csv(report))
+    _write_atomic(csv_path, comparison_csv(report).encode())
     summary_path = os.path.join(args.out, "summary.json")
     save_json(summary_path, comparison_summary(report))
     save_json(
@@ -471,8 +479,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="generate seeded sample batches")
     p.add_argument("--model", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--tokens", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
+    p.add_argument("--tokens", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
@@ -480,9 +488,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="k-means calibration-set selection")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--max-iters", type=_positive_int, default=100)
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
     p.set_defaults(func=cmd_calibrate)
@@ -498,18 +506,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plan", help="top-m path search per scored sample")
     p.add_argument("--graphs", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("prune", help="build the retention mask and pruned model")
-    p.add_argument("--paths", help="path-set directory from `plan`")
-    p.add_argument("--graphs", help="graph directory from `score`")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--target-retention", type=float, default=None)
-    p.add_argument("--m-max", type=int, default=65536)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--paths", help="path-set directory from `plan`")
+    source.add_argument("--graphs", help="graph directory from `score`")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--m", type=_positive_int, default=None)
+    size.add_argument("--target-retention", type=_fraction, default=None)
+    p.add_argument("--m-max", type=_positive_int, default=65536)
     p.add_argument("--model", help="also materialize the pruned model")
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
@@ -537,17 +547,17 @@ def build_parser() -> _Parser:
     p.add_argument("--topk", type=int, default=2)
     p.add_argument("--nonlinearity", choices=["none", "tanh"], default="tanh")
     p.add_argument("--seed", type=int, required=True, help="first model seed")
-    p.add_argument("--trials", type=int, default=10, help="number of model seeds")
+    p.add_argument("--trials", type=_positive_int, default=10, help="number of model seeds")
     p.add_argument("--data-seed", type=int, default=1000)
     p.add_argument("--eval-seed", type=int, default=2000)
     p.add_argument("--mask-seed", type=int, default=3000)
     p.add_argument("--kmeans-seed", type=int, default=4000)
-    p.add_argument("--pool", type=int, default=64)
-    p.add_argument("--tokens", type=int, default=32)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--eval-samples", type=int, default=16)
-    p.add_argument("--retention", type=float, default=0.5)
-    p.add_argument("--random-masks", type=int, default=20)
+    p.add_argument("--pool", type=_positive_int, default=64)
+    p.add_argument("--tokens", type=_positive_int, default=32)
+    p.add_argument("--k", type=_positive_int, default=8)
+    p.add_argument("--eval-samples", type=_positive_int, default=16)
+    p.add_argument("--retention", type=_fraction, default=0.5)
+    p.add_argument("--random-masks", type=_positive_int, default=20)
     p.add_argument("--centers-seed", type=int, default=5000)
     p.add_argument("--expert-scale", type=float, default=2.5)
     p.add_argument("--router-gain", type=float, default=64.0)
@@ -561,7 +571,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("selfcheck", help="planner vs brute-force oracle suite")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_selfcheck)
 
@@ -575,6 +585,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        # a bad manifest fails the stage before it writes anything
+        if getattr(args, "manifest", None) and os.path.exists(args.manifest):
+            load_json(args.manifest, "manifest", _parse_manifest)
         return args.func(args)
     except FormatError as e:
         sys.stderr.write(f"error: {e}\n")
@@ -582,6 +595,9 @@ def main(argv=None) -> int:
     except (InvariantError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 3
+    except OSError as e:  # reads are FormatErrors, so this is an output path
+        sys.stderr.write(f"error: cannot write output: {e}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .calibration import build_calibration_set
 from .model import MoEConfig, MoEModel, SampleBatch, gen_data, gen_model, model_forward
-from .numerics import Rng
+from .numerics import Rng, _write_atomic
 from .pruner import PruneMask, RetentionReport, target_sparsity_search
 from .scoring import SampleGraph, score_sample
 
@@ -342,12 +342,8 @@ def run_manifest(config: ExperimentConfig, version: str, outputs: dict) -> dict:
 
 def export_heatmap(counts: np.ndarray, path) -> None:
     """CSV with header layer,expert,count in layer-major order."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["layer", "expert", "count"])
-        for l in range(counts.shape[0]):
-            for i in range(counts.shape[1]):
-                writer.writerow([l, i, int(counts[l, i])])
+    rows = ["layer,expert,count"] + [f"{l},{i},{int(c)}" for (l, i), c in np.ndenumerate(counts)]
+    _write_atomic(path, ("\n".join(rows) + "\n").encode())
 
 
 def planted_model(

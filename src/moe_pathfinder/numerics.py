@@ -1,5 +1,5 @@
 """Dense float64 kernels, deterministic randomness, and the on-disk formats:
-`.tnsr` blobs and JSON artifacts.
+`.tnsr` blobs and JSON artifacts, each written atomically.
 
 Matrices are plain 2-D float64 numpy arrays (row-major).  The PRNG is
 SplitMix64, spelled out in full so that generated models are bit-identical
@@ -126,15 +126,12 @@ def l2_norm(v: np.ndarray) -> float:
 
 def save_tensor(path, arr: np.ndarray) -> None:
     """Write `.tnsr`: b"TNSR", version byte 1, u32 LE rank, u32 LE dims,
-    row-major little-endian f64 payload."""
+    row-major little-endian f64 payload.  Written atomically."""
     arr = np.ascontiguousarray(arr, dtype=np.float64)
-    with open(path, "wb") as f:
-        f.write(TNSR_MAGIC)
-        f.write(bytes([TNSR_VERSION]))
-        f.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            f.write(struct.pack("<I", dim))
-        f.write(arr.astype("<f8").tobytes())
+    header = struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
+    _write_atomic(
+        path, TNSR_MAGIC + bytes([TNSR_VERSION]) + header + arr.astype("<f8").tobytes()
+    )
 
 
 def load_tensor(path) -> np.ndarray:
@@ -166,22 +163,26 @@ def load_tensor(path) -> np.ndarray:
     return arr.reshape(dims).astype(np.float64)
 
 
-def save_json(path, obj) -> None:
-    """Write obj as JSON with indent=2 and a trailing newline.
-
-    The bytes go to `path + ".tmp"` first and replace `path` only once
-    complete, so a stage that fails or is interrupted mid-write leaves the
-    previous file, or none, never a partial one."""
+def _write_atomic(path, data: bytes) -> None:
+    """Write data to `path + ".tmp"` and only then replace `path` with it, so
+    a stage that fails or is interrupted mid-write leaves the previous file,
+    or none, never a partial one.  An OSError is re-raised naming `path`."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as f:
-            json.dump(obj, f, indent=2)
-            f.write("\n")
+        with open(tmp, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from e
         raise
+
+
+def save_json(path, obj) -> None:
+    """Write obj as JSON with indent=2 and a trailing newline, atomically."""
+    _write_atomic(path, (json.dumps(obj, indent=2) + "\n").encode())
 
 
 def load_json(path, what: str, parse=lambda obj: obj):

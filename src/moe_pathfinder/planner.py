@@ -9,22 +9,24 @@ ascending).
 Transitions are rank-1, so every log edge matrix is additive up to rounding
 and the 1e-300 clamp: log_edge[l][i, j] ~ u_l[i] + v_l[j].  Folding u and v
 into the node terms gives per-node scores s_l whose sum S(p) bounds every
-path's weight from above, to within a small eps.  top_m_paths_dp enumerates
+path's weight from above, to within a small eps.  ranked_paths enumerates
 paths best-first in S over the per-layer sorted score lists (the separable
 case of Eppstein's k shortest paths), re-scores each one with
-path_log_weight, and stops once no unseen path can reach the m-th best
-weight.  Experts whose node term, edge row and edge column are bit-identical
-are enumerated as one class and expanded in lexicographic order, so an exact
-tie between twins costs one path, not one per member.  The result equals
-top_m_paths_bruteforce exactly, sequences and weights, for any finite log
-weights.
+path_log_weight, and yields a path once no unseen path can reach its weight.
+The stream is the whole ranking, produced lazily, so every top-m is a prefix
+of it: top_m_paths_dp takes the first m, and the sparsity search reads paths
+off it one rank at a time.  Experts whose node term, edge row and edge column
+are bit-identical are enumerated as one class and expanded in lexicographic
+order, so an exact tie between twins costs one path, not one per member.  The
+ranking equals top_m_paths_bruteforce exactly, sequences and weights, for any
+finite log weights.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,11 +146,9 @@ def _node_scores(graph: SampleGraph) -> tuple[np.ndarray, float]:
     return scores, float(residual.sum()) + (8 * graph.num_layers + 16) * 2.0**-53 * magnitude
 
 
-def top_m_paths_dp(graph: SampleGraph, m: int) -> PathSet:
-    """The m best paths, ordered by (log_weight descending, sequence
-    ascending); all N_e^L of them when m is larger."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+def ranked_paths(graph: SampleGraph) -> Iterator[PrefixPath]:
+    """Every path of the graph, lazily, ordered by (log_weight descending,
+    sequence ascending); any top-m is a prefix of this stream."""
     L = graph.num_layers
     node_scores, eps = _node_scores(graph)
     # per layer, the twin classes by score descending: a path is one rank per
@@ -171,41 +171,36 @@ def top_m_paths_dp(graph: SampleGraph, m: int) -> PathSet:
     # after r's last nonzero one, so each vector is pushed exactly once
     root = (0,) * L
     heap = [(-bound(root), root, 0)]
-    groups: dict[float, list[tuple[tuple[int, ...], float]]] = {}  # weight -> rank paths
-    group_size: dict[float, int] = {}
-    weights: list[float] = []  # min-heap of the keys of groups
-    total = 0
-    while heap and not (total >= m and -heap[0][0] + eps < weights[0]):
-        _, ranks, last = heapq.heappop(heap)
-        for k in range(last, L):
-            if ranks[k] + 1 < len(ranked[k]):
-                child = ranks[:k] + (ranks[k] + 1,) + ranks[k + 1 :]
-                heapq.heappush(heap, (-bound(child), child, k))
-        w = _accumulate(log_node, log_edge, [members[l][r][0] for l, r in enumerate(ranks)])
-        if w not in groups:
-            groups[w] = []
-            group_size[w] = 0
-            heapq.heappush(weights, w)
-        groups[w].append((ranks, w))  # w may be -0.0 under the key 0.0
-        size = math.prod(len(members[l][r]) for l, r in enumerate(ranks))
-        group_size[w] += size
-        total += size
-        # drop the lightest weight once the heavier ones hold m paths
-        while total - group_size[weights[0]] >= m:
-            lightest = heapq.heappop(weights)
-            total -= group_size.pop(lightest)
-            del groups[lightest]
+    # popped classes keyed by (-weight, next member sequence), as
+    # PrefixPath.sort_key orders paths, each holding the rest of its product,
+    # which runs in lexicographic order; tied classes thereby interleave
+    ready: list = []
+    while heap or ready:
+        # the best ready path is next once no unseen path can reach its weight
+        while heap and not (ready and -heap[0][0] + eps < -ready[0][0]):
+            _, ranks, last = heapq.heappop(heap)
+            for k in range(last, L):
+                if ranks[k] + 1 < len(ranked[k]):
+                    child = ranks[:k] + (ranks[k] + 1,) + ranks[k + 1 :]
+                    heapq.heappush(heap, (-bound(child), child, k))
+            w = _accumulate(log_node, log_edge, [members[l][r][0] for l, r in enumerate(ranks)])
+            product = itertools.product(*(members[l][r] for l, r in enumerate(ranks)))
+            heapq.heappush(ready, (-w, next(product), w, product))
+        key, seq, w, product = ready[0]
+        yield PrefixPath(seq, w)
+        seq = next(product, None)
+        if seq is None:
+            heapq.heappop(ready)
+        else:
+            heapq.heapreplace(ready, (key, seq, w, product))
 
-    out: list[PrefixPath] = []
-    for key in sorted(groups, reverse=True):
-        # tied class paths interleave: merge their member products, each
-        # already in lexicographic order
-        merged = heapq.merge(*(
-            zip(itertools.product(*(members[l][r] for l, r in enumerate(ranks))), itertools.repeat(w))
-            for ranks, w in groups[key]
-        ))
-        out.extend(PrefixPath(seq, w) for seq, w in itertools.islice(merged, m - len(out)))
-    return PathSet(m=m, paths=out)
+
+def top_m_paths_dp(graph: SampleGraph, m: int) -> PathSet:
+    """The m best paths, ordered by (log_weight descending, sequence
+    ascending); all N_e^L of them when m is larger."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return PathSet(m=m, paths=list(itertools.islice(ranked_paths(graph), m)))
 
 
 def top_m_paths_bruteforce(graph: SampleGraph, m: int, cap: int = BRUTEFORCE_CAP) -> PathSet:

@@ -2,9 +2,10 @@
 search over m, and the materialized pruned model.
 
 Retention is controlled by m only coarsely (each path pins one expert per
-layer, and per-sample sets are unioned), so the search finds the smallest m
-whose union meets the target and, on overshoot, trims least-frequently
-selected experts back to the exact budget without ever emptying a layer.
+layer, and per-sample sets are unioned), so the search advances every
+sample's ranked path stream one rank at a time to the first m whose union
+meets the target and, on overshoot, trims least-frequently selected experts
+back to the exact budget without ever emptying a layer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import InvariantError
 from .model import MoEConfig, MoELayer, MoEModel
 from .numerics import load_json, save_json
-from .planner import PathSet, top_m_paths_dp
+from .planner import PathSet, ranked_paths
 from .scoring import SampleGraph
 
 
@@ -145,60 +146,45 @@ def selection_frequency(
     return counts
 
 
-def _plan_all(graphs: list[SampleGraph], m: int) -> list[PathSet]:
-    return [top_m_paths_dp(g, m) for g in graphs]
-
-
 def target_sparsity_search(
     graphs: list[SampleGraph],
     target_retention: float,
     m_max: int = 65536,
 ) -> tuple[PruneMask, RetentionReport]:
-    """Smallest m (doubling, then integer bisection) whose union mask retains
-    at least the target fraction; overshoot is trimmed back to exactly
-    ceil(target * L * N_e) experts by ascending selection frequency, pruning
-    higher layers then higher expert indices first on ties, and never
-    emptying a layer."""
+    """Smallest m whose union mask retains at least the target fraction, in
+    one lockstep pass: step m draws every sample's m-th ranked path, so the
+    mask after it is the union of the top-m path sets.  Overshoot is trimmed
+    back to exactly ceil(target * L * N_e) experts by ascending selection
+    frequency over those paths, pruning higher layers then higher expert
+    indices first on ties, and never emptying a layer."""
     if not graphs:
         raise ValueError("need at least one scored sample")
     if not (0.0 < target_retention <= 1.0):
         raise ValueError("target_retention must be in (0, 1]")
     L = graphs[0].num_layers
     n = graphs[0].experts_per_layer
+    if any((g.num_layers, g.experts_per_layer) != (L, n) for g in graphs):
+        raise ValueError("graphs disagree on L x N_e")
 
-    def retention_at(m: int) -> tuple[PruneMask, list[PathSet]]:
-        pathsets = _plan_all(graphs, m)
-        return mask_from_pathsets(pathsets, n), pathsets
-
-    m = 1
-    mask, pathsets = retention_at(m)
-    if mask.retention_fraction() < target_retention:
-        lo = m  # largest m known to fall short
-        while True:
-            if m >= m_max:
-                raise InvariantError(
-                    f"target retention {target_retention} unreachable with m_max={m_max}: "
-                    f"best achievable fraction is {mask.retention_fraction():.6f}"
-                )
-            m = min(m * 2, m_max)
-            mask, pathsets = retention_at(m)
-            if mask.retention_fraction() >= target_retention:
-                break
-            lo = m
-        hi = m
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            cand_mask, cand_sets = retention_at(mid)
-            if cand_mask.retention_fraction() >= target_retention:
-                hi, mask, pathsets = mid, cand_mask, cand_sets
-            else:
-                lo = mid
-        m = hi
+    mask = PruneMask(np.zeros((L, n), dtype=bool))
+    freq = np.zeros((L, n), dtype=np.int64)
+    layers = np.arange(L)
+    # same-shape streams all end right after the step that fills the mask
+    for m, paths in enumerate(zip(*(ranked_paths(g) for g in graphs)), start=1):
+        for path in paths:
+            mask.keep[layers, path.experts] = True
+            freq[layers, path.experts] += 1
+        if mask.retention_fraction() >= target_retention:
+            break
+        if m >= m_max:
+            raise InvariantError(
+                f"target retention {target_retention} unreachable with m_max={m_max}: "
+                f"best achievable fraction is {mask.retention_fraction():.6f}"
+            )
 
     target_count = int(np.ceil(target_retention * L * n))
     trimmed: list[tuple[int, int]] = []
     if mask.retained_total() > target_count:
-        freq = selection_frequency(pathsets, L, n)
         kept = [(l, i) for l in range(L) for i in range(n) if mask.keep[l, i]]
         # prune order: least frequent first; ties drop deeper layers, then
         # higher expert indices

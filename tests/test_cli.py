@@ -380,6 +380,51 @@ def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
     assert name in err and "Traceback" not in err
 
 
+def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
+    _truncate(30)(staged / "manifest.json")
+    capsys.readouterr()
+    assert run_cli(*"plan --graphs graphs --m 1 -o p2 --manifest manifest.json".split()) == 2
+    assert "manifest.json" in capsys.readouterr().err
+    assert not (staged / "p2").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param("plan --graphs graphs --m 0 -o x", "--m", id="plan-m"),
+        pytest.param("plan --graphs graphs --m two -o x", "--m", id="plan-m-not-a-number"),
+        pytest.param("calibrate --data data --k 0 --seed 9 -o x", "--k", id="calibrate-k"),
+        pytest.param("calibrate --data data --k 11 --seed 9 -o x",
+                     "--k 11 exceeds the 10 samples", id="calibrate-k-over-samples"),
+        pytest.param("prune --graphs graphs --target-retention 1.5 -o x", "--target-retention",
+                     id="prune-target-retention"),
+        pytest.param("prune --graphs graphs --target-retention 0.5 --m-max 0 -o x", "--m-max",
+                     id="prune-m-max"),
+        pytest.param("gen-data --model model --samples 0 --tokens 5 --seed 1 -o x", "--samples",
+                     id="gen-data-samples"),
+        pytest.param("compare --seed 1 --retention 0 -o x", "--retention", id="compare-retention"),
+        pytest.param("selfcheck --trials 0 --seed 1", "--trials", id="selfcheck-trials"),
+    ],
+)
+def test_bad_flag_value_is_usage_error(staged, capsys, argv, named):
+    capsys.readouterr()
+    assert run_cli(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (staged / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --model model --mask pruned/mask.json --data data -o nodir/eval.json",
+    "heatmap --paths paths -o nodir/h.csv",
+])
+def test_unwritable_output_is_usage_error_naming_it(staged, capsys, argv):
+    capsys.readouterr()
+    assert run_cli(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert f"'{argv.split()[-1]}'" in err and ".tmp" not in err and "Traceback" not in err
+
+
 # (artifact, the stage that reads it); each stage writes only under out/
 # and, with --manifest, to manifest.json
 READERS = [

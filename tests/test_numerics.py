@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -241,15 +242,34 @@ def test_save_json_layout_and_roundtrip(tmp_path):
     assert load_json(path, "thing", lambda o: o["b"][1]) == 2.5
 
 
-def test_save_json_failure_keeps_previous_file(tmp_path):
+def test_save_json_failure_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "a.json"
     save_json(path, {"ok": True})
     before = path.read_bytes()
-    # the set is met after "first" has been written to the temp file
+    # the set is met after "first" has been serialised
     with pytest.raises(TypeError):
         save_json(path, {"first": list(range(1000)), "bad": {1, 2}})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+    # a write that fails once the temp file is complete, for both writers
+    blob = tmp_path / "b.tnsr"
+    save_tensor(blob, np.arange(6.0).reshape(2, 3))
+    before_blob = blob.read_bytes()
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for write, target, old in [
+        (lambda: save_json(path, {"ok": False}), path, before),
+        (lambda: save_tensor(blob, np.ones((4, 4))), blob, before_blob),
+    ]:
+        with pytest.raises(PermissionError) as info:
+            write()
+        assert info.value.filename == str(target)
+        assert target.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.tnsr"]
 
 
 @pytest.mark.parametrize(

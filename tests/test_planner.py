@@ -16,6 +16,7 @@ from moe_pathfinder.planner import (
     oracle_selfcheck,
     path_log_weight,
     random_sample_graph,
+    ranked_paths,
     save_pathset,
     top_m_paths_bruteforce,
     top_m_paths_dp,
@@ -96,10 +97,11 @@ _VALUES = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.
 
 
 @st.composite
-def rank1_graphs(draw):
-    """Rank-1 graphs with N_e^L <= 256, some experts copied onto others
-    (twins), under one of the three signal sets of ablate_graph."""
-    L, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+def rank1_graphs(draw, shape=None):
+    """Rank-1 graphs with N_e^L <= 256 (L x N_e fixed by shape if given), some
+    experts copied onto others (twins), under one of the three signal sets of
+    ablate_graph."""
+    L, n = shape or (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
 
     def vector():
         return np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)))
@@ -122,6 +124,9 @@ def test_dp_equals_bruteforce_with_twins_clamps_and_ablations(g):
         bf = ranking[:m]
         assert [p.experts for p in dp] == [p.experts for p in bf]
         assert [p.log_weight.hex() for p in dp] == [p.log_weight.hex() for p in bf]
+    stream = list(ranked_paths(g))
+    assert [p.experts for p in stream] == [p.experts for p in ranking]
+    assert [p.log_weight.hex() for p in stream] == [p.log_weight.hex() for p in ranking]
 
 
 def test_all_equal_graph_returns_lexicographic_first_quickly():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moe_pathfinder.errors import InvariantError
 from moe_pathfinder.model import MoEConfig, gen_data, gen_model, model_forward
@@ -7,6 +9,7 @@ from moe_pathfinder.numerics import Rng
 from moe_pathfinder.planner import PathSet, PrefixPath, random_sample_graph, top_m_paths_dp
 from moe_pathfinder.pruner import (
     PruneMask,
+    RetentionReport,
     apply_mask,
     experts_from_paths,
     load_mask,
@@ -16,6 +19,7 @@ from moe_pathfinder.pruner import (
     target_sparsity_search,
     union_masks,
 )
+from test_planner import rank1_graphs
 
 
 def pathset_of(*seqs, m=None):
@@ -151,6 +155,81 @@ def test_target_search_trim_is_least_frequent_first():
         assert max(trimmed_freqs) <= min(kept_freqs)
 
 
+def bisection_search_reference(graphs, target_retention, m_max=65536):
+    """The sparsity search as it was before the lockstep pass: re-plan every
+    sample at m = 1, 2, 4, ... until the union meets the target, then bisect
+    for the smallest such m, and trim as target_sparsity_search does."""
+    L, n = graphs[0].num_layers, graphs[0].experts_per_layer
+
+    def retention_at(m):
+        pathsets = [top_m_paths_dp(g, m) for g in graphs]
+        return mask_from_pathsets(pathsets, n), pathsets
+
+    m = 1
+    mask, pathsets = retention_at(m)
+    if mask.retention_fraction() < target_retention:
+        lo = m
+        while True:
+            if m >= m_max:
+                raise InvariantError(
+                    f"target retention {target_retention} unreachable with m_max={m_max}: "
+                    f"best achievable fraction is {mask.retention_fraction():.6f}"
+                )
+            m = min(m * 2, m_max)
+            mask, pathsets = retention_at(m)
+            if mask.retention_fraction() >= target_retention:
+                break
+            lo = m
+        hi = m
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            cand_mask, cand_sets = retention_at(mid)
+            if cand_mask.retention_fraction() >= target_retention:
+                hi, mask, pathsets = mid, cand_mask, cand_sets
+            else:
+                lo = mid
+        m = hi
+
+    target_count = int(np.ceil(target_retention * L * n))
+    trimmed = []
+    if mask.retained_total() > target_count:
+        freq = selection_frequency(pathsets, L, n)
+        kept = [(l, i) for l in range(L) for i in range(n) if mask.keep[l, i]]
+        kept.sort(key=lambda li: (freq[li[0], li[1]], -li[0], -li[1]))
+        per_layer = mask.keep.sum(axis=1)
+        for l, i in kept:
+            if mask.retained_total() <= target_count:
+                break
+            if per_layer[l] <= 1:
+                continue
+            mask.keep[l, i] = False
+            per_layer[l] -= 1
+            trimmed.append((l, i))
+    return mask, RetentionReport.from_mask(mask, m, len(graphs), trimmed)
+
+
+def _search_outcome(search, graphs, target, m_max):
+    try:
+        mask, report = search(graphs, target, m_max=m_max)
+    except InvariantError as e:
+        return str(e)
+    return mask.to_json(), report.to_json()
+
+
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: st.lists(rank1_graphs(shape), min_size=1, max_size=4)
+    ),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from([1, 2, 3, 5, 65536]),
+)
+@settings(max_examples=200, deadline=None)
+def test_target_search_equals_bisection_reference(graphs, target, m_max):
+    assert _search_outcome(target_sparsity_search, graphs, target, m_max) == _search_outcome(
+        bisection_search_reference, graphs, target, m_max
+    )
+
+
 def test_target_search_unreachable_reports_fraction():
     g = random_sample_graph(3, 3, Rng(8))
     with pytest.raises(InvariantError, match="achievable"):
@@ -165,6 +244,8 @@ def test_target_search_rejects_bad_inputs():
         target_sparsity_search([g], 0.0)
     with pytest.raises(ValueError):
         target_sparsity_search([g], 1.5)
+    with pytest.raises(ValueError, match="disagree"):
+        target_sparsity_search([g, random_sample_graph(3, 4, Rng(9))], 0.5)
 
 
 def small_model(seed=0):
@@ -249,3 +330,24 @@ def test_mask_json_roundtrip(tmp_path):
     save_mask(PruneMask(keep), path)
     back = load_mask(path)
     assert np.array_equal(back.keep, keep)
+
+
+def test_target_search_draws_m_used_paths_from_each_stream(monkeypatch):
+    import moe_pathfinder.pruner as pruner
+    from moe_pathfinder.planner import ranked_paths
+
+    drawn = []
+
+    def counted(graph):
+        drawn.append(0)
+        k = len(drawn) - 1
+        for p in ranked_paths(graph):
+            drawn[k] += 1
+            yield p
+
+    monkeypatch.setattr(pruner, "ranked_paths", counted)
+    rng = Rng(6)
+    graphs = [random_sample_graph(4, 4, rng) for _ in range(3)]
+    _, report = pruner.target_sparsity_search(graphs, target_retention=0.9)
+    assert report.m_used == 8
+    assert drawn == [report.m_used] * len(graphs)

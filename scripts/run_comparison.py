@@ -18,7 +18,7 @@ from moe_pathfinder.harness import (
     run_comparison,
     run_manifest,
 )
-from moe_pathfinder.numerics import save_json
+from moe_pathfinder.numerics import _write_atomic, save_json
 
 
 def main():
@@ -44,8 +44,7 @@ def main():
 
     report = run_comparison(config, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "comparison.csv"), "w", newline="") as f:
-        f.write(comparison_csv(report))
+    _write_atomic(os.path.join(args.out, "comparison.csv"), comparison_csv(report).encode())
     save_json(os.path.join(args.out, "summary.json"), comparison_summary(report))
     save_json(
         os.path.join(args.out, "manifest.json"),

@@ -96,10 +96,11 @@ def kmeans(
     """Lloyd's algorithm with k-means++ seeding.
 
     Assignment ties go to the lower centroid index.  Empty clusters are
-    refilled (ascending cluster index) with the point currently farthest from
-    its own centroid; that point's distance is zeroed so consecutive refills
-    pick distinct points.  Stops when assignments are stable or after
-    max_iters.
+    refilled (ascending cluster index) with the point farthest from its
+    centroid as measured at this pass's assignment step, before the centroids
+    moved (lowest index on ties); that point's distance is zeroed so
+    consecutive refills pick distinct points.  Stops when assignments are
+    stable or after max_iters.
     """
     points = np.asarray(features, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -62,43 +61,22 @@ from .pruner import (
 from .scoring import load_graph, save_graph, score_sample
 
 
-@dataclass
-class PipelineManifest:
-    """Record of one staged run: artifact paths, seeds, tool version."""
-
-    tool_version: str
-    stages: dict
-    seeds: dict
-
-    def to_json(self) -> dict:
-        return {"tool_version": self.tool_version, "stages": self.stages, "seeds": self.seeds}
-
-
-def _parse_manifest(obj) -> PipelineManifest:
-    stages, seeds = dict(obj["stages"]), dict(obj["seeds"])
-    return PipelineManifest(str(obj.get("tool_version", "unknown")), stages, seeds)
+def _parse_manifest(obj) -> dict:
+    """The manifest's stage -> outputs and stage -> seed maps."""
+    return {"stages": dict(obj["stages"]), "seeds": dict(obj["seeds"])}
 
 
 def update_manifest(path, stage: str, outputs, seed: int | None = None) -> None:
+    """Record a stage's outputs (and seed) in the staged-run manifest,
+    stamped with this tool version; any other top-level key is dropped."""
     if os.path.exists(path):
         manifest = load_json(path, "manifest", _parse_manifest)
     else:
-        manifest = PipelineManifest(__version__, {}, {})
-    manifest.tool_version = __version__
-    manifest.stages[stage] = outputs
+        manifest = {"stages": {}, "seeds": {}}
+    manifest["stages"][stage] = outputs
     if seed is not None:
-        manifest.seeds[stage] = seed
-    save_json(path, manifest.to_json())
-
-
-def load_manifest(path) -> PipelineManifest:
-    """Load and validate: every referenced file must exist."""
-    manifest = load_json(path, "manifest", _parse_manifest)
-    for stage, outputs in manifest.stages.items():
-        for entry in outputs if isinstance(outputs, list) else [outputs]:
-            if not os.path.exists(entry):
-                raise FormatError(f"manifest {path}: stage {stage} references missing {entry}")
-    return manifest
+        manifest["seeds"][stage] = seed
+    save_json(path, {"tool_version": __version__, **manifest})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,19 +98,6 @@ def _fraction(text: str) -> float:
     if not 0.0 < value <= 1.0:
         raise argparse.ArgumentTypeError(f"{text} is not a fraction in (0, 1]")
     return value
-
-
-def _resolve_jobs(args) -> int:
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("MOE_PATHFINDER_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
 
 
 # ---------------------------------------------------------------- data files
@@ -230,7 +195,7 @@ def cmd_score(args) -> int:
                 )
     else:
         ids = list(range(len(samples)))
-    graphs = map_jobs(partial(score_sample, model), [samples[i] for i in ids], _resolve_jobs(args))
+    graphs = map_jobs(partial(score_sample, model), [samples[i] for i in ids], args.jobs)
     os.makedirs(args.out, exist_ok=True)
     index = {
         "num_layers": model.config.num_layers,
@@ -275,7 +240,7 @@ def _load_graphs(dirpath) -> tuple[dict, list]:
 
 def cmd_plan(args) -> int:
     index, graphs = _load_graphs(args.graphs)
-    pathsets = map_jobs(partial(top_m_paths_dp, m=args.m), graphs, _resolve_jobs(args))
+    pathsets = map_jobs(partial(top_m_paths_dp, m=args.m), graphs, args.jobs)
     os.makedirs(args.out, exist_ok=True)
     out_index = {
         "m": args.m,
@@ -320,7 +285,6 @@ def cmd_prune(args) -> int:
         sys.stderr.write("prune: --graphs needs --m or --target-retention; --paths fixes m\n")
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
     if args.paths:
         index, pathsets = _load_path_index(args.paths)
         mask = mask_from_pathsets(pathsets, index["experts_per_layer"])
@@ -336,6 +300,7 @@ def cmd_prune(args) -> int:
                 graphs, args.target_retention, m_max=args.m_max
             )
 
+    os.makedirs(args.out, exist_ok=True)
     mask_path = os.path.join(args.out, "mask.json")
     report_path = os.path.join(args.out, "report.json")
     save_mask(mask, mask_path)
@@ -431,7 +396,7 @@ def cmd_compare(args) -> int:
     except ValueError as e:
         sys.stderr.write(f"compare: {e}\n")
         return 1
-    report = run_comparison(config, jobs=_resolve_jobs(args))
+    report = run_comparison(config, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "comparison.csv")
     _write_atomic(csv_path, comparison_csv(report).encode())
@@ -499,7 +464,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--calibration", help="restrict to a calibration set's sample ids")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
     p.set_defaults(func=cmd_score)
@@ -507,7 +472,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("plan", help="top-m path search per scored sample")
     p.add_argument("--graphs", required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
     p.set_defaults(func=cmd_plan)
@@ -566,7 +531,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cluster-radius", type=float, default=0.15)
     p.add_argument("--no-importance", action="store_true")
     p.add_argument("--no-transition", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_compare)
 

@@ -69,6 +69,11 @@ class ExperimentConfig:
             raise ValueError("expert_scale and router_gain must be positive")
         if self.data_clusters < 0 or self.cluster_radius < 0:
             raise ValueError("data_clusters and cluster_radius must be nonnegative")
+        if not (1 <= self.calibration_k <= self.pool_size):
+            raise ValueError(
+                f"calibration_k={self.calibration_k} must be between 1 and "
+                f"pool_size ({self.pool_size})"
+            )
 
 
 @dataclass

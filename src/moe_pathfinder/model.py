@@ -88,14 +88,19 @@ class SampleBatch:
 
 @dataclass
 class ForwardTrace:
+    """routing_probs[l] is the softmax layer l gated with: the full routing
+    softmax (bit-identical to `route`) unmasked, and under a mask the softmax
+    over the retained experts, zero elsewhere."""
+
     hidden_states: list[np.ndarray]  # L+1 entries, hidden_states[0] is the input
     layer_outputs: list[np.ndarray]  # L entries, pre-nonlinearity
-    routing_probs: list[np.ndarray]  # L entries, full (unmasked) softmax per token
+    routing_probs: list[np.ndarray]  # L entries, n_tokens x N_e gating softmax
     selected_experts: list[np.ndarray]  # L entries, n_tokens x k' sorted index sets
 
 
 def route(layer: MoELayer, h: np.ndarray) -> np.ndarray:
-    """Full routing distribution per token: softmax(h @ router.T) rows."""
+    """Full routing distribution per token: softmax(h @ router.T) rows.
+    layer_forward computes the same softmax in place, masked when asked."""
     return softmax_rows(matmul_transpose(h, layer.router))
 
 
@@ -104,13 +109,13 @@ def layer_forward(
     h: np.ndarray,
     top_k: int,
     retained: set[int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One MoE layer: mask non-retained logits to -inf, softmax, pick the
     top-k' experts per token (k' = min(top_k, |retained|)), renormalize their
     gates, and mix the selected expert outputs.
 
-    Returns (output, selected) where selected is n_tokens x k' of sorted
-    expert indices.
+    Returns (output, selected, probs): selected is n_tokens x k' of sorted
+    expert indices and probs the n_tokens x N_e softmax the gates came from.
     """
     n_experts = len(layer.experts)
     logits = matmul_transpose(h, layer.router)
@@ -142,7 +147,7 @@ def layer_forward(
         rows, cols = np.nonzero(selected == i)
         expert_out = matmul_transpose(h[rows], layer.experts[i])
         out[rows] += gates[rows, cols, None] * expert_out
-    return out, selected
+    return out, selected, probs
 
 
 def _apply_nonlinearity(y: np.ndarray, kind: str) -> np.ndarray:
@@ -153,7 +158,7 @@ def _apply_nonlinearity(y: np.ndarray, kind: str) -> np.ndarray:
 
 def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
     """Run all layers, recording hidden states, pre-nonlinearity outputs, the
-    full routing softmax, and the per-token selections.
+    gating softmax, and the per-token selections; one router pass per layer.
 
     `mask` is a PruneMask (or any object with a `retained(layer)` method);
     passing an all-true mask is exactly equivalent to passing None.
@@ -167,9 +172,9 @@ def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
     outputs, probs, selections = [], [], []
     for l, layer in enumerate(model.layers):
         retained = mask.retained(l) if mask is not None else None
-        probs.append(route(layer, h))
-        y, selected = layer_forward(layer, h, model.config.top_k, retained)
+        y, selected, p = layer_forward(layer, h, model.config.top_k, retained)
         outputs.append(y)
+        probs.append(p)
         selections.append(selected)
         h = _apply_nonlinearity(y, model.config.nonlinearity)
         hidden.append(h)

@@ -119,11 +119,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def l2_norm(v: np.ndarray) -> float:
-    v = np.asarray(v, dtype=np.float64)
-    return float(np.sqrt(np.dot(v, v)))
-
-
 def save_tensor(path, arr: np.ndarray) -> None:
     """Write `.tnsr`: b"TNSR", version byte 1, u32 LE rank, u32 LE dims,
     row-major little-endian f64 payload.  Written atomically."""

@@ -94,37 +94,6 @@ class RetentionReport:
         }
 
 
-def experts_from_paths(pathset: PathSet) -> list[set[int]]:
-    """Per-layer set of expert indices appearing on any selected path."""
-    if not pathset.paths:
-        raise ValueError("pathset is empty")
-    num_layers = len(pathset.paths[0].experts)
-    sets: list[set[int]] = [set() for _ in range(num_layers)]
-    for p in pathset.paths:
-        for l, i in enumerate(p.experts):
-            sets[l].add(i)
-    return sets
-
-
-def union_masks(per_sample_sets: list[list[set[int]]], experts_per_layer: int) -> PruneMask:
-    """keep[l][i] is true iff any sample retains expert i at layer l."""
-    if not per_sample_sets:
-        raise ValueError("need at least one per-sample expert set")
-    num_layers = len(per_sample_sets[0])
-    keep = np.zeros((num_layers, experts_per_layer), dtype=bool)
-    for sets in per_sample_sets:
-        if len(sets) != num_layers:
-            raise ValueError("inconsistent layer counts across samples")
-        for l, s in enumerate(sets):
-            for i in s:
-                keep[l, i] = True
-    return PruneMask(keep)
-
-
-def mask_from_pathsets(pathsets: list[PathSet], experts_per_layer: int) -> PruneMask:
-    return union_masks([experts_from_paths(ps) for ps in pathsets], experts_per_layer)
-
-
 def selection_frequency(
     pathsets: list[PathSet],
     num_layers: int,
@@ -135,15 +104,26 @@ def selection_frequency(
     layer l.  Outlier experts are overwritten with the global maximum count
     (a visualization convention; never applied to masks)."""
     counts = np.zeros((num_layers, experts_per_layer), dtype=np.int64)
+    layers = np.arange(num_layers)
     for ps in pathsets:
         for p in ps.paths:
-            for l, i in enumerate(p.experts):
-                counts[l, i] += 1
+            if len(p.experts) != num_layers:
+                raise ValueError(f"path {p.experts} does not have {num_layers} layers")
+            counts[layers, p.experts] += 1
     if outlier_ids:
         peak = int(counts.max())
         for l, i in outlier_ids:
             counts[l, i] = peak
     return counts
+
+
+def mask_from_pathsets(pathsets: list[PathSet], experts_per_layer: int) -> PruneMask:
+    """keep[l][i] is true iff some path of some set chooses expert i at
+    layer l; every set must hold at least one path."""
+    if not pathsets or not all(ps.paths for ps in pathsets):
+        raise ValueError("need at least one path set, and no empty one")
+    num_layers = len(pathsets[0].paths[0].experts)
+    return PruneMask(selection_frequency(pathsets, num_layers, experts_per_layer) > 0)
 
 
 def target_sparsity_search(

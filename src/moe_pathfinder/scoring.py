@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ForwardTrace, MoELayer, MoEModel, SampleBatch, model_forward, route
+from .model import ForwardTrace, MoELayer, MoEModel, SampleBatch, model_forward
 from .numerics import load_json, matmul_transpose, save_json, softmax
 
 LOG_CLAMP = 1e-300
@@ -55,18 +55,9 @@ def expert_outputs(layer: MoELayer, h: np.ndarray) -> list[np.ndarray]:
     return [matmul_transpose(h, w) for w in layer.experts]
 
 
-def activation_strength(layer: MoELayer, h: np.ndarray) -> np.ndarray:
-    outs = expert_outputs(layer, h)
-    return activation_strength_from_outputs(outs)
-
-
-def activation_strength_from_outputs(outs: list[np.ndarray]) -> np.ndarray:
+def activation_strength(outs: list[np.ndarray]) -> np.ndarray:
+    """Mean per-token output norm of each expert, from expert_outputs."""
     return np.array([np.sqrt(np.einsum("ij,ij->i", o, o)).mean() for o in outs])
-
-
-def routing_preference(next_layer: MoELayer, h: np.ndarray) -> np.ndarray:
-    """Mean over tokens of the next layer's full routing softmax."""
-    return route(next_layer, h).mean(axis=0)
 
 
 def transition_intensity(activation: np.ndarray, routing_next: np.ndarray) -> np.ndarray:
@@ -76,12 +67,8 @@ def transition_intensity(activation: np.ndarray, routing_next: np.ndarray) -> np
     return np.outer(activation, routing_next)
 
 
-def reconstruction_loss(layer: MoELayer, h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    outs = expert_outputs(layer, h)
-    return reconstruction_loss_from_outputs(outs, y)
-
-
-def reconstruction_loss_from_outputs(outs: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+def reconstruction_loss(outs: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """Mean per-token squared error of each expert's output against y."""
     losses = []
     for o in outs:
         diff = y - o
@@ -117,11 +104,11 @@ def score_sample(model: MoEModel, x: SampleBatch) -> SampleGraph:
 
 
 def score_trace(model: MoEModel, trace: ForwardTrace) -> SampleGraph:
-    """Assemble the sample graph from a captured trace.
+    """Assemble the sample graph from an unmasked trace.
 
-    Reuses the trace's routing softmax for every routing preference and each
-    layer's once-computed expert outputs for activation, reconstruction, and
-    the last-layer correction.
+    The routing preference is the mean of the trace's routing softmax, and
+    each layer's expert outputs are computed once for activation,
+    reconstruction, and the last-layer correction.
     """
     L = model.config.num_layers
     scores: list[LayerScore] = []
@@ -129,9 +116,9 @@ def score_trace(model: MoEModel, trace: ForwardTrace) -> SampleGraph:
         h = trace.hidden_states[l]
         y = trace.layer_outputs[l]
         outs = expert_outputs(layer, h)
-        act = activation_strength_from_outputs(outs)
+        act = activation_strength(outs)
         routing = trace.routing_probs[l].mean(axis=0)
-        losses = reconstruction_loss_from_outputs(outs, y)
+        losses = reconstruction_loss(outs, y)
         if l == 0:
             imp = importance_scores(losses, "first", routing_first=routing)
         elif l == L - 1:

@@ -26,7 +26,7 @@ from moe_pathfinder.planner import oracle_selfcheck, top_m_paths_bruteforce, top
 from moe_pathfinder.pruner import (
     PruneMask,
     apply_mask,
-    experts_from_paths,
+    mask_from_pathsets,
     selection_frequency,
     target_sparsity_search,
 )
@@ -124,7 +124,8 @@ def test_criterion_5_m1_and_monotone_retention():
     graph = score_sample(model, sample)
     sets_by_m = {}
     for m in (1, 2, 5, 50):
-        sets_by_m[m] = experts_from_paths(top_m_paths_dp(graph, m))
+        mask = mask_from_pathsets([top_m_paths_dp(graph, m)], DESK.experts_per_layer)
+        sets_by_m[m] = [mask.retained(l) for l in range(DESK.num_layers)]
     single = sets_by_m[1]
     ok = all(len(s) == 1 for s in single) and sum(len(s) for s in single) == DESK.num_layers
     ms = (1, 2, 5, 50)

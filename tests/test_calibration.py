@@ -84,6 +84,24 @@ def test_kmeans_seed_reproducible():
     assert a.centroids.tobytes() == b.centroids.tobytes()
 
 
+def test_kmeans_refill_of_identical_points_takes_the_lowest_index():
+    # every point ties with both seeds, so the first pass assigns all of them
+    # to cluster 0 and cluster 1 is refilled with point 0
+    result = kmeans(np.full((4, 2), 0.1), 2, seed=0, max_iters=1)
+    assert result.assignments.tolist() == [1, 0, 0, 0]
+
+
+def test_kmeans_refill_ranks_points_at_the_assignment_step():
+    # seeds 9, 8, 0; pass 1 moves centroids to 9, 20/3, 1.5; pass 2 empties
+    # cluster 1.  Measured against the centroids pass 2 assigned with, point 2
+    # (4.0, at 6.25 from 1.5) is the farthest; after the update point 0 would
+    # be (0.0, at 49/9 from 7/3).  The refill takes point 2.
+    points = np.array([[0.0], [8.0], [4.0], [9.0], [8.0], [3.0]])
+    result = kmeans(points, 3, seed=44, max_iters=2)
+    assert result.assignments.tolist() == [2, 0, 1, 0, 0, 2]
+    assert result.centroids[1, 0] == 4.0
+
+
 def test_select_representatives_singleton_cluster():
     points = np.array([[5.0, 5.0]])
     result = kmeans(points, 1, seed=0)

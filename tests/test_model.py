@@ -87,7 +87,7 @@ def test_layer_forward_single_expert_exact():
     w = rng.standard_normal((4, 4))
     layer = MoELayer(experts=[w], router=rng.standard_normal((1, 4)))
     h = rng.standard_normal((3, 4))
-    y, selected = layer_forward(layer, h, top_k=1)
+    y, selected, _ = layer_forward(layer, h, top_k=1)
     assert np.array_equal(y, h @ w.T)
     assert np.array_equal(selected, np.zeros((3, 1), dtype=int))
 
@@ -97,7 +97,7 @@ def test_layer_forward_uniform_router_full_topk_is_mean():
     experts = [rng.standard_normal((4, 4)) for _ in range(3)]
     layer = MoELayer(experts=experts, router=np.zeros((3, 4)))
     h = rng.standard_normal((5, 4))
-    y, _ = layer_forward(layer, h, top_k=3)
+    y, _, _ = layer_forward(layer, h, top_k=3)
     mean = sum(h @ w.T for w in experts) / 3.0
     assert np.allclose(y, mean, rtol=1e-12)
 
@@ -108,7 +108,7 @@ def test_layer_forward_matches_dense_gather_oracle():
         experts = [rng.standard_normal((6, 6)) for _ in range(4)]
         layer = MoELayer(experts=experts, router=rng.standard_normal((4, 6)))
         h = rng.standard_normal((2, 6))
-        y, selected = layer_forward(layer, h, top_k=2)
+        y, selected, _ = layer_forward(layer, h, top_k=2)
         want_y, want_sel = dense_gather_oracle(layer, h, 2)
         assert np.allclose(y, want_y, rtol=1e-10, atol=1e-12)
         assert [list(row) for row in selected] == want_sel
@@ -120,7 +120,7 @@ def test_layer_forward_respects_retained_set():
     layer = MoELayer(experts=experts, router=rng.standard_normal((4, 5)))
     h = rng.standard_normal((8, 5))
     for retained in [{0}, {1, 3}, {0, 2, 3}]:
-        y, selected = layer_forward(layer, h, top_k=2, retained=retained)
+        y, selected, _ = layer_forward(layer, h, top_k=2, retained=retained)
         assert set(np.unique(selected)) <= retained
         want_y, want_sel = dense_gather_oracle(layer, h, 2, retained)
         assert np.allclose(y, want_y, rtol=1e-10, atol=1e-12)
@@ -135,7 +135,7 @@ def test_layer_forward_empty_retained_rejected():
 def test_layer_forward_tie_breaks_to_lower_index():
     # identical router rows make all probabilities exactly equal
     layer = MoELayer(experts=[np.eye(3) * (i + 1) for i in range(3)], router=np.ones((3, 3)))
-    _, selected = layer_forward(layer, np.ones((2, 3)), top_k=2)
+    _, selected, _ = layer_forward(layer, np.ones((2, 3)), top_k=2)
     assert np.array_equal(selected, [[0, 1], [0, 1]])
 
 
@@ -178,6 +178,28 @@ def test_model_forward_own_selection_mask_exact():
         pruned = model_forward(model, x, mask=PruneMask(keep))
         diff = np.abs(full.hidden_states[-1] - pruned.hidden_states[-1])
         assert diff.max() <= 1e-12
+
+
+def test_model_forward_runs_the_router_once_per_layer(monkeypatch):
+    cfg = small_config()
+    model = gen_model(cfg, 13)
+    x = gen_data(cfg, 1, 5, 14)[0]
+    keep = np.ones((cfg.num_layers, cfg.experts_per_layer), dtype=bool)
+    keep[:, 1] = False
+
+    def second_router_pass(layer, h):
+        raise AssertionError("model_forward ran the router outside layer_forward")
+
+    monkeypatch.setattr("moe_pathfinder.model.route", second_router_pass)
+    full = model_forward(model, x)
+    masked = model_forward(model, x, mask=PruneMask(keep))
+    monkeypatch.undo()
+    for l, layer in enumerate(model.layers):
+        # unmasked, the trace holds exactly the full routing softmax
+        assert full.routing_probs[l].tobytes() == route(layer, full.hidden_states[l]).tobytes()
+        # masked, the softmax the layer gated with: over the retained experts
+        assert np.all(masked.routing_probs[l][:, 1] == 0.0)
+        assert np.allclose(masked.routing_probs[l].sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_model_forward_rejects_wrong_width():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from moe_pathfinder.errors import FormatError
 from moe_pathfinder.numerics import (
     Rng,
-    l2_norm,
     load_json,
     load_tensor,
     matmul_transpose,
@@ -156,12 +155,6 @@ def test_softmax_rows_with_masked_entries():
     logits = np.array([[0.0, -np.inf, 0.0], [3.0, -np.inf, -np.inf]])
     out = softmax_rows(logits)
     assert np.allclose(out, [[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
-
-
-def test_l2_norm():
-    assert l2_norm(np.array([3.0, 4.0])) == 5.0
-    assert l2_norm(np.zeros(4)) == 0.0
-    assert l2_norm(np.ones(4)) == 2.0
 
 
 def test_tnsr_roundtrip_bit_identical(tmp_path):

@@ -11,13 +11,11 @@ from moe_pathfinder.pruner import (
     PruneMask,
     RetentionReport,
     apply_mask,
-    experts_from_paths,
     load_mask,
     mask_from_pathsets,
     save_mask,
     selection_frequency,
     target_sparsity_search,
-    union_masks,
 )
 from test_planner import rank1_graphs
 
@@ -27,40 +25,43 @@ def pathset_of(*seqs, m=None):
 
 
 def test_experts_from_paths_single_path():
-    sets = experts_from_paths(pathset_of([2, 0, 1]))
-    assert sets == [{2}, {0}, {1}]
+    mask = mask_from_pathsets([pathset_of([2, 0, 1])], 3)
+    assert [mask.retained(l) for l in range(3)] == [{2}, {0}, {1}]
 
 
 def test_experts_from_paths_divergence_at_one_layer():
-    sets = experts_from_paths(pathset_of([0, 1, 2], [0, 3, 2]))
-    assert sets == [{0}, {1, 3}, {2}]
+    mask = mask_from_pathsets([pathset_of([0, 1, 2], [0, 3, 2])], 4)
+    assert [mask.retained(l) for l in range(3)] == [{0}, {1, 3}, {2}]
 
 
 def test_experts_from_paths_exhaustive_covers_everything():
     g = random_sample_graph(3, 2, Rng(0))
-    sets = experts_from_paths(top_m_paths_dp(g, 8))
-    assert sets == [{0, 1}] * 3
+    assert mask_from_pathsets([top_m_paths_dp(g, 8)], 2).keep.all()
 
 
 def test_experts_from_paths_empty_rejected():
     with pytest.raises(ValueError):
-        experts_from_paths(PathSet(m=1, paths=[]))
+        mask_from_pathsets([PathSet(m=1, paths=[])], 3)
+    with pytest.raises(ValueError):
+        mask_from_pathsets([pathset_of([0, 1]), PathSet(m=1, paths=[])], 3)
+    with pytest.raises(ValueError):
+        mask_from_pathsets([], 3)
 
 
-def test_union_masks_single_and_disjoint():
-    single = union_masks([[{0}, {1}]], experts_per_layer=3)
+def test_mask_from_pathsets_single_and_disjoint():
+    single = mask_from_pathsets([pathset_of([0, 1])], experts_per_layer=3)
     assert np.array_equal(single.keep, [[True, False, False], [False, True, False]])
 
-    two = union_masks([[{0}, {1}], [{2}, {0}]], experts_per_layer=3)
+    two = mask_from_pathsets([pathset_of([0, 1]), pathset_of([2, 0])], experts_per_layer=3)
     assert two.retained_total() == 4
     assert [sorted(two.retained(l)) for l in range(2)] == [[0, 2], [0, 1]]
 
 
-def test_union_masks_absorption():
-    a = [[{0}, {1}]]
-    b = [[{0, 2}, {1, 2}]]
-    union = union_masks(a + b, experts_per_layer=3)
-    only_b = union_masks(b, experts_per_layer=3)
+def test_mask_from_pathsets_absorption():
+    a = [pathset_of([0, 1])]
+    b = [pathset_of([0, 1], [2, 2])]
+    union = mask_from_pathsets(a + b, experts_per_layer=3)
+    only_b = mask_from_pathsets(b, experts_per_layer=3)
     assert np.array_equal(union.keep, only_b.keep)
 
 
@@ -109,6 +110,13 @@ def test_selection_frequency_outlier_overwrite():
     assert counts[0, 0] == 3  # global max
     assert counts[1, 0] == 3  # overwritten with global max
     assert counts[1, 1] == 2
+
+
+def test_selection_frequency_rejects_paths_of_another_depth():
+    with pytest.raises(ValueError, match="3 layers"):
+        selection_frequency([pathset_of([0, 1, 2], [0, 1])], 3, 3)
+    with pytest.raises(ValueError, match="2 layers"):
+        mask_from_pathsets([pathset_of([0, 1]), pathset_of([0, 1, 2])], 3)
 
 
 def test_target_search_single_sample_m1():

@@ -9,14 +9,15 @@ from moe_pathfinder.model import (
     gen_data,
     gen_model,
     model_forward,
+    route,
 )
 from moe_pathfinder.scoring import (
     LOG_CLAMP,
     activation_strength,
+    expert_outputs,
     importance_scores,
     load_graph,
     reconstruction_loss,
-    routing_preference,
     save_graph,
     score_sample,
     transition_intensity,
@@ -26,14 +27,14 @@ from moe_pathfinder.scoring import (
 def test_activation_strength_zero_expert():
     layer = MoELayer(experts=[np.zeros((3, 3)), np.eye(3)], router=np.zeros((2, 3)))
     h = np.random.default_rng(0).standard_normal((4, 3))
-    a = activation_strength(layer, h)
+    a = activation_strength(expert_outputs(layer, h))
     assert a[0] == 0.0
 
 
 def test_activation_strength_identity_unit_rows():
     h = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
     layer = MoELayer(experts=[np.eye(2)], router=np.zeros((1, 2)))
-    assert activation_strength(layer, h)[0] == pytest.approx(1.0, rel=1e-12)
+    assert activation_strength(expert_outputs(layer, h))[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_activation_strength_matches_per_token_oracle():
@@ -41,26 +42,26 @@ def test_activation_strength_matches_per_token_oracle():
     experts = [rng.standard_normal((5, 5)) for _ in range(3)]
     layer = MoELayer(experts=experts, router=rng.standard_normal((3, 5)))
     h = rng.standard_normal((7, 5))
-    a = activation_strength(layer, h)
+    a = activation_strength(expert_outputs(layer, h))
     for i, w in enumerate(experts):
         norms = [np.sqrt(np.sum((w @ h[k]) ** 2)) for k in range(7)]
         assert a[i] == pytest.approx(sum(norms) / 7, rel=1e-12)
 
 
-def test_routing_preference_zero_router_uniform():
+def test_mean_routing_zero_router_uniform():
     layer = MoELayer(experts=[np.eye(3)] * 4, router=np.zeros((4, 3)))
-    r = routing_preference(layer, np.random.default_rng(2).standard_normal((6, 3)))
+    r = route(layer, np.random.default_rng(2).standard_normal((6, 3))).mean(axis=0)
     assert np.allclose(r, 0.25, atol=1e-15)
 
 
-def test_routing_preference_single_token_and_mean():
+def test_mean_routing_single_token_and_mean():
     rng = np.random.default_rng(3)
     router = rng.standard_normal((3, 4))
     layer = MoELayer(experts=[np.eye(4)] * 3, router=router)
 
     h1 = rng.standard_normal((1, 4))
     row = np.exp(router @ h1[0] - (router @ h1[0]).max())
-    assert np.allclose(routing_preference(layer, h1), row / row.sum(), rtol=1e-12)
+    assert np.allclose(route(layer, h1).mean(axis=0), row / row.sum(), rtol=1e-12)
 
     # two tokens with opposite logits average the two softmax rows
     h2 = np.vstack([h1[0], -h1[0]])
@@ -69,7 +70,7 @@ def test_routing_preference_single_token_and_mean():
     for z in (z_pos, z_neg):
         e = np.exp(z - z.max())
         rows.append(e / e.sum())
-    assert np.allclose(routing_preference(layer, h2), (rows[0] + rows[1]) / 2, rtol=1e-12)
+    assert np.allclose(route(layer, h2).mean(axis=0), (rows[0] + rows[1]) / 2, rtol=1e-12)
 
 
 def test_transition_intensity_cases():
@@ -90,7 +91,9 @@ def test_reconstruction_loss_single_expert_zero():
     model = gen_model(cfg, 5)
     x = gen_data(cfg, 1, 3, 6)[0]
     trace = model_forward(model, x)
-    losses = reconstruction_loss(model.layers[0], trace.hidden_states[0], trace.layer_outputs[0])
+    losses = reconstruction_loss(
+        expert_outputs(model.layers[0], trace.hidden_states[0]), trace.layer_outputs[0]
+    )
     assert losses[0] == 0.0
 
 
@@ -100,7 +103,7 @@ def test_reconstruction_loss_duplicate_experts_equal():
     layer = MoELayer(experts=[w, w.copy()], router=rng.standard_normal((2, 4)))
     h = rng.standard_normal((5, 4))
     y = rng.standard_normal((5, 4))
-    losses = reconstruction_loss(layer, h, y)
+    losses = reconstruction_loss(expert_outputs(layer, h), y)
     assert losses[0] == losses[1]
 
 
@@ -110,7 +113,7 @@ def test_reconstruction_loss_matches_explicit_loop():
     layer = MoELayer(experts=experts, router=rng.standard_normal((2, 3)))
     h = rng.standard_normal((6, 3))
     y = rng.standard_normal((6, 3))
-    losses = reconstruction_loss(layer, h, y)
+    losses = reconstruction_loss(expert_outputs(layer, h), y)
     for i, w in enumerate(experts):
         want = sum(np.sum((y[k] - w @ h[k]) ** 2) for k in range(6)) / 6
         assert losses[i] == pytest.approx(want, rel=1e-12)
@@ -251,12 +254,12 @@ def test_activation_scale_covariance_on_frozen_trace():
     trace = model_forward(model, gen_data(cfg, 1, 5, 21)[0])
     h = trace.hidden_states[1]
     layer = model.layers[1]
-    base = activation_strength(layer, h)
+    base = activation_strength(expert_outputs(layer, h))
     # power-of-two scaling is exact in floating point
     doubled = MoELayer(experts=[2.0 * w for w in layer.experts], router=layer.router)
-    assert np.array_equal(activation_strength(doubled, h), 2.0 * base)
+    assert np.array_equal(activation_strength(expert_outputs(doubled, h)), 2.0 * base)
     tripled = MoELayer(experts=[3.0 * w for w in layer.experts], router=layer.router)
-    assert np.allclose(activation_strength(tripled, h), 3.0 * base, rtol=1e-12)
+    assert np.allclose(activation_strength(expert_outputs(tripled, h)), 3.0 * base, rtol=1e-12)
 
 
 def test_score_sample_pure():

@@ -16,6 +16,15 @@ GOLDEN = {
     "compare-no-importance/comparison.csv": "7c3e8e40d12e89f48a9f9a605cadf3e78a9398b62090b7a42cfcaf978279038a",
     "compare-no-transition/comparison.csv": "67bec1b7e63f13dc746fa7ddf59fd2588a4145d924fd42275616d6718d28e583",
     "eval.json": "6b89921f503dd7a3a7367a446cdba04acc0316d43fec3b1e05cff010bfd6def4",
+    "graphs/graphs.json": "339dc1671888604387163ec906e1a3cbd394cec06c9d01b3cc17903ae0285938",
+    "graphs/sample0005.json": "2a0389d810b018d06abbd8123d5fe507060af319c88a9cf146fc49f918c7aea1",
+    "graphs/sample0015.json": "a494a362e7a5b95479515dc7e002c8e02b13e9014acc342042d5f7d6e1ad64fd",
+    "graphs/sample0021.json": "8f5430e5ce57b1f8fc4c19c4d3e683b294cf5351b346024cea532551483b2c41",
+    "graphs/sample0032.json": "7523ad88c9b7c91784bcfaa9e17fc843aa44bf70ff93067c953e6e1d42b2077c",
+    "graphs/sample0036.json": "5e9124a8961f72640c49bf65b7331981388c1060c9ac693c772b603888e1384b",
+    "graphs/sample0041.json": "ef976e26d7932fc086d13b6c66b27344dce682949338143b05a809505e6da78e",
+    "graphs/sample0050.json": "bc4a44b3f4c841c5b295162144895389a97a7cb7115f042221dab70a6ad6ff5e",
+    "graphs/sample0063.json": "c581229a7dc3a87159462541e95f144ddd66047790e31ae3151dc85bf96e8679",
     "heatmap1.csv": "ffec49c1c3aa4b1bd1393da2a98ca7c0ac0779f0835d089f9f653d06b6474c75",
     "heatmap16.csv": "0323e3978ef5869bca6e6ded95b73f1f72b909ff2353bebaaf40cebb220b2113",
     "paths1/paths.json": "53b621d2e7ff88b2ff3a3890ad821eb23ca3cfc86849767009574e423b381a56",
@@ -78,6 +87,7 @@ def artifact_digests(tmp) -> dict[str, str]:
         p for p in wanted
         if p.suffix == ".csv" or p.name in ("mask.json", "report.json", "eval.json")
         or p.name.endswith(".paths.json") or p.name == "paths.json"
+        or (p.parent.name == "graphs" and p.suffix == ".json")
     ]
     return {
         p.relative_to(tmp).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Ablation of the two path-weight signals: importance scores (nodes) and
-transition intensities (edges), each neutralized by zeroing its log weights.
+transition intensities (edges), each left out of the per-node path scores.
 """
 
 import argparse

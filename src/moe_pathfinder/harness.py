@@ -20,7 +20,7 @@ from .calibration import build_calibration_set
 from .model import MoEConfig, MoEModel, SampleBatch, gen_data, gen_model, model_forward
 from .numerics import Rng, _write_atomic
 from .pruner import PruneMask, RetentionReport, target_sparsity_search
-from .scoring import SampleGraph, score_sample
+from .scoring import graph_from_scores, score_sample
 
 
 @dataclass(frozen=True)
@@ -182,26 +182,6 @@ def random_mask(
     return PruneMask(keep)
 
 
-def ablate_graph(
-    graph: SampleGraph, use_importance: bool = True, use_transition: bool = True
-) -> SampleGraph:
-    """Neutralize excluded signals by zeroing their log weights (constant 1 in
-    the linear domain).  The returned graph is for planning only; its linear
-    fields are left untouched."""
-    if not (use_importance or use_transition):
-        raise ValueError("cannot ablate both signals")
-    log_node = graph.log_node if use_importance else np.zeros_like(graph.log_node)
-    log_edge = graph.log_edge if use_transition else np.zeros_like(graph.log_edge)
-    return SampleGraph(
-        num_layers=graph.num_layers,
-        experts_per_layer=graph.experts_per_layer,
-        layer_scores=graph.layer_scores,
-        transitions=graph.transitions,
-        log_node=log_node,
-        log_edge=log_edge,
-    )
-
-
 def eval_mask(
     model: MoEModel, mask: PruneMask | None, eval_samples: list[SampleBatch]
 ) -> EvalResult:
@@ -230,8 +210,10 @@ def pathfinder_mask(
     use_transition: bool = True,
     m_max: int = 65536,
 ) -> tuple[PruneMask, RetentionReport]:
-    graphs = [score_sample(model, s) for s in calibration_samples]
-    graphs = [ablate_graph(g, use_importance, use_transition) for g in graphs]
+    graphs = [
+        graph_from_scores(score_sample(model, s).layer_scores, use_importance, use_transition)
+        for s in calibration_samples
+    ]
     return target_sparsity_search(graphs, target_retention, m_max=m_max)
 
 

@@ -1,25 +1,20 @@
 """Top-m highest-log-weight paths through the layered expert graph.
 
-A path picks one expert per layer; its log weight is the sum of the node
-log-importances along it plus the edge log-transition-intensities between
-consecutive picks, accumulated in layer order (path_log_weight).  Ordering
-everywhere is (log_weight descending, expert sequence lexicographically
-ascending).
+A path picks one expert per layer.  Transitions are rank-1, so its log
+weight splits into one score per picked expert (SampleGraph.node_scores),
+and path_log_weight sums those scores in layer order.  Ordering everywhere
+is (log_weight descending, expert sequence lexicographically ascending).
 
-Transitions are rank-1, so every log edge matrix is additive up to rounding
-and the 1e-300 clamp: log_edge[l][i, j] ~ u_l[i] + v_l[j].  Folding u and v
-into the node terms gives per-node scores s_l whose sum S(p) bounds every
-path's weight from above, to within a small eps.  ranked_paths enumerates
-paths best-first in S over the per-layer sorted score lists (the separable
-case of Eppstein's k shortest paths), re-scores each one with
-path_log_weight, and yields a path once no unseen path can reach its weight.
-The stream is the whole ranking, produced lazily, so every top-m is a prefix
-of it: top_m_paths_dp takes the first m, and the sparsity search reads paths
-off it one rank at a time.  Experts whose node term, edge row and edge column
-are bit-identical are enumerated as one class and expanded in lexicographic
-order, so an exact tie between twins costs one path, not one per member.  The
-ranking equals top_m_paths_bruteforce exactly, sequences and weights, for any
-finite log weights.
+ranked_paths enumerates paths best-first over the per-layer sorted score
+lists: k-best selection over sums of sorted lists, the separable case of
+Eppstein's k shortest paths.  It sums each path the way path_log_weight
+does, and float addition is monotone, so no unseen path can outweigh the
+head of the heap.  The stream is the whole ranking, produced lazily, so every
+top-m is a prefix of it: top_m_paths_dp takes the first m, and the sparsity
+search reads paths off it one rank at a time.  Experts of one layer with
+equal scores are enumerated as one class and expanded in lexicographic
+order, so an exact tie between twins costs one path, not one per member.
+The ranking equals top_m_paths_bruteforce exactly, sequences and weights.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ class PathSet:
 
 
 def path_log_weight(graph: SampleGraph, experts) -> float:
-    """Sum of node log-importances plus edge log-intensities along the path.
+    """Sum of the path's node scores, in layer order from 0.0.
 
     This accumulation order is canonical: every planner returns weights
     computed this way, so they are bit-identical and ties resolve the same."""
@@ -85,83 +80,28 @@ def path_log_weight(graph: SampleGraph, experts) -> float:
     n = graph.experts_per_layer
     if any(not (0 <= i < n) for i in experts):
         raise ValueError("expert index out of range")
-    return _accumulate(graph.log_node, graph.log_edge, experts)
-
-
-def _accumulate(log_node, log_edge, experts) -> float:
-    total = log_node[0][experts[0]]
-    for l in range(1, len(experts)):
-        total = total + log_edge[l - 1][experts[l - 1]][experts[l]] + log_node[l][experts[l]]
-    return float(total)
-
-
-def _twin_classes(graph: SampleGraph) -> list[list[list[int]]]:
-    """Per layer, the experts grouped by the bytes of their node term, edge
-    row and edge column, each group ascending.  Twins enter path_log_weight
-    as identical operands, so swapping them never changes a path's weight."""
-    L, n = graph.num_layers, graph.experts_per_layer
-    # one row of (node, edge row, edge column) per expert; the missing edge
-    # of the first and last layer stays zero for every expert alike
-    terms = np.zeros((L, n, 1 + 2 * n))
-    terms[:, :, 0] = graph.log_node
-    terms[:-1, :, 1 : 1 + n] = graph.log_edge
-    terms[1:, :, 1 + n :] = graph.log_edge.transpose(0, 2, 1)
-    raw, width = terms.tobytes(), terms.shape[2] * 8
-    classes = []
-    for l in range(L):
-        groups: dict[bytes, list[int]] = {}
-        for i in range(n):
-            start = (l * n + i) * width
-            groups.setdefault(raw[start : start + width], []).append(i)
-        classes.append(list(groups.values()))
-    return classes
-
-
-def _node_scores(graph: SampleGraph) -> tuple[np.ndarray, float]:
-    """Per-node scores s (L x N_e) and eps with path_log_weight(p) <= S(p) +
-    eps for every path p, where S(p) sums s[l][p_l] in layer order.
-
-    Each log_edge[l] = E is split into column terms v, the column means of E
-    after its row means are taken out, and row terms u[i] = max_j E[i, j] -
-    v[j], the least with u[i] + v[j] >= E[i, j].  For an additive matrix the
-    split is exact; otherwise (the 1e-300 clamp, ablations, arbitrary edges)
-    it can only overestimate, so S is an upper bound and eps covers just the
-    positive residual left by rounding and the rounding of the scores, of S
-    and of the canonical accumulation: (3L + 1) roundings of at most 2^-53
-    relative each, charged against the summed per-layer maxima of every
-    operand, with a factor of two to spare."""
-    node, edge = graph.log_node, graph.log_edge
-    if not (np.all(np.isfinite(node)) and np.all(np.isfinite(edge))):
-        raise ValueError("graph log weights must be finite")
-    v = (edge - edge.mean(axis=2)[:, :, None]).mean(axis=1)
-    u = (edge - v[:, None, :]).max(axis=2, initial=-np.inf)
-    residual = (edge - u[:, :, None] - v[:, None, :]).max(axis=(1, 2), initial=0.0)
-    scores = node.copy()
-    scores[:-1] += u
-    scores[1:] += v
-    magnitude = sum(
-        float(np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0).sum())
-        for x in (node, edge, u, v, scores)
-    )
-    return scores, float(residual.sum()) + (8 * graph.num_layers + 16) * 2.0**-53 * magnitude
+    total = 0.0
+    for l, i in enumerate(experts):
+        total += float(graph.node_scores[l, i])
+    return total
 
 
 def ranked_paths(graph: SampleGraph) -> Iterator[PrefixPath]:
     """Every path of the graph, lazily, ordered by (log_weight descending,
     sequence ascending); any top-m is a prefix of this stream."""
     L = graph.num_layers
-    node_scores, eps = _node_scores(graph)
-    # per layer, the twin classes by score descending: a path is one rank per
-    # layer, and members[l][r] lists the experts of the class at rank r
-    members = [
-        sorted(cl, key=lambda c, s=s: (-s[c[0]], c[0]))
-        for s, cl in zip(node_scores, _twin_classes(graph))
-    ]
-    ranked = [[float(s[c[0]]) for c in cl] for s, cl in zip(node_scores, members)]
-    log_node, log_edge = graph.log_node.tolist(), graph.log_edge.tolist()
+    # per layer, the distinct scores descending (a path is one rank per
+    # layer), and members[l][r] lists the experts that carry score r, ascending
+    ranked, members = [], []
+    for s in graph.node_scores.tolist():
+        classes: dict[float, list[int]] = {}
+        for i, v in enumerate(s):
+            classes.setdefault(v, []).append(i)
+        ranked.append(sorted(classes, reverse=True))
+        members.append([classes[v] for v in ranked[-1]])
 
-    def bound(ranks) -> float:
-        # S(p); a fixed layer order keeps it non-increasing along heap edges
+    def weight(ranks) -> float:
+        # path_log_weight's sum; monotone, so non-increasing along heap edges
         total = 0.0
         for l in range(L):
             total += ranked[l][ranks[l]]
@@ -170,29 +110,28 @@ def ranked_paths(graph: SampleGraph) -> Iterator[PrefixPath]:
     # rank vectors form a tree: the children of r raise one coordinate at or
     # after r's last nonzero one, so each vector is pushed exactly once
     root = (0,) * L
-    heap = [(-bound(root), root, 0)]
+    heap = [(-weight(root), root, 0)]
     # popped classes keyed by (-weight, next member sequence), as
     # PrefixPath.sort_key orders paths, each holding the rest of its product,
     # which runs in lexicographic order; tied classes thereby interleave
     ready: list = []
     while heap or ready:
-        # the best ready path is next once no unseen path can reach its weight
-        while heap and not (ready and -heap[0][0] + eps < -ready[0][0]):
-            _, ranks, last = heapq.heappop(heap)
+        # the best ready path is next once no unseen path can tie its weight
+        while heap and not (ready and heap[0][0] > ready[0][0]):
+            key, ranks, last = heapq.heappop(heap)
             for k in range(last, L):
                 if ranks[k] + 1 < len(ranked[k]):
                     child = ranks[:k] + (ranks[k] + 1,) + ranks[k + 1 :]
-                    heapq.heappush(heap, (-bound(child), child, k))
-            w = _accumulate(log_node, log_edge, [members[l][r][0] for l, r in enumerate(ranks)])
+                    heapq.heappush(heap, (-weight(child), child, k))
             product = itertools.product(*(members[l][r] for l, r in enumerate(ranks)))
-            heapq.heappush(ready, (-w, next(product), w, product))
-        key, seq, w, product = ready[0]
-        yield PrefixPath(seq, w)
+            heapq.heappush(ready, (key, next(product), product))
+        key, seq, product = ready[0]
+        yield PrefixPath(seq, -key)
         seq = next(product, None)
         if seq is None:
             heapq.heappop(ready)
         else:
-            heapq.heapreplace(ready, (key, seq, w, product))
+            heapq.heapreplace(ready, (key, seq, product))
 
 
 def top_m_paths_dp(graph: SampleGraph, m: int) -> PathSet:
@@ -249,10 +188,8 @@ def with_twin(graph: SampleGraph, layer: int, src: int, dst: int) -> SampleGraph
 def oracle_selfcheck(trials: int, seed: int, tol: float = 1e-9) -> tuple[int, list[str]]:
     """Planner-vs-brute-force equivalence over random graphs with L in 2..5 and
     N_e in 2..4, at m in {1, 3, 10, N_e^L}.  Each trial checks the graph,
-    both of its ablate_graph variants, and a copy with one expert duplicated
+    its two single-signal ablations, and a copy with one expert duplicated
     (exact ties).  Returns (passes, mismatches)."""
-    from .harness import ablate_graph  # harness imports this module
-
     rng = Rng(seed)
     passes = 0
     mismatches: list[str] = []
@@ -264,8 +201,8 @@ def oracle_selfcheck(trials: int, seed: int, tol: float = 1e-9) -> tuple[int, li
         twin = with_twin(graph, rng.randrange(L), src, (src + 1 + rng.randrange(n - 1)) % n)
         variants = {
             "graph": graph,
-            "no-importance": ablate_graph(graph, use_importance=False),
-            "no-transition": ablate_graph(graph, use_transition=False),
+            "no-importance": graph_from_scores(graph.layer_scores, use_importance=False),
+            "no-transition": graph_from_scores(graph.layer_scores, use_transition=False),
             "twin": twin,
         }
         ok = True

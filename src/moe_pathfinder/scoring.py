@@ -5,14 +5,18 @@ expert), routing preference (mean routing probability), per-expert
 reconstruction loss against the traced layer output, and the importance
 score softmax(-loss) with multiplicative boundary corrections at the first
 (own routing preference) and last (own activation strength) layers.
-Transition matrices between adjacent layers are the rank-1 outer products
-activation x next-layer routing preference, so a graph file stores only the
-four per-layer vectors and the transitions are recomputed when it is loaded.
+The transition between adjacent layers is the rank-1 outer product
+activation x next-layer routing preference, so a path's log weight splits
+into one score per expert: its clamped log importance, plus its clamped log
+activation toward the next layer, plus its clamped log routing preference
+from the previous one.  A graph holds the four per-layer vectors and these
+per-node scores; a graph file stores only the vectors, and loading
+recomputes the scores.
 
 Everything is computed for all experts, routed-to or not, from exactly one
-forward pass plus one output evaluation per (layer, expert).  Log fields are
-clamped at 1e-300 before the log so genuinely-zero weights stay finite and
-simply rank last.
+forward pass plus one output evaluation per (layer, expert).  Logs are
+clamped at 1e-300 so genuinely-zero weights stay finite and simply rank
+last.
 """
 
 from __future__ import annotations
@@ -41,9 +45,23 @@ class SampleGraph:
     num_layers: int
     experts_per_layer: int
     layer_scores: list[LayerScore]
-    transitions: list[np.ndarray]  # L-1 matrices, N_e x N_e
-    log_node: np.ndarray  # L x N_e
-    log_edge: np.ndarray  # (L-1) x N_e x N_e
+    node_scores: np.ndarray  # L x N_e; a path's log weight sums one per layer
+
+    @property
+    def log_node(self) -> np.ndarray:
+        """L x N_e clamped log importances: the paper's node log weights."""
+        return np.stack([clamped_log(s.importance) for s in self.layer_scores])
+
+    @property
+    def log_edge(self) -> np.ndarray:
+        """(L-1) x N_e x N_e clamped log transition intensities: the paper's
+        edge log weights, built on each access."""
+        s, n = self.layer_scores, self.experts_per_layer
+        edges = [
+            clamped_log(transition_intensity(s[l].activation, s[l + 1].routing))
+            for l in range(self.num_layers - 1)
+        ]
+        return np.stack(edges) if edges else np.zeros((0, n, n))
 
 
 def clamped_log(values: np.ndarray) -> np.ndarray:
@@ -129,20 +147,28 @@ def score_trace(model: MoEModel, trace: ForwardTrace) -> SampleGraph:
     return graph_from_scores(scores)
 
 
-def graph_from_scores(scores: list[LayerScore]) -> SampleGraph:
-    """The sample graph over per-layer scores: rank-1 transitions between
-    adjacent layers and the clamped log node and edge weights."""
+def graph_from_scores(
+    scores: list[LayerScore], use_importance: bool = True, use_transition: bool = True
+) -> SampleGraph:
+    """The sample graph over per-layer scores.  Each node score adds, in this
+    order, the clamped log importance, the clamped log activation (all but
+    the last layer) and the clamped log routing preference (all but the
+    first); an ablation leaves out the importance or the two transition
+    terms."""
+    if not (use_importance or use_transition):
+        raise ValueError("at least one of use_importance/use_transition must be on")
     L, n = len(scores), len(scores[0].importance)
-    transitions = [
-        transition_intensity(scores[l].activation, scores[l + 1].routing)
-        for l in range(L - 1)
-    ]
-    log_node = np.stack([clamped_log(s.importance) for s in scores])
-    if transitions:
-        log_edge = np.stack([clamped_log(t) for t in transitions])
-    else:
-        log_edge = np.zeros((0, n, n))
-    return SampleGraph(L, n, scores, transitions, log_node, log_edge)
+    node_scores = np.zeros((L, n))
+    for l, s in enumerate(scores):
+        if use_importance:
+            node_scores[l] += clamped_log(s.importance)
+        if use_transition and l < L - 1:
+            node_scores[l] += clamped_log(s.activation)
+        if use_transition and l > 0:
+            node_scores[l] += clamped_log(s.routing)
+    if not np.all(np.isfinite(node_scores)):
+        raise ValueError("graph log weights must be finite")
+    return SampleGraph(L, n, scores, node_scores)
 
 
 _GRAPH_FIELDS = ("activation", "routing", "recon_loss", "importance")
@@ -150,7 +176,7 @@ _GRAPH_FIELDS = ("activation", "routing", "recon_loss", "importance")
 
 def save_graph(graph: SampleGraph, dirpath, stem: str) -> str:
     """Write `{stem}.json` with the per-layer score vectors; returns its
-    filename.  Transitions are not stored: they are rebuilt on load."""
+    filename.  Node scores are not stored: they are rebuilt on load."""
     os.makedirs(dirpath, exist_ok=True)
     obj = {
         "num_layers": graph.num_layers,
@@ -187,7 +213,7 @@ def _parse_scores(obj) -> list[LayerScore]:
 
 def load_graph(dirpath, name: str) -> SampleGraph:
     """Read a graph written by save_graph.  Every per-layer vector must hold
-    experts_per_layer finite numbers; transitions are recomputed with
-    transition_intensity, which is the same single multiply score_trace does,
-    so the rebuilt graph is bit-identical to the one saved."""
+    experts_per_layer finite numbers; the node scores are recomputed by
+    graph_from_scores, as score_trace computes them, so the rebuilt graph is
+    bit-identical to the one saved."""
     return graph_from_scores(load_json(os.path.join(dirpath, name), "graph", _parse_scores))

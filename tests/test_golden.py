@@ -1,8 +1,13 @@
 """Golden artifact bytes for the README pipeline and one desk comparison seed.
 
-The digests were taken from the prefix-DP planner that the best-first
-enumerator replaced, so they pin the planner's output bytes (path sets,
-masks, reports, heatmaps, comparison rows) across that change.  They hold on
+The digests pin the graph files, path sets, masks, reports, heatmaps and
+comparison rows.  The mask, report, heatmap, eval and comparison digests
+date from the prefix-DP planner that the best-first enumerator replaced.
+The graph digests were taken before path weights became sums of per-node
+scores, and that change left them alone.  It re-captured the ten path-set
+digests that moved: summing one score per node rounds differently from
+summing clamped log edges, so 47 of the 136 stored weights moved, by at most
+3.2e-16 relative, and no expert sequence changed.  The digests hold on
 x86-64 with numpy's bundled OpenBLAS; another BLAS may round the model's
 matrix products differently and move every float.
 """
@@ -30,21 +35,21 @@ GOLDEN = {
     "paths1/paths.json": "53b621d2e7ff88b2ff3a3890ad821eb23ca3cfc86849767009574e423b381a56",
     "paths1/sample0005.paths.json": "e66fae29ea369e4a309638184f7b4041cfad498b44a27b92c769f34536e831fd",
     "paths1/sample0015.paths.json": "686b83e163fd1190e613c0f3ec5128418786f77e971723b4ed663bafcd1e9a0d",
-    "paths1/sample0021.paths.json": "cf0cfc613d552b9fd99d3e7255bfe25af8ab45e19d79dfe5ec5ca59c41421ced",
+    "paths1/sample0021.paths.json": "865187f33a362ad4abe906cea18b273da00f5da1da6a502799c1cf6dbe82dcf8",
     "paths1/sample0032.paths.json": "db0e6f85e442f7b631a8f6044df5cdb583805d13152e1c6e68562467a6cdf5b4",
-    "paths1/sample0036.paths.json": "c9ba007462bf8cee5beaa177d5385cf6221bc65672accd171c6af4b2cddb7152",
+    "paths1/sample0036.paths.json": "d680a24b55f8764673d1cfe9c9a47dbb88bb26cdcbf6608f7a09787e9e82f567",
     "paths1/sample0041.paths.json": "307e5b1d5214ff6151fc18af52cc711715831ca1b1f04dc5a4aba3d56f9aa8b9",
     "paths1/sample0050.paths.json": "447b7c61108b8b5be3a47b0f82499fc2016852e6847335881302637f1feed855",
     "paths1/sample0063.paths.json": "aec6adfc75156504aeb1ee1c2654eec32e219fb76d03ba04ff986fb87ee4d2b3",
     "paths16/paths.json": "f25660964a1ad844a21dff8a928b0d739738dbbe44c012dce0f84a730388e738",
-    "paths16/sample0005.paths.json": "51216eb647777e772741507a5ef04773623d4536273d13d2aa2eda6f24068281",
-    "paths16/sample0015.paths.json": "953e79d477a408b4e2fefcceb5e5fe69e8adf9334e1e63bd34065b6b94799b8c",
-    "paths16/sample0021.paths.json": "5e22443852dd26a1ef7b927aa098f76ee09694d3ccb859b70cd972c6ec04e9e4",
-    "paths16/sample0032.paths.json": "7c183ad4322dc2225b79471d5519995be9f9a3a0ec7acfa0f518303e32a4695f",
-    "paths16/sample0036.paths.json": "9a5ecdb45f518cd9b5e84b1af8a97041aec56ab2bfec82a80b9610b9c8705ae1",
-    "paths16/sample0041.paths.json": "2ba81e4f1b3c16de686dfab2495c61a26907162ddefb3ff1a15db91c62f094e0",
-    "paths16/sample0050.paths.json": "78ce22202f6bc20105d91b604822470cc037c212cd7ed02c512160e39217750a",
-    "paths16/sample0063.paths.json": "a1055f853051d53aa97c1f842c5cbbeadd887f98b2d6f8314bb955c0119094d4",
+    "paths16/sample0005.paths.json": "9679d6b28af3800e5db09fb9fc6b239de03f42c217b2756a46e61ac913738f9e",
+    "paths16/sample0015.paths.json": "c271e9ed77d0d2e9bdfe7991aa1e4aec407111f55f3dd2d1ec9cf66def2fdbe4",
+    "paths16/sample0021.paths.json": "ff6c6c701bfb26e0a07a801e89e5392a9e6d311d41de03ad8c2731b06ef02bfd",
+    "paths16/sample0032.paths.json": "2d48a7f7eb8bf85af01be8f18c727fb1cab0dcc8037e7e073f8a9d5936821480",
+    "paths16/sample0036.paths.json": "1fc7105fdd0af398e98cf16db94d34e66b4f18b94787582e11c888b4609b7eda",
+    "paths16/sample0041.paths.json": "04213d5c4fb8c6d9f3080ff79843299ba189f16265a641b3cd452dcf09382afd",
+    "paths16/sample0050.paths.json": "85272746669323a1b64f514ec6cc734a9d0db2ec03641122a764e9b533889902",
+    "paths16/sample0063.paths.json": "33cfb4783d9bde0873423de1f4620fb5d00a3cd0b7487167038814464398b9d5",
     "pruned/mask.json": "58af2cdc5c457eeaa351a2a6f67f37d1094d069381fdfb0a2edfa56b1fc5b026",
     "pruned/report.json": "127281b4ca8c46d492b8376b488fa2b1919bcd93c7fe078977a1a6c8b1f6f7e1",
     "pruned1/mask.json": "3ffd35ecdc4ede282764fcb9b3beb78fa2eb4e58fed2f72d528323e40c98ff64",

@@ -5,7 +5,6 @@ import pytest
 
 from moe_pathfinder.harness import (
     ExperimentConfig,
-    ablate_graph,
     comparison_csv,
     derive_seeds,
     eval_mask,
@@ -21,6 +20,7 @@ from moe_pathfinder.model import MoEConfig, gen_data, gen_model, model_forward
 from moe_pathfinder.numerics import Rng
 from moe_pathfinder.planner import random_sample_graph, top_m_paths_bruteforce, top_m_paths_dp
 from moe_pathfinder.pruner import PruneMask
+from moe_pathfinder.scoring import graph_from_scores
 
 TINY = ExperimentConfig(
     moe=MoEConfig(num_layers=2, experts_per_layer=3, hidden_dim=6, top_k=1),
@@ -54,15 +54,14 @@ def test_random_mask_seed_deterministic():
 
 def test_ablate_graph_identity_when_both_on():
     g = random_sample_graph(3, 3, Rng(2))
-    out = ablate_graph(g, True, True)
-    assert np.array_equal(out.log_node, g.log_node)
-    assert np.array_equal(out.log_edge, g.log_edge)
+    out = graph_from_scores(g.layer_scores, True, True)
+    assert out.node_scores.tobytes() == g.node_scores.tobytes()
 
 
 def test_ablate_graph_rejects_both_off():
     g = random_sample_graph(3, 3, Rng(3))
     with pytest.raises(ValueError):
-        ablate_graph(g, False, False)
+        graph_from_scores(g.layer_scores, False, False)
 
 
 def test_ablate_transition_off_decouples_layers():
@@ -70,7 +69,7 @@ def test_ablate_transition_off_decouples_layers():
     rng = Rng(4)
     for _ in range(10):
         g = random_sample_graph(4, 3, rng)
-        out = ablate_graph(g, use_importance=True, use_transition=False)
+        out = graph_from_scores(g.layer_scores, use_importance=True, use_transition=False)
         best = top_m_paths_dp(out, 1).paths[0]
         want = tuple(int(np.argmax(g.log_node[l])) for l in range(4))
         assert best.experts == want
@@ -80,14 +79,16 @@ def test_ablate_importance_off_ranks_by_transition_products():
     rng = Rng(5)
     for _ in range(5):
         g = random_sample_graph(3, 3, rng)
-        out = ablate_graph(g, use_importance=False, use_transition=True)
+        out = graph_from_scores(g.layer_scores, use_importance=False, use_transition=True)
         got = top_m_paths_dp(out, 27)
         # independent ranking by linear-domain transition products
         import itertools
 
+        a = [s.activation for s in g.layer_scores]
+        r = [s.routing for s in g.layer_scores]
         scored = []
         for seq in itertools.product(range(3), repeat=3):
-            prod = g.transitions[0][seq[0], seq[1]] * g.transitions[1][seq[1], seq[2]]
+            prod = (a[0][seq[0]] * r[1][seq[1]]) * (a[1][seq[1]] * r[2][seq[2]])
             scored.append((seq, prod))
         scored.sort(key=lambda t: (-t[1], t[0]))
         assert [p.experts for p in got.paths] == [s[0] for s in scored]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moe_pathfinder.errors import InvariantError
-from moe_pathfinder.harness import ablate_graph
+from moe_pathfinder.harness import ExperimentConfig, experiment_data, experiment_model
 from moe_pathfinder.numerics import Rng
 from moe_pathfinder.planner import (
     PathSet,
@@ -22,32 +22,28 @@ from moe_pathfinder.planner import (
     top_m_paths_dp,
     with_twin,
 )
-from moe_pathfinder.scoring import LayerScore, SampleGraph, clamped_log, graph_from_scores
+from moe_pathfinder.scoring import LayerScore, SampleGraph, graph_from_scores, score_sample
 
 
-def graph_from_weights(node, edges):
-    """SampleGraph from explicit linear node weights (L x N_e) and edge
-    matrices (L-1 of N_e x N_e)."""
-    node = np.asarray(node, dtype=np.float64)
-    L, n = node.shape
-    edges = [np.asarray(e, dtype=np.float64) for e in edges]
-    scores = [
-        LayerScore(np.ones(n), np.full(n, 1.0 / n), np.zeros(n), node[l].copy())
-        for l in range(L)
-    ]
-    log_edge = (
-        np.stack([clamped_log(e) for e in edges]) if edges else np.zeros((0, n, n))
+def graph_from_vectors(importance, activation=None, routing=None):
+    """SampleGraph from linear per-layer importance, activation and routing
+    vectors (each L x N_e); activation and routing default to all ones."""
+    importance = np.asarray(importance, dtype=np.float64)
+    L, n = importance.shape
+    activation = np.ones((L, n)) if activation is None else np.asarray(activation, dtype=np.float64)
+    routing = np.ones((L, n)) if routing is None else np.asarray(routing, dtype=np.float64)
+    return graph_from_scores(
+        [LayerScore(activation[l], routing[l], np.zeros(n), importance[l]) for l in range(L)]
     )
-    return SampleGraph(L, n, scores, edges, clamped_log(node), log_edge)
 
 
 def test_path_log_weight_unit_weights():
-    g = graph_from_weights(np.ones((3, 2)), [np.ones((2, 2))] * 2)
+    g = graph_from_vectors(np.ones((3, 2)))
     assert path_log_weight(g, [0, 1, 0]) == 0.0
 
 
 def test_path_log_weight_hand_case():
-    g = graph_from_weights(np.ones((2, 1)), [np.array([[0.5]])])
+    g = graph_from_vectors(np.ones((2, 1)), activation=[[0.5], [1.0]])
     assert path_log_weight(g, [0, 0]) == pytest.approx(np.log(0.5), rel=1e-15)
 
 
@@ -55,23 +51,22 @@ def test_path_log_weight_matches_linear_product():
     rng = Rng(1)
     for _ in range(30):
         L, n = 2 + rng.randrange(3), 2 + rng.randrange(3)
-        node = np.array([[rng.uniform(0.05, 2.0) for _ in range(n)] for _ in range(L)])
-        edges = [
-            np.array([[rng.uniform(0.05, 2.0) for _ in range(n)] for _ in range(n)])
-            for _ in range(L - 1)
-        ]
-        g = graph_from_weights(node, edges)
+        imp, act, rout = (
+            np.array([[rng.uniform(0.05, 2.0) for _ in range(n)] for _ in range(L)])
+            for _ in range(3)
+        )
+        g = graph_from_vectors(imp, act, rout)
         path = [rng.randrange(n) for _ in range(L)]
         linear = 1.0
         for l, i in enumerate(path):
-            linear *= node[l][i]
+            linear *= imp[l][i]
         for l in range(L - 1):
-            linear *= edges[l][path[l]][path[l + 1]]
+            linear *= act[l][path[l]] * rout[l + 1][path[l + 1]]
         assert path_log_weight(g, path) == pytest.approx(np.log(linear), rel=1e-9)
 
 
 def test_path_log_weight_rejects_bad_paths():
-    g = graph_from_weights(np.ones((3, 2)), [np.ones((2, 2))] * 2)
+    g = graph_from_vectors(np.ones((3, 2)))
     with pytest.raises(ValueError):
         path_log_weight(g, [0, 1])
     with pytest.raises(ValueError):
@@ -91,16 +86,18 @@ def test_dp_equals_bruteforce_on_random_graphs():
                 assert a.log_weight == b.log_weight  # same accumulation order
 
 
-# 0.0 hits the 1e-300 log clamp; the dyadic values make exact ties between
-# paths through different experts
-_VALUES = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 2.0))
+# 0.0 hits the 1e-300 log clamp, and a product of two 1e-200s falls below
+# it; the dyadic values make exact ties between paths through different experts
+_VALUES = st.one_of(
+    st.just(0.0), st.sampled_from([1e-200, 0.5, 1.0, 2.0]), st.floats(0.01, 2.0)
+)
 
 
 @st.composite
 def rank1_graphs(draw, shape=None):
     """Rank-1 graphs with N_e^L <= 256 (L x N_e fixed by shape if given), some
     experts copied onto others (twins), under one of the three signal sets of
-    ablate_graph."""
+    graph_from_scores."""
     L, n = shape or (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
 
     def vector():
@@ -111,7 +108,7 @@ def rank1_graphs(draw, shape=None):
     for l, src, dst in draw(st.lists(copies, max_size=3)):
         g = with_twin(g, l, src, dst)
     signals = draw(st.sampled_from([(True, True), (False, True), (True, False)]))
-    return ablate_graph(g, *signals)
+    return graph_from_scores(g.layer_scores, *signals)
 
 
 @given(rank1_graphs())
@@ -129,9 +126,51 @@ def test_dp_equals_bruteforce_with_twins_clamps_and_ablations(g):
     assert [p.log_weight.hex() for p in stream] == [p.log_weight.hex() for p in ranking]
 
 
+def test_product_below_the_clamp_ranks_by_the_true_sum():
+    # every a_i * r_j underflows below 1e-300, so every clamped log edge is
+    # log(1e-300) and the edge view ties all four paths; the node scores keep
+    # log a_i + log r_j, which puts (1, 1) first and (0, 0) last
+    g = graph_from_vectors(
+        np.ones((2, 2)), activation=[[1e-200, 1e-160], [1.0, 1.0]],
+        routing=[[1.0, 1.0], [1e-200, 1e-160]],
+    )
+    assert np.all(g.log_edge == np.log(1e-300))
+    ranking = top_m_paths_bruteforce(g, 4).paths
+    assert [p.experts for p in ranking] == [(1, 1), (0, 1), (1, 0), (0, 0)]
+    assert ranking[0].log_weight == pytest.approx(2 * np.log(1e-160), rel=1e-15)
+    planned = top_m_paths_dp(g, 4).paths
+    assert [p.experts for p in planned] == [p.experts for p in ranking]
+    assert [p.log_weight.hex() for p in planned] == [p.log_weight.hex() for p in ranking]
+
+
+def edge_weighted_top_m(graph, m):
+    """The paper's ranking: node plus edge log weights (log_node, log_edge)
+    summed over all N_e^L sequences at once, ties to the smaller sequence."""
+    log_node, log_edge = graph.log_node, graph.log_edge
+    L, n = log_node.shape
+    w = log_node[0]
+    for l in range(1, L):
+        w = w[..., None] + log_edge[l - 1].reshape((1,) * (l - 1) + (n, n)) + log_node[l]
+    flat = w.ravel()
+    order = np.lexsort((np.arange(flat.size), -flat))[:m]
+    return [tuple(int(i) for i in np.unravel_index(k, w.shape)) for k in order], flat[order]
+
+
+def test_scored_graphs_rank_as_the_edge_weighted_graph():
+    config = ExperimentConfig()
+    for seed in range(10):
+        model = experiment_model(config, seed)
+        sample = experiment_data(config, 1, centers_seed=config.centers_seed, noise_seed=seed)[0]
+        graph = score_sample(model, sample)
+        seqs, weights = edge_weighted_top_m(graph, 64)
+        planned = top_m_paths_dp(graph, 64).paths
+        assert [p.experts for p in planned] == seqs
+        assert np.allclose([p.log_weight for p in planned], weights, rtol=1e-12, atol=0.0)
+
+
 def test_all_equal_graph_returns_lexicographic_first_quickly():
     L, n = 12, 32
-    g = graph_from_weights(np.ones((L, n)), [np.ones((n, n))] * (L - 1))
+    g = graph_from_vectors(np.ones((L, n)))
     start = time.monotonic()
     ps = top_m_paths_dp(g, 8)
     elapsed = time.monotonic() - start
@@ -164,7 +203,7 @@ def test_dp_exhaustive_m_returns_all_paths_sorted():
 
 
 def test_uniform_graph_ties_break_lexicographically():
-    g = graph_from_weights(np.ones((3, 3)), [np.ones((3, 3))] * 2)
+    g = graph_from_vectors(np.ones((3, 3)))
     ps = top_m_paths_dp(g, 4)
     assert [p.experts for p in ps.paths] == [
         (0, 0, 0),
@@ -195,20 +234,17 @@ def test_layer_shift_invariance():
     g = random_sample_graph(4, 3, rng)
     base = top_m_paths_dp(g, 5)
     c = 2.75
-    shifted_node = g.log_node.copy()
-    shifted_node[2] += c
-    g2 = SampleGraph(
-        g.num_layers, g.experts_per_layer, g.layer_scores, g.transitions,
-        shifted_node, g.log_edge,
-    )
-    shifted = top_m_paths_dp(g2, 5)
-    assert [p.experts for p in shifted.paths] == [p.experts for p in base.paths]
-    for a, b in zip(shifted.paths, base.paths):
+    shifted = g.node_scores.copy()
+    shifted[2] += c
+    g2 = SampleGraph(g.num_layers, g.experts_per_layer, g.layer_scores, shifted)
+    moved = top_m_paths_dp(g2, 5)
+    assert [p.experts for p in moved.paths] == [p.experts for p in base.paths]
+    for a, b in zip(moved.paths, base.paths):
         assert a.log_weight == pytest.approx(b.log_weight + c, rel=1e-12)
 
 
 def test_bruteforce_counts_and_cap():
-    g = graph_from_weights(np.ones((2, 2)), [np.ones((2, 2))])
+    g = graph_from_vectors(np.ones((2, 2)))
     ps = top_m_paths_bruteforce(g, 999)
     assert len(ps.paths) == 4
     assert [p.experts for p in top_m_paths_bruteforce(g, 2).paths] == [(0, 0), (0, 1)]
@@ -217,7 +253,7 @@ def test_bruteforce_counts_and_cap():
 
 
 def test_m_must_be_positive():
-    g = graph_from_weights(np.ones((2, 2)), [np.ones((2, 2))])
+    g = graph_from_vectors(np.ones((2, 2)))
     with pytest.raises(ValueError):
         top_m_paths_dp(g, 0)
     with pytest.raises(ValueError):

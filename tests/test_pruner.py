@@ -97,9 +97,9 @@ def test_selection_frequency_row_sums_equal_total_paths():
 
 def test_selection_frequency_uniform_graph_combinatorics():
     # uniform weights, exhaustive m: each cell is hit N_e^(L-1) times
-    from test_planner import graph_from_weights
+    from test_planner import graph_from_vectors
 
-    g = graph_from_weights(np.ones((3, 2)), [np.ones((2, 2))] * 2)
+    g = graph_from_vectors(np.ones((3, 2)))
     ps = top_m_paths_dp(g, 8)
     counts = selection_frequency([ps], 3, 2)
     assert np.all(counts == 4)

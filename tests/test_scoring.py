@@ -193,21 +193,24 @@ def test_score_sample_matches_full_rederivation():
             assert np.allclose(s.recon_loss, losses[l], rtol=1e-12)
             assert np.allclose(s.importance, imp[l], rtol=1e-12)
         for l in range(2):
-            assert np.allclose(graph.transitions[l], trans[l], rtol=1e-12)
+            assert np.allclose(graph.log_edge[l], np.log(trans[l]), rtol=1e-12)
         assert np.allclose(graph.log_node, np.log(np.maximum(imp, LOG_CLAMP)), rtol=1e-12)
 
 
 def test_score_sample_rank1_exact():
+    # each edge log(a_i * r_j) splits into a_i's term on the node before it
+    # and r_j's term on the node after it, added after the importance term
     cfg = MoEConfig(num_layers=4, experts_per_layer=3, hidden_dim=4, top_k=1)
     model = gen_model(cfg, 9)
     x = gen_data(cfg, 1, 4, 10)[0]
     graph = score_sample(model, x)
-    for l, t in enumerate(graph.transitions):
-        a = graph.layer_scores[l].activation
-        r = graph.layer_scores[l + 1].routing
-        for i in range(3):
-            for j in range(3):
-                assert t[i, j] == a[i] * r[j]  # identical float expression
+    for l, s in enumerate(graph.layer_scores):
+        want = np.log(np.maximum(s.importance, LOG_CLAMP))
+        if l < 3:
+            want = want + np.log(np.maximum(s.activation, LOG_CLAMP))
+        if l > 0:
+            want = want + np.log(np.maximum(s.routing, LOG_CLAMP))
+        assert graph.node_scores[l].tobytes() == want.tobytes()
 
 
 def test_score_sample_normalization():
@@ -239,12 +242,13 @@ def test_score_sample_single_expert_chain_log_weight():
     cfg = MoEConfig(num_layers=2, experts_per_layer=1, hidden_dim=3, top_k=1)
     model = gen_model(cfg, 18)
     graph = score_sample(model, gen_data(cfg, 1, 4, 19)[0])
+    s0, s1 = graph.layer_scores
     expected = (
-        np.log(graph.layer_scores[0].importance[0])
-        + np.log(graph.transitions[0][0, 0])
-        + np.log(graph.layer_scores[1].importance[0])
+        np.log(s0.importance[0])
+        + np.log(s0.activation[0] * s1.routing[0])
+        + np.log(s1.importance[0])
     )
-    total = graph.log_node[0][0] + graph.log_edge[0][0][0] + graph.log_node[1][0]
+    total = graph.node_scores[0][0] + graph.node_scores[1][0]
     assert total == pytest.approx(expected, rel=1e-12)
 
 
@@ -267,8 +271,7 @@ def test_score_sample_pure():
     model = gen_model(cfg, 22)
     x = gen_data(cfg, 1, 7, 23)[0]
     g1, g2 = score_sample(model, x), score_sample(model, x)
-    assert g1.log_node.tobytes() == g2.log_node.tobytes()
-    assert g1.log_edge.tobytes() == g2.log_edge.tobytes()
+    assert g1.node_scores.tobytes() == g2.node_scores.tobytes()
 
 
 def test_graph_save_load_roundtrip(tmp_path):
@@ -282,7 +285,4 @@ def test_graph_save_load_roundtrip(tmp_path):
     for sa, sb in zip(graph.layer_scores, back.layer_scores):
         assert np.array_equal(sa.activation, sb.activation)
         assert np.array_equal(sa.importance, sb.importance)
-    for ta, tb in zip(graph.transitions, back.transitions):
-        assert ta.tobytes() == tb.tobytes()
-    assert np.array_equal(back.log_node, graph.log_node)
-    assert np.array_equal(back.log_edge, graph.log_edge)
+    assert back.node_scores.tobytes() == graph.node_scores.tobytes()

@@ -100,7 +100,8 @@ def kmeans(
     centroid as measured at this pass's assignment step, before the centroids
     moved (lowest index on ties); that point's distance is zeroed so
     consecutive refills pick distinct points.  Stops when assignments are
-    stable or after max_iters.
+    stable, when a pass only undoes the last pass's refills (fewer distinct
+    points than clusters), or after max_iters.
     """
     points = np.asarray(features, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -112,6 +113,7 @@ def kmeans(
     rng = Rng(seed)
     centroids = _kmeanspp_init(points, k, rng)
     assignments = np.full(n, -1, dtype=np.int64)
+    unrefilled = assignments  # the last assignment step's result
     history: list[float] = []
     iters = 0
     for _ in range(max_iters):
@@ -120,10 +122,12 @@ def kmeans(
         new_assignments = np.argmin(all_d2, axis=1)  # argmin takes lower index on ties
         point_d2 = all_d2[np.arange(n), new_assignments]
         history.append(float(point_d2.sum()))
-        if np.array_equal(new_assignments, assignments):
-            assignments = new_assignments
+        if np.array_equal(new_assignments, assignments) or np.array_equal(
+            new_assignments, unrefilled
+        ):
             break
-        assignments = new_assignments
+        unrefilled = new_assignments
+        assignments = new_assignments.copy()
 
         for c in range(k):
             members = np.nonzero(assignments == c)[0]

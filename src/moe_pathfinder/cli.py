@@ -185,6 +185,7 @@ def cmd_calibrate(args) -> int:
 def cmd_score(args) -> int:
     model = load_model(args.model)
     samples = load_data(args.data)
+    _check_data_fits(samples, args.data, model, args.model)
     if args.calibration:
         ids = load_calibration(args.calibration).sample_ids
         for i in ids:
@@ -300,6 +301,9 @@ def cmd_prune(args) -> int:
                 graphs, args.target_retention, m_max=args.m_max
             )
 
+    if args.model:  # a bad --model fails the stage before it writes anything
+        model = load_model(args.model)
+        _check_mask_fits(mask, args.paths or args.graphs, model, args.model)
     os.makedirs(args.out, exist_ok=True)
     mask_path = os.path.join(args.out, "mask.json")
     report_path = os.path.join(args.out, "report.json")
@@ -307,8 +311,6 @@ def cmd_prune(args) -> int:
     save_report(report, report_path)
     outputs = [mask_path, report_path]
     if args.model:
-        model = load_model(args.model)
-        _check_mask_fits(mask, mask_path, model, args.model)
         pruned, kept = apply_mask(model, mask)
         pruned_dir = os.path.join(args.out, "pruned-model")
         save_model(pruned, pruned_dir)
@@ -323,12 +325,22 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def _check_mask_fits(mask, mask_path, model, model_path) -> None:
+def _check_mask_fits(mask, mask_source, model, model_path) -> None:
+    """mask_source names the mask file, or the directory it was built from."""
     cfg = model.config
     if mask.keep.shape != (cfg.num_layers, cfg.experts_per_layer):
         raise FormatError(
-            f"mask {mask_path} is {mask.num_layers} x {mask.experts_per_layer} (L x Ne), "
-            f"but model {model_path} is {cfg.num_layers} x {cfg.experts_per_layer}"
+            f"mask from {mask_source} is {mask.num_layers} x {mask.experts_per_layer} "
+            f"(L x Ne), but model {model_path} is {cfg.num_layers} x {cfg.experts_per_layer}"
+        )
+
+
+def _check_data_fits(samples, data_path, model, model_path) -> None:
+    d = model.config.hidden_dim
+    if samples and samples[0].tokens.shape[1] != d:  # one blob, so one width
+        raise FormatError(
+            f"data {data_path} has tokens of width {samples[0].tokens.shape[1]}, "
+            f"but model {model_path} has hidden_dim {d}"
         )
 
 
@@ -337,6 +349,7 @@ def cmd_eval(args) -> int:
     mask = load_mask(args.mask)
     _check_mask_fits(mask, args.mask, model, args.model)
     samples = load_data(args.data)
+    _check_data_fits(samples, args.data, model, args.model)
     result = eval_mask(model, mask, samples)
     obj = {
         "mean_final_error": result.mean_final_error,

@@ -91,6 +91,18 @@ def test_kmeans_refill_of_identical_points_takes_the_lowest_index():
     assert result.assignments.tolist() == [1, 0, 0, 0]
 
 
+def test_kmeans_stops_once_a_pass_only_undoes_the_refill():
+    # with one distinct point, every pass empties cluster 1 and refills it
+    # with point 0; the second pass changes nothing else, so the loop stops
+    points = np.full((4, 2), 0.1)
+    result = kmeans(points, 2, seed=0)
+    first_pass = kmeans(points, 2, seed=0, max_iters=1)
+    assert result.n_iters <= 3
+    assert result.assignments.tolist() == [1, 0, 0, 0]
+    assert result.centroids.tobytes() == first_pass.centroids.tobytes()
+    assert np.all(np.bincount(result.assignments, minlength=2) > 0)
+
+
 def test_kmeans_refill_ranks_points_at_the_assignment_step():
     # seeds 9, 8, 0; pass 1 moves centroids to 9, 20/3, 1.5; pass 2 empties
     # cluster 1.  Measured against the centroids pass 2 assigned with, point 2

@@ -185,7 +185,9 @@ def test_mask_model_shape_mismatch_is_format_error(pipeline, capsys):
     graphs, pruned = tmp / "graphs", tmp / "pruned"
     run_cli("score", "--model", model, "--data", data, "-o", graphs)
     assert run_cli("prune", "--graphs", graphs, "--m", 1, "--model", other, "-o", pruned) == 2
-    assert str(pruned / "mask.json") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(graphs) in err and str(other) in err
+    assert not pruned.exists()
 
 
 def test_unreachable_target_is_invariant_error(pipeline):
@@ -350,6 +352,8 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("outliers.json", _replace([[3, 0]]),
                      "heatmap --paths paths --outliers outliers.json -o h.csv",
                      id="outlier-outside-index"),
+        pytest.param("nosuch", lambda p: None, "prune --paths paths --model nosuch -o pr2",
+                     id="prune-model-missing"),
     ],
 )
 def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
@@ -361,6 +365,19 @@ def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
     assert name in err and "Traceback" not in err
     if argv.startswith("prune"):
         assert not (staged / argv.split()[-1]).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param("score --model wide --data data -o g2", id="score"),
+    pytest.param("eval --model wide --mask pruned/mask.json --data data -o eval2.json", id="eval"),
+])
+def test_data_width_mismatch_exits_2_naming_both(staged, capsys, argv):
+    assert run_cli(*"gen-model --layers 3 --experts 4 --dim 16 --topk 2 --seed 7 -o wide".split()) == 0
+    capsys.readouterr()
+    assert run_cli(*argv.split()) == 2
+    err = capsys.readouterr().err
+    assert "data data " in err and "model wide " in err and "Traceback" not in err
+    assert not (staged / argv.split()[-1]).exists()
 
 
 def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):

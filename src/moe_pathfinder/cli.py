@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -196,7 +197,10 @@ def cmd_score(args) -> int:
                 )
     else:
         ids = list(range(len(samples)))
-    graphs = map_jobs(partial(score_sample, model), [samples[i] for i in ids], args.jobs)
+    with _finite_forward(args.model, args.data):
+        graphs = map_jobs(
+            partial(_strict, score_sample, model), [samples[i] for i in ids], args.jobs
+        )
     os.makedirs(args.out, exist_ok=True)
     index = {
         "num_layers": model.config.num_layers,
@@ -344,13 +348,34 @@ def _check_data_fits(samples, data_path, model, model_path) -> None:
         )
 
 
+def _strict(fn, *args):
+    """fn(*args) with numpy overflow, invalid values and division by zero
+    raised as FloatingPointError; a module-level function, so that it also
+    holds in `--jobs` worker processes."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return fn(*args)
+
+
+@contextmanager
+def _finite_forward(model_path, data_path):
+    """Every blob is finite, yet the forward of this model on this data may
+    still overflow: that pair of inputs is a format error naming both."""
+    try:
+        yield
+    except FloatingPointError as e:
+        raise FormatError(
+            f"model {model_path} on data {data_path} overflows the forward pass ({e})"
+        ) from e
+
+
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     mask = load_mask(args.mask)
     _check_mask_fits(mask, args.mask, model, args.model)
     samples = load_data(args.data)
     _check_data_fits(samples, args.data, model, args.model)
-    result = eval_mask(model, mask, samples)
+    with _finite_forward(args.model, args.data):
+        result = _strict(eval_mask, model, mask, samples)
     obj = {
         "mean_final_error": result.mean_final_error,
         "per_layer_errors": result.per_layer_errors,
@@ -384,27 +409,12 @@ def cmd_heatmap(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        moe = _config_from_flags(args)
         config = ExperimentConfig(
-            moe=moe,
+            moe=_config_from_flags(args),
             model_seeds=tuple(range(args.seed, args.seed + args.trials)),
-            data_seed=args.data_seed,
-            eval_seed=args.eval_seed,
-            mask_seed=args.mask_seed,
-            pool_size=args.pool,
-            tokens_per_sample=args.tokens,
-            calibration_k=args.k,
-            n_eval_samples=args.eval_samples,
-            target_retention=args.retention,
-            n_random_masks=args.random_masks,
             use_importance=not args.no_importance,
             use_transition=not args.no_transition,
-            kmeans_seed=args.kmeans_seed,
-            centers_seed=args.centers_seed,
-            expert_scale=args.expert_scale,
-            router_gain=args.router_gain,
-            data_clusters=args.clusters,
-            cluster_radius=args.cluster_radius,
+            **{field: getattr(args, field) for _, _, field in COMPARE_FLAGS},
         )
     except ValueError as e:
         sys.stderr.write(f"compare: {e}\n")
@@ -419,7 +429,20 @@ def cmd_compare(args) -> int:
         os.path.join(args.out, "manifest.json"),
         run_manifest(config, __version__, {"comparison": csv_path, "summary": summary_path}),
     )
-    print(f"pathfinder wins {report.wins}/{len(report.outcomes)} seeds -> {args.out}")
+
+    print(f"{'seed':>6} {'pathfinder':>12} {'rand median':>12} {'ratio':>7}  win")
+    ratios = []
+    for o in report.outcomes:
+        ratios.append(o.pathfinder_error / o.random_median if o.random_median else float("nan"))
+        print(
+            f"{o.model_seed:>6} {o.pathfinder_error:>12.4e} {o.random_median:>12.4e} "
+            f"{ratios[-1]:>7.2f}  {'yes' if o.win else 'no'}"
+        )
+    mean_error = np.mean([o.pathfinder_error for o in report.outcomes])
+    print(
+        f"\npathfinder wins {report.wins}/{len(report.outcomes)} seeds -> {args.out} "
+        f"(mean error {mean_error:.4e}, mean ratio {np.mean(ratios):.2f})"
+    )
     return 0
 
 
@@ -434,6 +457,26 @@ def cmd_selfcheck(args) -> int:
 
 
 # ------------------------------------------------------------------- parser
+
+# compare flags that set one ExperimentConfig field each, with the field's
+# default as theirs
+COMPARE_FLAGS = (
+    ("--data-seed", int, "data_seed"),
+    ("--eval-seed", int, "eval_seed"),
+    ("--mask-seed", int, "mask_seed"),
+    ("--kmeans-seed", int, "kmeans_seed"),
+    ("--pool", _positive_int, "pool_size"),
+    ("--tokens", _positive_int, "tokens_per_sample"),
+    ("--k", _positive_int, "calibration_k"),
+    ("--eval-samples", _positive_int, "n_eval_samples"),
+    ("--retention", _fraction, "target_retention"),
+    ("--random-masks", _positive_int, "n_random_masks"),
+    ("--centers-seed", int, "centers_seed"),
+    ("--expert-scale", float, "expert_scale"),
+    ("--router-gain", float, "router_gain"),
+    ("--clusters", int, "data_clusters"),
+    ("--cluster-radius", float, "cluster_radius"),
+)
 
 
 def build_parser() -> _Parser:
@@ -519,29 +562,19 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_heatmap)
 
     p = sub.add_parser("compare", help="pathfinder vs random masks across seeds")
-    p.add_argument("--layers", type=int, default=6)
-    p.add_argument("--experts", type=int, default=8)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--topk", type=int, default=2)
-    p.add_argument("--nonlinearity", choices=["none", "tanh"], default="tanh")
+    default = ExperimentConfig()
+    p.add_argument("--layers", type=int, default=default.moe.num_layers)
+    p.add_argument("--experts", type=int, default=default.moe.experts_per_layer)
+    p.add_argument("--dim", type=int, default=default.moe.hidden_dim)
+    p.add_argument("--topk", type=int, default=default.moe.top_k)
+    p.add_argument("--nonlinearity", choices=["none", "tanh"], default=default.moe.nonlinearity)
     p.add_argument("--seed", type=int, required=True, help="first model seed")
-    p.add_argument("--trials", type=_positive_int, default=10, help="number of model seeds")
-    p.add_argument("--data-seed", type=int, default=1000)
-    p.add_argument("--eval-seed", type=int, default=2000)
-    p.add_argument("--mask-seed", type=int, default=3000)
-    p.add_argument("--kmeans-seed", type=int, default=4000)
-    p.add_argument("--pool", type=_positive_int, default=64)
-    p.add_argument("--tokens", type=_positive_int, default=32)
-    p.add_argument("--k", type=_positive_int, default=8)
-    p.add_argument("--eval-samples", type=_positive_int, default=16)
-    p.add_argument("--retention", type=_fraction, default=0.5)
-    p.add_argument("--random-masks", type=_positive_int, default=20)
-    p.add_argument("--centers-seed", type=int, default=5000)
-    p.add_argument("--expert-scale", type=float, default=2.5)
-    p.add_argument("--router-gain", type=float, default=64.0)
-    p.add_argument("--clusters", type=int, default=4,
-                   help="token-data clusters; 0 for unclustered data")
-    p.add_argument("--cluster-radius", type=float, default=0.15)
+    p.add_argument("--trials", type=_positive_int, default=len(default.model_seeds),
+                   help="number of model seeds")
+    for flag, kind, field in COMPARE_FLAGS:
+        p.add_argument(flag, type=kind, default=getattr(default, field), dest=field,
+                       help="token-data clusters; 0 for unclustered data"
+                       if flag == "--clusters" else None)
     p.add_argument("--no-importance", action="store_true")
     p.add_argument("--no-transition", action="store_true")
     p.add_argument("--jobs", type=int, default=1)

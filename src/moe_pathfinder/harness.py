@@ -1,5 +1,6 @@
-"""Desk-scale experiments: pathfinder vs. random pruning, signal ablations,
-calibration-K sweeps, planted-expert recovery, and heatmap export.
+"""Desk-scale experiments: pathfinder vs. random pruning (signal ablations and
+calibration-K sweeps are comparisons under other settings), planted-expert
+recovery, and heatmap export.
 
 The evaluation metric is the final-hidden-state reconstruction error of the
 pruned model against the full model on held-out samples; the toy model has no
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,6 +67,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (self.use_importance or self.use_transition):
             raise ValueError("at least one of use_importance/use_transition must be on")
+        for name in ("expert_scale", "router_gain", "cluster_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.expert_scale <= 0 or self.router_gain <= 0:
             raise ValueError("expert_scale and router_gain must be positive")
         if self.data_clusters < 0 or self.cluster_radius < 0:
@@ -373,16 +378,3 @@ def planted_recovery_trial(config: MoEConfig, seed: int) -> tuple[bool, bool]:
     rmask = random_mask(config.num_layers, config.experts_per_layer, retention, seed + 1)
     rand_hit = all(rmask.keep[l, p] for l, p in enumerate(planted))
     return pf_hit, rand_hit
-
-
-def sweep_calibration_k(
-    config: ExperimentConfig, k_values: list[int]
-) -> list[tuple[int, float]]:
-    """Mean pathfinder error across model seeds for each calibration K."""
-    results = []
-    for k in k_values:
-        cfg = replace(config, calibration_k=k)
-        report = run_comparison(cfg)
-        mean_err = float(np.mean([o.pathfinder_error for o in report.outcomes]))
-        results.append((k, mean_err))
-    return results

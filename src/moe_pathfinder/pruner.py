@@ -58,6 +58,11 @@ class PruneMask:
         keep = np.array(obj["keep"], dtype=bool)
         if keep.shape != (int(obj["L"]), int(obj["Ne"])):
             raise ValueError("keep grid does not match the L/Ne header")
+        if any(v not in (0, 1) for row in obj["keep"] for v in row):
+            raise ValueError("keep entries must be 0 or 1")
+        empty = np.flatnonzero(~keep.any(axis=1))
+        if empty.size:
+            raise ValueError(f"layer {empty[0]} keeps no expert")
         return cls(keep)
 
 

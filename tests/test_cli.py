@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from moe_pathfinder.cli import load_data, main
+from moe_pathfinder.model import MoEConfig, gen_model, save_model
 from moe_pathfinder.pruner import load_mask
 
 
@@ -235,19 +236,47 @@ def test_manifest_accumulates_and_validates(pipeline):
     assert set(obj["stages"]) == {"score", "plan"}
 
 
-def test_compare_small_run(tmp_path):
+def _compare_rows(out):
+    """The per-seed rows of compare's printed table and its footer line."""
+    lines = out.splitlines()
+    assert lines[0].split() == ["seed", "pathfinder", "rand", "median", "ratio", "win"]
+    blank = lines.index("")
+    return [line.split() for line in lines[1:blank]], lines[blank + 1]
+
+
+def test_compare_small_run(tmp_path, capsys):
+    tiny = ("compare --layers 2 --experts 3 --dim 6 --topk 1 --seed 0 --pool 6 --tokens 4 "
+            "--k 2 --eval-samples 2 --random-masks 2").split()
     out = tmp_path / "cmp"
-    code = run_cli(
-        "compare", "--layers", 2, "--experts", 3, "--dim", 6, "--topk", 1,
-        "--seed", 0, "--trials", 1, "--pool", 6, "--tokens", 4, "--k", 2,
-        "--eval-samples", 2, "--random-masks", 2, "--retention", 0.5, "-o", out,
-    )
-    assert code == 0
-    assert (out / "comparison.csv").exists()
+    capsys.readouterr()
+    assert run_cli(*tiny, "--trials", 2, "--retention", 0.5, "-o", out) == 0
+    # every file written atomically: the three outputs and no leftover .tmp
+    assert sorted(p.name for p in out.iterdir()) == [
+        "comparison.csv", "manifest.json", "summary.json",
+    ]
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["n_seeds"] == 1
+    assert summary["n_seeds"] == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["moe"]["num_layers"] == 2
+    rows, footer = _compare_rows(capsys.readouterr().out)
+    ratios = []
+    for row, s in zip(rows, summary["per_seed"], strict=True):
+        ratios.append(s["pathfinder_error"] / s["random_median"])
+        assert row == [
+            str(s["model_seed"]), f"{s['pathfinder_error']:.4e}", f"{s['random_median']:.4e}",
+            f"{ratios[-1]:.2f}", "yes" if s["win"] else "no",
+        ]
+    mean_error = np.mean([s["pathfinder_error"] for s in summary["per_seed"]])
+    assert footer == (
+        f"pathfinder wins {summary['wins']}/2 seeds -> {out} "
+        f"(mean error {mean_error:.4e}, mean ratio {np.mean(ratios):.2f})"
+    )
+
+    # full retention: every mask keeps every expert, so the random median is 0
+    assert run_cli(*tiny, "--trials", 1, "--retention", 1, "-o", tmp_path / "full") == 0
+    rows, footer = _compare_rows(capsys.readouterr().out)
+    assert rows == [["0", "0.0000e+00", "0.0000e+00", "nan", "yes"]]
+    assert footer.endswith("(mean error 0.0000e+00, mean ratio nan)")
 
 
 def test_gen_data_roundtrip_via_load(pipeline):
@@ -333,6 +362,10 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("pruned/mask.json", Path.unlink, EVAL, id="mask-missing"),
         pytest.param("pruned/mask.json", _edit(lambda o: o.update(Ne=3)), EVAL,
                      id="mask-grid-disagrees-with-header"),
+        pytest.param("pruned/mask.json", _edit(lambda o: o["keep"].__setitem__(1, [0] * 4)),
+                     EVAL, id="mask-empty-layer"),
+        pytest.param("pruned/mask.json", _edit(lambda o: o["keep"][0].__setitem__(0, 2)), EVAL,
+                     id="mask-keep-not-0-or-1"),
         pytest.param("data/data.json", _edit(lambda o: o.pop("blob")),
                      "calibrate --data data --k 2 --seed 0 -o c2.json", id="data-no-blob"),
         pytest.param("manifest.json", _truncate(30),
@@ -380,6 +413,29 @@ def test_data_width_mismatch_exits_2_naming_both(staged, capsys, argv):
     assert not (staged / argv.split()[-1]).exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param("score --model big --data data -o g", id="score"),
+    pytest.param("score --model big --data data --jobs 2 -o g", id="score-jobs"),
+    pytest.param("eval --model big --mask mask.json --data data -o eval.json", id="eval"),
+])
+def test_overflowing_forward_exits_2_naming_both(tmp_path, monkeypatch, capsys, argv):
+    # every blob is finite, but experts scaled by 1e120 overflow a linear forward
+    monkeypatch.chdir(tmp_path)
+    model = gen_model(MoEConfig(num_layers=4, experts_per_layer=3, hidden_dim=4, top_k=2,
+                                nonlinearity="none"), 1)
+    for layer in model.layers:
+        layer.experts = [1e120 * w for w in layer.experts]
+    save_model(model, "big")
+    assert run_cli(*"gen-data --model big --samples 4 --tokens 3 --seed 2 -o data".split()) == 0
+    (tmp_path / "mask.json").write_text(json.dumps({"L": 4, "Ne": 3, "keep": [[1, 0, 1]] * 4}))
+    capsys.readouterr()
+    # a RuntimeWarning would fail this test (see pyproject.toml's filterwarnings)
+    assert run_cli(*argv.split()) == 2
+    err = capsys.readouterr().err
+    assert "model big " in err and "data data " in err and "Traceback" not in err
+    assert not (tmp_path / argv.split()[-1]).exists()
+
+
 def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
     _truncate(30)(staged / "manifest.json")
     capsys.readouterr()
@@ -404,6 +460,12 @@ def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
                      id="gen-data-samples"),
         pytest.param("compare --seed 1 --retention 0 -o x", "--retention", id="compare-retention"),
         pytest.param("compare --seed 1 --k 9 --pool 8 -o x", "calibration_k=9", id="compare-k-over-pool"),
+        pytest.param("compare --seed 1 --cluster-radius nan -o x", "cluster_radius",
+                     id="compare-cluster-radius-nan"),
+        pytest.param("compare --seed 1 --expert-scale nan -o x", "expert_scale",
+                     id="compare-expert-scale-nan"),
+        pytest.param("compare --seed 1 --router-gain inf -o x", "router_gain",
+                     id="compare-router-gain-inf"),
         pytest.param("selfcheck --trials 0 --seed 1", "--trials", id="selfcheck-trials"),
     ],
 )

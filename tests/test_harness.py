@@ -14,7 +14,6 @@ from moe_pathfinder.harness import (
     planted_recovery_trial,
     random_mask,
     run_comparison,
-    sweep_calibration_k,
 )
 from moe_pathfinder.model import MoEConfig, gen_data, gen_model, model_forward
 from moe_pathfinder.numerics import Rng
@@ -199,9 +198,3 @@ def test_export_heatmap_roundtrip(tmp_path):
         back[int(row["layer"]), int(row["expert"])] = int(row["count"])
     assert np.array_equal(back, counts)
     assert back.sum(axis=1).tolist() == counts.sum(axis=1).tolist()
-
-
-def test_sweep_calibration_k_runs():
-    results = sweep_calibration_k(TINY, [1, 2])
-    assert [k for k, _ in results] == [1, 2]
-    assert all(err >= 0.0 for _, err in results)

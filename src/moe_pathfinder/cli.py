@@ -40,7 +40,7 @@ from .model import (
     load_model,
     save_model,
 )
-from .numerics import _write_atomic, load_json, load_tensor, save_json, save_tensor
+from .numerics import _write_atomic, load_json, load_tensor, save_json, save_tensor, strict
 from .planner import (
     PathSet,
     load_pathset,
@@ -199,7 +199,7 @@ def cmd_score(args) -> int:
         ids = list(range(len(samples)))
     with _finite_forward(args.model, args.data):
         graphs = map_jobs(
-            partial(_strict, score_sample, model), [samples[i] for i in ids], args.jobs
+            partial(strict, score_sample, model), [samples[i] for i in ids], args.jobs
         )
     os.makedirs(args.out, exist_ok=True)
     index = {
@@ -348,14 +348,6 @@ def _check_data_fits(samples, data_path, model, model_path) -> None:
         )
 
 
-def _strict(fn, *args):
-    """fn(*args) with numpy overflow, invalid values and division by zero
-    raised as FloatingPointError; a module-level function, so that it also
-    holds in `--jobs` worker processes."""
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        return fn(*args)
-
-
 @contextmanager
 def _finite_forward(model_path, data_path):
     """Every blob is finite, yet the forward of this model on this data may
@@ -375,7 +367,7 @@ def cmd_eval(args) -> int:
     samples = load_data(args.data)
     _check_data_fits(samples, args.data, model, args.model)
     with _finite_forward(args.model, args.data):
-        result = _strict(eval_mask, model, mask, samples)
+        result = strict(eval_mask, model, mask, samples)
     obj = {
         "mean_final_error": result.mean_final_error,
         "per_layer_errors": result.per_layer_errors,
@@ -419,7 +411,14 @@ def cmd_compare(args) -> int:
     except ValueError as e:
         sys.stderr.write(f"compare: {e}\n")
         return 1
-    report = run_comparison(config, jobs=args.jobs)
+    try:
+        report = run_comparison(config, jobs=args.jobs)
+    except FloatingPointError as e:
+        sys.stderr.write(
+            f"compare: this instance family overflows the forward pass ({e}); "
+            "lower --expert-scale or --router-gain, or pick a bounded --nonlinearity\n"
+        )
+        return 1
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "comparison.csv")
     _write_atomic(csv_path, comparison_csv(report).encode())

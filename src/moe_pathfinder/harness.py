@@ -20,7 +20,7 @@ import numpy as np
 
 from .calibration import build_calibration_set
 from .model import MoEConfig, MoEModel, SampleBatch, gen_data, gen_model, model_forward
-from .numerics import Rng, _write_atomic
+from .numerics import Rng, _write_atomic, strict
 from .pruner import PruneMask, RetentionReport, target_sparsity_search
 from .scoring import graph_from_scores, score_sample
 
@@ -187,24 +187,39 @@ def random_mask(
     return PruneMask(keep)
 
 
+def eval_masks(
+    model: MoEModel, masks: list[PruneMask | None], eval_samples: list[SampleBatch]
+) -> list[EvalResult]:
+    """Per mask: mean squared final-hidden-state gap per token between the
+    full forward and the masked forward, averaged over samples; plus
+    per-layer gaps.  Each sample's full forward runs once and serves every
+    mask; each mask's gaps still add up in sample order."""
+    L = model.config.num_layers
+    layer_errs = np.zeros((len(masks), L))
+    for sample in eval_samples:
+        full = model_forward(model, sample)
+        n_tokens = sample.tokens.shape[0]
+        for errs, mask in zip(layer_errs, masks):
+            pruned = model_forward(model, sample, mask=mask)
+            for l in range(1, L + 1):
+                diff = full.hidden_states[l] - pruned.hidden_states[l]
+                errs[l - 1] += float(np.sum(diff * diff)) / n_tokens
+    layer_errs /= len(eval_samples)
+    return [
+        EvalResult(
+            float(errs[-1]),
+            [float(e) for e in errs],
+            1.0 if mask is None else mask.retention_fraction(),
+        )
+        for errs, mask in zip(layer_errs, masks)
+    ]
+
+
 def eval_mask(
     model: MoEModel, mask: PruneMask | None, eval_samples: list[SampleBatch]
 ) -> EvalResult:
-    """Mean squared final-hidden-state gap per token between the full forward
-    and the masked forward, averaged over samples; plus per-layer gaps."""
-    L = model.config.num_layers
-    layer_errs = np.zeros(L)
-    retention = 1.0 if mask is None else mask.retention_fraction()
-    for sample in eval_samples:
-        full = model_forward(model, sample)
-        pruned = model_forward(model, sample, mask=mask)
-        n_tokens = sample.tokens.shape[0]
-        for l in range(1, L + 1):
-            diff = full.hidden_states[l] - pruned.hidden_states[l]
-            layer_errs[l - 1] += float(np.sum(diff * diff)) / n_tokens
-    layer_errs /= len(eval_samples)
-    final_err = float(layer_errs[-1])
-    return EvalResult(final_err, [float(e) for e in layer_errs], retention)
+    """eval_masks for one mask."""
+    return eval_masks(model, [mask], eval_samples)[0]
 
 
 def pathfinder_mask(
@@ -243,17 +258,18 @@ def _seed_outcome(
         config.m_max,
     )
     eval_samples = experiment_data(config, config.n_eval_samples, centers_seed, eval_seed)
-    pf_err = eval_mask(model, mask, eval_samples).mean_final_error
-
-    rand_errs = []
-    for rs in derive_seeds(mask_seed, config.n_random_masks):
-        rmask = random_mask(
+    rmasks = [
+        random_mask(
             config.moe.num_layers,
             config.moe.experts_per_layer,
             report.retention_fraction,
             rs,
         )
-        rand_errs.append(eval_mask(model, rmask, eval_samples).mean_final_error)
+        for rs in derive_seeds(mask_seed, config.n_random_masks)
+    ]
+    pf_err, *rand_errs = [
+        r.mean_final_error for r in eval_masks(model, [mask, *rmasks], eval_samples)
+    ]
     median = float(np.median(rand_errs))
     return SeedOutcome(
         model_seed=model_seed,
@@ -267,7 +283,7 @@ def _seed_outcome(
 
 
 def _seed_task(args) -> SeedOutcome:
-    return _seed_outcome(*args)
+    return strict(_seed_outcome, *args)
 
 
 def map_jobs(fn, items, jobs: int = 1) -> list:
@@ -283,7 +299,8 @@ def run_comparison(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:
     """Per model seed: generate model and data, calibrate, score, plan, prune
     at the target retention, then compare against layer-uniform random masks
     of identical retention on held-out samples.  Seeds run in parallel when
-    jobs > 1; outcomes are order-preserved either way."""
+    jobs > 1; outcomes are order-preserved either way.  A forward pass that
+    overflows raises FloatingPointError (see numerics.strict)."""
     pool_seeds = derive_seeds(config.data_seed, len(config.model_seeds))
     eval_seeds = derive_seeds(config.eval_seed, len(config.model_seeds))
     mask_seeds = derive_seeds(config.mask_seed, len(config.model_seeds))

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import FormatError
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 TNSR_MAGIC = b"TNSR"
 TNSR_VERSION = 1
@@ -41,10 +44,10 @@ class Rng:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -53,10 +56,17 @@ class Rng:
         return lo + (hi - lo) * u
 
     def uniform_array(self, shape: tuple[int, ...], lo: float, hi: float) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.uniform(lo, hi)
-        return out.reshape(shape)
+        """The next prod(shape) uniform(lo, hi) draws in row-major order, bit
+        for bit.  Draw i comes from state seed + i * gamma, so the whole
+        stream is one uint64 array; every wrapping operation stays on arrays,
+        because numpy checks a scalar uint64 multiply for overflow."""
+        n = math.prod(shape)
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return (lo + (hi - lo) * u).reshape(shape)
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n). Modulo bias of n/2^64 is accepted and documented."""
@@ -87,6 +97,14 @@ class Rng:
 
     def spawn(self) -> "Rng":
         return Rng(self.next_u64())
+
+
+def strict(fn, *args):
+    """fn(*args) with numpy overflow, invalid values and division by zero
+    raised as FloatingPointError; a module-level function, so that it also
+    holds in worker processes."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return fn(*args)
 
 
 def matmul_transpose(h: np.ndarray, w: np.ndarray) -> np.ndarray:

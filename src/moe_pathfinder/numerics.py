@@ -57,9 +57,9 @@ class Rng:
 
     def uniform_array(self, shape: tuple[int, ...], lo: float, hi: float) -> np.ndarray:
         """The next prod(shape) uniform(lo, hi) draws in row-major order, bit
-        for bit.  Draw i comes from state seed + i * gamma, so the whole
-        stream is one uint64 array; every wrapping operation stays on arrays,
-        because numpy checks a scalar uint64 multiply for overflow."""
+        for bit.  Draw i = 1..n mixes state + i * gamma (mod 2^64), so all n
+        are mixed as one uint64 array.  Every wrapping operation stays on
+        arrays: numpy checks a scalar uint64 multiply for overflow."""
         n = math.prod(shape)
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
         self._state = (self._state + n * _GAMMA) & _MASK64

@@ -436,6 +436,20 @@ def test_overflowing_forward_exits_2_naming_both(tmp_path, monkeypatch, capsys, 
     assert not (tmp_path / argv.split()[-1]).exists()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_overflowing_compare_is_usage_error_naming_the_flags(tmp_path, capfd, jobs):
+    # capfd, not capsys: a RuntimeWarning in a --jobs worker goes to its own stderr
+    argv = (f"compare --seed 0 --trials 2 --jobs {jobs} --expert-scale 1e200 "
+            f"--nonlinearity none -o {tmp_path / 'cmp'}")
+    assert run_cli(*argv.split()) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("compare: ")
+    for flag in ("--expert-scale", "--router-gain", "--nonlinearity"):
+        assert flag in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
     _truncate(30)(staged / "manifest.json")
     capsys.readouterr()

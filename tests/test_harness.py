@@ -8,6 +8,9 @@ from moe_pathfinder.harness import (
     comparison_csv,
     derive_seeds,
     eval_mask,
+    eval_masks,
+    experiment_data,
+    experiment_model,
     export_heatmap,
     pathfinder_mask,
     planted_model,
@@ -100,6 +103,41 @@ def test_eval_mask_all_true_is_exactly_zero():
     result = eval_mask(model, PruneMask.all_true(3, 4), samples)
     assert result.mean_final_error == 0.0
     assert all(e == 0.0 for e in result.per_layer_errors)
+
+
+def two_forwards_per_mask(model, mask, eval_samples):
+    # oracle: the evaluation loop that eval_masks replaced, which reran the
+    # full forward for every mask
+    L = model.config.num_layers
+    layer_errs = np.zeros(L)
+    for sample in eval_samples:
+        full = model_forward(model, sample)
+        pruned = model_forward(model, sample, mask=mask)
+        for l in range(1, L + 1):
+            diff = full.hidden_states[l] - pruned.hidden_states[l]
+            layer_errs[l - 1] += float(np.sum(diff * diff)) / sample.tokens.shape[0]
+    layer_errs /= len(eval_samples)
+    retention = 1.0 if mask is None else mask.retention_fraction()
+    return float(layer_errs[-1]), [float(e) for e in layer_errs], retention
+
+
+def test_eval_masks_equals_two_forwards_per_mask_bit_for_bit():
+    cfg = ExperimentConfig()
+    moe = cfg.moe
+    model = experiment_model(cfg, 1)
+    calib = experiment_data(cfg, cfg.calibration_k, 5000, 1000)
+    samples = experiment_data(cfg, 4, 5000, 2000)
+    pf, _ = pathfinder_mask(model, calib, cfg.target_retention)
+    masks = [None, PruneMask.all_true(moe.num_layers, moe.experts_per_layer), pf] + [
+        random_mask(moe.num_layers, moe.experts_per_layer, 0.5, seed) for seed in range(5)
+    ]
+    got = eval_masks(model, masks, samples)
+    assert len(got) == len(masks)
+    for result, mask in zip(got, masks):
+        want = two_forwards_per_mask(model, mask, samples)
+        assert (result.mean_final_error, result.per_layer_errors,
+                result.retention_fraction) == want
+        assert eval_mask(model, mask, samples) == result
 
 
 def test_eval_monotone_under_nested_masks_when_selections_coincide():

@@ -58,6 +58,21 @@ def test_rng_frozen_values():
     ]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 1 << 63, MASK64, 0x9E3779B97F4A7C15])
+@pytest.mark.parametrize("shape", [(), (0,), (3, 5), (65536,)])
+def test_uniform_array_equals_scalar_draws(seed, shape):
+    # oracle: the per-entry uniform() loop that the numpy stream replaced
+    fast, slow = Rng(seed), Rng(seed)
+    with np.errstate(all="raise"):
+        got = fast.uniform_array(shape, -0.25, 0.75)
+    want = np.empty(shape)
+    for idx in np.ndindex(shape):
+        want[idx] = slow.uniform(-0.25, 0.75)
+    assert got.shape == shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert fast._state == slow._state
+
+
 def test_rng_same_seed_same_stream():
     a, b = Rng(987654321), Rng(987654321)
     assert [a.next_u64() for _ in range(1000)] == [b.next_u64() for _ in range(1000)]

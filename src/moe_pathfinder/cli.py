@@ -119,16 +119,28 @@ def save_data(samples: list[SampleBatch], seed: int, dirpath) -> None:
 
 
 def load_data(dirpath) -> list[SampleBatch]:
+    """The samples of a gen-data directory; a blob that is empty or whose
+    shape disagrees with data.json is a FormatError naming it."""
     meta_path = os.path.join(dirpath, "data.json")
-    blob, n_samples = load_json(
-        meta_path, "data manifest", lambda meta: (str(meta["blob"]), int(meta["n_samples"]))
+    blob, shape = load_json(
+        meta_path,
+        "data manifest",
+        lambda meta: (
+            str(meta["blob"]),
+            (int(meta["n_samples"]), int(meta["tokens_per_sample"]), int(meta["hidden_dim"])),
+        ),
     )
     blob_path = os.path.join(dirpath, blob)
     stacked = load_tensor(blob_path)
-    if stacked.ndim != 3 or stacked.shape[0] != n_samples:
+    if stacked.ndim == 3 and 0 in stacked.shape[:2]:
         raise FormatError(
-            f"data blob {blob_path} has shape {stacked.shape}, "
-            f"but {meta_path} lists {n_samples} samples"
+            f"data blob {blob_path} has shape {stacked.shape}: "
+            + ("no samples" if stacked.shape[0] == 0 else "no tokens per sample")
+        )
+    if stacked.shape != shape:
+        raise FormatError(
+            f"data blob {blob_path} has shape {stacked.shape}, but {meta_path} lists "
+            f"{shape[0]} samples of {shape[1]} tokens of width {shape[2]}"
         )
     return [SampleBatch(stacked[i]) for i in range(stacked.shape[0])]
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import build_calibration_set
-from .model import MoEConfig, MoEModel, SampleBatch, gen_data, gen_model, model_forward
+from .model import MoEConfig, MoEModel, SampleBatch, gen_data, gen_model, layer_states
 from .numerics import Rng, _write_atomic, strict
 from .pruner import PruneMask, RetentionReport, target_sparsity_search
 from .scoring import graph_from_scores, score_sample
@@ -187,23 +187,69 @@ def random_mask(
     return PruneMask(keep)
 
 
+# Rows per stacked eval forward.  Each forward pushes whole samples, so the
+# desk eval set (16 samples x 32 tokens) is one block.  Measured with
+# `bench/run.py --seed 1 --seconds 10` on a 2-core x86-64 VM (numpy 2.4.6,
+# one BLAS thread): a desk-compare seed took 0.16 s at 512 rows, 0.20 s at
+# 256 and 0.26 s at 128, for 1.0 and 1.4 MB less peak RSS (41.8 MB at 512);
+# stacking cli-pipeline's whole 2048-row eval set raised its peak RSS from
+# 43.7 MB (512-row blocks) to 48.9 MB.
+EVAL_BLOCK_ROWS = 512
+
+
+def _sample_blocks(samples: list[SampleBatch], max_rows: int):
+    """Consecutive runs of whole samples, each with at most max_rows rows; a
+    sample larger than that is a block of its own."""
+    block, rows = [], 0
+    for sample in samples:
+        n = sample.tokens.shape[0]
+        if block and rows + n > max_rows:
+            yield block
+            block, rows = [], 0
+        block.append(sample)
+        rows += n
+    if block:
+        yield block
+
+
+def _add_block_errors(
+    model: MoEModel,
+    masks: list[PruneMask | None],
+    block: list[SampleBatch],
+    layer_errs: np.ndarray,
+) -> None:
+    """Add each sample's per-layer gaps in `block` to layer_errs[mask], in
+    sample order.  The block's states are freed on return, so eval holds one
+    block at a time."""
+    x = np.concatenate([s.tokens for s in block])
+    bounds = np.cumsum([0] + [s.tokens.shape[0] for s in block]).tolist()
+    rows = list(zip(bounds, bounds[1:]))
+    full = [h for *_, h in layer_states(model, x)]
+    for errs, mask in zip(layer_errs, masks):
+        for l, (*_, h) in enumerate(layer_states(model, x, mask)):
+            sq = full[l] - h
+            sq *= sq
+            for a, b in rows:
+                errs[l] += float(np.sum(sq[a:b])) / (b - a)
+
+
 def eval_masks(
     model: MoEModel, masks: list[PruneMask | None], eval_samples: list[SampleBatch]
 ) -> list[EvalResult]:
     """Per mask: mean squared final-hidden-state gap per token between the
     full forward and the masked forward, averaged over samples; plus
-    per-layer gaps.  Each sample's full forward runs once and serves every
-    mask; each mask's gaps still add up in sample order."""
-    L = model.config.num_layers
-    layer_errs = np.zeros((len(masks), L))
-    for sample in eval_samples:
-        full = model_forward(model, sample)
-        n_tokens = sample.tokens.shape[0]
-        for errs, mask in zip(layer_errs, masks):
-            pruned = model_forward(model, sample, mask=mask)
-            for l in range(1, L + 1):
-                diff = full.hidden_states[l] - pruned.hidden_states[l]
-                errs[l - 1] += float(np.sum(diff * diff)) / n_tokens
+    per-layer gaps.
+
+    Samples are stacked into blocks of at most EVAL_BLOCK_ROWS rows.  Each
+    block's full forward runs once, keeping only its hidden states, and each
+    mask's forward streams layer by layer against them; every gap is still
+    summed over one sample's rows and added in sample order.  Matrix
+    products over a block round differently from per-sample ones, so
+    results agree with per-sample forwards to a few ulps, not bit for bit.
+    """
+    layer_errs = np.zeros((len(masks), model.config.num_layers))
+    for block in _sample_blocks(eval_samples, EVAL_BLOCK_ROWS):
+        _add_block_errors(model, masks, block, layer_errs)
     layer_errs /= len(eval_samples)
     return [
         EvalResult(

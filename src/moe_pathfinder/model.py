@@ -110,37 +110,40 @@ def layer_forward(
     top_k: int,
     retained: set[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One MoE layer: mask non-retained logits to -inf, softmax, pick the
-    top-k' experts per token (k' = min(top_k, |retained|)), renormalize their
-    gates, and mix the selected expert outputs.
+    """One MoE layer: softmax over the retained experts' router logits, pick
+    the top-k' experts per token (k' = min(top_k, |retained|)), renormalize
+    their gates, and mix the selected expert outputs.  A masked layer runs
+    exactly the operations of the pruned layer apply_mask materializes, so
+    the two agree bit for bit.
 
     Returns (output, selected, probs): selected is n_tokens x k' of sorted
-    expert indices and probs the n_tokens x N_e softmax the gates came from.
+    expert indices and probs the n_tokens x N_e softmax the gates came from,
+    zero for experts outside `retained`.
     """
     n_experts = len(layer.experts)
-    logits = matmul_transpose(h, layer.router)
+    ids = None  # the retained experts, when some are pruned
     if retained is not None:
         retained_idx = sorted(retained)
         if not retained_idx:
             raise InvariantError("layer fully pruned: no retained experts")
         if retained_idx[0] < 0 or retained_idx[-1] >= n_experts:
             raise ValueError("retained expert index out of range")
-        if len(retained_idx) == n_experts:
-            retained = None  # keeps the masked path bit-identical to unmasked
-    if retained is not None:
-        masked = np.full_like(logits, -np.inf)
-        masked[:, retained_idx] = logits[:, retained_idx]
-        logits = masked
-        k = min(top_k, len(retained_idx))
-    else:
-        k = min(top_k, n_experts)
-    probs = softmax_rows(logits)
+        if len(retained_idx) < n_experts:  # all retained runs the unmasked path
+            ids = np.array(retained_idx)
+    router = layer.router if ids is None else layer.router[ids]
+    probs = softmax_rows(matmul_transpose(h, router))
+    k = min(top_k, router.shape[0])
 
     # stable argsort on -probs: equal probabilities resolve to the lower index
     order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
     selected = np.sort(order, axis=1)
     gates = np.take_along_axis(probs, selected, axis=1)
     gates = gates / gates.sum(axis=1, keepdims=True)
+    if ids is not None:  # back to the layer's expert ids
+        selected = ids[selected]
+        probs_all = np.zeros((h.shape[0], n_experts))
+        probs_all[:, ids] = probs
+        probs = probs_all
 
     out = np.zeros((h.shape[0], h.shape[1]))
     for i in np.unique(selected):
@@ -156,29 +159,39 @@ def _apply_nonlinearity(y: np.ndarray, kind: str) -> np.ndarray:
     return y
 
 
-def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
-    """Run all layers, recording hidden states, pre-nonlinearity outputs, the
-    gating softmax, and the per-token selections; one router pass per layer.
+def layer_states(model: MoEModel, h: np.ndarray, mask=None):
+    """Yield (output, selected, probs, next_hidden) for each layer in turn:
+    layer_forward's three results and the nonlinearity of its output, which
+    feeds the next layer.  A caller that keeps only what it needs holds one
+    layer's states at a time; model_forward keeps them all.
 
     `mask` is a PruneMask (or any object with a `retained(layer)` method);
     passing an all-true mask is exactly equivalent to passing None.
     """
-    h = np.asarray(x.tokens, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.config.hidden_dim:
         raise ValueError(
             f"sample width {h.shape} does not match hidden_dim {model.config.hidden_dim}"
         )
-    hidden = [h]
-    outputs, probs, selections = [], [], []
     for l, layer in enumerate(model.layers):
         retained = mask.retained(l) if mask is not None else None
         y, selected, p = layer_forward(layer, h, model.config.top_k, retained)
-        outputs.append(y)
-        probs.append(p)
-        selections.append(selected)
         h = _apply_nonlinearity(y, model.config.nonlinearity)
-        hidden.append(h)
-    return ForwardTrace(hidden, outputs, probs, selections)
+        yield y, selected, p, h
+
+
+def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
+    """Run all layers, recording hidden states, pre-nonlinearity outputs, the
+    gating softmax, and the per-token selections; one router pass per layer.
+    `mask` is as in layer_states."""
+    h = np.asarray(x.tokens, dtype=np.float64)
+    trace = ForwardTrace([h], [], [], [])
+    for y, selected, p, h in layer_states(model, h, mask):
+        trace.layer_outputs.append(y)
+        trace.routing_probs.append(p)
+        trace.selected_experts.append(selected)
+        trace.hidden_states.append(h)
+    return trace
 
 
 def gen_model(config: MoEConfig, seed: int) -> MoEModel:

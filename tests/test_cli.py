@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from moe_pathfinder.cli import load_data, main
 from moe_pathfinder.model import MoEConfig, gen_model, save_model
+from moe_pathfinder.numerics import save_tensor
 from moe_pathfinder.pruner import load_mask
 
 
@@ -341,7 +342,18 @@ def _nan_last_entry(p):
     p.write_bytes(p.read_bytes()[:-8] + struct.pack("<d", float("nan")))
 
 
+def _empty_data(*shape):
+    # an empty tokens blob with a data.json that agrees with its shape
+    def apply(p):
+        save_tensor(p, np.zeros(shape))
+        _edit(lambda o: o.update(n_samples=shape[0], tokens_per_sample=shape[1]))(
+            p.parent / "data.json")
+
+    return apply
+
+
 EVAL = "eval --model model --mask pruned/mask.json --data data -o eval.json"
+SCORE = "score --model model --data data -o g2"
 SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
 
 
@@ -387,6 +399,16 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      id="outlier-outside-index"),
         pytest.param("nosuch", lambda p: None, "prune --paths paths --model nosuch -o pr2",
                      id="prune-model-missing"),
+        *[
+            pytest.param(name, corrupt, argv, id=f"{case}-{argv.split()[0]}")
+            for name, corrupt, case in [
+                ("data/tokens.tnsr", _empty_data(10, 0, 8), "data-zero-tokens"),
+                ("data/tokens.tnsr", _empty_data(0, 5, 8), "data-zero-samples"),
+                ("data/data.json", _edit(lambda o: o.update(tokens_per_sample=6)),
+                 "data-manifest-disagrees"),
+            ]
+            for argv in (EVAL, SCORE)
+        ],
     ],
 )
 def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):

@@ -1,4 +1,6 @@
 import csv
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from moe_pathfinder.harness import (
     random_mask,
     run_comparison,
 )
-from moe_pathfinder.model import MoEConfig, gen_data, gen_model, model_forward
+from moe_pathfinder.model import (
+    MoEConfig, SampleBatch, gen_data, gen_model, layer_states, model_forward,
+)
 from moe_pathfinder.numerics import Rng
 from moe_pathfinder.planner import random_sample_graph, top_m_paths_bruteforce, top_m_paths_dp
 from moe_pathfinder.pruner import PruneMask
@@ -121,23 +125,93 @@ def two_forwards_per_mask(model, mask, eval_samples):
     return float(layer_errs[-1]), [float(e) for e in layer_errs], retention
 
 
-def test_eval_masks_equals_two_forwards_per_mask_bit_for_bit():
+def _desk_model_and_masks():
+    # a desk model with the unmasked forward, an all-true mask, a pathfinder
+    # mask and five random masks
     cfg = ExperimentConfig()
     moe = cfg.moe
     model = experiment_model(cfg, 1)
     calib = experiment_data(cfg, cfg.calibration_k, 5000, 1000)
-    samples = experiment_data(cfg, 4, 5000, 2000)
     pf, _ = pathfinder_mask(model, calib, cfg.target_retention)
     masks = [None, PruneMask.all_true(moe.num_layers, moe.experts_per_layer), pf] + [
         random_mask(moe.num_layers, moe.experts_per_layer, 0.5, seed) for seed in range(5)
     ]
+    return cfg, model, masks
+
+
+def _eval_fields(result):
+    return result.mean_final_error, result.per_layer_errors, result.retention_fraction
+
+
+def test_eval_masks_on_one_sample_equals_two_forwards_per_mask_bit_for_bit():
+    # one sample is one block of its own rows, so nothing rounds differently
+    cfg, model, masks = _desk_model_and_masks()
+    samples = experiment_data(cfg, 1, 5000, 2000)
     got = eval_masks(model, masks, samples)
+    assert [_eval_fields(r) for r in got] == [
+        two_forwards_per_mask(model, mask, samples) for mask in masks
+    ]
+
+
+def _ragged_samples(cfg):
+    # 1..600 tokens: blocks of 340, 600 (one sample above the block size),
+    # 255 and 260 rows
+    long = experiment_data(replace(cfg, tokens_per_sample=600), 8, 5000, 2000)
+    return [SampleBatch(s.tokens[:n]) for s, n in zip(long, (1, 7, 32, 300, 600, 5, 250, 260))]
+
+
+@pytest.mark.parametrize("make_samples, block_rows", [
+    pytest.param(lambda cfg: experiment_data(cfg, 4, 5000, 2000), [128], id="4-samples"),
+    pytest.param(lambda cfg: experiment_data(cfg, 40, 5000, 2000), [512, 512, 256],
+                 id="40-samples-3-blocks"),
+    pytest.param(_ragged_samples, [340, 600, 255, 260], id="ragged-tokens"),
+])
+def test_eval_masks_matches_two_forwards_per_mask(monkeypatch, make_samples, block_rows):
+    # stacked products round differently from per-sample ones; the gap is a
+    # few ulps, far inside rel 1e-12
+    cfg, model, masks = _desk_model_and_masks()
+    samples = make_samples(cfg)
+    full_rows = []
+
+    def spy(model, h, mask=None):
+        if mask is None:
+            full_rows.append(h.shape[0])
+        return layer_states(model, h, mask)
+
+    monkeypatch.setattr("moe_pathfinder.harness.layer_states", spy)
+    got = eval_masks(model, masks, samples)
+    # per block: its full forward, then the forward for mask None
+    assert full_rows == [n for n in block_rows for _ in range(2)]
     assert len(got) == len(masks)
     for result, mask in zip(got, masks):
-        want = two_forwards_per_mask(model, mask, samples)
-        assert (result.mean_final_error, result.per_layer_errors,
-                result.retention_fraction) == want
+        mean, per_layer, retention = two_forwards_per_mask(model, mask, samples)
+        assert result.mean_final_error == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert result.per_layer_errors == pytest.approx(per_layer, rel=1e-12, abs=0.0)
+        assert result.retention_fraction == retention
+
+
+def test_eval_mask_is_the_one_mask_case_of_eval_masks():
+    cfg, model, masks = _desk_model_and_masks()
+    samples = experiment_data(cfg, cfg.n_eval_samples, 5000, 2000)
+    together = eval_masks(model, masks, samples)
+    for mask, result in zip(masks, together):
         assert eval_mask(model, mask, samples) == result
+
+
+def test_eval_masks_memory_is_bounded_by_one_block():
+    cfg, model, masks = _desk_model_and_masks()
+    samples = experiment_data(cfg, 64, 5000, 2000)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            eval_masks(model, masks[2:4], samples[:n])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(16), peak(64)
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_eval_monotone_under_nested_masks_when_selections_coincide():

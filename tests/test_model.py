@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moe_pathfinder.errors import FormatError, InvariantError
+from moe_pathfinder.harness import ExperimentConfig, experiment_data, experiment_model, random_mask
 from moe_pathfinder.model import (
     MoEConfig,
     MoELayer,
@@ -12,12 +13,13 @@ from moe_pathfinder.model import (
     gen_data,
     gen_model,
     layer_forward,
+    layer_states,
     load_model,
     model_forward,
     route,
     save_model,
 )
-from moe_pathfinder.pruner import PruneMask
+from moe_pathfinder.pruner import PruneMask, apply_mask
 
 MASK64 = (1 << 64) - 1
 
@@ -206,6 +208,62 @@ def test_model_forward_rejects_wrong_width():
     model = gen_model(small_config(), 1)
     with pytest.raises(ValueError):
         model_forward(model, SampleBatch(np.ones((2, 5))))
+
+
+def test_layer_states_yields_what_model_forward_records():
+    cfg = small_config()
+    model = gen_model(cfg, 15)
+    x = gen_data(cfg, 1, 5, 16)[0]
+    keep = np.ones((cfg.num_layers, cfg.experts_per_layer), dtype=bool)
+    keep[:, 0] = False
+    for mask in (None, PruneMask(keep)):
+        trace = model_forward(model, x, mask=mask)
+        states = list(layer_states(model, x.tokens, mask))
+        assert len(states) == cfg.num_layers
+        for l, (y, selected, probs, h) in enumerate(states):
+            assert y.tobytes() == trace.layer_outputs[l].tobytes()
+            assert selected.tobytes() == trace.selected_experts[l].tobytes()
+            assert probs.tobytes() == trace.routing_probs[l].tobytes()
+            assert h.tobytes() == trace.hidden_states[l + 1].tobytes()
+
+
+def _desk_block():
+    # the 16 desk eval samples of 32 tokens, stacked: one 512-row eval block
+    cfg = ExperimentConfig()
+    model = experiment_model(cfg, 3)
+    samples = experiment_data(cfg, cfg.n_eval_samples, 5000, 2000)
+    block = SampleBatch(np.concatenate([s.tokens for s in samples]))
+    assert block.tokens.shape[0] == 512
+    masks = [
+        random_mask(cfg.moe.num_layers, cfg.moe.experts_per_layer, fraction, seed)
+        for fraction in (0.125, 0.25, 0.5, 0.75) for seed in range(3)
+    ]
+    return model, samples, block, masks
+
+
+def test_masked_forward_on_a_block_equals_the_materialized_model_bit_for_bit():
+    model, _, block, masks = _desk_block()
+    for mask in masks:
+        masked = model_forward(model, block, mask=mask)
+        pruned, kept = apply_mask(model, mask)
+        materialized = model_forward(pruned, block)
+        for a, b in zip(masked.hidden_states, materialized.hidden_states):
+            assert a.tobytes() == b.tobytes()
+        for l, ids in enumerate(kept):
+            assert np.array_equal(masked.selected_experts[l],
+                                  np.array(ids)[materialized.selected_experts[l]])
+            assert masked.routing_probs[l][:, ids].tobytes() == materialized.routing_probs[l].tobytes()
+
+
+def test_stacked_forward_selects_what_per_sample_forwards_select():
+    model, samples, block, masks = _desk_block()
+    for mask in [None, *masks]:
+        stacked = model_forward(model, block, mask=mask)
+        per_sample = [model_forward(model, s, mask=mask) for s in samples]
+        for l, selected in enumerate(stacked.selected_experts):
+            assert np.array_equal(
+                selected, np.concatenate([t.selected_experts[l] for t in per_sample])
+            )
 
 
 def test_gen_model_deterministic_and_seed_sensitive():

@@ -34,6 +34,7 @@ from .harness import (
 )
 from .model import (
     MoEConfig,
+    MoEModel,
     SampleBatch,
     gen_data,
     gen_model,
@@ -196,7 +197,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model = load_model(args.model)
+    model = _load_unpruned_model(args.model)
     samples = load_data(args.data)
     _check_data_fits(samples, args.data, model, args.model)
     if args.calibration:
@@ -318,7 +319,7 @@ def cmd_prune(args) -> int:
             )
 
     if args.model:  # a bad --model fails the stage before it writes anything
-        model = load_model(args.model)
+        model = _load_unpruned_model(args.model)
         _check_mask_fits(mask, args.paths or args.graphs, model, args.model)
     os.makedirs(args.out, exist_ok=True)
     mask_path = os.path.join(args.out, "mask.json")
@@ -339,6 +340,19 @@ def cmd_prune(args) -> int:
         f"(fraction {report.retention_fraction!r}) with m={report.m_used} -> {args.out}"
     )
     return 0
+
+
+def _load_unpruned_model(path) -> MoEModel:
+    """score, prune and eval index experts on one L x N_e grid, so a model
+    pruned to fewer experts in some layer is a FormatError naming it."""
+    model = load_model(path)
+    counts = model.config.layer_expert_counts
+    if counts is not None and set(counts) != {model.config.experts_per_layer}:
+        raise FormatError(
+            f"model {path} is pruned to {list(counts)} experts per layer; "
+            "score, prune and eval need an unpruned model"
+        )
+    return model
 
 
 def _check_mask_fits(mask, mask_source, model, model_path) -> None:
@@ -373,7 +387,7 @@ def _finite_forward(model_path, data_path):
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
+    model = _load_unpruned_model(args.model)
     mask = load_mask(args.mask)
     _check_mask_fits(mask, args.mask, model, args.model)
     samples = load_data(args.data)

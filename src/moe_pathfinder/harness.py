@@ -333,8 +333,11 @@ def _seed_task(args) -> SeedOutcome:
 
 
 def map_jobs(fn, items, jobs: int = 1) -> list:
-    """[fn(x) for x in items], spread over `jobs` worker processes when
-    jobs > 1; the order of results follows items either way."""
+    """[fn(x) for x in items], spread over min(jobs, len(items)) worker
+    processes when that is more than one; the order of results follows items
+    either way.  The pool forks all its workers at the first submit, so it
+    never asks for more than there are items."""
+    jobs = min(jobs, len(items))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(fn, items))

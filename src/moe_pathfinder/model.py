@@ -66,6 +66,11 @@ class MoELayer:
             if w.shape != (d, d):
                 raise ValueError(f"expert {i} shape {w.shape} != ({d}, {d})")
 
+    def subset(self, ids) -> "MoELayer":
+        """The layer that keeps experts `ids` (ascending) and their router
+        rows, in order.  The expert matrices are shared, not copied."""
+        return MoELayer([self.experts[i] for i in ids], self.router[ids])
+
 
 @dataclass
 class MoEModel:
@@ -100,50 +105,28 @@ class ForwardTrace:
 
 def route(layer: MoELayer, h: np.ndarray) -> np.ndarray:
     """Full routing distribution per token: softmax(h @ router.T) rows.
-    layer_forward computes the same softmax in place, masked when asked."""
+    layer_forward computes the same softmax in place."""
     return softmax_rows(matmul_transpose(h, layer.router))
 
 
 def layer_forward(
-    layer: MoELayer,
-    h: np.ndarray,
-    top_k: int,
-    retained: set[int] | None = None,
+    layer: MoELayer, h: np.ndarray, top_k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One MoE layer: softmax over the retained experts' router logits, pick
-    the top-k' experts per token (k' = min(top_k, |retained|)), renormalize
-    their gates, and mix the selected expert outputs.  A masked layer runs
-    exactly the operations of the pruned layer apply_mask materializes, so
-    the two agree bit for bit.
+    """One MoE layer: softmax over the router logits, pick the top-k'
+    experts per token (k' = min(top_k, number of experts)), renormalize
+    their gates, and mix the selected expert outputs.
 
     Returns (output, selected, probs): selected is n_tokens x k' of sorted
-    expert indices and probs the n_tokens x N_e softmax the gates came from,
-    zero for experts outside `retained`.
+    expert indices and probs the n_tokens x N_e softmax the gates came from.
     """
-    n_experts = len(layer.experts)
-    ids = None  # the retained experts, when some are pruned
-    if retained is not None:
-        retained_idx = sorted(retained)
-        if not retained_idx:
-            raise InvariantError("layer fully pruned: no retained experts")
-        if retained_idx[0] < 0 or retained_idx[-1] >= n_experts:
-            raise ValueError("retained expert index out of range")
-        if len(retained_idx) < n_experts:  # all retained runs the unmasked path
-            ids = np.array(retained_idx)
-    router = layer.router if ids is None else layer.router[ids]
-    probs = softmax_rows(matmul_transpose(h, router))
-    k = min(top_k, router.shape[0])
+    probs = softmax_rows(matmul_transpose(h, layer.router))
+    k = min(top_k, len(layer.experts))
 
     # stable argsort on -probs: equal probabilities resolve to the lower index
     order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
     selected = np.sort(order, axis=1)
     gates = np.take_along_axis(probs, selected, axis=1)
     gates = gates / gates.sum(axis=1, keepdims=True)
-    if ids is not None:  # back to the layer's expert ids
-        selected = ids[selected]
-        probs_all = np.zeros((h.shape[0], n_experts))
-        probs_all[:, ids] = probs
-        probs = probs_all
 
     out = np.zeros((h.shape[0], h.shape[1]))
     for i in np.unique(selected):
@@ -151,6 +134,23 @@ def layer_forward(
         expert_out = matmul_transpose(h[rows], layer.experts[i])
         out[rows] += gates[rows, cols, None] * expert_out
     return out, selected, probs
+
+
+def retained_ids(model: MoEModel, mask) -> list[np.ndarray]:
+    """Each layer's kept expert ids, ascending, under `mask` (a PruneMask).
+    Its keep grid must have one row per layer and one column per expert of
+    every layer, so a mask does not fit a pruned model; a layer that keeps
+    no expert is an InvariantError naming it."""
+    keep = mask.keep
+    counts = [len(layer.experts) for layer in model.layers]
+    if keep.shape[0] != len(counts) or any(c != keep.shape[1] for c in counts):
+        raise ValueError(
+            f"mask shape {keep.shape} does not match model layers of {counts} experts"
+        )
+    empty = np.flatnonzero(~keep.any(axis=1))
+    if empty.size:
+        raise InvariantError(f"layer {empty[0]} fully pruned: mask retains no experts")
+    return [np.flatnonzero(row) for row in keep]
 
 
 def _apply_nonlinearity(y: np.ndarray, kind: str) -> np.ndarray:
@@ -165,17 +165,25 @@ def layer_states(model: MoEModel, h: np.ndarray, mask=None):
     feeds the next layer.  A caller that keeps only what it needs holds one
     layer's states at a time; model_forward keeps them all.
 
-    `mask` is a PruneMask (or any object with a `retained(layer)` method);
-    passing an all-true mask is exactly equivalent to passing None.
+    Under a PruneMask each layer runs as its pruned layer, `layer.subset` of
+    the kept ids, as apply_mask builds it; selected is mapped back to the
+    layer's expert ids and probs is zero for the experts pruned.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.config.hidden_dim:
         raise ValueError(
             f"sample width {h.shape} does not match hidden_dim {model.config.hidden_dim}"
         )
-    for l, layer in enumerate(model.layers):
-        retained = mask.retained(l) if mask is not None else None
-        y, selected, p = layer_forward(layer, h, model.config.top_k, retained)
+    top_k = model.config.top_k
+    kept = retained_ids(model, mask) if mask is not None else [None] * len(model.layers)
+    for layer, ids in zip(model.layers, kept):
+        if ids is None:
+            y, selected, p = layer_forward(layer, h, top_k)
+        else:
+            y, local, local_p = layer_forward(layer.subset(ids), h, top_k)
+            selected = ids[local]
+            p = np.zeros((h.shape[0], len(layer.experts)))
+            p[:, ids] = local_p
         h = _apply_nonlinearity(y, model.config.nonlinearity)
         yield y, selected, p, h
 
@@ -183,7 +191,8 @@ def layer_states(model: MoEModel, h: np.ndarray, mask=None):
 def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
     """Run all layers, recording hidden states, pre-nonlinearity outputs, the
     gating softmax, and the per-token selections; one router pass per layer.
-    `mask` is as in layer_states."""
+    `mask` is as in layer_states; an all-true mask gives the same trace as
+    none."""
     h = np.asarray(x.tokens, dtype=np.float64)
     trace = ForwardTrace([h], [], [], [])
     for y, selected, p, h in layer_states(model, h, mask):

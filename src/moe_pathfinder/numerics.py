@@ -118,17 +118,6 @@ def matmul_transpose(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return h @ w.T
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Stable softmax of a 1-D vector of finite entries."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax needs a nonempty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("softmax input must be finite")
-    e = np.exp(v - np.max(v))
-    return e / e.sum()
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; -inf entries are allowed and get weight 0."""
     logits = np.asarray(logits, dtype=np.float64)

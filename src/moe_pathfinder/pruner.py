@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError
-from .model import MoEConfig, MoELayer, MoEModel
+from .model import MoEConfig, MoELayer, MoEModel, retained_ids
 from .numerics import load_json, save_json
 from .planner import PathSet, ranked_paths
 from .scoring import SampleGraph
@@ -188,31 +188,18 @@ def target_sparsity_search(
 
 
 def apply_mask(model: MoEModel, mask: PruneMask) -> tuple[MoEModel, list[list[int]]]:
-    """Materialize the pruned model: drop non-retained expert matrices and
-    their router rows, order preserved.
+    """Materialize the pruned model: each layer's `subset` of the experts
+    the mask keeps, with copies of their matrices and router rows.
 
     Returns (pruned_model, kept) where kept[l] lists the original expert ids
     in their new order (so kept[l][new_id] == old_id).
     """
-    cfg = model.config
-    if mask.keep.shape != (cfg.num_layers, cfg.experts_per_layer):
-        raise ValueError(
-            f"mask shape {mask.keep.shape} does not match model "
-            f"({cfg.num_layers}, {cfg.experts_per_layer})"
-        )
-    kept: list[list[int]] = []
+    kept = retained_ids(model, mask)
     layers = []
-    for l, layer in enumerate(model.layers):
-        ids = [int(i) for i in np.nonzero(mask.keep[l])[0]]
-        if not ids:
-            raise InvariantError(f"layer {l} fully pruned: mask retains no experts")
-        kept.append(ids)
-        layers.append(
-            MoELayer(
-                experts=[layer.experts[i].copy() for i in ids],
-                router=layer.router[ids].copy(),
-            )
-        )
+    for layer, ids in zip(model.layers, kept):
+        pruned = layer.subset(ids)  # its router rows are already a copy
+        layers.append(MoELayer([w.copy() for w in pruned.experts], pruned.router))
+    cfg = model.config
     pruned_cfg = MoEConfig(
         num_layers=cfg.num_layers,
         experts_per_layer=cfg.experts_per_layer,
@@ -221,7 +208,7 @@ def apply_mask(model: MoEModel, mask: PruneMask) -> tuple[MoEModel, list[list[in
         nonlinearity=cfg.nonlinearity,
         layer_expert_counts=tuple(len(ids) for ids in kept),
     )
-    return MoEModel(config=pruned_cfg, layers=layers), kept
+    return MoEModel(config=pruned_cfg, layers=layers), [ids.tolist() for ids in kept]
 
 
 def save_mask(mask: PruneMask, path) -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ForwardTrace, MoELayer, MoEModel, SampleBatch, model_forward
-from .numerics import load_json, matmul_transpose, save_json, softmax
+from .numerics import load_json, matmul_transpose, save_json, softmax_rows
 
 LOG_CLAMP = 1e-300
 
@@ -94,28 +94,6 @@ def reconstruction_loss(outs: list[np.ndarray], y: np.ndarray) -> np.ndarray:
     return np.array(losses)
 
 
-def importance_scores(
-    losses: np.ndarray,
-    position: str,
-    routing_first: np.ndarray | None = None,
-    activation_last: np.ndarray | None = None,
-) -> np.ndarray:
-    """softmax(-loss), times the layer's own routing preference at the first
-    layer or its own activation strength at the last layer."""
-    base = softmax(-np.asarray(losses, dtype=np.float64))
-    if position == "interior":
-        return base
-    if position == "first":
-        if routing_first is None:
-            raise ValueError("first layer needs its routing preference vector")
-        return base * routing_first
-    if position == "last":
-        if activation_last is None:
-            raise ValueError("last layer needs its activation strength vector")
-        return base * activation_last
-    raise ValueError(f"unknown position {position!r}")
-
-
 def score_sample(model: MoEModel, x: SampleBatch) -> SampleGraph:
     trace = model_forward(model, x)
     return score_trace(model, trace)
@@ -126,7 +104,10 @@ def score_trace(model: MoEModel, trace: ForwardTrace) -> SampleGraph:
 
     The routing preference is the mean of the trace's routing softmax, and
     each layer's expert outputs are computed once for activation,
-    reconstruction, and the last-layer correction.
+    reconstruction, and the last-layer correction.  The importance is
+    softmax(-loss), computed by the routing softmax, times the layer's own
+    routing preference at the first layer or its own activation strength
+    at the last.
     """
     L = model.config.num_layers
     scores: list[LayerScore] = []
@@ -137,12 +118,11 @@ def score_trace(model: MoEModel, trace: ForwardTrace) -> SampleGraph:
         act = activation_strength(outs)
         routing = trace.routing_probs[l].mean(axis=0)
         losses = reconstruction_loss(outs, y)
+        imp = softmax_rows(-losses[None, :])[0]
         if l == 0:
-            imp = importance_scores(losses, "first", routing_first=routing)
+            imp = imp * routing
         elif l == L - 1:
-            imp = importance_scores(losses, "last", activation_last=act)
-        else:
-            imp = importance_scores(losses, "interior")
+            imp = imp * act
         scores.append(LayerScore(act, routing, losses, imp))
     return graph_from_scores(scores)
 

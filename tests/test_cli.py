@@ -352,6 +352,11 @@ def _empty_data(*shape):
     return apply
 
 
+def _pruned_model(_):
+    # writes pruned/pruned-model next to its mask, as a README-style run does
+    assert run_cli(*"prune --graphs graphs --target-retention 0.5 --model model -o pruned".split()) == 0
+
+
 EVAL = "eval --model model --mask pruned/mask.json --data data -o eval.json"
 SCORE = "score --model model --data data -o g2"
 SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
@@ -399,6 +404,14 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      id="outlier-outside-index"),
         pytest.param("nosuch", lambda p: None, "prune --paths paths --model nosuch -o pr2",
                      id="prune-model-missing"),
+        pytest.param("pruned/pruned-model", _pruned_model,
+                     "score --model pruned/pruned-model --data data -o g2", id="pruned-model-score"),
+        pytest.param("pruned/pruned-model", _pruned_model,
+                     "eval --model pruned/pruned-model --mask pruned/mask.json --data data "
+                     "-o eval.json", id="pruned-model-eval"),
+        pytest.param("pruned/pruned-model", _pruned_model,
+                     "prune --graphs graphs --m 1 --model pruned/pruned-model -o pr2",
+                     id="pruned-model-prune"),
         *[
             pytest.param(name, corrupt, argv, id=f"{case}-{argv.split()[0]}")
             for name, corrupt, case in [
@@ -418,8 +431,14 @@ def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
     assert run_cli(*argv.split()) == 2
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
-    if argv.startswith("prune"):
-        assert not (staged / argv.split()[-1]).exists()
+    argv = argv.split()
+    assert not (staged / argv[argv.index("-o") + 1]).exists()
+
+
+def test_gen_data_runs_on_a_pruned_model(staged):
+    _pruned_model(staged / "pruned" / "pruned-model")
+    assert run_cli(*"gen-data --model pruned/pruned-model --samples 2 --tokens 3 --seed 1 -o d2".split()) == 0
+    assert len(load_data(staged / "d2")) == 2
 
 
 @pytest.mark.parametrize("argv", [

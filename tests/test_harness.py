@@ -14,6 +14,7 @@ from moe_pathfinder.harness import (
     experiment_data,
     experiment_model,
     export_heatmap,
+    map_jobs,
     pathfinder_mask,
     planted_model,
     planted_recovery_trial,
@@ -255,6 +256,33 @@ def test_run_comparison_parallel_matches_serial():
     serial = run_comparison(TINY, jobs=1)
     parallel = run_comparison(TINY, jobs=2)
     assert comparison_csv(serial) == comparison_csv(parallel)
+
+
+class _RecordingPool:
+    # stands in for ProcessPoolExecutor: records max_workers, starts nothing
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, n_items, want_pool", [
+    (64, 8, [8]), (3, 8, [3]), (64, 1, []), (4, 0, []), (1, 8, []),
+])
+def test_map_jobs_starts_at_most_one_worker_per_item(monkeypatch, jobs, n_items, want_pool):
+    monkeypatch.setattr("moe_pathfinder.harness.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert map_jobs(abs, [-i for i in range(n_items)], jobs) == list(range(n_items))
+    assert _RecordingPool.sizes == want_pool
 
 
 def test_run_comparison_full_retention_ties():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from moe_pathfinder.errors import FormatError, InvariantError
-from moe_pathfinder.harness import ExperimentConfig, experiment_data, experiment_model, random_mask
+from moe_pathfinder.harness import (
+    ExperimentConfig, eval_masks, experiment_data, experiment_model, random_mask,
+)
 from moe_pathfinder.model import (
     MoEConfig,
     MoELayer,
@@ -16,6 +18,7 @@ from moe_pathfinder.model import (
     layer_states,
     load_model,
     model_forward,
+    retained_ids,
     route,
     save_model,
 )
@@ -116,22 +119,67 @@ def test_layer_forward_matches_dense_gather_oracle():
         assert [list(row) for row in selected] == want_sel
 
 
-def test_layer_forward_respects_retained_set():
+def test_masked_forward_respects_retained_set():
     rng = np.random.default_rng(6)
-    experts = [rng.standard_normal((5, 5)) for _ in range(4)]
-    layer = MoELayer(experts=experts, router=rng.standard_normal((4, 5)))
+    cfg = MoEConfig(num_layers=2, experts_per_layer=4, hidden_dim=5, top_k=2, nonlinearity="none")
+    layer = MoELayer(experts=[rng.standard_normal((5, 5)) for _ in range(4)],
+                     router=rng.standard_normal((4, 5)))
+    model = MoEModel(cfg, [layer, MoELayer(experts=[np.eye(5)] * 4, router=np.zeros((4, 5)))])
     h = rng.standard_normal((8, 5))
     for retained in [{0}, {1, 3}, {0, 2, 3}]:
-        y, selected, _ = layer_forward(layer, h, top_k=2, retained=retained)
+        keep = np.ones((2, 4), dtype=bool)
+        keep[0] = [i in retained for i in range(4)]
+        y, selected, probs, _ = next(layer_states(model, h, PruneMask(keep)))
         assert set(np.unique(selected)) <= retained
+        assert np.all(probs[:, [i for i in range(4) if i not in retained]] == 0.0)
         want_y, want_sel = dense_gather_oracle(layer, h, 2, retained)
         assert np.allclose(y, want_y, rtol=1e-10, atol=1e-12)
+        assert [list(row) for row in selected] == want_sel
+        trace = model_forward(model, SampleBatch(h), mask=PruneMask(keep))
+        assert trace.layer_outputs[0].tobytes() == y.tobytes()
 
 
-def test_layer_forward_empty_retained_rejected():
-    layer = MoELayer(experts=[np.eye(2)], router=np.zeros((1, 2)))
-    with pytest.raises(InvariantError, match="fully pruned"):
-        layer_forward(layer, np.ones((1, 2)), top_k=1, retained=set())
+def test_mask_check_rejects_an_empty_layer_naming_it():
+    model = gen_model(small_config(), 1)
+    keep = np.ones((3, 4), dtype=bool)
+    keep[2] = False
+    with pytest.raises(InvariantError, match="layer 2 fully pruned"):
+        retained_ids(model, PruneMask(keep))
+    with pytest.raises(InvariantError, match="layer 2 fully pruned"):
+        model_forward(model, gen_data(small_config(), 1, 2, 1)[0], mask=PruneMask(keep))
+
+
+def test_mask_of_another_shape_is_rejected():
+    cfg = small_config()
+    model = gen_model(cfg, 17)
+    samples = gen_data(cfg, 2, 3, 18)
+    for shape in [(2, 4), (3, 6), (4, 4)]:
+        mask = PruneMask(np.ones(shape, dtype=bool))
+        with pytest.raises(ValueError, match="does not match model"):
+            model_forward(model, samples[0], mask=mask)
+        with pytest.raises(ValueError, match="does not match model"):
+            eval_masks(model, [None, mask], samples)
+
+
+def test_mask_check_rejects_a_pruned_model():
+    # a pruned layer holds fewer experts than the mask grid's columns
+    model = gen_model(small_config(), 19)
+    keep = np.ones((3, 4), dtype=bool)
+    keep[1, 0] = False
+    pruned, _ = apply_mask(model, PruneMask(keep))
+    with pytest.raises(ValueError, match=r"\[4, 3, 4\] experts"):
+        retained_ids(pruned, PruneMask.all_true(3, 4))
+    assert [ids.tolist() for ids in retained_ids(model, PruneMask(keep))] == [
+        [0, 1, 2, 3], [1, 2, 3], [0, 1, 2, 3]]
+
+
+def test_subset_keeps_experts_and_router_rows_in_order():
+    model = gen_model(small_config(), 20)
+    layer = model.layers[0]
+    sub = layer.subset(np.array([1, 3]))
+    assert [w is layer.experts[i] for w, i in zip(sub.experts, [1, 3])] == [True, True]
+    assert sub.router.tobytes() == layer.router[[1, 3]].tobytes()
+    assert not np.shares_memory(sub.router, layer.router)
 
 
 def test_layer_forward_tie_breaks_to_lower_index():

@@ -15,7 +15,6 @@ from moe_pathfinder.numerics import (
     matmul_transpose,
     save_json,
     save_tensor,
-    softmax,
     softmax_rows,
 )
 
@@ -138,31 +137,31 @@ def test_matmul_transpose_shape_error_names_both_shapes():
 
 
 def test_softmax_uniform_and_shift():
-    assert np.allclose(softmax(np.zeros(3)), [1 / 3] * 3, atol=1e-15)
-    out = softmax(np.array([7.0, 7.0 + np.log(2.0)]))
-    assert np.allclose(out, [1 / 3, 2 / 3], atol=1e-12)
+    assert np.allclose(softmax_rows(np.zeros((1, 3))), [[1 / 3] * 3], atol=1e-15)
+    out = softmax_rows(np.array([[7.0, 7.0 + np.log(2.0)]]))
+    assert np.allclose(out, [[1 / 3, 2 / 3]], atol=1e-12)
 
 
 def test_softmax_overflow_stability():
-    out = softmax(np.array([1000.0, 0.0]))
+    out = softmax_rows(np.array([[1000.0, 0.0], [0.0, -1000.0]]))
     assert np.all(np.isfinite(out))
-    assert out[0] == pytest.approx(1.0)
-    assert out[1] == pytest.approx(0.0, abs=1e-300)
+    assert out[:, 0] == pytest.approx([1.0, 1.0])
+    assert out[:, 1] == pytest.approx([0.0, 0.0], abs=1e-300)
 
 
 def test_softmax_empty_rejected():
     with pytest.raises(ValueError):
-        softmax(np.array([]))
+        softmax_rows(np.zeros((1, 0)))
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12), st.floats(-30, 30))
 @settings(max_examples=200)
 def test_softmax_sum_and_shift_invariance(vals, shift):
-    v = np.array(vals)
-    out = softmax(v)
-    assert abs(out.sum() - 1.0) <= 1e-12
+    v = np.array([vals, vals[::-1]])
+    out = softmax_rows(v)
+    assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all(out > 0)
-    shifted = softmax(v + shift)
+    shifted = softmax_rows(v + shift)
     assert np.max(np.abs(shifted - out)) <= 1e-12
 
 

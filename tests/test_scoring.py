@@ -15,7 +15,6 @@ from moe_pathfinder.scoring import (
     LOG_CLAMP,
     activation_strength,
     expert_outputs,
-    importance_scores,
     load_graph,
     reconstruction_loss,
     save_graph,
@@ -119,27 +118,34 @@ def test_reconstruction_loss_matches_explicit_loop():
         assert losses[i] == pytest.approx(want, rel=1e-12)
 
 
+def _zero_router_model(layer_experts, top_k=1):
+    # linear layers whose zero routers tie every expert, so each token goes
+    # to the lowest-index experts
+    d = layer_experts[0][0].shape[0]
+    cfg = MoEConfig(num_layers=len(layer_experts), experts_per_layer=len(layer_experts[0]),
+                    hidden_dim=d, top_k=top_k, nonlinearity="none")
+    return MoEModel(cfg, [MoELayer(list(ws), np.zeros((len(ws), d))) for ws in layer_experts])
+
+
 def test_importance_interior_uniform_and_ln2():
-    assert np.allclose(importance_scores(np.full(4, 2.5), "interior"), 0.25, atol=1e-15)
-    e = importance_scores(np.array([0.0, np.log(2.0)]), "interior")
+    # layer 1 is interior; layer 0 passes the token through unchanged
+    eye = np.eye(2)
+    x = SampleBatch(np.array([[1.0, 0.0]]))
+    same = _zero_router_model([[eye, eye], [eye, eye], [eye, eye]])
+    assert np.allclose(score_sample(same, x).layer_scores[1].importance, 0.5, atol=1e-15)
+    # expert 0 (zero) is selected, so expert 1's loss is |sqrt(ln 2) x|^2 = ln 2
+    apart = _zero_router_model([[eye, eye], [0 * eye, np.sqrt(np.log(2.0)) * eye], [eye, eye]])
+    e = score_sample(apart, x).layer_scores[1].importance
     assert np.allclose(e, [2 / 3, 1 / 3], rtol=1e-12)
 
 
 def test_importance_first_layer_uniform_factors():
+    # equal losses and uniform routing: (1/n) * (1/n) per expert
     n = 4
-    e = importance_scores(
-        np.ones(n), "first", routing_first=np.full(n, 1.0 / n)
-    )
+    model = _zero_router_model([[np.eye(3)] * n] * 2)
+    x = SampleBatch(np.random.default_rng(9).standard_normal((5, 3)))
+    e = score_sample(model, x).layer_scores[0].importance
     assert np.allclose(e, 1.0 / n**2, atol=1e-15)
-
-
-def test_importance_requires_context():
-    with pytest.raises(ValueError):
-        importance_scores(np.ones(2), "first")
-    with pytest.raises(ValueError):
-        importance_scores(np.ones(2), "last")
-    with pytest.raises(ValueError):
-        importance_scores(np.ones(2), "edge")
 
 
 def scoring_oracle(model, trace):

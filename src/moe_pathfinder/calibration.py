@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SampleBatch
-from .numerics import Rng, load_json, save_json
+from .numerics import Rng, as_finite, as_index, load_json, save_json
 
 
 @dataclass
@@ -43,10 +43,10 @@ class CalibrationSet:
     @classmethod
     def from_json(cls, obj: dict) -> "CalibrationSet":
         return cls(
-            sample_ids=[int(i) for i in obj["sample_ids"]],
-            K=int(obj["K"]),
-            seed=int(obj["seed"]),
-            distortion=float(obj["distortion"]),
+            sample_ids=[as_index(i, "sample id") for i in obj["sample_ids"]],
+            K=as_index(obj["K"], "K", 1),
+            seed=as_index(obj["seed"], "seed", None),
+            distortion=as_finite(obj["distortion"], "distortion"),
         )
 
 

@@ -41,7 +41,9 @@ from .model import (
     load_model,
     save_model,
 )
-from .numerics import _write_atomic, load_json, load_tensor, save_json, save_tensor, strict
+from .numerics import (
+    _write_atomic, as_index, load_json, load_tensor, save_json, save_tensor, strict,
+)
 from .planner import (
     PathSet,
     load_pathset,
@@ -128,7 +130,7 @@ def load_data(dirpath) -> list[SampleBatch]:
         "data manifest",
         lambda meta: (
             str(meta["blob"]),
-            (int(meta["n_samples"]), int(meta["tokens_per_sample"]), int(meta["hidden_dim"])),
+            tuple(as_index(meta[k], k) for k in ("n_samples", "tokens_per_sample", "hidden_dim")),
         ),
     )
     blob_path = os.path.join(dirpath, blob)
@@ -235,8 +237,8 @@ def _load_index(dirpath, name: str, entry: str, keys: tuple[str, ...]) -> dict:
     read from each sample's "id" and `entry` fields."""
 
     def parse(obj) -> dict:
-        index = {key: int(obj[key]) for key in keys}
-        index["samples"] = [(int(e["id"]), str(e[entry])) for e in obj["samples"]]
+        index = {key: as_index(obj[key], key, 1) for key in keys}
+        index["samples"] = [(as_index(e["id"], "sample id"), str(e[entry])) for e in obj["samples"]]
         return index
 
     return load_json(os.path.join(dirpath, name), "index", parse)
@@ -279,18 +281,18 @@ def cmd_plan(args) -> int:
 
 def _load_path_index(dirpath) -> tuple[dict, list[PathSet]]:
     """paths.json and every path set it lists, each checked to hold at least
-    one path and only paths that fit the index's L x Ne."""
+    one path, at most m, and only paths that fit the index's m and L x Ne."""
     index = _load_index(dirpath, "paths.json", "paths", ("m", "num_layers", "experts_per_layer"))
-    L, n = index["num_layers"], index["experts_per_layer"]
+    m, L, n = index["m"], index["num_layers"], index["experts_per_layer"]
     pathsets = []
     for _, name in index["samples"]:
         path = os.path.join(dirpath, name)
         ps = load_pathset(path)
-        if not ps.paths or any(
+        if ps.m != m or not 0 < len(ps.paths) <= m or any(
             len(p.experts) != L or not all(0 <= i < n for i in p.experts) for p in ps.paths
         ):
             raise FormatError(
-                f"path set {path} is empty or does not fit the {L} x {n} (L x Ne) "
+                f"path set {path} is empty or does not fit the m = {m} and {L} x {n} (L x Ne) "
                 f"that {os.path.join(dirpath, 'paths.json')} lists"
             )
         pathsets.append(ps)
@@ -411,10 +413,8 @@ def cmd_heatmap(args) -> int:
     L, n = index["num_layers"], index["experts_per_layer"]
 
     def parse_outliers(pairs) -> set[tuple[int, int]]:
-        outliers = {(int(l), int(i)) for l, i in pairs}
-        if not all(0 <= l < L and 0 <= i < n for l, i in outliers):
-            raise ValueError(f"an outlier lies outside {L} x {n} (L x Ne)")
-        return outliers
+        return {(as_index(l, "outlier layer", 0, L), as_index(i, "outlier expert", 0, n))
+                for l, i in pairs}
 
     outliers = load_json(args.outliers, "outlier file", parse_outliers) if args.outliers else None
     counts = selection_frequency(pathsets, L, n, outliers)

@@ -122,7 +122,7 @@ def experiment_model(config: ExperimentConfig, seed: int) -> MoEModel:
     if config.expert_scale != 1.0 or config.router_gain != 1.0:
         for layer in model.layers:
             layer.router = config.router_gain * layer.router
-            layer.experts = [config.expert_scale * w for w in layer.experts]
+            layer.experts = config.expert_scale * layer.experts
     return model
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import FormatError, InvariantError
 from .numerics import (
-    Rng, load_json, load_tensor, matmul_transpose, save_json, save_tensor, softmax_rows,
+    Rng, as_index, load_json, load_tensor, matmul_transpose, save_json, save_tensor,
+    softmax_rows,
 )
 
 NONLINEARITIES = ("none", "tanh")
@@ -55,21 +56,20 @@ class MoEConfig:
 
 @dataclass
 class MoELayer:
-    experts: list[np.ndarray]  # each d x d
+    experts: np.ndarray  # n_experts x d x d; expert i maps h to h @ experts[i].T
     router: np.ndarray  # n_experts x d
 
     def validate(self, d: int) -> None:
         n = len(self.experts)
+        if self.experts.shape != (n, d, d):
+            raise ValueError(f"experts shape {self.experts.shape} != ({n}, {d}, {d})")
         if self.router.shape != (n, d):
             raise ValueError(f"router shape {self.router.shape} != ({n}, {d})")
-        for i, w in enumerate(self.experts):
-            if w.shape != (d, d):
-                raise ValueError(f"expert {i} shape {w.shape} != ({d}, {d})")
 
     def subset(self, ids) -> "MoELayer":
         """The layer that keeps experts `ids` (ascending) and their router
-        rows, in order.  The expert matrices are shared, not copied."""
-        return MoELayer([self.experts[i] for i in ids], self.router[ids])
+        rows, in order, as copies: writing to it leaves this layer as is."""
+        return MoELayer(self.experts[ids], self.router[ids])
 
 
 @dataclass
@@ -217,10 +217,7 @@ def gen_model(config: MoEConfig, seed: int) -> MoEModel:
     layers = []
     for _ in range(config.num_layers):
         router = rng.uniform_array((config.experts_per_layer, d), -bound, bound)
-        experts = [
-            rng.uniform_array((d, d), -bound, bound)
-            for _ in range(config.experts_per_layer)
-        ]
+        experts = rng.uniform_array((config.experts_per_layer, d, d), -bound, bound)
         layers.append(MoELayer(experts=experts, router=router))
     return MoEModel(config=config, layers=layers)
 
@@ -271,12 +268,14 @@ def _parse_model_manifest(manifest) -> tuple[MoEConfig, list[tuple[str, list[str
     c = manifest["config"]
     counts = c.get("layer_expert_counts")
     config = MoEConfig(
-        num_layers=c["num_layers"],
-        experts_per_layer=c["experts_per_layer"],
-        hidden_dim=c["hidden_dim"],
-        top_k=c["top_k"],
+        num_layers=as_index(c["num_layers"], "num_layers", 2),
+        experts_per_layer=as_index(c["experts_per_layer"], "experts_per_layer", 1),
+        hidden_dim=as_index(c["hidden_dim"], "hidden_dim", 1),
+        top_k=as_index(c["top_k"], "top_k", 1),
         nonlinearity=c["nonlinearity"],
-        layer_expert_counts=tuple(counts) if counts is not None else None,
+        layer_expert_counts=tuple(as_index(n, "layer_expert_counts entry", 1) for n in counts)
+        if counts is not None
+        else None,
     )
     blobs = [(str(e["router"]), [str(b) for b in e["experts"]]) for e in manifest["layers"]]
     if len(blobs) != config.num_layers:
@@ -305,8 +304,8 @@ def load_model(dirpath) -> MoEModel:
     layers = []
     for l, (router_blob, expert_blobs) in enumerate(blobs):
         router = load_blob(router_blob, (config.expert_count(l), d), f"layer {l} router")
-        experts = [
-            load_blob(b, (d, d), f"layer {l} expert {i}") for i, b in enumerate(expert_blobs)
-        ]
+        experts = np.stack(
+            [load_blob(b, (d, d), f"layer {l} expert {i}") for i, b in enumerate(expert_blobs)]
+        )
         layers.append(MoELayer(experts=experts, router=router))
     return MoEModel(config=config, layers=layers)

@@ -187,6 +187,28 @@ def save_json(path, obj) -> None:
     _write_atomic(path, (json.dumps(obj, indent=2) + "\n").encode())
 
 
+def as_index(value, what: str, lo: int | None = 0, hi: int | None = None) -> int:
+    """`value` as a JSON integer with lo <= value < hi (no bound where lo or
+    hi is None).  A bool, float or string, or a value out of range, is a
+    ValueError naming `what`; under load_json, a FormatError naming the file."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value >= hi):
+        bounds = f"[{lo if lo is not None else '-inf'}, {hi if hi is not None else 'inf'})"
+        raise ValueError(f"{what} {value} is outside {bounds}")
+    return value
+
+
+def as_finite(value, what: str) -> float:
+    """`value` as a finite JSON number; anything else is a ValueError naming
+    `what`, as in as_index."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
 def load_json(path, what: str, parse=lambda obj: obj):
     """Read a JSON artifact and return parse(decoded object).
 

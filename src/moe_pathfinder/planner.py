@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .numerics import Rng, load_json, save_json
+from .numerics import Rng, as_finite, as_index, load_json, save_json
 from .scoring import LayerScore, SampleGraph, graph_from_scores
 
 BRUTEFORCE_CAP = 10**6
@@ -59,9 +59,12 @@ class PathSet:
     @classmethod
     def from_json(cls, obj: dict) -> "PathSet":
         return cls(
-            m=int(obj["m"]),
+            m=as_index(obj["m"], "m", 1),
             paths=[
-                PrefixPath(tuple(int(i) for i in p["experts"]), float(p["log_weight"]))
+                PrefixPath(
+                    tuple(as_index(i, "path expert id") for i in p["experts"]),
+                    as_finite(p["log_weight"], "path log_weight"),
+                )
                 for p in obj["paths"]
             ],
         )

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError
-from .model import MoEConfig, MoELayer, MoEModel, retained_ids
-from .numerics import load_json, save_json
+from .model import MoEConfig, MoEModel, retained_ids
+from .numerics import as_index, load_json, save_json
 from .planner import PathSet, ranked_paths
 from .scoring import SampleGraph
 
@@ -55,11 +55,11 @@ class PruneMask:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PruneMask":
-        keep = np.array(obj["keep"], dtype=bool)
-        if keep.shape != (int(obj["L"]), int(obj["Ne"])):
+        keep = np.array(
+            [[as_index(v, "keep entry", 0, 2) for v in row] for row in obj["keep"]], dtype=bool
+        )
+        if keep.shape != (as_index(obj["L"], "L", 1), as_index(obj["Ne"], "Ne", 1)):
             raise ValueError("keep grid does not match the L/Ne header")
-        if any(v not in (0, 1) for row in obj["keep"] for v in row):
-            raise ValueError("keep entries must be 0 or 1")
         empty = np.flatnonzero(~keep.any(axis=1))
         if empty.size:
             raise ValueError(f"layer {empty[0]} keeps no expert")
@@ -189,16 +189,13 @@ def target_sparsity_search(
 
 def apply_mask(model: MoEModel, mask: PruneMask) -> tuple[MoEModel, list[list[int]]]:
     """Materialize the pruned model: each layer's `subset` of the experts
-    the mask keeps, with copies of their matrices and router rows.
+    the mask keeps, which copies their matrices and router rows.
 
     Returns (pruned_model, kept) where kept[l] lists the original expert ids
     in their new order (so kept[l][new_id] == old_id).
     """
     kept = retained_ids(model, mask)
-    layers = []
-    for layer, ids in zip(model.layers, kept):
-        pruned = layer.subset(ids)  # its router rows are already a copy
-        layers.append(MoELayer([w.copy() for w in pruned.experts], pruned.router))
+    layers = [layer.subset(ids) for layer, ids in zip(model.layers, kept)]
     cfg = model.config
     pruned_cfg = MoEConfig(
         num_layers=cfg.num_layers,

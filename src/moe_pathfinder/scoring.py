@@ -14,9 +14,9 @@ per-node scores; a graph file stores only the vectors, and loading
 recomputes the scores.
 
 Everything is computed for all experts, routed-to or not, from exactly one
-forward pass plus one output evaluation per (layer, expert).  Logs are
-clamped at 1e-300 so genuinely-zero weights stay finite and simply rank
-last.
+forward pass plus, per layer, one batched product that evaluates every
+expert on the layer's input at once.  Logs are clamped at 1e-300 so
+genuinely-zero weights stay finite and simply rank last.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ForwardTrace, MoELayer, MoEModel, SampleBatch, model_forward
-from .numerics import load_json, matmul_transpose, save_json, softmax_rows
+from .numerics import as_index, load_json, save_json, softmax_rows
 
 LOG_CLAMP = 1e-300
 
@@ -68,14 +68,16 @@ def clamped_log(values: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(values, LOG_CLAMP))
 
 
-def expert_outputs(layer: MoELayer, h: np.ndarray) -> list[np.ndarray]:
-    """Each expert's raw output h @ W_i.T for the whole batch."""
-    return [matmul_transpose(h, w) for w in layer.experts]
+def expert_outputs(layer: MoELayer, h: np.ndarray) -> np.ndarray:
+    """Every expert's raw output h @ W_i.T for the whole batch, stacked
+    N_e x n_tokens x d.  numpy runs each expert's product as `h @ W_i.T`
+    does, so the outputs are bit-identical to computing them one by one."""
+    return np.matmul(h[None], layer.experts.transpose(0, 2, 1))
 
 
-def activation_strength(outs: list[np.ndarray]) -> np.ndarray:
+def activation_strength(outs: np.ndarray) -> np.ndarray:
     """Mean per-token output norm of each expert, from expert_outputs."""
-    return np.array([np.sqrt(np.einsum("ij,ij->i", o, o)).mean() for o in outs])
+    return np.sqrt(np.einsum("nij,nij->ni", outs, outs)).mean(axis=1)
 
 
 def transition_intensity(activation: np.ndarray, routing_next: np.ndarray) -> np.ndarray:
@@ -85,13 +87,10 @@ def transition_intensity(activation: np.ndarray, routing_next: np.ndarray) -> np
     return np.outer(activation, routing_next)
 
 
-def reconstruction_loss(outs: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+def reconstruction_loss(outs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean per-token squared error of each expert's output against y."""
-    losses = []
-    for o in outs:
-        diff = y - o
-        losses.append(np.einsum("ij,ij->i", diff, diff).mean())
-    return np.array(losses)
+    diff = y - outs
+    return np.einsum("nij,nij->ni", diff, diff).mean(axis=1)
 
 
 def score_sample(model: MoEModel, x: SampleBatch) -> SampleGraph:
@@ -172,10 +171,10 @@ def save_graph(graph: SampleGraph, dirpath, stem: str) -> str:
 
 
 def _parse_scores(obj) -> list[LayerScore]:
-    L = int(obj["num_layers"])
-    n = int(obj["experts_per_layer"])
+    L = as_index(obj["num_layers"], "num_layers", 1)
+    n = as_index(obj["experts_per_layer"], "experts_per_layer", 1)
     layers = obj["layers"]
-    if L < 1 or n < 1 or len(layers) != L:
+    if len(layers) != L:
         raise ValueError(
             f"{len(layers)} layers listed, num_layers is {L}, experts_per_layer is {n}"
         )

@@ -383,6 +383,8 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      EVAL, id="mask-empty-layer"),
         pytest.param("pruned/mask.json", _edit(lambda o: o["keep"][0].__setitem__(0, 2)), EVAL,
                      id="mask-keep-not-0-or-1"),
+        pytest.param("pruned/mask.json", _edit(lambda o: o["keep"][0].__setitem__(0, True)),
+                     EVAL, id="mask-keep-bool"),
         pytest.param("data/data.json", _edit(lambda o: o.pop("blob")),
                      "calibrate --data data --k 2 --seed 0 -o c2.json", id="data-no-blob"),
         pytest.param("manifest.json", _truncate(30),
@@ -404,6 +406,23 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      id="outlier-outside-index"),
         pytest.param("nosuch", lambda p: None, "prune --paths paths --model nosuch -o pr2",
                      id="prune-model-missing"),
+        # integer fields must be JSON integers in range, and path weights finite
+        pytest.param("model/model.json", _edit(lambda o: o["config"].update(top_k=True)),
+                     SCORE, id="model-top-k-bool"),
+        pytest.param("model/model.json", _edit(lambda o: o["config"].update(num_layers=3.0)),
+                     SCORE, id="model-num-layers-float"),
+        pytest.param("paths/paths.json", _edit(lambda o: o.update(m=-5)),
+                     "prune --paths paths -o pr2", id="path-index-m-negative"),
+        pytest.param("paths/paths.json", _edit(lambda o: o.update(m=99)),
+                     "prune --paths paths -o pr2", id="path-index-m-disagrees"),
+        pytest.param("paths/sample{first}.paths.json",
+                     _edit(lambda o: o["paths"][0].update(experts=[0, 2.5, 1])),
+                     "heatmap --paths paths -o h.csv", id="path-expert-float"),
+        pytest.param("paths/sample{first}.paths.json",
+                     _edit(lambda o: o["paths"][0].update(log_weight=float("nan"))),
+                     "prune --paths paths -o pr2", id="path-log-weight-nan"),
+        pytest.param("calib.json", _edit(lambda o: o["sample_ids"].__setitem__(0, 1.7)),
+                     SCORE_CALIB, id="calibration-id-float"),
         pytest.param("pruned/pruned-model", _pruned_model,
                      "score --model pruned/pruned-model --data data -o g2", id="pruned-model-score"),
         pytest.param("pruned/pruned-model", _pruned_model,
@@ -465,7 +484,7 @@ def test_overflowing_forward_exits_2_naming_both(tmp_path, monkeypatch, capsys, 
     model = gen_model(MoEConfig(num_layers=4, experts_per_layer=3, hidden_dim=4, top_k=2,
                                 nonlinearity="none"), 1)
     for layer in model.layers:
-        layer.experts = [1e120 * w for w in layer.experts]
+        layer.experts = 1e120 * layer.experts
     save_model(model, "big")
     assert run_cli(*"gen-data --model big --samples 4 --tokens 3 --seed 2 -o data".split()) == 0
     (tmp_path / "mask.json").write_text(json.dumps({"L": 4, "Ne": 3, "keep": [[1, 0, 1]] * 4}))

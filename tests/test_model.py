@@ -43,13 +43,13 @@ def test_config_validation():
 
 
 def test_route_zero_router_uniform():
-    layer = MoELayer(experts=[np.eye(3)] * 2, router=np.zeros((2, 3)))
+    layer = MoELayer(experts=np.array([np.eye(3)] * 2), router=np.zeros((2, 3)))
     probs = route(layer, np.random.default_rng(0).standard_normal((5, 3)))
     assert np.allclose(probs, 0.5)
 
 
 def test_route_single_expert():
-    layer = MoELayer(experts=[np.eye(3)], router=np.ones((1, 3)))
+    layer = MoELayer(experts=np.array([np.eye(3)]), router=np.ones((1, 3)))
     probs = route(layer, np.random.default_rng(1).standard_normal((4, 3)))
     assert np.array_equal(probs, np.ones((4, 1)))
 
@@ -58,7 +58,7 @@ def test_route_matches_hand_softmax():
     rng = np.random.default_rng(2)
     h = rng.standard_normal((2, 5))
     router = rng.standard_normal((3, 5))
-    layer = MoELayer(experts=[np.eye(5)] * 3, router=router)
+    layer = MoELayer(experts=np.array([np.eye(5)] * 3), router=router)
     probs = route(layer, h)
     for k in range(2):
         logits = np.array([sum(h[k, t] * router[j, t] for t in range(5)) for j in range(3)])
@@ -90,7 +90,7 @@ def dense_gather_oracle(layer, h, top_k, retained=None):
 def test_layer_forward_single_expert_exact():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((4, 4))
-    layer = MoELayer(experts=[w], router=rng.standard_normal((1, 4)))
+    layer = MoELayer(experts=w[None], router=rng.standard_normal((1, 4)))
     h = rng.standard_normal((3, 4))
     y, selected, _ = layer_forward(layer, h, top_k=1)
     assert np.array_equal(y, h @ w.T)
@@ -99,7 +99,7 @@ def test_layer_forward_single_expert_exact():
 
 def test_layer_forward_uniform_router_full_topk_is_mean():
     rng = np.random.default_rng(4)
-    experts = [rng.standard_normal((4, 4)) for _ in range(3)]
+    experts = rng.standard_normal((3, 4, 4))
     layer = MoELayer(experts=experts, router=np.zeros((3, 4)))
     h = rng.standard_normal((5, 4))
     y, _, _ = layer_forward(layer, h, top_k=3)
@@ -110,7 +110,7 @@ def test_layer_forward_uniform_router_full_topk_is_mean():
 def test_layer_forward_matches_dense_gather_oracle():
     rng = np.random.default_rng(5)
     for trial in range(20):
-        experts = [rng.standard_normal((6, 6)) for _ in range(4)]
+        experts = rng.standard_normal((4, 6, 6))
         layer = MoELayer(experts=experts, router=rng.standard_normal((4, 6)))
         h = rng.standard_normal((2, 6))
         y, selected, _ = layer_forward(layer, h, top_k=2)
@@ -122,9 +122,10 @@ def test_layer_forward_matches_dense_gather_oracle():
 def test_masked_forward_respects_retained_set():
     rng = np.random.default_rng(6)
     cfg = MoEConfig(num_layers=2, experts_per_layer=4, hidden_dim=5, top_k=2, nonlinearity="none")
-    layer = MoELayer(experts=[rng.standard_normal((5, 5)) for _ in range(4)],
+    layer = MoELayer(experts=rng.standard_normal((4, 5, 5)),
                      router=rng.standard_normal((4, 5)))
-    model = MoEModel(cfg, [layer, MoELayer(experts=[np.eye(5)] * 4, router=np.zeros((4, 5)))])
+    identity = MoELayer(experts=np.array([np.eye(5)] * 4), router=np.zeros((4, 5)))
+    model = MoEModel(cfg, [layer, identity])
     h = rng.standard_normal((8, 5))
     for retained in [{0}, {1, 3}, {0, 2, 3}]:
         keep = np.ones((2, 4), dtype=bool)
@@ -177,14 +178,23 @@ def test_subset_keeps_experts_and_router_rows_in_order():
     model = gen_model(small_config(), 20)
     layer = model.layers[0]
     sub = layer.subset(np.array([1, 3]))
-    assert [w is layer.experts[i] for w, i in zip(sub.experts, [1, 3])] == [True, True]
+    assert sub.experts.tobytes() == np.stack([layer.experts[1], layer.experts[3]]).tobytes()
     assert sub.router.tobytes() == layer.router[[1, 3]].tobytes()
-    assert not np.shares_memory(sub.router, layer.router)
+    # apply_mask builds its layers with subset: writing to them leaves the source as is
+    before = [(l.experts.tobytes(), l.router.tobytes()) for l in model.layers]
+    keep = np.ones((3, 4), dtype=bool)
+    keep[0, [0, 2]] = False
+    pruned, _ = apply_mask(model, PruneMask(keep))
+    for l in pruned.layers:
+        l.experts[...] = 0.0
+        l.router[...] = 0.0
+    assert [(l.experts.tobytes(), l.router.tobytes()) for l in model.layers] == before
 
 
 def test_layer_forward_tie_breaks_to_lower_index():
     # identical router rows make all probabilities exactly equal
-    layer = MoELayer(experts=[np.eye(3) * (i + 1) for i in range(3)], router=np.ones((3, 3)))
+    layer = MoELayer(experts=np.array([np.eye(3) * (i + 1) for i in range(3)]),
+                     router=np.ones((3, 3)))
     _, selected, _ = layer_forward(layer, np.ones((2, 3)), top_k=2)
     assert np.array_equal(selected, [[0, 1], [0, 1]])
 
@@ -192,7 +202,7 @@ def test_layer_forward_tie_breaks_to_lower_index():
 def test_model_forward_identity_chain():
     cfg = MoEConfig(num_layers=2, experts_per_layer=2, hidden_dim=3, top_k=2, nonlinearity="none")
     layers = [
-        MoELayer(experts=[np.eye(3), np.eye(3)], router=np.zeros((2, 3)))
+        MoELayer(experts=np.array([np.eye(3), np.eye(3)]), router=np.zeros((2, 3)))
         for _ in range(2)
     ]
     model = MoEModel(cfg, layers)

@@ -11,20 +11,25 @@ from moe_pathfinder.model import (
     model_forward,
     route,
 )
+from moe_pathfinder.harness import ExperimentConfig, experiment_data, experiment_model
+from moe_pathfinder.numerics import softmax_rows
 from moe_pathfinder.scoring import (
     LOG_CLAMP,
+    LayerScore,
     activation_strength,
     expert_outputs,
+    graph_from_scores,
     load_graph,
     reconstruction_loss,
     save_graph,
     score_sample,
+    score_trace,
     transition_intensity,
 )
 
 
 def test_activation_strength_zero_expert():
-    layer = MoELayer(experts=[np.zeros((3, 3)), np.eye(3)], router=np.zeros((2, 3)))
+    layer = MoELayer(experts=np.array([np.zeros((3, 3)), np.eye(3)]), router=np.zeros((2, 3)))
     h = np.random.default_rng(0).standard_normal((4, 3))
     a = activation_strength(expert_outputs(layer, h))
     assert a[0] == 0.0
@@ -32,13 +37,13 @@ def test_activation_strength_zero_expert():
 
 def test_activation_strength_identity_unit_rows():
     h = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
-    layer = MoELayer(experts=[np.eye(2)], router=np.zeros((1, 2)))
+    layer = MoELayer(experts=np.array([np.eye(2)]), router=np.zeros((1, 2)))
     assert activation_strength(expert_outputs(layer, h))[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_activation_strength_matches_per_token_oracle():
     rng = np.random.default_rng(1)
-    experts = [rng.standard_normal((5, 5)) for _ in range(3)]
+    experts = rng.standard_normal((3, 5, 5))
     layer = MoELayer(experts=experts, router=rng.standard_normal((3, 5)))
     h = rng.standard_normal((7, 5))
     a = activation_strength(expert_outputs(layer, h))
@@ -48,7 +53,7 @@ def test_activation_strength_matches_per_token_oracle():
 
 
 def test_mean_routing_zero_router_uniform():
-    layer = MoELayer(experts=[np.eye(3)] * 4, router=np.zeros((4, 3)))
+    layer = MoELayer(experts=np.array([np.eye(3)] * 4), router=np.zeros((4, 3)))
     r = route(layer, np.random.default_rng(2).standard_normal((6, 3))).mean(axis=0)
     assert np.allclose(r, 0.25, atol=1e-15)
 
@@ -56,7 +61,7 @@ def test_mean_routing_zero_router_uniform():
 def test_mean_routing_single_token_and_mean():
     rng = np.random.default_rng(3)
     router = rng.standard_normal((3, 4))
-    layer = MoELayer(experts=[np.eye(4)] * 3, router=router)
+    layer = MoELayer(experts=np.array([np.eye(4)] * 3), router=router)
 
     h1 = rng.standard_normal((1, 4))
     row = np.exp(router @ h1[0] - (router @ h1[0]).max())
@@ -99,7 +104,7 @@ def test_reconstruction_loss_single_expert_zero():
 def test_reconstruction_loss_duplicate_experts_equal():
     rng = np.random.default_rng(7)
     w = rng.standard_normal((4, 4))
-    layer = MoELayer(experts=[w, w.copy()], router=rng.standard_normal((2, 4)))
+    layer = MoELayer(experts=np.array([w, w]), router=rng.standard_normal((2, 4)))
     h = rng.standard_normal((5, 4))
     y = rng.standard_normal((5, 4))
     losses = reconstruction_loss(expert_outputs(layer, h), y)
@@ -108,7 +113,7 @@ def test_reconstruction_loss_duplicate_experts_equal():
 
 def test_reconstruction_loss_matches_explicit_loop():
     rng = np.random.default_rng(8)
-    experts = [rng.standard_normal((3, 3)) for _ in range(2)]
+    experts = rng.standard_normal((2, 3, 3))
     layer = MoELayer(experts=experts, router=rng.standard_normal((2, 3)))
     h = rng.standard_normal((6, 3))
     y = rng.standard_normal((6, 3))
@@ -124,7 +129,7 @@ def _zero_router_model(layer_experts, top_k=1):
     d = layer_experts[0][0].shape[0]
     cfg = MoEConfig(num_layers=len(layer_experts), experts_per_layer=len(layer_experts[0]),
                     hidden_dim=d, top_k=top_k, nonlinearity="none")
-    return MoEModel(cfg, [MoELayer(list(ws), np.zeros((len(ws), d))) for ws in layer_experts])
+    return MoEModel(cfg, [MoELayer(np.array(ws), np.zeros((len(ws), d))) for ws in layer_experts])
 
 
 def test_importance_interior_uniform_and_ln2():
@@ -203,6 +208,61 @@ def test_score_sample_matches_full_rederivation():
         assert np.allclose(graph.log_node, np.log(np.maximum(imp, LOG_CLAMP)), rtol=1e-12)
 
 
+def per_expert_score_trace(model, trace):
+    """score_trace as it was before the batched product: one matrix product
+    and two einsums per expert, each on its own d x d array."""
+    L = model.config.num_layers
+    scores = []
+    for l, layer in enumerate(model.layers):
+        h = trace.hidden_states[l]
+        y = trace.layer_outputs[l]
+        outs = [h @ w.copy().T for w in layer.experts]
+        act = np.array([np.sqrt(np.einsum("ij,ij->i", o, o)).mean() for o in outs])
+        routing = trace.routing_probs[l].mean(axis=0)
+        losses = []
+        for o in outs:
+            diff = y - o
+            losses.append(np.einsum("ij,ij->i", diff, diff).mean())
+        losses = np.array(losses)
+        imp = softmax_rows(-losses[None, :])[0]
+        if l == 0:
+            imp = imp * routing
+        elif l == L - 1:
+            imp = imp * act
+        scores.append(LayerScore(act, routing, losses, imp))
+    return graph_from_scores(scores)
+
+
+def _desk_family(seed, n):
+    cfg = ExperimentConfig()
+    return experiment_model(cfg, seed), experiment_data(cfg, n, seed + 100, seed + 200)
+
+
+def _raw_family(seed, n):
+    cfg = MoEConfig(num_layers=6, experts_per_layer=8, hidden_dim=32, top_k=2)
+    return gen_model(cfg, seed), gen_data(cfg, n, 32, seed + 200)
+
+
+def _wide_family(seed, n):
+    cfg = ExperimentConfig(
+        moe=MoEConfig(num_layers=7, experts_per_layer=12, hidden_dim=16, top_k=2))
+    return experiment_model(cfg, seed), experiment_data(cfg, n, seed + 100, seed + 200)
+
+
+@pytest.mark.parametrize("family", [_desk_family, _raw_family, _wide_family],
+                         ids=["desk", "raw", "L7-N12-d16"])
+def test_batched_score_trace_equals_per_expert_loop_bit_for_bit(family):
+    for seed in (1, 2, 3):
+        model, samples = family(seed, 4)
+        for x in samples:
+            trace = model_forward(model, x)
+            got, want = score_trace(model, trace), per_expert_score_trace(model, trace)
+            for sg, sw in zip(got.layer_scores, want.layer_scores):
+                for field in ("activation", "routing", "recon_loss", "importance"):
+                    assert getattr(sg, field).tobytes() == getattr(sw, field).tobytes()
+            assert got.node_scores.tobytes() == want.node_scores.tobytes()
+
+
 def test_score_sample_rank1_exact():
     # each edge log(a_i * r_j) splits into a_i's term on the node before it
     # and r_j's term on the node after it, added after the importance term
@@ -236,7 +296,7 @@ def test_score_sample_duplicate_expert_symmetry():
     w = rng.standard_normal((3, 3))
     cfg = MoEConfig(num_layers=3, experts_per_layer=2, hidden_dim=3, top_k=1)
     model = gen_model(cfg, 17)
-    model.layers[1] = MoELayer(experts=[w, w.copy()], router=np.zeros((2, 3)))
+    model.layers[1] = MoELayer(experts=np.array([w, w]), router=np.zeros((2, 3)))
     graph = score_sample(model, SampleBatch(rng.standard_normal((4, 3))))
     s = graph.layer_scores[1]
     assert s.activation[0] == s.activation[1]
@@ -266,9 +326,9 @@ def test_activation_scale_covariance_on_frozen_trace():
     layer = model.layers[1]
     base = activation_strength(expert_outputs(layer, h))
     # power-of-two scaling is exact in floating point
-    doubled = MoELayer(experts=[2.0 * w for w in layer.experts], router=layer.router)
+    doubled = MoELayer(experts=2.0 * layer.experts, router=layer.router)
     assert np.array_equal(activation_strength(expert_outputs(doubled, h)), 2.0 * base)
-    tripled = MoELayer(experts=[3.0 * w for w in layer.experts], router=layer.router)
+    tripled = MoELayer(experts=3.0 * layer.experts, router=layer.router)
     assert np.allclose(activation_strength(expert_outputs(tripled, h)), 3.0 * base, rtol=1e-12)
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantError
 from .numerics import (
-    Rng, as_index, load_json, load_tensor, matmul_transpose, save_json, save_tensor,
-    softmax_rows,
+    Rng, as_index, load_json, load_tensor, save_json, save_tensor, softmax_rows,
 )
 
 NONLINEARITIES = ("none", "tanh")
@@ -106,20 +105,28 @@ class ForwardTrace:
 def route(layer: MoELayer, h: np.ndarray) -> np.ndarray:
     """Full routing distribution per token: softmax(h @ router.T) rows.
     layer_forward computes the same softmax in place."""
-    return softmax_rows(matmul_transpose(h, layer.router))
+    return softmax_rows(h @ layer.router.T)
+
+
+def expert_outputs(layer: MoELayer, h: np.ndarray) -> np.ndarray:
+    """Every expert's raw output h @ W_i.T for the whole batch, stacked
+    N_e x n_tokens x d: the one product that computes expert outputs."""
+    return np.matmul(h[None], layer.experts.transpose(0, 2, 1))
 
 
 def layer_forward(
     layer: MoELayer, h: np.ndarray, top_k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One MoE layer: softmax over the router logits, pick the top-k'
     experts per token (k' = min(top_k, number of experts)), renormalize
-    their gates, and mix the selected expert outputs.
+    their gates, and mix the selected experts' outputs, gathered from
+    expert_outputs.
 
-    Returns (output, selected, probs): selected is n_tokens x k' of sorted
-    expert indices and probs the n_tokens x N_e softmax the gates came from.
+    Returns (output, selected, probs, outs): selected is n_tokens x k' of
+    sorted expert indices, probs the n_tokens x N_e softmax the gates came
+    from, and outs every expert's output, as expert_outputs stacks them.
     """
-    probs = softmax_rows(matmul_transpose(h, layer.router))
+    probs = softmax_rows(h @ layer.router.T)
     k = min(top_k, len(layer.experts))
 
     # stable argsort on -probs: equal probabilities resolve to the lower index
@@ -128,12 +135,9 @@ def layer_forward(
     gates = np.take_along_axis(probs, selected, axis=1)
     gates = gates / gates.sum(axis=1, keepdims=True)
 
-    out = np.zeros((h.shape[0], h.shape[1]))
-    for i in np.unique(selected):
-        rows, cols = np.nonzero(selected == i)
-        expert_out = matmul_transpose(h[rows], layer.experts[i])
-        out[rows] += gates[rows, cols, None] * expert_out
-    return out, selected, probs
+    outs = expert_outputs(layer, h)
+    mixed = outs[selected, np.arange(h.shape[0])[:, None]]
+    return np.einsum("tk,tkd->td", gates, mixed), selected, probs, outs
 
 
 def retained_ids(model: MoEModel, mask) -> list[np.ndarray]:
@@ -160,14 +164,16 @@ def _apply_nonlinearity(y: np.ndarray, kind: str) -> np.ndarray:
 
 
 def layer_states(model: MoEModel, h: np.ndarray, mask=None):
-    """Yield (output, selected, probs, next_hidden) for each layer in turn:
-    layer_forward's three results and the nonlinearity of its output, which
-    feeds the next layer.  A caller that keeps only what it needs holds one
-    layer's states at a time; model_forward keeps them all.
+    """Yield (output, selected, probs, outs, next_hidden) for each layer in
+    turn: layer_forward's four results and the nonlinearity of its output,
+    which feeds the next layer.  A caller that keeps only what it needs
+    holds one layer's states at a time; model_forward keeps them all but
+    the expert outputs.
 
     Under a PruneMask each layer runs as its pruned layer, `layer.subset` of
     the kept ids, as apply_mask builds it; selected is mapped back to the
-    layer's expert ids and probs is zero for the experts pruned.
+    layer's expert ids, probs is zero for the experts pruned, and outs holds
+    the kept experts only.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.config.hidden_dim:
@@ -178,14 +184,14 @@ def layer_states(model: MoEModel, h: np.ndarray, mask=None):
     kept = retained_ids(model, mask) if mask is not None else [None] * len(model.layers)
     for layer, ids in zip(model.layers, kept):
         if ids is None:
-            y, selected, p = layer_forward(layer, h, top_k)
+            y, selected, p, outs = layer_forward(layer, h, top_k)
         else:
-            y, local, local_p = layer_forward(layer.subset(ids), h, top_k)
+            y, local, local_p, outs = layer_forward(layer.subset(ids), h, top_k)
             selected = ids[local]
             p = np.zeros((h.shape[0], len(layer.experts)))
             p[:, ids] = local_p
         h = _apply_nonlinearity(y, model.config.nonlinearity)
-        yield y, selected, p, h
+        yield y, selected, p, outs, h
 
 
 def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
@@ -195,7 +201,7 @@ def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
     none."""
     h = np.asarray(x.tokens, dtype=np.float64)
     trace = ForwardTrace([h], [], [], [])
-    for y, selected, p, h in layer_states(model, h, mask):
+    for y, selected, p, _, h in layer_states(model, h, mask):
         trace.layer_outputs.append(y)
         trace.routing_probs.append(p)
         trace.selected_experts.append(selected)

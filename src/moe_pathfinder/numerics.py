@@ -107,17 +107,6 @@ def strict(fn, *args):
         return fn(*args)
 
 
-def matmul_transpose(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """h @ w.T with an explicit inner-dimension check."""
-    h = np.asarray(h, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[1]:
-        raise ValueError(
-            f"matmul_transpose: inner dimensions disagree, got {h.shape} and {w.shape}"
-        )
-    return h @ w.T
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; -inf entries are allowed and get weight 0."""
     logits = np.asarray(logits, dtype=np.float64)

@@ -14,9 +14,10 @@ per-node scores; a graph file stores only the vectors, and loading
 recomputes the scores.
 
 Everything is computed for all experts, routed-to or not, from exactly one
-forward pass plus, per layer, one batched product that evaluates every
-expert on the layer's input at once.  Logs are clamped at 1e-300 so
-genuinely-zero weights stay finite and simply rank last.
+forward pass: each layer's states, including the batched product that
+evaluates every expert on the layer's input and that the layer mixed its
+top-k from, are scored as the pass yields them.  Logs are clamped at
+1e-300 so genuinely-zero weights stay finite and simply rank last.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ForwardTrace, MoELayer, MoEModel, SampleBatch, model_forward
+from .model import MoEModel, SampleBatch, layer_states
 from .numerics import as_index, load_json, save_json, softmax_rows
 
 LOG_CLAMP = 1e-300
@@ -68,15 +69,8 @@ def clamped_log(values: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(values, LOG_CLAMP))
 
 
-def expert_outputs(layer: MoELayer, h: np.ndarray) -> np.ndarray:
-    """Every expert's raw output h @ W_i.T for the whole batch, stacked
-    N_e x n_tokens x d.  numpy runs each expert's product as `h @ W_i.T`
-    does, so the outputs are bit-identical to computing them one by one."""
-    return np.matmul(h[None], layer.experts.transpose(0, 2, 1))
-
-
 def activation_strength(outs: np.ndarray) -> np.ndarray:
-    """Mean per-token output norm of each expert, from expert_outputs."""
+    """Mean per-token output norm of each expert, from model.expert_outputs."""
     return np.sqrt(np.einsum("nij,nij->ni", outs, outs)).mean(axis=1)
 
 
@@ -94,28 +88,20 @@ def reconstruction_loss(outs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def score_sample(model: MoEModel, x: SampleBatch) -> SampleGraph:
-    trace = model_forward(model, x)
-    return score_trace(model, trace)
+    """Assemble the sample graph from one unmasked forward pass.
 
-
-def score_trace(model: MoEModel, trace: ForwardTrace) -> SampleGraph:
-    """Assemble the sample graph from an unmasked trace.
-
-    The routing preference is the mean of the trace's routing softmax, and
-    each layer's expert outputs are computed once for activation,
-    reconstruction, and the last-layer correction.  The importance is
-    softmax(-loss), computed by the routing softmax, times the layer's own
-    routing preference at the first layer or its own activation strength
-    at the last.
+    Each layer is scored from the states layer_states yields: the routing
+    preference is the mean of its routing softmax, and its expert outputs
+    give activation, reconstruction against its output, and the last-layer
+    correction.  The importance is softmax(-loss), computed by the routing
+    softmax, times the layer's own routing preference at the first layer or
+    its own activation strength at the last.
     """
     L = model.config.num_layers
     scores: list[LayerScore] = []
-    for l, layer in enumerate(model.layers):
-        h = trace.hidden_states[l]
-        y = trace.layer_outputs[l]
-        outs = expert_outputs(layer, h)
+    for l, (y, _, p, outs, _) in enumerate(layer_states(model, x.tokens)):
         act = activation_strength(outs)
-        routing = trace.routing_probs[l].mean(axis=0)
+        routing = p.mean(axis=0)
         losses = reconstruction_loss(outs, y)
         imp = softmax_rows(-losses[None, :])[0]
         if l == 0:
@@ -185,6 +171,11 @@ def _parse_scores(obj) -> list[LayerScore]:
             v = np.array(entry[field], dtype=np.float64)
             if v.shape != (n,) or not np.all(np.isfinite(v)):
                 raise ValueError(f"layer {l} field {field!r} must hold {n} finite numbers")
+            # every vector is nonnegative by construction and routing is a mean
+            # of probabilities; importance is not bounded by 1 at the last layer
+            hi = 1.0 if field == "routing" else np.inf
+            if not np.all((v >= 0.0) & (v <= hi)):
+                raise ValueError(f"layer {l} field {field!r} must lie in [0, {hi:g}]")
             fields[field] = v
         scores.append(LayerScore(**fields))
     return scores
@@ -192,7 +183,7 @@ def _parse_scores(obj) -> list[LayerScore]:
 
 def load_graph(dirpath, name: str) -> SampleGraph:
     """Read a graph written by save_graph.  Every per-layer vector must hold
-    experts_per_layer finite numbers; the node scores are recomputed by
-    graph_from_scores, as score_trace computes them, so the rebuilt graph is
-    bit-identical to the one saved."""
+    experts_per_layer finite nonnegative numbers, routing's at most 1; the
+    node scores are recomputed by graph_from_scores, as score_sample
+    computes them, so the rebuilt graph is bit-identical to the one saved."""
     return graph_from_scores(load_json(os.path.join(dirpath, name), "graph", _parse_scores))

@@ -338,6 +338,11 @@ def _edit(fn):
     return apply
 
 
+def _graph_entry(field, value):
+    # sets the first expert's entry of one layer's score vector
+    return _edit(lambda o: o["layers"][1][field].__setitem__(0, value))
+
+
 def _nan_last_entry(p):
     p.write_bytes(p.read_bytes()[:-8] + struct.pack("<d", float("nan")))
 
@@ -423,6 +428,18 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      "prune --paths paths -o pr2", id="path-log-weight-nan"),
         pytest.param("calib.json", _edit(lambda o: o["sample_ids"].__setitem__(0, 1.7)),
                      SCORE_CALIB, id="calibration-id-float"),
+        # graph score vectors are nonnegative, and routing preferences at most 1
+        pytest.param("graphs/sample{first}.json", _graph_entry("routing", -1.0),
+                     "plan --graphs graphs --m 2 -o p2", id="graph-routing-negative"),
+        pytest.param("graphs/sample{first}.json", _graph_entry("routing", 1.5),
+                     "prune --graphs graphs --target-retention 0.5 -o pr2",
+                     id="graph-routing-above-1"),
+        pytest.param("graphs/sample{first}.json", _graph_entry("recon_loss", -3.0),
+                     "plan --graphs graphs --m 2 -o p2", id="graph-recon-loss-negative"),
+        pytest.param("graphs/sample{first}.json", _graph_entry("activation", -0.5),
+                     "prune --graphs graphs --m 1 -o pr2", id="graph-activation-negative"),
+        pytest.param("graphs/sample{first}.json", _graph_entry("importance", -1e-9),
+                     "plan --graphs graphs --m 2 -o p2", id="graph-importance-negative"),
         pytest.param("pruned/pruned-model", _pruned_model,
                      "score --model pruned/pruned-model --data data -o g2", id="pruned-model-score"),
         pytest.param("pruned/pruned-model", _pruned_model,

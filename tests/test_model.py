@@ -12,6 +12,7 @@ from moe_pathfinder.model import (
     MoELayer,
     MoEModel,
     SampleBatch,
+    expert_outputs,
     gen_data,
     gen_model,
     layer_forward,
@@ -22,6 +23,7 @@ from moe_pathfinder.model import (
     route,
     save_model,
 )
+from moe_pathfinder.numerics import softmax_rows
 from moe_pathfinder.pruner import PruneMask, apply_mask
 
 MASK64 = (1 << 64) - 1
@@ -92,7 +94,7 @@ def test_layer_forward_single_expert_exact():
     w = rng.standard_normal((4, 4))
     layer = MoELayer(experts=w[None], router=rng.standard_normal((1, 4)))
     h = rng.standard_normal((3, 4))
-    y, selected, _ = layer_forward(layer, h, top_k=1)
+    y, selected, _, _ = layer_forward(layer, h, top_k=1)
     assert np.array_equal(y, h @ w.T)
     assert np.array_equal(selected, np.zeros((3, 1), dtype=int))
 
@@ -102,7 +104,7 @@ def test_layer_forward_uniform_router_full_topk_is_mean():
     experts = rng.standard_normal((3, 4, 4))
     layer = MoELayer(experts=experts, router=np.zeros((3, 4)))
     h = rng.standard_normal((5, 4))
-    y, _, _ = layer_forward(layer, h, top_k=3)
+    y, _, _, _ = layer_forward(layer, h, top_k=3)
     mean = sum(h @ w.T for w in experts) / 3.0
     assert np.allclose(y, mean, rtol=1e-12)
 
@@ -113,10 +115,70 @@ def test_layer_forward_matches_dense_gather_oracle():
         experts = rng.standard_normal((4, 6, 6))
         layer = MoELayer(experts=experts, router=rng.standard_normal((4, 6)))
         h = rng.standard_normal((2, 6))
-        y, selected, _ = layer_forward(layer, h, top_k=2)
+        y, selected, _, _ = layer_forward(layer, h, top_k=2)
         want_y, want_sel = dense_gather_oracle(layer, h, 2)
         assert np.allclose(y, want_y, rtol=1e-10, atol=1e-12)
         assert [list(row) for row in selected] == want_sel
+
+
+def per_expert_gather_loop(layer, h, top_k):
+    """layer_forward as it was before the stacked expert product: one
+    product per selected expert on its gathered rows, scattered into a
+    zeroed output."""
+    probs = softmax_rows(h @ layer.router.T)
+    k = min(top_k, len(layer.experts))
+    selected = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :k], axis=1)
+    gates = np.take_along_axis(probs, selected, axis=1)
+    gates = gates / gates.sum(axis=1, keepdims=True)
+    out = np.zeros((h.shape[0], h.shape[1]))
+    for i in np.unique(selected):
+        rows, cols = np.nonzero(selected == i)
+        out[rows] += gates[rows, cols, None] * (h[rows] @ layer.experts[i].T)
+    return out, selected
+
+
+def _assert_kernel_matches_loop(layer, h, top_k):
+    # the stacked product rounds a row by the product's row count, so the
+    # mix may move by a few ulps; the selection may not move at all
+    y, selected, _, _ = layer_forward(layer, h, top_k)
+    want_y, want_sel = per_expert_gather_loop(layer, h, top_k)
+    assert selected.tobytes() == want_sel.tobytes()
+    assert np.allclose(y, want_y, rtol=1e-12, atol=1e-14)
+
+
+def _family_models(family, seed):
+    if family == "raw":
+        cfg = MoEConfig(num_layers=6, experts_per_layer=8, hidden_dim=32, top_k=2)
+        return gen_model(cfg, seed), gen_data(cfg, 4, 32, seed + 200)
+    cfg = ExperimentConfig()
+    if family == "L7-N12-d16":
+        cfg = ExperimentConfig(
+            moe=MoEConfig(num_layers=7, experts_per_layer=12, hidden_dim=16, top_k=2))
+    return experiment_model(cfg, seed), experiment_data(cfg, 4, seed + 100, seed + 200)
+
+
+@pytest.mark.parametrize("family", ["desk", "raw", "L7-N12-d16"])
+def test_layer_forward_matches_per_expert_gather_loop_on_model_families(family):
+    for seed in (1, 2, 3):
+        model, samples = _family_models(family, seed)
+        for x in samples:
+            h = x.tokens
+            for layer, (*_, h_next) in zip(model.layers, layer_states(model, h)):
+                _assert_kernel_matches_loop(layer, h, model.config.top_k)
+                h = h_next
+
+
+def test_layer_forward_matches_per_expert_gather_loop_on_random_layers():
+    # with this seed 11 of the 40 layers differ from the loop in some bit
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n_experts, d, rows = rng.integers(1, 17), rng.integers(4, 65), rng.integers(1, 1025)
+        bound = 1.0 / np.sqrt(d)
+        layer = MoELayer(experts=rng.uniform(-bound, bound, (n_experts, d, d)),
+                         router=rng.uniform(-bound, bound, (n_experts, d)))
+        h = rng.uniform(-1.0, 1.0, (rows, d))
+        for top_k in range(1, n_experts + 1):
+            _assert_kernel_matches_loop(layer, h, top_k)
 
 
 def test_masked_forward_respects_retained_set():
@@ -130,8 +192,10 @@ def test_masked_forward_respects_retained_set():
     for retained in [{0}, {1, 3}, {0, 2, 3}]:
         keep = np.ones((2, 4), dtype=bool)
         keep[0] = [i in retained for i in range(4)]
-        y, selected, probs, _ = next(layer_states(model, h, PruneMask(keep)))
+        y, selected, probs, outs, _ = next(layer_states(model, h, PruneMask(keep)))
         assert set(np.unique(selected)) <= retained
+        # the expert outputs are the kept experts' only, in id order
+        assert outs.tobytes() == expert_outputs(layer.subset(sorted(retained)), h).tobytes()
         assert np.all(probs[:, [i for i in range(4) if i not in retained]] == 0.0)
         want_y, want_sel = dense_gather_oracle(layer, h, 2, retained)
         assert np.allclose(y, want_y, rtol=1e-10, atol=1e-12)
@@ -195,7 +259,7 @@ def test_layer_forward_tie_breaks_to_lower_index():
     # identical router rows make all probabilities exactly equal
     layer = MoELayer(experts=np.array([np.eye(3) * (i + 1) for i in range(3)]),
                      router=np.ones((3, 3)))
-    _, selected, _ = layer_forward(layer, np.ones((2, 3)), top_k=2)
+    _, selected, _, _ = layer_forward(layer, np.ones((2, 3)), top_k=2)
     assert np.array_equal(selected, [[0, 1], [0, 1]])
 
 
@@ -274,12 +338,13 @@ def test_layer_states_yields_what_model_forward_records():
     x = gen_data(cfg, 1, 5, 16)[0]
     keep = np.ones((cfg.num_layers, cfg.experts_per_layer), dtype=bool)
     keep[:, 0] = False
-    for mask in (None, PruneMask(keep)):
+    for mask, n_kept in ((None, 4), (PruneMask(keep), 3)):
         trace = model_forward(model, x, mask=mask)
         states = list(layer_states(model, x.tokens, mask))
         assert len(states) == cfg.num_layers
-        for l, (y, selected, probs, h) in enumerate(states):
+        for l, (y, selected, probs, outs, h) in enumerate(states):
             assert y.tobytes() == trace.layer_outputs[l].tobytes()
+            assert outs.shape == (n_kept, 5, cfg.hidden_dim)
             assert selected.tobytes() == trace.selected_experts[l].tobytes()
             assert probs.tobytes() == trace.routing_probs[l].tobytes()
             assert h.tobytes() == trace.hidden_states[l + 1].tobytes()

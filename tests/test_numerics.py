@@ -12,7 +12,6 @@ from moe_pathfinder.numerics import (
     Rng,
     load_json,
     load_tensor,
-    matmul_transpose,
     save_json,
     save_tensor,
     softmax_rows,
@@ -95,45 +94,6 @@ def test_rng_randrange_and_weighted_choice():
     assert picks <= {1, 3}
     with pytest.raises(ValueError):
         rng.choice_weighted(np.zeros(3))
-
-
-def matmul_transpose_oracle(h, w):
-    n, d_in = h.shape
-    d_out = w.shape[0]
-    out = np.zeros((n, d_out))
-    for i in range(n):
-        for j in range(d_out):
-            acc = 0.0
-            for t in range(d_in):
-                acc += h[i, t] * w[j, t]
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_transpose_identity():
-    assert np.array_equal(matmul_transpose(np.array([[1.0, 0.0]]), np.eye(2)), [[1.0, 0.0]])
-
-
-def test_matmul_transpose_hand_case():
-    h = np.array([[1.0, 2.0]])
-    w = np.array([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(matmul_transpose(h, w), [[11.0, 17.0]])
-
-
-def test_matmul_transpose_against_triple_loop():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        n, d_in, d_out = rng.integers(1, 7, size=3)
-        h = rng.standard_normal((n, d_in))
-        w = rng.standard_normal((d_out, d_in))
-        got = matmul_transpose(h, w)
-        want = matmul_transpose_oracle(h, w)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-
-
-def test_matmul_transpose_shape_error_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
-        matmul_transpose(np.zeros((2, 3)), np.zeros((4, 5)))
 
 
 def test_softmax_uniform_and_shift():

@@ -6,6 +6,7 @@ from moe_pathfinder.model import (
     MoELayer,
     MoEModel,
     SampleBatch,
+    expert_outputs,
     gen_data,
     gen_model,
     model_forward,
@@ -17,13 +18,11 @@ from moe_pathfinder.scoring import (
     LOG_CLAMP,
     LayerScore,
     activation_strength,
-    expert_outputs,
     graph_from_scores,
     load_graph,
     reconstruction_loss,
     save_graph,
     score_sample,
-    score_trace,
     transition_intensity,
 )
 
@@ -209,8 +208,8 @@ def test_score_sample_matches_full_rederivation():
 
 
 def per_expert_score_trace(model, trace):
-    """score_trace as it was before the batched product: one matrix product
-    and two einsums per expert, each on its own d x d array."""
+    """Scoring of a forward trace as it was before the batched product: one
+    matrix product and two einsums per expert, each on its own d x d array."""
     L = model.config.num_layers
     scores = []
     for l, layer in enumerate(model.layers):
@@ -255,8 +254,10 @@ def test_batched_score_trace_equals_per_expert_loop_bit_for_bit(family):
     for seed in (1, 2, 3):
         model, samples = family(seed, 4)
         for x in samples:
-            trace = model_forward(model, x)
-            got, want = score_trace(model, trace), per_expert_score_trace(model, trace)
+            # score_sample reuses its forward's expert outputs; the loop reads
+            # the same forward's trace, so every float must agree
+            got = score_sample(model, x)
+            want = per_expert_score_trace(model, model_forward(model, x))
             for sg, sw in zip(got.layer_scores, want.layer_scores):
                 for field in ("activation", "routing", "recon_loss", "importance"):
                     assert getattr(sg, field).tobytes() == getattr(sw, field).tobytes()

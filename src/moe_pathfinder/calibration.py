@@ -42,12 +42,17 @@ class CalibrationSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CalibrationSet":
-        return cls(
+        """The set, which must list exactly K distinct sample ids."""
+        calib = cls(
             sample_ids=[as_index(i, "sample id") for i in obj["sample_ids"]],
             K=as_index(obj["K"], "K", 1),
             seed=as_index(obj["seed"], "seed", None),
             distortion=as_finite(obj["distortion"], "distortion"),
         )
+        ids = calib.sample_ids
+        if len(ids) != calib.K or len(set(ids)) != len(ids):
+            raise ValueError(f"sample_ids must be K = {calib.K} distinct ids, got {ids}")
+        return calib
 
 
 def featurize(sample: SampleBatch) -> np.ndarray:

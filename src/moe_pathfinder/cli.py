@@ -39,6 +39,7 @@ from .model import (
     gen_data,
     gen_model,
     load_model,
+    sample_blocks,
     save_model,
 )
 from .numerics import (
@@ -62,7 +63,7 @@ from .pruner import (
     target_sparsity_search,
     RetentionReport,
 )
-from .scoring import load_graph, save_graph, score_sample
+from .scoring import load_graph, save_graph, score_samples
 
 
 def _parse_manifest(obj) -> dict:
@@ -212,10 +213,13 @@ def cmd_score(args) -> int:
                 )
     else:
         ids = list(range(len(samples)))
+    # workers take whole blocks, so the graph bytes do not depend on --jobs
+    blocks = list(sample_blocks([samples[i] for i in ids]))
     with _finite_forward(args.model, args.data):
-        graphs = map_jobs(
-            partial(strict, score_sample, model), [samples[i] for i in ids], args.jobs
-        )
+        graphs = [
+            g for gs in map_jobs(partial(strict, score_samples, model), blocks, args.jobs)
+            for g in gs
+        ]
     os.makedirs(args.out, exist_ok=True)
     index = {
         "num_layers": model.config.num_layers,
@@ -234,11 +238,15 @@ def cmd_score(args) -> int:
 
 def _load_index(dirpath, name: str, entry: str, keys: tuple[str, ...]) -> dict:
     """A stage index: its integer `keys`, and "samples" as (id, file) pairs
-    read from each sample's "id" and `entry` fields."""
+    read from each sample's "id" and `entry` fields: at least one, and no id
+    twice."""
 
     def parse(obj) -> dict:
         index = {key: as_index(obj[key], key, 1) for key in keys}
         index["samples"] = [(as_index(e["id"], "sample id"), str(e[entry])) for e in obj["samples"]]
+        ids = [i for i, _ in index["samples"]]
+        if not ids or len(set(ids)) != len(ids):
+            raise ValueError(f"samples must list at least one sample, each id once, got ids {ids}")
         return index
 
     return load_json(os.path.join(dirpath, name), "index", parse)

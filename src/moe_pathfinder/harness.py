@@ -19,10 +19,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import build_calibration_set
-from .model import MoEConfig, MoEModel, SampleBatch, gen_data, gen_model, layer_states
+from .model import (
+    MoEConfig, MoEModel, SampleBatch, gen_data, gen_model, layer_states, sample_blocks,
+)
 from .numerics import Rng, _write_atomic, strict
 from .pruner import PruneMask, RetentionReport, target_sparsity_search
-from .scoring import graph_from_scores, score_sample
+from .scoring import graph_from_scores, score_samples
 
 
 @dataclass(frozen=True)
@@ -141,16 +143,11 @@ def clustered_data(
     center plus per-entry uniform noise of half-width radius/sqrt(d)."""
     d = moe.hidden_dim
     bound = 1.0 / np.sqrt(d)
-    crng = Rng(centers_seed)
-    centers = [crng.uniform_array((d,), -bound, bound) for _ in range(n_clusters)]
-    nrng = Rng(noise_seed)
-    return [
-        SampleBatch(
-            centers[i % n_clusters][None, :]
-            + nrng.uniform_array((tokens_per_sample, d), -radius * bound, radius * bound)
-        )
-        for i in range(n_samples)
-    ]
+    centers = Rng(centers_seed).uniform_array((n_clusters, d), -bound, bound)
+    noise = Rng(noise_seed).uniform_array(
+        (n_samples, tokens_per_sample, d), -radius * bound, radius * bound
+    )
+    return [SampleBatch(centers[i % n_clusters][None, :] + noise[i]) for i in range(n_samples)]
 
 
 def experiment_data(
@@ -187,50 +184,22 @@ def random_mask(
     return PruneMask(keep)
 
 
-# Rows per stacked eval forward.  Each forward pushes whole samples, so the
-# desk eval set (16 samples x 32 tokens) is one block.  Measured with
-# `bench/run.py --seed 1 --seconds 10` on a 2-core x86-64 VM (numpy 2.4.6,
-# one BLAS thread): a desk-compare seed took 0.16 s at 512 rows, 0.20 s at
-# 256 and 0.26 s at 128, for 1.0 and 1.4 MB less peak RSS (41.8 MB at 512);
-# stacking cli-pipeline's whole 2048-row eval set raised its peak RSS from
-# 43.7 MB (512-row blocks) to 48.9 MB.
-EVAL_BLOCK_ROWS = 512
-
-
-def _sample_blocks(samples: list[SampleBatch], max_rows: int):
-    """Consecutive runs of whole samples, each with at most max_rows rows; a
-    sample larger than that is a block of its own."""
-    block, rows = [], 0
-    for sample in samples:
-        n = sample.tokens.shape[0]
-        if block and rows + n > max_rows:
-            yield block
-            block, rows = [], 0
-        block.append(sample)
-        rows += n
-    if block:
-        yield block
-
-
-def _add_block_errors(
-    model: MoEModel,
-    masks: list[PruneMask | None],
-    block: list[SampleBatch],
-    layer_errs: np.ndarray,
-) -> None:
-    """Add each sample's per-layer gaps in `block` to layer_errs[mask], in
-    sample order.  The block's states are freed on return, so eval holds one
-    block at a time."""
+def _block_gaps(
+    model: MoEModel, masks: list[PruneMask | None], block: list[SampleBatch]
+) -> np.ndarray:
+    """masks x L x len(block): each sample's mean squared gap per token
+    between the full and the masked hidden states after each layer.  The
+    block's states are freed on return, so eval holds one block at a time."""
+    n, T = len(block), block[0].tokens.shape[0]
     x = np.concatenate([s.tokens for s in block])
-    bounds = np.cumsum([0] + [s.tokens.shape[0] for s in block]).tolist()
-    rows = list(zip(bounds, bounds[1:]))
     full = [h for *_, h in layer_states(model, x)]
-    for errs, mask in zip(layer_errs, masks):
+    gaps = np.empty((len(masks), len(full), n))
+    for mask_gaps, mask in zip(gaps, masks):
         for l, (*_, h) in enumerate(layer_states(model, x, mask)):
             sq = full[l] - h
             sq *= sq
-            for a, b in rows:
-                errs[l] += float(np.sum(sq[a:b])) / (b - a)
+            mask_gaps[l] = sq.reshape(n, -1).sum(axis=1) / T
+    return gaps
 
 
 def eval_masks(
@@ -240,17 +209,18 @@ def eval_masks(
     full forward and the masked forward, averaged over samples; plus
     per-layer gaps.
 
-    Samples are stacked into blocks of at most EVAL_BLOCK_ROWS rows.  Each
+    Samples are stacked into the blocks of model.sample_blocks.  Each
     block's full forward runs once, keeping only its hidden states, and each
     mask's forward streams layer by layer against them; every gap is still
-    summed over one sample's rows and added in sample order.  Matrix
-    products over a block round differently from per-sample ones, so
-    results agree with per-sample forwards to a few ulps, not bit for bit.
+    summed over one sample's rows, and the gaps are added in sample order
+    (add.accumulate sums left to right).  Matrix products over a block round
+    differently from per-sample ones, so results agree with per-sample
+    forwards to a few ulps, not bit for bit.
     """
-    layer_errs = np.zeros((len(masks), model.config.num_layers))
-    for block in _sample_blocks(eval_samples, EVAL_BLOCK_ROWS):
-        _add_block_errors(model, masks, block, layer_errs)
-    layer_errs /= len(eval_samples)
+    gaps = np.concatenate(
+        [_block_gaps(model, masks, block) for block in sample_blocks(eval_samples)], axis=2
+    )
+    layer_errs = np.add.accumulate(gaps, axis=2)[..., -1] / len(eval_samples)
     return [
         EvalResult(
             float(errs[-1]),
@@ -277,8 +247,8 @@ def pathfinder_mask(
     m_max: int = 65536,
 ) -> tuple[PruneMask, RetentionReport]:
     graphs = [
-        graph_from_scores(score_sample(model, s).layer_scores, use_importance, use_transition)
-        for s in calibration_samples
+        graph_from_scores(g.layer_scores, use_importance, use_transition)
+        for g in score_samples(model, calibration_samples)
     ]
     return target_sparsity_search(graphs, target_retention, m_max=m_max)
 

@@ -13,11 +13,13 @@ from the previous one.  A graph holds the four per-layer vectors and these
 per-node scores; a graph file stores only the vectors, and loading
 recomputes the scores.
 
-Everything is computed for all experts, routed-to or not, from exactly one
-forward pass: each layer's states, including the batched product that
-evaluates every expert on the layer's input and that the layer mixed its
-top-k from, are scored as the pass yields them.  Logs are clamped at
-1e-300 so genuinely-zero weights stay finite and simply rank last.
+Everything is computed for all experts, routed-to or not, from one forward
+pass per block of stacked samples (model.sample_blocks): each layer's
+states, including the batched product that evaluates every expert on the
+layer's input and that the layer mixed its top-k from, are scored as the
+pass yields them, each sample's statistics as means over its own rows.
+Logs are clamped at 1e-300 so genuinely-zero weights stay finite and
+simply rank last.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MoEModel, SampleBatch, layer_states
+from .model import MoEModel, SampleBatch, layer_states, sample_blocks
 from .numerics import as_index, load_json, save_json, softmax_rows
 
 LOG_CLAMP = 1e-300
@@ -70,8 +72,10 @@ def clamped_log(values: np.ndarray) -> np.ndarray:
 
 
 def activation_strength(outs: np.ndarray) -> np.ndarray:
-    """Mean per-token output norm of each expert, from model.expert_outputs."""
-    return np.sqrt(np.einsum("nij,nij->ni", outs, outs)).mean(axis=1)
+    """Mean per-token output norm of each expert, over the token axis (the
+    second to last) of expert outputs: N_e for model.expert_outputs, N_e x n
+    for them split into n samples of equal length."""
+    return np.sqrt(np.einsum("...j,...j->...", outs, outs)).mean(axis=-1)
 
 
 def transition_intensity(activation: np.ndarray, routing_next: np.ndarray) -> np.ndarray:
@@ -82,34 +86,50 @@ def transition_intensity(activation: np.ndarray, routing_next: np.ndarray) -> np
 
 
 def reconstruction_loss(outs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean per-token squared error of each expert's output against y."""
+    """Mean per-token squared error of each expert's output against y, over
+    the token axis as in activation_strength."""
     diff = y - outs
-    return np.einsum("nij,nij->ni", diff, diff).mean(axis=1)
+    return np.einsum("...j,...j->...", diff, diff).mean(axis=-1)
+
+
+def score_samples(model: MoEModel, samples: list[SampleBatch]) -> list[SampleGraph]:
+    """Each sample's graph, in order, from one unmasked forward pass per
+    block of sample_blocks.
+
+    Each layer is scored from the states layer_states yields for the block:
+    a sample's routing preference is the mean of its rows of the routing
+    softmax, and its rows of the expert outputs give activation and
+    reconstruction against the layer output.  The importance is
+    softmax(-loss), computed by the routing softmax over every sample's row,
+    times the sample's own routing preference at the first layer or its own
+    activation strength at the last.
+    """
+    L = model.config.num_layers
+    graphs: list[SampleGraph] = []
+    for block in sample_blocks(samples):
+        n, T = len(block), block[0].tokens.shape[0]
+        rows = []  # per layer: the four score vectors, one row per sample
+        x = np.concatenate([s.tokens for s in block])
+        for l, (y, _, p, outs, _) in enumerate(layer_states(model, x)):
+            outs = outs.reshape(len(outs), n, T, -1)
+            act = activation_strength(outs).T
+            routing = p.reshape(n, T, -1).mean(axis=1)
+            # contiguous rows, so each row's softmax sums as a lone row does
+            losses = np.ascontiguousarray(reconstruction_loss(outs, y.reshape(n, T, -1)).T)
+            imp = softmax_rows(-losses)
+            if l == 0:
+                imp = imp * routing
+            elif l == L - 1:
+                imp = imp * act
+            rows.append((act, routing, losses, imp))
+        for i in range(n):
+            graphs.append(graph_from_scores([LayerScore(*(v[i] for v in vs)) for vs in rows]))
+    return graphs
 
 
 def score_sample(model: MoEModel, x: SampleBatch) -> SampleGraph:
-    """Assemble the sample graph from one unmasked forward pass.
-
-    Each layer is scored from the states layer_states yields: the routing
-    preference is the mean of its routing softmax, and its expert outputs
-    give activation, reconstruction against its output, and the last-layer
-    correction.  The importance is softmax(-loss), computed by the routing
-    softmax, times the layer's own routing preference at the first layer or
-    its own activation strength at the last.
-    """
-    L = model.config.num_layers
-    scores: list[LayerScore] = []
-    for l, (y, _, p, outs, _) in enumerate(layer_states(model, x.tokens)):
-        act = activation_strength(outs)
-        routing = p.mean(axis=0)
-        losses = reconstruction_loss(outs, y)
-        imp = softmax_rows(-losses[None, :])[0]
-        if l == 0:
-            imp = imp * routing
-        elif l == L - 1:
-            imp = imp * act
-        scores.append(LayerScore(act, routing, losses, imp))
-    return graph_from_scores(scores)
+    """score_samples for one sample."""
+    return score_samples(model, [x])[0]
 
 
 def graph_from_scores(
@@ -164,21 +184,32 @@ def _parse_scores(obj) -> list[LayerScore]:
         raise ValueError(
             f"{len(layers)} layers listed, num_layers is {L}, experts_per_layer is {n}"
         )
-    scores = []
+    # every vector is nonnegative by construction and routing is a mean of
+    # probabilities; importance is not bounded by 1 at the last layer
+    try:
+        v = np.array([[entry[f] for f in _GRAPH_FIELDS] for entry in layers], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (L, len(_GRAPH_FIELDS), n) or not (
+        np.isfinite(v).all() and (v >= 0.0).all()
+        and (v[:, _GRAPH_FIELDS.index("routing")] <= 1.0).all()
+    ):
+        _raise_first_bad_vector(layers, n)
+    return [LayerScore(**dict(zip(_GRAPH_FIELDS, vectors))) for vectors in v]
+
+
+def _raise_first_bad_vector(layers, n: int):
+    """Raise for the first layer and field, in file order, whose vector is
+    missing, not n finite numbers, or out of its range."""
     for l, entry in enumerate(layers):
-        fields = {}
         for field in _GRAPH_FIELDS:
             v = np.array(entry[field], dtype=np.float64)
             if v.shape != (n,) or not np.all(np.isfinite(v)):
                 raise ValueError(f"layer {l} field {field!r} must hold {n} finite numbers")
-            # every vector is nonnegative by construction and routing is a mean
-            # of probabilities; importance is not bounded by 1 at the last layer
             hi = 1.0 if field == "routing" else np.inf
             if not np.all((v >= 0.0) & (v <= hi)):
                 raise ValueError(f"layer {l} field {field!r} must lie in [0, {hi:g}]")
-            fields[field] = v
-        scores.append(LayerScore(**fields))
-    return scores
+    raise ValueError(f"layers must hold {len(_GRAPH_FIELDS)} vectors of {n} numbers each")
 
 
 def load_graph(dirpath, name: str) -> SampleGraph:

@@ -216,14 +216,26 @@ def test_stage_rerun_is_byte_identical(pipeline):
     assert before == after
 
 
-def test_score_jobs_parallel_identical(pipeline):
-    tmp, model, data = pipeline
+def _score_jobs_1_and_2(model, data, tmp):
     a, b = tmp / "g1", tmp / "g2"
     run_cli("score", "--model", model, "--data", data, "-o", a)
     run_cli("score", "--model", model, "--data", data, "--jobs", 2, "-o", b)
     files_a = {p.name: p.read_bytes() for p in a.iterdir()}
     files_b = {p.name: p.read_bytes() for p in b.iterdir()}
     assert files_a == files_b
+
+
+def test_score_jobs_parallel_identical(pipeline):
+    tmp, model, data = pipeline
+    _score_jobs_1_and_2(model, data, tmp)
+
+
+def test_score_jobs_parallel_identical_over_three_blocks(pipeline):
+    # 40 samples of 32 tokens stack into blocks of 512, 512 and 256 rows
+    tmp, model, _ = pipeline
+    data = tmp / "data-blocks"
+    run_cli("gen-data", "--model", model, "--samples", 40, "--tokens", 32, "--seed", 8, "-o", data)
+    _score_jobs_1_and_2(model, data, tmp)
 
 
 def test_manifest_accumulates_and_validates(pipeline):
@@ -428,6 +440,23 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      "prune --paths paths -o pr2", id="path-log-weight-nan"),
         pytest.param("calib.json", _edit(lambda o: o["sample_ids"].__setitem__(0, 1.7)),
                      SCORE_CALIB, id="calibration-id-float"),
+        # a calibration set lists K distinct ids; a stage index at least one
+        # sample, none twice
+        pytest.param("calib.json", _edit(lambda o: o["sample_ids"].__setitem__(1, o["sample_ids"][0])),
+                     SCORE_CALIB, id="calibration-id-repeated"),
+        pytest.param("calib.json", _edit(lambda o: o.update(sample_ids=[])), SCORE_CALIB,
+                     id="calibration-ids-empty"),
+        pytest.param("calib.json", _edit(lambda o: o["sample_ids"].pop()), SCORE_CALIB,
+                     id="calibration-ids-fewer-than-k"),
+        pytest.param("graphs/graphs.json", _edit(lambda o: o.update(samples=[])),
+                     "plan --graphs graphs --m 2 -o p2", id="graph-index-samples-empty"),
+        pytest.param("graphs/graphs.json", _edit(lambda o: o["samples"].append(o["samples"][0])),
+                     "prune --graphs graphs --target-retention 0.5 -o pr2",
+                     id="graph-index-id-repeated"),
+        pytest.param("paths/paths.json", _edit(lambda o: o.update(samples=[])),
+                     "prune --paths paths -o pr2", id="path-index-samples-empty"),
+        pytest.param("paths/paths.json", _edit(lambda o: o["samples"].append(o["samples"][1])),
+                     "heatmap --paths paths -o h.csv", id="path-index-id-repeated"),
         # graph score vectors are nonnegative, and routing preferences at most 1
         pytest.param("graphs/sample{first}.json", _graph_entry("routing", -1.0),
                      "plan --graphs graphs --m 2 -o p2", id="graph-routing-negative"),

@@ -22,7 +22,7 @@ from moe_pathfinder.harness import (
     run_comparison,
 )
 from moe_pathfinder.model import (
-    MoEConfig, SampleBatch, gen_data, gen_model, layer_states, model_forward,
+    MoEConfig, SampleBatch, gen_data, gen_model, layer_states, model_forward, sample_blocks,
 )
 from moe_pathfinder.numerics import Rng
 from moe_pathfinder.planner import random_sample_graph, top_m_paths_bruteforce, top_m_paths_dp
@@ -155,8 +155,8 @@ def test_eval_masks_on_one_sample_equals_two_forwards_per_mask_bit_for_bit():
 
 
 def _ragged_samples(cfg):
-    # 1..600 tokens: blocks of 340, 600 (one sample above the block size),
-    # 255 and 260 rows
+    # 1..600 tokens, no two neighbours of one length: each sample is a block
+    # of its own, 600 rows being above the block size
     long = experiment_data(replace(cfg, tokens_per_sample=600), 8, 5000, 2000)
     return [SampleBatch(s.tokens[:n]) for s, n in zip(long, (1, 7, 32, 300, 600, 5, 250, 260))]
 
@@ -165,7 +165,7 @@ def _ragged_samples(cfg):
     pytest.param(lambda cfg: experiment_data(cfg, 4, 5000, 2000), [128], id="4-samples"),
     pytest.param(lambda cfg: experiment_data(cfg, 40, 5000, 2000), [512, 512, 256],
                  id="40-samples-3-blocks"),
-    pytest.param(_ragged_samples, [340, 600, 255, 260], id="ragged-tokens"),
+    pytest.param(_ragged_samples, [1, 7, 32, 300, 600, 5, 250, 260], id="ragged-tokens"),
 ])
 def test_eval_masks_matches_two_forwards_per_mask(monkeypatch, make_samples, block_rows):
     # stacked products round differently from per-sample ones; the gap is a
@@ -189,6 +189,36 @@ def test_eval_masks_matches_two_forwards_per_mask(monkeypatch, make_samples, blo
         assert result.mean_final_error == pytest.approx(mean, rel=1e-12, abs=0.0)
         assert result.per_layer_errors == pytest.approx(per_layer, rel=1e-12, abs=0.0)
         assert result.retention_fraction == retention
+
+
+def per_slice_eval_masks(model, masks, eval_samples):
+    """eval_masks as it was before the gaps became reshape row sums: one sum
+    per sample's row slice, added in sample order."""
+    layer_errs = np.zeros((len(masks), model.config.num_layers))
+    for block in sample_blocks(eval_samples):
+        x = np.concatenate([s.tokens for s in block])
+        bounds = np.cumsum([0] + [s.tokens.shape[0] for s in block]).tolist()
+        rows = list(zip(bounds, bounds[1:]))
+        full = [h for *_, h in layer_states(model, x)]
+        for errs, mask in zip(layer_errs, masks):
+            for l, (*_, h) in enumerate(layer_states(model, x, mask)):
+                sq = full[l] - h
+                sq *= sq
+                for a, b in rows:
+                    errs[l] += float(np.sum(sq[a:b])) / (b - a)
+    layer_errs /= len(eval_samples)
+    return [(float(e[-1]), [float(v) for v in e]) for e in layer_errs]
+
+
+@pytest.mark.parametrize("make_samples", [
+    pytest.param(lambda cfg: experiment_data(cfg, 40, 5000, 2000), id="40-samples-3-blocks"),
+    pytest.param(_ragged_samples, id="ragged-tokens"),
+])
+def test_eval_gap_reduction_equals_per_slice_sums_bit_for_bit(make_samples):
+    cfg, model, masks = _desk_model_and_masks()
+    samples = make_samples(cfg)
+    got = [(r.mean_final_error, r.per_layer_errors) for r in eval_masks(model, masks, samples)]
+    assert got == per_slice_eval_masks(model, masks, samples)
 
 
 def test_eval_mask_is_the_one_mask_case_of_eval_masks():

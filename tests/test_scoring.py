@@ -9,6 +9,7 @@ from moe_pathfinder.model import (
     expert_outputs,
     gen_data,
     gen_model,
+    layer_states,
     model_forward,
     route,
 )
@@ -23,8 +24,10 @@ from moe_pathfinder.scoring import (
     reconstruction_loss,
     save_graph,
     score_sample,
+    score_samples,
     transition_intensity,
 )
+from moe_pathfinder.planner import top_m_paths_dp
 
 
 def test_activation_strength_zero_expert():
@@ -262,6 +265,52 @@ def test_batched_score_trace_equals_per_expert_loop_bit_for_bit(family):
                 for field in ("activation", "routing", "recon_loss", "importance"):
                     assert getattr(sg, field).tobytes() == getattr(sw, field).tobytes()
             assert got.node_scores.tobytes() == want.node_scores.tobytes()
+
+
+def per_sample_scores(model, x):
+    """score_sample as it was before scoring stacked samples into blocks: one
+    forward per sample, and each statistic a mean over all of its rows."""
+    L = model.config.num_layers
+    scores = []
+    for l, (y, _, p, outs, _) in enumerate(layer_states(model, x.tokens)):
+        act = np.sqrt(np.einsum("nij,nij->ni", outs, outs)).mean(axis=1)
+        routing = p.mean(axis=0)
+        diff = y - outs
+        losses = np.einsum("nij,nij->ni", diff, diff).mean(axis=1)
+        imp = softmax_rows(-losses[None, :])[0]
+        if l == 0:
+            imp = imp * routing
+        elif l == L - 1:
+            imp = imp * act
+        scores.append(LayerScore(act, routing, losses, imp))
+    return graph_from_scores(scores)
+
+
+@pytest.mark.parametrize("family", [_desk_family, _raw_family, _wide_family],
+                         ids=["desk", "raw", "L7-N12-d16"])
+def test_score_samples_matches_per_sample_scoring(monkeypatch, family):
+    # 40 samples of 32 tokens are blocks of 512, 512 and 256 rows; products
+    # over a block round differently from per-sample ones, a few ulps at most
+    model, samples = family(4, 40)
+    rows = []
+
+    def spy(model, h, mask=None):
+        rows.append(h.shape[0])
+        return layer_states(model, h, mask)
+
+    monkeypatch.setattr("moe_pathfinder.scoring.layer_states", spy)
+    got = score_samples(model, samples)
+    assert rows == [512, 512, 256]
+    assert len(got) == len(samples)
+    for g, x in zip(got, samples):
+        want = per_sample_scores(model, x)
+        for sg, sw in zip(g.layer_scores, want.layer_scores):
+            for field in ("activation", "routing", "recon_loss", "importance"):
+                np.testing.assert_allclose(getattr(sg, field), getattr(sw, field),
+                                           rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(g.node_scores, want.node_scores, rtol=1e-12, atol=0.0)
+        assert ([p.experts for p in top_m_paths_dp(g, 16).paths]
+                == [p.experts for p in top_m_paths_dp(want, 16).paths])
 
 
 def test_score_sample_rank1_exact():

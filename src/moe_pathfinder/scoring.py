@@ -103,6 +103,13 @@ def score_samples(model: MoEModel, samples: list[SampleBatch]) -> list[SampleGra
     softmax(-loss), computed by the routing softmax over every sample's row,
     times the sample's own routing preference at the first layer or its own
     activation strength at the last.
+
+    A graph's floats depend on its block, not on the sample alone: BLAS
+    rounds a product by its row count, so the same sample scored beside
+    other samples, or in a block of another size, can differ in the last
+    place (`score --calibration` and a full `score` may write different
+    bytes for one sample).  They do not depend on how blocks are spread
+    over workers.
     """
     L = model.config.num_layers
     graphs: list[SampleGraph] = []
@@ -184,32 +191,25 @@ def _parse_scores(obj) -> list[LayerScore]:
         raise ValueError(
             f"{len(layers)} layers listed, num_layers is {L}, experts_per_layer is {n}"
         )
+    # one (L, 4, n) array; a vector that is not n numbers counts as not finite
+    v = np.array([[_vector_or_nan(e[field], n) for field in _GRAPH_FIELDS] for e in layers])
     # every vector is nonnegative by construction and routing is a mean of
     # probabilities; importance is not bounded by 1 at the last layer
-    try:
-        v = np.array([[entry[f] for f in _GRAPH_FIELDS] for entry in layers], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
-        v = None
-    if v is None or v.shape != (L, len(_GRAPH_FIELDS), n) or not (
-        np.isfinite(v).all() and (v >= 0.0).all()
-        and (v[:, _GRAPH_FIELDS.index("routing")] <= 1.0).all()
-    ):
-        _raise_first_bad_vector(layers, n)
-    return [LayerScore(**dict(zip(_GRAPH_FIELDS, vectors))) for vectors in v]
+    hi = np.array([1.0 if field == "routing" else np.inf for field in _GRAPH_FIELDS])
+    finite = np.isfinite(v).all(axis=2)
+    bad = ~finite | ~((v >= 0.0) & (v <= hi[:, None])).all(axis=2)
+    if bad.any():
+        l, f = np.argwhere(bad)[0]  # the first in file order
+        field = _GRAPH_FIELDS[f]
+        if not finite[l, f]:
+            raise ValueError(f"layer {l} field {field!r} must hold {n} finite numbers")
+        raise ValueError(f"layer {l} field {field!r} must lie in [0, {hi[f]:g}]")
+    return [LayerScore(*layer) for layer in v]
 
 
-def _raise_first_bad_vector(layers, n: int):
-    """Raise for the first layer and field, in file order, whose vector is
-    missing, not n finite numbers, or out of its range."""
-    for l, entry in enumerate(layers):
-        for field in _GRAPH_FIELDS:
-            v = np.array(entry[field], dtype=np.float64)
-            if v.shape != (n,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"layer {l} field {field!r} must hold {n} finite numbers")
-            hi = 1.0 if field == "routing" else np.inf
-            if not np.all((v >= 0.0) & (v <= hi)):
-                raise ValueError(f"layer {l} field {field!r} must lie in [0, {hi:g}]")
-    raise ValueError(f"layers must hold {len(_GRAPH_FIELDS)} vectors of {n} numbers each")
+def _vector_or_nan(x, n: int) -> np.ndarray:
+    v = np.array(x, dtype=np.float64)
+    return v if v.shape == (n,) else np.full(n, np.nan)
 
 
 def load_graph(dirpath, name: str) -> SampleGraph:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from moe_pathfinder.cli import load_data, main
 from moe_pathfinder.model import MoEConfig, gen_model, save_model
 from moe_pathfinder.numerics import save_tensor
+from moe_pathfinder.planner import load_pathset
 from moe_pathfinder.pruner import load_mask
 
 
@@ -236,6 +237,33 @@ def test_score_jobs_parallel_identical_over_three_blocks(pipeline):
     data = tmp / "data-blocks"
     run_cli("gen-data", "--model", model, "--samples", 40, "--tokens", 32, "--seed", 8, "-o", data)
     _score_jobs_1_and_2(model, data, tmp)
+
+
+def test_calibration_score_plans_the_paths_of_a_full_score(tmp_path):
+    # a graph's floats depend on the block its sample is scored in: the 8
+    # calibration samples share one block, the full run's 40 are three (at
+    # this width some floats differ in the last place)
+    tmp = tmp_path
+    model, data, calib = tmp / "model", tmp / "data", tmp / "calib.json"
+    run_cli("gen-model", "--layers", 3, "--experts", 4, "--dim", 32, "--topk", 2,
+            "--seed", 7, "-o", model)
+    run_cli("gen-data", "--model", model, "--samples", 40, "--tokens", 32, "--seed", 8, "-o", data)
+    run_cli("calibrate", "--data", data, "--k", 8, "--seed", 3, "-o", calib)
+    ids = json.loads(calib.read_text())["sample_ids"]
+    runs = {}
+    for name, extra in (("calib", ["--calibration", calib]), ("full", [])):
+        graphs, paths = tmp / f"graphs-{name}", tmp / f"paths-{name}"
+        assert run_cli("score", "--model", model, "--data", data, *extra, "-o", graphs) == 0
+        assert run_cli("plan", "--graphs", graphs, "--m", 16, "-o", paths) == 0
+        runs[name] = (graphs, paths)
+    for i in ids:
+        (gc, pc), (gf, pf) = runs["calib"], runs["full"]
+        a, b = (json.loads((g / f"sample{i:04d}.json").read_text())["layers"] for g in (gc, gf))
+        np.testing.assert_allclose(
+            [list(e.values()) for e in a], [list(e.values()) for e in b], rtol=1e-12, atol=0
+        )
+        a, b = (load_pathset(p / f"sample{i:04d}.paths.json") for p in (pc, pf))
+        assert [p.experts for p in a.paths] == [p.experts for p in b.paths]
 
 
 def test_manifest_accumulates_and_validates(pipeline):

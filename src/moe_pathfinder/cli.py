@@ -553,7 +553,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--calibration", help="restrict to a calibration set's sample ids")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
     p.set_defaults(func=cmd_score)
@@ -561,7 +561,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("plan", help="top-m path search per scored sample")
     p.add_argument("--graphs", required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
     p.set_defaults(func=cmd_plan)
@@ -610,7 +610,7 @@ def build_parser() -> _Parser:
                        if flag == "--clusters" else None)
     p.add_argument("--no-importance", action="store_true")
     p.add_argument("--no-transition", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_compare)
 

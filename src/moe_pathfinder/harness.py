@@ -24,7 +24,7 @@ from .model import (
 )
 from .numerics import Rng, _write_atomic, strict
 from .pruner import PruneMask, RetentionReport, target_sparsity_search
-from .scoring import graph_from_scores, score_samples
+from .scoring import score_samples
 
 
 @dataclass(frozen=True)
@@ -246,10 +246,7 @@ def pathfinder_mask(
     use_transition: bool = True,
     m_max: int = 65536,
 ) -> tuple[PruneMask, RetentionReport]:
-    graphs = [
-        graph_from_scores(g.layer_scores, use_importance, use_transition)
-        for g in score_samples(model, calibration_samples)
-    ]
+    graphs = score_samples(model, calibration_samples, use_importance, use_transition)
     return target_sparsity_search(graphs, target_retention, m_max=m_max)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .numerics import Rng, as_finite, as_index, load_json, save_json
-from .scoring import LayerScore, SampleGraph, graph_from_scores
+from .scoring import SampleGraph, graph_from_scores
 
 BRUTEFORCE_CAP = 10**6
 
@@ -162,15 +162,16 @@ def top_m_paths_bruteforce(graph: SampleGraph, m: int, cap: int = BRUTEFORCE_CAP
 
 
 def random_sample_graph(num_layers: int, experts_per_layer: int, rng: Rng) -> SampleGraph:
-    """Synthetic graph with rank-1 transitions, for oracle checks."""
+    """Synthetic graph with rank-1 transitions, for oracle checks.  Each
+    layer draws N_e activations, N_e routing preferences (then normalized)
+    and N_e importances, in that order; its reconstruction losses are 0."""
     n = experts_per_layer
-    scores = []
-    for _ in range(num_layers):
-        activation = np.array([rng.uniform(0.0, 2.0) for _ in range(n)])
-        routing = np.array([rng.uniform(0.05, 1.0) for _ in range(n)])
-        routing = routing / routing.sum()
-        importance = np.array([rng.uniform(0.01, 1.0) for _ in range(n)])
-        scores.append(LayerScore(activation, routing, np.zeros(n), importance))
+    scores = np.zeros((num_layers, 4, n))
+    for activation, routing, _, importance in scores:
+        activation[:] = rng.uniform_array((n,), 0.0, 2.0)
+        routing[:] = rng.uniform_array((n,), 0.05, 1.0)
+        routing /= routing.sum()
+        importance[:] = rng.uniform_array((n,), 0.01, 1.0)
     return graph_from_scores(scores)
 
 
@@ -178,13 +179,8 @@ def with_twin(graph: SampleGraph, layer: int, src: int, dst: int) -> SampleGraph
     """A copy of graph whose expert dst at the layer repeats expert src's
     scores, so the two are twins: every path through one weighs exactly as
     much as the same path through the other."""
-    scores = []
-    for l, s in enumerate(graph.layer_scores):
-        fields = [s.activation.copy(), s.routing.copy(), s.recon_loss.copy(), s.importance.copy()]
-        if l == layer:
-            for v in fields:
-                v[dst] = v[src]
-        scores.append(LayerScore(*fields))
+    scores = graph.scores.copy()
+    scores[layer, :, dst] = scores[layer, :, src]
     return graph_from_scores(scores)
 
 
@@ -204,8 +200,8 @@ def oracle_selfcheck(trials: int, seed: int, tol: float = 1e-9) -> tuple[int, li
         twin = with_twin(graph, rng.randrange(L), src, (src + 1 + rng.randrange(n - 1)) % n)
         variants = {
             "graph": graph,
-            "no-importance": graph_from_scores(graph.layer_scores, use_importance=False),
-            "no-transition": graph_from_scores(graph.layer_scores, use_transition=False),
+            "no-importance": graph_from_scores(graph.scores, use_importance=False),
+            "no-transition": graph_from_scores(graph.scores, use_transition=False),
             "twin": twin,
         }
         ok = True

@@ -33,18 +33,11 @@ class PruneMask:
     def experts_per_layer(self) -> int:
         return self.keep.shape[1]
 
-    def retained(self, layer: int) -> set[int]:
-        return set(int(i) for i in np.nonzero(self.keep[layer])[0])
-
     def retained_total(self) -> int:
         return int(self.keep.sum())
 
     def retention_fraction(self) -> float:
         return self.retained_total() / self.keep.size
-
-    @classmethod
-    def all_true(cls, num_layers: int, experts_per_layer: int) -> "PruneMask":
-        return cls(np.ones((num_layers, experts_per_layer), dtype=bool))
 
     def to_json(self) -> dict:
         return {

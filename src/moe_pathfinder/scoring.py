@@ -33,38 +33,33 @@ from .model import MoEModel, SampleBatch, layer_states, sample_blocks
 from .numerics import as_index, load_json, save_json, softmax_rows
 
 LOG_CLAMP = 1e-300
-
-
-@dataclass
-class LayerScore:
-    activation: np.ndarray  # N_e, mean per-token expert output norm
-    routing: np.ndarray  # N_e, mean per-token routing probability of this layer
-    recon_loss: np.ndarray  # N_e
-    importance: np.ndarray  # N_e
+_GRAPH_FIELDS = ("activation", "routing", "recon_loss", "importance")
 
 
 @dataclass
 class SampleGraph:
-    num_layers: int
-    experts_per_layer: int
-    layer_scores: list[LayerScore]
+    scores: np.ndarray  # L x 4 x N_e, each layer's vectors in _GRAPH_FIELDS order
     node_scores: np.ndarray  # L x N_e; a path's log weight sums one per layer
+
+    @property
+    def num_layers(self) -> int:
+        return self.scores.shape[0]
+
+    @property
+    def experts_per_layer(self) -> int:
+        return self.scores.shape[2]
 
     @property
     def log_node(self) -> np.ndarray:
         """L x N_e clamped log importances: the paper's node log weights."""
-        return np.stack([clamped_log(s.importance) for s in self.layer_scores])
+        return clamped_log(self.scores[:, 3])
 
     @property
     def log_edge(self) -> np.ndarray:
-        """(L-1) x N_e x N_e clamped log transition intensities: the paper's
-        edge log weights, built on each access."""
-        s, n = self.layer_scores, self.experts_per_layer
-        edges = [
-            clamped_log(transition_intensity(s[l].activation, s[l + 1].routing))
-            for l in range(self.num_layers - 1)
-        ]
-        return np.stack(edges) if edges else np.zeros((0, n, n))
+        """(L-1) x N_e x N_e clamped log transition intensities, the rank-1
+        products activation x next-layer routing: the paper's edge log
+        weights, built on each access."""
+        return clamped_log(self.scores[:-1, 0, :, None] * self.scores[1:, 1, None, :])
 
 
 def clamped_log(values: np.ndarray) -> np.ndarray:
@@ -78,13 +73,6 @@ def activation_strength(outs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...j,...j->...", outs, outs)).mean(axis=-1)
 
 
-def transition_intensity(activation: np.ndarray, routing_next: np.ndarray) -> np.ndarray:
-    """Rank-1 outer product: t[i, j] = activation[i] * routing_next[j]."""
-    if len(activation) != len(routing_next):
-        raise ValueError("activation and routing vectors must have equal length")
-    return np.outer(activation, routing_next)
-
-
 def reconstruction_loss(outs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean per-token squared error of each expert's output against y, over
     the token axis as in activation_strength."""
@@ -92,9 +80,14 @@ def reconstruction_loss(outs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", diff, diff).mean(axis=-1)
 
 
-def score_samples(model: MoEModel, samples: list[SampleBatch]) -> list[SampleGraph]:
+def score_samples(
+    model: MoEModel,
+    samples: list[SampleBatch],
+    use_importance: bool = True,
+    use_transition: bool = True,
+) -> list[SampleGraph]:
     """Each sample's graph, in order, from one unmasked forward pass per
-    block of sample_blocks.
+    block of sample_blocks; the signal flags are graph_from_scores's.
 
     Each layer is scored from the states layer_states yields for the block:
     a sample's routing preference is the mean of its rows of the routing
@@ -111,11 +104,11 @@ def score_samples(model: MoEModel, samples: list[SampleBatch]) -> list[SampleGra
     bytes for one sample).  They do not depend on how blocks are spread
     over workers.
     """
-    L = model.config.num_layers
+    L, N_e = model.config.num_layers, model.config.experts_per_layer
     graphs: list[SampleGraph] = []
     for block in sample_blocks(samples):
         n, T = len(block), block[0].tokens.shape[0]
-        rows = []  # per layer: the four score vectors, one row per sample
+        scores = np.empty((n, L, len(_GRAPH_FIELDS), N_e))
         x = np.concatenate([s.tokens for s in block])
         for l, (y, _, p, outs, _) in enumerate(layer_states(model, x)):
             outs = outs.reshape(len(outs), n, T, -1)
@@ -128,9 +121,8 @@ def score_samples(model: MoEModel, samples: list[SampleBatch]) -> list[SampleGra
                 imp = imp * routing
             elif l == L - 1:
                 imp = imp * act
-            rows.append((act, routing, losses, imp))
-        for i in range(n):
-            graphs.append(graph_from_scores([LayerScore(*(v[i] for v in vs)) for vs in rows]))
+            scores[:, l] = np.stack([act, routing, losses, imp], axis=1)
+        graphs += [graph_from_scores(g, use_importance, use_transition) for g in scores]
     return graphs
 
 
@@ -140,30 +132,25 @@ def score_sample(model: MoEModel, x: SampleBatch) -> SampleGraph:
 
 
 def graph_from_scores(
-    scores: list[LayerScore], use_importance: bool = True, use_transition: bool = True
+    scores: np.ndarray, use_importance: bool = True, use_transition: bool = True
 ) -> SampleGraph:
-    """The sample graph over per-layer scores.  Each node score adds, in this
-    order, the clamped log importance, the clamped log activation (all but
-    the last layer) and the clamped log routing preference (all but the
-    first); an ablation leaves out the importance or the two transition
-    terms."""
+    """The sample graph over an (L, 4, N_e) score array.  Each node score
+    adds, in this order, the clamped log importance, the clamped log
+    activation (all but the last layer) and the clamped log routing
+    preference (all but the first); an ablation leaves out the importance or
+    the two transition terms."""
     if not (use_importance or use_transition):
         raise ValueError("at least one of use_importance/use_transition must be on")
-    L, n = len(scores), len(scores[0].importance)
-    node_scores = np.zeros((L, n))
-    for l, s in enumerate(scores):
-        if use_importance:
-            node_scores[l] += clamped_log(s.importance)
-        if use_transition and l < L - 1:
-            node_scores[l] += clamped_log(s.activation)
-        if use_transition and l > 0:
-            node_scores[l] += clamped_log(s.routing)
+    activation, routing, _, importance = np.moveaxis(scores, 1, 0)
+    node_scores = np.zeros(importance.shape)
+    if use_importance:
+        node_scores += clamped_log(importance)
+    if use_transition:
+        node_scores[:-1] += clamped_log(activation[:-1])
+        node_scores[1:] += clamped_log(routing[1:])
     if not np.all(np.isfinite(node_scores)):
         raise ValueError("graph log weights must be finite")
-    return SampleGraph(L, n, scores, node_scores)
-
-
-_GRAPH_FIELDS = ("activation", "routing", "recon_loss", "importance")
+    return SampleGraph(scores, node_scores)
 
 
 def save_graph(graph: SampleGraph, dirpath, stem: str) -> str:
@@ -173,17 +160,14 @@ def save_graph(graph: SampleGraph, dirpath, stem: str) -> str:
     obj = {
         "num_layers": graph.num_layers,
         "experts_per_layer": graph.experts_per_layer,
-        "layers": [
-            {field: getattr(s, field).tolist() for field in _GRAPH_FIELDS}
-            for s in graph.layer_scores
-        ],
+        "layers": [dict(zip(_GRAPH_FIELDS, layer.tolist())) for layer in graph.scores],
     }
     name = f"{stem}.json"
     save_json(os.path.join(dirpath, name), obj)
     return name
 
 
-def _parse_scores(obj) -> list[LayerScore]:
+def _parse_scores(obj) -> np.ndarray:
     L = as_index(obj["num_layers"], "num_layers", 1)
     n = as_index(obj["experts_per_layer"], "experts_per_layer", 1)
     layers = obj["layers"]
@@ -204,7 +188,7 @@ def _parse_scores(obj) -> list[LayerScore]:
         if not finite[l, f]:
             raise ValueError(f"layer {l} field {field!r} must hold {n} finite numbers")
         raise ValueError(f"layer {l} field {field!r} must lie in [0, {hi[f]:g}]")
-    return [LayerScore(*layer) for layer in v]
+    return v
 
 
 def _vector_or_nan(x, n: int) -> np.ndarray:

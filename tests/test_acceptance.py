@@ -86,10 +86,10 @@ def test_criterion_3_normalization():
         model = gen_model(cfg, rng.next_u64())
         x = gen_data(cfg, 1, 5, rng.next_u64())[0]
         graph = score_sample(model, x)
-        for l, s in enumerate(graph.layer_scores):
-            worst = max(worst, abs(s.routing.sum() - 1.0))
+        for l, (_, routing, _, imp) in enumerate(graph.scores):
+            worst = max(worst, abs(routing.sum() - 1.0))
             if 0 < l < cfg.num_layers - 1:
-                worst = max(worst, abs(s.importance.sum() - 1.0))
+                worst = max(worst, abs(imp.sum() - 1.0))
     report(3, "routing and interior importance sum to 1", worst <= 1e-12, f"worst {worst:.2e}")
 
 
@@ -127,7 +127,7 @@ def test_criterion_5_m1_and_monotone_retention():
     sets_by_m = {}
     for m in (1, 2, 5, 50):
         mask = mask_from_pathsets([top_m_paths_dp(graph, m)], DESK.experts_per_layer)
-        sets_by_m[m] = [mask.retained(l) for l in range(DESK.num_layers)]
+        sets_by_m[m] = [set(np.flatnonzero(row)) for row in mask.keep]
     single = sets_by_m[1]
     ok = all(len(s) == 1 for s in single) and sum(len(s) for s in single) == DESK.num_layers
     ms = (1, 2, 5, 50)
@@ -170,7 +170,7 @@ def test_criterion_8_ablation_structure():
         model = experiment_model(config, seed)
         sample = experiment_data(config, 1, centers_seed=777, noise_seed=seed)[0]
         graph = score_sample(model, sample)
-        best = top_m_paths_dp(graph_from_scores(graph.layer_scores, True, False), 1).paths[0]
+        best = top_m_paths_dp(graph_from_scores(graph.scores, True, False), 1).paths[0]
         want = tuple(int(np.argmax(graph.log_node[l])) for l in range(graph.num_layers))
         if best.experts != want:
             ok = False
@@ -182,9 +182,8 @@ def test_criterion_8_ablation_structure():
         model = gen_model(small_cfg, seed)
         x = gen_data(small_cfg, 1, 5, 900 + seed)[0]
         graph = score_sample(model, x)
-        got = top_m_paths_dp(graph_from_scores(graph.layer_scores, False, True), 27)
-        a = [s.activation for s in graph.layer_scores]
-        r = [s.routing for s in graph.layer_scores]
+        got = top_m_paths_dp(graph_from_scores(graph.scores, False, True), 27)
+        a, r = graph.scores[:, 0], graph.scores[:, 1]
         scored = []
         for seq in itertools.product(range(3), repeat=3):
             prod = (a[0][seq[0]] * r[1][seq[1]]) * (a[1][seq[1]] * r[2][seq[2]])

@@ -615,6 +615,9 @@ def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
         pytest.param("compare --seed 1 --router-gain inf -o x", "router_gain",
                      id="compare-router-gain-inf"),
         pytest.param("selfcheck --trials 0 --seed 1", "--trials", id="selfcheck-trials"),
+        pytest.param("score --model model --data data --jobs 0 -o x", "--jobs", id="score-jobs"),
+        pytest.param("plan --graphs graphs --m 1 --jobs -3 -o x", "--jobs", id="plan-jobs"),
+        pytest.param("compare --seed 1 --jobs 0 -o x", "--jobs", id="compare-jobs"),
     ],
 )
 def test_bad_flag_value_is_usage_error(staged, capsys, argv, named):

@@ -61,14 +61,14 @@ def test_random_mask_seed_deterministic():
 
 def test_ablate_graph_identity_when_both_on():
     g = random_sample_graph(3, 3, Rng(2))
-    out = graph_from_scores(g.layer_scores, True, True)
+    out = graph_from_scores(g.scores, True, True)
     assert out.node_scores.tobytes() == g.node_scores.tobytes()
 
 
 def test_ablate_graph_rejects_both_off():
     g = random_sample_graph(3, 3, Rng(3))
     with pytest.raises(ValueError):
-        graph_from_scores(g.layer_scores, False, False)
+        graph_from_scores(g.scores, False, False)
 
 
 def test_ablate_transition_off_decouples_layers():
@@ -76,7 +76,7 @@ def test_ablate_transition_off_decouples_layers():
     rng = Rng(4)
     for _ in range(10):
         g = random_sample_graph(4, 3, rng)
-        out = graph_from_scores(g.layer_scores, use_importance=True, use_transition=False)
+        out = graph_from_scores(g.scores, use_importance=True, use_transition=False)
         best = top_m_paths_dp(out, 1).paths[0]
         want = tuple(int(np.argmax(g.log_node[l])) for l in range(4))
         assert best.experts == want
@@ -86,13 +86,12 @@ def test_ablate_importance_off_ranks_by_transition_products():
     rng = Rng(5)
     for _ in range(5):
         g = random_sample_graph(3, 3, rng)
-        out = graph_from_scores(g.layer_scores, use_importance=False, use_transition=True)
+        out = graph_from_scores(g.scores, use_importance=False, use_transition=True)
         got = top_m_paths_dp(out, 27)
         # independent ranking by linear-domain transition products
         import itertools
 
-        a = [s.activation for s in g.layer_scores]
-        r = [s.routing for s in g.layer_scores]
+        a, r = g.scores[:, 0], g.scores[:, 1]
         scored = []
         for seq in itertools.product(range(3), repeat=3):
             prod = (a[0][seq[0]] * r[1][seq[1]]) * (a[1][seq[1]] * r[2][seq[2]])
@@ -105,7 +104,7 @@ def test_eval_mask_all_true_is_exactly_zero():
     cfg = MoEConfig(num_layers=3, experts_per_layer=4, hidden_dim=5, top_k=2)
     model = gen_model(cfg, 6)
     samples = gen_data(cfg, 4, 5, 7)
-    result = eval_mask(model, PruneMask.all_true(3, 4), samples)
+    result = eval_mask(model, PruneMask(np.ones((3, 4), dtype=bool)), samples)
     assert result.mean_final_error == 0.0
     assert all(e == 0.0 for e in result.per_layer_errors)
 
@@ -134,7 +133,7 @@ def _desk_model_and_masks():
     model = experiment_model(cfg, 1)
     calib = experiment_data(cfg, cfg.calibration_k, 5000, 1000)
     pf, _ = pathfinder_mask(model, calib, cfg.target_retention)
-    masks = [None, PruneMask.all_true(moe.num_layers, moe.experts_per_layer), pf] + [
+    masks = [None, PruneMask(np.ones((moe.num_layers, moe.experts_per_layer), dtype=bool)), pf] + [
         random_mask(moe.num_layers, moe.experts_per_layer, 0.5, seed) for seed in range(5)
     ]
     return cfg, model, masks

@@ -233,7 +233,7 @@ def test_mask_check_rejects_a_pruned_model():
     keep[1, 0] = False
     pruned, _ = apply_mask(model, PruneMask(keep))
     with pytest.raises(ValueError, match=r"\[4, 3, 4\] experts"):
-        retained_ids(pruned, PruneMask.all_true(3, 4))
+        retained_ids(pruned, PruneMask(np.ones((3, 4), dtype=bool)))
     assert [ids.tolist() for ids in retained_ids(model, PruneMask(keep))] == [
         [0, 1, 2, 3], [1, 2, 3], [0, 1, 2, 3]]
 
@@ -282,7 +282,7 @@ def test_model_forward_all_true_mask_identical():
     model = gen_model(cfg, 11)
     x = gen_data(cfg, 1, 5, 12)[0]
     full = model_forward(model, x)
-    masked = model_forward(model, x, mask=PruneMask.all_true(3, 4))
+    masked = model_forward(model, x, mask=PruneMask(np.ones((3, 4), dtype=bool)))
     for a, b in zip(full.hidden_states, masked.hidden_states):
         assert np.array_equal(a, b)
     for a, b in zip(full.selected_experts, masked.selected_experts):

@@ -22,7 +22,7 @@ from moe_pathfinder.planner import (
     top_m_paths_dp,
     with_twin,
 )
-from moe_pathfinder.scoring import LayerScore, SampleGraph, graph_from_scores, score_sample
+from moe_pathfinder.scoring import SampleGraph, graph_from_scores, score_sample
 
 
 def graph_from_vectors(importance, activation=None, routing=None):
@@ -32,9 +32,7 @@ def graph_from_vectors(importance, activation=None, routing=None):
     L, n = importance.shape
     activation = np.ones((L, n)) if activation is None else np.asarray(activation, dtype=np.float64)
     routing = np.ones((L, n)) if routing is None else np.asarray(routing, dtype=np.float64)
-    return graph_from_scores(
-        [LayerScore(activation[l], routing[l], np.zeros(n), importance[l]) for l in range(L)]
-    )
+    return graph_from_scores(np.stack([activation, routing, np.zeros((L, n)), importance], axis=1))
 
 
 def test_path_log_weight_unit_weights():
@@ -86,6 +84,40 @@ def test_dp_equals_bruteforce_on_random_graphs():
                 assert a.log_weight == b.log_weight  # same accumulation order
 
 
+def per_layer_random_scores(num_layers, n, rng):
+    """random_sample_graph's scores as they were drawn before a graph held one
+    score array: one scalar draw at a time, layer by layer."""
+    scores = []
+    for _ in range(num_layers):
+        activation = np.array([rng.uniform(0.0, 2.0) for _ in range(n)])
+        routing = np.array([rng.uniform(0.05, 1.0) for _ in range(n)])
+        routing = routing / routing.sum()
+        importance = np.array([rng.uniform(0.01, 1.0) for _ in range(n)])
+        scores.append([activation, routing, np.zeros(n), importance])
+    return np.array(scores)
+
+
+def test_random_sample_graph_equals_scalar_draws():
+    # every seeded planner and pruner test reads these graphs
+    for seed in (0, 1, 7, 2024, 2**63 + 5):
+        for L, n in ((1, 1), (2, 3), (5, 4), (3, 9), (7, 12), (2, 33)):
+            rng, ref = Rng(seed), Rng(seed)
+            g = random_sample_graph(L, n, rng)
+            assert g.scores.tobytes() == per_layer_random_scores(L, n, ref).tobytes()
+            assert rng.next_u64() == ref.next_u64()
+
+
+def test_with_twin_copies_one_expert_column():
+    g = random_sample_graph(3, 4, Rng(12))
+    before = g.scores.copy()
+    twin = with_twin(g, 1, 0, 2)
+    want = before.copy()
+    want[1, :, 2] = before[1, :, 0]
+    assert np.array_equal(twin.scores, want)
+    assert np.array_equal(g.scores, before)
+    assert path_log_weight(twin, [1, 0, 3]) == path_log_weight(twin, [1, 2, 3])
+
+
 # 0.0 hits the 1e-300 log clamp, and a product of two 1e-200s falls below
 # it; the dyadic values make exact ties between paths through different experts
 _VALUES = st.one_of(
@@ -103,12 +135,12 @@ def rank1_graphs(draw, shape=None):
     def vector():
         return np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)))
 
-    g = graph_from_scores([LayerScore(vector(), vector(), np.zeros(n), vector()) for _ in range(L)])
+    g = graph_from_scores(np.array([[vector(), vector(), np.zeros(n), vector()] for _ in range(L)]))
     copies = st.tuples(st.integers(0, L - 1), st.integers(0, n - 1), st.integers(0, n - 1))
     for l, src, dst in draw(st.lists(copies, max_size=3)):
         g = with_twin(g, l, src, dst)
     signals = draw(st.sampled_from([(True, True), (False, True), (True, False)]))
-    return graph_from_scores(g.layer_scores, *signals)
+    return graph_from_scores(g.scores, *signals)
 
 
 @given(rank1_graphs())
@@ -236,7 +268,7 @@ def test_layer_shift_invariance():
     c = 2.75
     shifted = g.node_scores.copy()
     shifted[2] += c
-    g2 = SampleGraph(g.num_layers, g.experts_per_layer, g.layer_scores, shifted)
+    g2 = SampleGraph(g.scores, shifted)
     moved = top_m_paths_dp(g2, 5)
     assert [p.experts for p in moved.paths] == [p.experts for p in base.paths]
     for a, b in zip(moved.paths, base.paths):

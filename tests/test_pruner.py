@@ -26,12 +26,12 @@ def pathset_of(*seqs, m=None):
 
 def test_experts_from_paths_single_path():
     mask = mask_from_pathsets([pathset_of([2, 0, 1])], 3)
-    assert [mask.retained(l) for l in range(3)] == [{2}, {0}, {1}]
+    assert np.array_equal(mask.keep, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
 def test_experts_from_paths_divergence_at_one_layer():
     mask = mask_from_pathsets([pathset_of([0, 1, 2], [0, 3, 2])], 4)
-    assert [mask.retained(l) for l in range(3)] == [{0}, {1, 3}, {2}]
+    assert np.array_equal(mask.keep, [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
 
 
 def test_experts_from_paths_exhaustive_covers_everything():
@@ -54,7 +54,7 @@ def test_mask_from_pathsets_single_and_disjoint():
 
     two = mask_from_pathsets([pathset_of([0, 1]), pathset_of([2, 0])], experts_per_layer=3)
     assert two.retained_total() == 4
-    assert [sorted(two.retained(l)) for l in range(2)] == [[0, 2], [0, 1]]
+    assert np.array_equal(two.keep, [[True, False, True], [True, True, False]])
 
 
 def test_mask_from_pathsets_absorption():
@@ -71,13 +71,12 @@ def test_union_mask_consistency_with_paths():
     rng = Rng(99)
     pathsets = [top_m_paths_dp(random_sample_graph(4, 3, rng), 3) for _ in range(4)]
     mask = mask_from_pathsets(pathsets, 3)
-    on_paths = [set() for _ in range(4)]
+    on_paths = np.zeros((4, 3), dtype=bool)
     for ps in pathsets:
         for p in ps.paths:
             for l, i in enumerate(p.experts):
-                on_paths[l].add(i)
-    for l in range(4):
-        assert mask.retained(l) == on_paths[l]
+                on_paths[l, i] = True
+    assert np.array_equal(mask.keep, on_paths)
 
 
 def test_selection_frequency_single_path():
@@ -124,7 +123,7 @@ def test_target_search_single_sample_m1():
     mask, report = target_sparsity_search([g], target_retention=0.25)
     assert report.m_used == 1
     assert report.retained_total == 4
-    assert [len(mask.retained(l)) for l in range(4)] == [1, 1, 1, 1]
+    assert mask.keep.sum(axis=1).tolist() == [1, 1, 1, 1]
     assert report.trimmed == []
 
 
@@ -263,7 +262,7 @@ def small_model(seed=0):
 
 def test_apply_mask_all_true_identity():
     model = small_model(1)
-    pruned, kept = apply_mask(model, PruneMask.all_true(3, 4))
+    pruned, kept = apply_mask(model, PruneMask(np.ones((3, 4), dtype=bool)))
     assert kept == [[0, 1, 2, 3]] * 3
     assert pruned.config.layer_expert_counts == (4, 4, 4)
     for la, lb in zip(model.layers, pruned.layers):
@@ -316,7 +315,7 @@ def test_apply_mask_empty_layer_rejected():
 def test_apply_mask_shape_mismatch_rejected():
     model = small_model(5)
     with pytest.raises(ValueError):
-        apply_mask(model, PruneMask.all_true(2, 4))
+        apply_mask(model, PruneMask(np.ones((2, 4), dtype=bool)))
 
 
 def test_mask_layer_counts_are_independent():
@@ -329,7 +328,7 @@ def test_mask_layer_counts_are_independent():
         ]
     )
     mask = PruneMask(keep)
-    assert [len(mask.retained(l)) for l in range(3)] == [1, 2, 3]
+    assert mask.keep.sum(axis=1).tolist() == [1, 2, 3]
 
 
 def test_mask_json_roundtrip(tmp_path):

@@ -17,7 +17,6 @@ from moe_pathfinder.harness import ExperimentConfig, experiment_data, experiment
 from moe_pathfinder.numerics import softmax_rows
 from moe_pathfinder.scoring import (
     LOG_CLAMP,
-    LayerScore,
     activation_strength,
     graph_from_scores,
     load_graph,
@@ -25,9 +24,14 @@ from moe_pathfinder.scoring import (
     save_graph,
     score_sample,
     score_samples,
-    transition_intensity,
 )
-from moe_pathfinder.planner import top_m_paths_dp
+from moe_pathfinder.numerics import Rng
+from moe_pathfinder.planner import random_sample_graph, top_m_paths_dp
+
+
+def fields(graph):
+    """The graph's activation, routing, recon_loss and importance, each L x N_e."""
+    return np.moveaxis(graph.scores, 1, 0)
 
 
 def test_activation_strength_zero_expert():
@@ -79,19 +83,6 @@ def test_mean_routing_single_token_and_mean():
     assert np.allclose(route(layer, h2).mean(axis=0), (rows[0] + rows[1]) / 2, rtol=1e-12)
 
 
-def test_transition_intensity_cases():
-    one_hot = np.array([1.0, 0.0])
-    r = np.array([0.3, 0.7])
-    t = transition_intensity(one_hot, r)
-    assert np.array_equal(t[1], [0.0, 0.0])
-
-    t = transition_intensity(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    assert np.all(t == 0.25)
-
-    t = transition_intensity(np.array([1.0, 2.0]), np.array([0.25, 0.75]))
-    assert np.array_equal(t, [[0.25, 0.75], [0.5, 1.5]])
-
-
 def test_reconstruction_loss_single_expert_zero():
     cfg = MoEConfig(num_layers=2, experts_per_layer=1, hidden_dim=4, top_k=1, nonlinearity="none")
     model = gen_model(cfg, 5)
@@ -139,10 +130,10 @@ def test_importance_interior_uniform_and_ln2():
     eye = np.eye(2)
     x = SampleBatch(np.array([[1.0, 0.0]]))
     same = _zero_router_model([[eye, eye], [eye, eye], [eye, eye]])
-    assert np.allclose(score_sample(same, x).layer_scores[1].importance, 0.5, atol=1e-15)
+    assert np.allclose(fields(score_sample(same, x))[3][1], 0.5, atol=1e-15)
     # expert 0 (zero) is selected, so expert 1's loss is |sqrt(ln 2) x|^2 = ln 2
     apart = _zero_router_model([[eye, eye], [0 * eye, np.sqrt(np.log(2.0)) * eye], [eye, eye]])
-    e = score_sample(apart, x).layer_scores[1].importance
+    e = fields(score_sample(apart, x))[3][1]
     assert np.allclose(e, [2 / 3, 1 / 3], rtol=1e-12)
 
 
@@ -151,7 +142,7 @@ def test_importance_first_layer_uniform_factors():
     n = 4
     model = _zero_router_model([[np.eye(3)] * n] * 2)
     x = SampleBatch(np.random.default_rng(9).standard_normal((5, 3)))
-    e = score_sample(model, x).layer_scores[0].importance
+    e = fields(score_sample(model, x))[3][0]
     assert np.allclose(e, 1.0 / n**2, atol=1e-15)
 
 
@@ -199,12 +190,8 @@ def test_score_sample_matches_full_rederivation():
         x = gen_data(cfg, 1, 6, 50 + seed)[0]
         graph = score_sample(model, x)
         a, r, losses, imp, trans = scoring_oracle(model, model_forward(model, x))
-        for l in range(3):
-            s = graph.layer_scores[l]
-            assert np.allclose(s.activation, a[l], rtol=1e-12)
-            assert np.allclose(s.routing, r[l], rtol=1e-12)
-            assert np.allclose(s.recon_loss, losses[l], rtol=1e-12)
-            assert np.allclose(s.importance, imp[l], rtol=1e-12)
+        for got, want in zip(fields(graph), (a, r, losses, imp)):
+            assert np.allclose(got, want, rtol=1e-12)
         for l in range(2):
             assert np.allclose(graph.log_edge[l], np.log(trans[l]), rtol=1e-12)
         assert np.allclose(graph.log_node, np.log(np.maximum(imp, LOG_CLAMP)), rtol=1e-12)
@@ -231,8 +218,8 @@ def per_expert_score_trace(model, trace):
             imp = imp * routing
         elif l == L - 1:
             imp = imp * act
-        scores.append(LayerScore(act, routing, losses, imp))
-    return graph_from_scores(scores)
+        scores.append([act, routing, losses, imp])
+    return graph_from_scores(np.array(scores))
 
 
 def _desk_family(seed, n):
@@ -261,9 +248,7 @@ def test_batched_score_trace_equals_per_expert_loop_bit_for_bit(family):
             # the same forward's trace, so every float must agree
             got = score_sample(model, x)
             want = per_expert_score_trace(model, model_forward(model, x))
-            for sg, sw in zip(got.layer_scores, want.layer_scores):
-                for field in ("activation", "routing", "recon_loss", "importance"):
-                    assert getattr(sg, field).tobytes() == getattr(sw, field).tobytes()
+            assert got.scores.tobytes() == want.scores.tobytes()
             assert got.node_scores.tobytes() == want.node_scores.tobytes()
 
 
@@ -282,8 +267,8 @@ def per_sample_scores(model, x):
             imp = imp * routing
         elif l == L - 1:
             imp = imp * act
-        scores.append(LayerScore(act, routing, losses, imp))
-    return graph_from_scores(scores)
+        scores.append([act, routing, losses, imp])
+    return graph_from_scores(np.array(scores))
 
 
 @pytest.mark.parametrize("family", [_desk_family, _raw_family, _wide_family],
@@ -304,10 +289,7 @@ def test_score_samples_matches_per_sample_scoring(monkeypatch, family):
     assert len(got) == len(samples)
     for g, x in zip(got, samples):
         want = per_sample_scores(model, x)
-        for sg, sw in zip(g.layer_scores, want.layer_scores):
-            for field in ("activation", "routing", "recon_loss", "importance"):
-                np.testing.assert_allclose(getattr(sg, field), getattr(sw, field),
-                                           rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(g.scores, want.scores, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(g.node_scores, want.node_scores, rtol=1e-12, atol=0.0)
         assert ([p.experts for p in top_m_paths_dp(g, 16).paths]
                 == [p.experts for p in top_m_paths_dp(want, 16).paths])
@@ -320,12 +302,12 @@ def test_score_sample_rank1_exact():
     model = gen_model(cfg, 9)
     x = gen_data(cfg, 1, 4, 10)[0]
     graph = score_sample(model, x)
-    for l, s in enumerate(graph.layer_scores):
-        want = np.log(np.maximum(s.importance, LOG_CLAMP))
+    for l, (act, routing, _, imp) in enumerate(graph.scores):
+        want = np.log(np.maximum(imp, LOG_CLAMP))
         if l < 3:
-            want = want + np.log(np.maximum(s.activation, LOG_CLAMP))
+            want = want + np.log(np.maximum(act, LOG_CLAMP))
         if l > 0:
-            want = want + np.log(np.maximum(s.routing, LOG_CLAMP))
+            want = want + np.log(np.maximum(routing, LOG_CLAMP))
         assert graph.node_scores[l].tobytes() == want.tobytes()
 
 
@@ -334,11 +316,11 @@ def test_score_sample_normalization():
     model = gen_model(cfg, 14)
     x = gen_data(cfg, 1, 8, 15)[0]
     graph = score_sample(model, x)
-    for l, s in enumerate(graph.layer_scores):
-        assert abs(s.routing.sum() - 1.0) <= 1e-12
+    for l, (_, routing, _, imp) in enumerate(graph.scores):
+        assert abs(routing.sum() - 1.0) <= 1e-12
         if 0 < l < 3:
-            assert abs(s.importance.sum() - 1.0) <= 1e-12
-            assert np.all(s.importance > 0)
+            assert abs(imp.sum() - 1.0) <= 1e-12
+            assert np.all(imp > 0)
 
 
 def test_score_sample_duplicate_expert_symmetry():
@@ -348,22 +330,18 @@ def test_score_sample_duplicate_expert_symmetry():
     model = gen_model(cfg, 17)
     model.layers[1] = MoELayer(experts=np.array([w, w]), router=np.zeros((2, 3)))
     graph = score_sample(model, SampleBatch(rng.standard_normal((4, 3))))
-    s = graph.layer_scores[1]
-    assert s.activation[0] == s.activation[1]
-    assert s.recon_loss[0] == s.recon_loss[1]
-    assert s.importance[0] == s.importance[1]
+    act, _, losses, imp = graph.scores[1]
+    assert act[0] == act[1]
+    assert losses[0] == losses[1]
+    assert imp[0] == imp[1]
 
 
 def test_score_sample_single_expert_chain_log_weight():
     cfg = MoEConfig(num_layers=2, experts_per_layer=1, hidden_dim=3, top_k=1)
     model = gen_model(cfg, 18)
     graph = score_sample(model, gen_data(cfg, 1, 4, 19)[0])
-    s0, s1 = graph.layer_scores
-    expected = (
-        np.log(s0.importance[0])
-        + np.log(s0.activation[0] * s1.routing[0])
-        + np.log(s1.importance[0])
-    )
+    act, routing, _, imp = fields(graph)
+    expected = np.log(imp[0, 0]) + np.log(act[0, 0] * routing[1, 0]) + np.log(imp[1, 0])
     total = graph.node_scores[0][0] + graph.node_scores[1][0]
     assert total == pytest.approx(expected, rel=1e-12)
 
@@ -398,7 +376,71 @@ def test_graph_save_load_roundtrip(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [name]
     back = load_graph(tmp_path, name)
     assert back.num_layers == graph.num_layers
-    for sa, sb in zip(graph.layer_scores, back.layer_scores):
-        assert np.array_equal(sa.activation, sb.activation)
-        assert np.array_equal(sa.importance, sb.importance)
+    assert back.scores.tobytes() == graph.scores.tobytes()
     assert back.node_scores.tobytes() == graph.node_scores.tobytes()
+
+
+def per_layer_node_scores(scores, use_importance=True, use_transition=True):
+    """graph_from_scores's node scores as they were summed before a graph
+    held one score array: a loop over layers, each vector its own array."""
+    L, _, n = scores.shape
+    node_scores = np.zeros((L, n))
+    for l in range(L):
+        act, routing, _, imp = (np.array(v) for v in scores[l])
+        if use_importance:
+            node_scores[l] += np.log(np.maximum(imp, LOG_CLAMP))
+        if use_transition and l < L - 1:
+            node_scores[l] += np.log(np.maximum(act, LOG_CLAMP))
+        if use_transition and l > 0:
+            node_scores[l] += np.log(np.maximum(routing, LOG_CLAMP))
+    return node_scores
+
+
+def _oracle_graphs():
+    # scored graphs of three families, and random ones down to a single layer
+    for family in (_desk_family, _raw_family, _wide_family):
+        model, samples = family(5, 3)
+        yield from score_samples(model, samples)
+    rng = Rng(31)
+    for L, n in ((1, 3), (2, 2), (4, 5), (6, 12)):
+        yield random_sample_graph(L, n, rng)
+
+
+_SIGNALS = [(True, True), (True, False), (False, True)]
+
+
+def test_graph_from_scores_equals_per_layer_loop():
+    for g in _oracle_graphs():
+        for signals in _SIGNALS:
+            got = graph_from_scores(g.scores, *signals).node_scores
+            assert np.array_equal(got, per_layer_node_scores(g.scores, *signals))
+
+
+def test_log_edge_equals_per_layer_outer_products():
+    for g in _oracle_graphs():
+        act, routing, _, _ = fields(g)
+        L, n = act.shape
+        want = [np.log(np.maximum(np.outer(act[l], routing[l + 1]), LOG_CLAMP))
+                for l in range(L - 1)]
+        assert g.log_edge.shape == (L - 1, n, n)
+        assert np.array_equal(g.log_edge, np.array(want).reshape(L - 1, n, n))
+
+    def edge_is(a, r, want):
+        scores = np.ones((2, 4, len(a)))
+        scores[0, 0], scores[1, 1] = a, r
+        got = graph_from_scores(scores).log_edge[0]
+        return np.array_equal(got, np.log(np.maximum(want, LOG_CLAMP)))
+
+    # a zero activation zeroes its row, down to the log clamp
+    assert edge_is([1.0, 0.0], [0.3, 0.7], [[0.3, 0.7], [0.0, 0.0]])
+    assert edge_is([0.5, 0.5], [0.5, 0.5], np.full((2, 2), 0.25))
+    assert edge_is([1.0, 2.0], [0.25, 0.75], [[0.25, 0.75], [0.5, 1.5]])
+
+
+@pytest.mark.parametrize("signals", _SIGNALS[1:], ids=["no-transition", "no-importance"])
+def test_score_samples_signal_flags_equal_rebuilt_graphs(signals):
+    model, samples = _desk_family(6, 20)
+    got = score_samples(model, samples, *signals)
+    for g, full in zip(got, score_samples(model, samples), strict=True):
+        assert g.scores.tobytes() == full.scores.tobytes()
+        assert g.node_scores.tobytes() == graph_from_scores(full.scores, *signals).node_scores.tobytes()

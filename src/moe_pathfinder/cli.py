@@ -356,10 +356,10 @@ def _load_unpruned_model(path) -> MoEModel:
     """score, prune and eval index experts on one L x N_e grid, so a model
     pruned to fewer experts in some layer is a FormatError naming it."""
     model = load_model(path)
-    counts = model.config.layer_expert_counts
-    if counts is not None and set(counts) != {model.config.experts_per_layer}:
+    counts = [len(layer.experts) for layer in model.layers]
+    if set(counts) != {model.config.experts_per_layer}:
         raise FormatError(
-            f"model {path} is pruned to {list(counts)} experts per layer; "
+            f"model {path} is pruned to {counts} experts per layer; "
             "score, prune and eval need an unpruned model"
         )
     return model

@@ -10,8 +10,6 @@ the natural internal measure.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -331,14 +329,12 @@ def run_comparison(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:
 def comparison_csv(report: ComparisonReport) -> str:
     """Flat error table, one row per (seed, mask); floats via repr so reruns
     are byte-identical."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model_seed", "mask", "mask_id", "final_error", "retention"])
+    rows = ["model_seed,mask,mask_id,final_error,retention"]
     for o in report.outcomes:
-        writer.writerow([o.model_seed, "pathfinder", 0, repr(o.pathfinder_error), repr(o.retention_fraction)])
-        for j, err in enumerate(o.random_errors):
-            writer.writerow([o.model_seed, "random", j, repr(err), repr(o.retention_fraction)])
-    return buf.getvalue()
+        rows.append(f"{o.model_seed},pathfinder,0,{o.pathfinder_error!r},{o.retention_fraction!r}")
+        rows += [f"{o.model_seed},random,{j},{err!r},{o.retention_fraction!r}"
+                 for j, err in enumerate(o.random_errors)]
+    return "\n".join(rows) + "\n"
 
 
 def comparison_summary(report: ComparisonReport) -> dict:

@@ -10,7 +10,7 @@ selection always break toward the lower expert index.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,8 +29,6 @@ class MoEConfig:
     hidden_dim: int
     top_k: int
     nonlinearity: str = "tanh"
-    # set after pruning, when layers no longer share one expert count
-    layer_expert_counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.num_layers < 2:
@@ -41,16 +39,6 @@ class MoEConfig:
             raise ValueError("top_k must satisfy 1 <= top_k <= experts_per_layer")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
-        if self.layer_expert_counts is not None:
-            if len(self.layer_expert_counts) != self.num_layers:
-                raise ValueError("layer_expert_counts length must equal num_layers")
-            if any(c < 1 for c in self.layer_expert_counts):
-                raise ValueError("every layer must keep at least one expert")
-
-    def expert_count(self, layer: int) -> int:
-        if self.layer_expert_counts is not None:
-            return self.layer_expert_counts[layer]
-        return self.experts_per_layer
 
 
 @dataclass
@@ -80,8 +68,11 @@ class MoEModel:
         if len(self.layers) != self.config.num_layers:
             raise ValueError("layer count does not match config")
         for l, layer in enumerate(self.layers):
-            if len(layer.experts) != self.config.expert_count(l):
-                raise ValueError(f"layer {l} expert count does not match config")
+            if not 1 <= len(layer.experts) <= self.config.experts_per_layer:
+                raise ValueError(
+                    f"layer {l} holds {len(layer.experts)} experts, "
+                    f"not 1 to {self.config.experts_per_layer}"
+                )
             layer.validate(self.config.hidden_dim)
 
 
@@ -266,76 +257,60 @@ def gen_data(
 
 
 def save_model(model: MoEModel, dirpath) -> None:
-    """model.json manifest plus one .tnsr blob per router/expert."""
+    """model.json manifest plus two .tnsr blobs per layer: the n x d router
+    and the n x d x d experts.  A pruned layer's n is its blobs' first
+    dimension."""
     model.validate()
     os.makedirs(dirpath, exist_ok=True)
     manifest_layers = []
     for l, layer in enumerate(model.layers):
-        router_blob = f"layer{l}.router.tnsr"
-        expert_blobs = [f"layer{l}.expert{i}.tnsr" for i in range(len(layer.experts))]
-        save_tensor(os.path.join(dirpath, router_blob), layer.router)
-        for blob, w in zip(expert_blobs, layer.experts):
-            save_tensor(os.path.join(dirpath, blob), w)
-        manifest_layers.append({"router": router_blob, "experts": expert_blobs})
-    cfg = model.config
-    manifest = {
-        "config": {
-            "num_layers": cfg.num_layers,
-            "experts_per_layer": cfg.experts_per_layer,
-            "hidden_dim": cfg.hidden_dim,
-            "top_k": cfg.top_k,
-            "nonlinearity": cfg.nonlinearity,
-            "layer_expert_counts": list(cfg.layer_expert_counts)
-            if cfg.layer_expert_counts is not None
-            else None,
-        },
-        "layers": manifest_layers,
-    }
+        router, experts = f"layer{l}.router.tnsr", f"layer{l}.experts.tnsr"
+        save_tensor(os.path.join(dirpath, router), layer.router)
+        save_tensor(os.path.join(dirpath, experts), layer.experts)
+        manifest_layers.append({"router": router, "experts": experts})
+    manifest = {"config": asdict(model.config), "layers": manifest_layers}
     save_json(os.path.join(dirpath, "model.json"), manifest)
 
 
-def _parse_model_manifest(manifest) -> tuple[MoEConfig, list[tuple[str, list[str]]]]:
+def _parse_model_manifest(manifest) -> tuple[MoEConfig, list[tuple[str, str]]]:
     c = manifest["config"]
-    counts = c.get("layer_expert_counts")
     config = MoEConfig(
         num_layers=as_index(c["num_layers"], "num_layers", 2),
         experts_per_layer=as_index(c["experts_per_layer"], "experts_per_layer", 1),
         hidden_dim=as_index(c["hidden_dim"], "hidden_dim", 1),
         top_k=as_index(c["top_k"], "top_k", 1),
         nonlinearity=c["nonlinearity"],
-        layer_expert_counts=tuple(as_index(n, "layer_expert_counts entry", 1) for n in counts)
-        if counts is not None
-        else None,
     )
-    blobs = [(str(e["router"]), [str(b) for b in e["experts"]]) for e in manifest["layers"]]
+    blobs = [(e["router"], e["experts"]) for e in manifest["layers"]]
+    if not all(isinstance(name, str) for pair in blobs for name in pair):
+        raise ValueError("each layer must name one router blob and one experts blob")
     if len(blobs) != config.num_layers:
         raise ValueError(f"{len(blobs)} layers listed, config says {config.num_layers}")
-    for l, (_, experts) in enumerate(blobs):
-        if len(experts) != config.expert_count(l):
-            raise ValueError(
-                f"layer {l} lists {len(experts)} experts, expected {config.expert_count(l)}"
-            )
     return config, blobs
 
 
 def load_model(dirpath) -> MoEModel:
+    """Each layer's expert count n is its router's row count: the experts
+    blob must be n x d x d with 1 <= n <= experts_per_layer."""
     config, blobs = load_json(
         os.path.join(dirpath, "model.json"), "model manifest", _parse_model_manifest
     )
-    d = config.hidden_dim
-
-    def load_blob(name, shape, what):
-        path = os.path.join(dirpath, name)
-        w = load_tensor(path)
-        if w.shape != shape:
-            raise FormatError(f"{path}: {what} blob has shape {w.shape}, expected {shape}")
-        return w
-
+    d, n_max = config.hidden_dim, config.experts_per_layer
     layers = []
-    for l, (router_blob, expert_blobs) in enumerate(blobs):
-        router = load_blob(router_blob, (config.expert_count(l), d), f"layer {l} router")
-        experts = np.stack(
-            [load_blob(b, (d, d), f"layer {l} expert {i}") for i, b in enumerate(expert_blobs)]
-        )
+    for l, (router_blob, experts_blob) in enumerate(blobs):
+        path = os.path.join(dirpath, router_blob)
+        router = load_tensor(path)
+        n = router.shape[0] if router.ndim else 0
+        if router.shape != (n, d):
+            raise FormatError(
+                f"{path}: layer {l} router blob has shape {router.shape}, expected (n, {d})"
+            )
+        path = os.path.join(dirpath, experts_blob)
+        experts = load_tensor(path)
+        if experts.shape != (n, d, d) or not 1 <= n <= n_max:
+            raise FormatError(
+                f"{path}: layer {l} experts blob has shape {experts.shape}, expected "
+                f"({n}, {d}, {d}) to match the router, with 1 to {n_max} experts"
+            )
         layers.append(MoELayer(experts=experts, router=router))
     return MoEModel(config=config, layers=layers)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError
-from .model import MoEConfig, MoEModel, retained_ids
+from .model import MoEModel, retained_ids
 from .numerics import as_index, load_json, save_json
 from .planner import PathSet, ranked_paths
 from .scoring import SampleGraph
@@ -144,14 +144,13 @@ def target_sparsity_search(
     if any((g.num_layers, g.experts_per_layer) != (L, n) for g in graphs):
         raise ValueError("graphs disagree on L x N_e")
 
-    mask = PruneMask(np.zeros((L, n), dtype=bool))
     freq = np.zeros((L, n), dtype=np.int64)
     layers = np.arange(L)
     # same-shape streams all end right after the step that fills the mask
     for m, paths in enumerate(zip(*(ranked_paths(g) for g in graphs)), start=1):
         for path in paths:
-            mask.keep[layers, path.experts] = True
             freq[layers, path.experts] += 1
+        mask = PruneMask(freq > 0)
         if mask.retention_fraction() >= target_retention:
             break
         if m >= m_max:
@@ -189,16 +188,7 @@ def apply_mask(model: MoEModel, mask: PruneMask) -> tuple[MoEModel, list[list[in
     """
     kept = retained_ids(model, mask)
     layers = [layer.subset(ids) for layer, ids in zip(model.layers, kept)]
-    cfg = model.config
-    pruned_cfg = MoEConfig(
-        num_layers=cfg.num_layers,
-        experts_per_layer=cfg.experts_per_layer,
-        hidden_dim=cfg.hidden_dim,
-        top_k=cfg.top_k,
-        nonlinearity=cfg.nonlinearity,
-        layer_expert_counts=tuple(len(ids) for ids in kept),
-    )
-    return MoEModel(config=pruned_cfg, layers=layers), [ids.tolist() for ids in kept]
+    return MoEModel(model.config, layers), [ids.tolist() for ids in kept]
 
 
 def save_mask(mask: PruneMask, path) -> None:

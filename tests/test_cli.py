@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from moe_pathfinder.cli import load_data, main
 from moe_pathfinder.model import MoEConfig, gen_model, save_model
-from moe_pathfinder.numerics import save_tensor
+from moe_pathfinder.numerics import load_tensor, save_tensor
 from moe_pathfinder.planner import load_pathset
 from moe_pathfinder.pruner import load_mask
 
@@ -397,6 +397,30 @@ def _empty_data(*shape):
     return apply
 
 
+def _old_model_layout(p):
+    # model.json as written when each expert had a blob of its own
+    def old(o):
+        o["config"]["layer_expert_counts"] = None
+        for l, entry in enumerate(o["layers"]):
+            entry["experts"] = [f"layer{l}.expert{i}.tnsr" for i in range(4)]
+
+    _edit(old)(p)
+
+
+def _resize_experts(delta, router=False):
+    # drops the last expert, or repeats the first; with router=True the
+    # router blob of the layer gets the same rows
+    def resize(w):
+        return w[:delta] if delta < 0 else np.concatenate([w, w[:delta]])
+
+    def apply(p):
+        names = [p, p.with_name(p.name.replace("experts", "router"))] if router else [p]
+        for name in names:
+            save_tensor(name, resize(load_tensor(name)))
+
+    return apply
+
+
 def _pruned_model(_):
     # writes pruned/pruned-model next to its mask, as a README-style run does
     assert run_cli(*"prune --graphs graphs --target-retention 0.5 --model model -o pruned".split()) == 0
@@ -435,12 +459,18 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("manifest.json", _truncate(30),
                      "plan --graphs graphs --m 1 -o p2 --manifest manifest.json",
                      id="manifest-truncated"),
-        pytest.param("model/layer1.expert2.tnsr", Path.unlink, EVAL, id="blob-missing"),
-        pytest.param("model/layer1.expert2.tnsr",
+        pytest.param("model/layer1.experts.tnsr", Path.unlink, EVAL, id="blob-missing"),
+        pytest.param("model/layer1.experts.tnsr",
                      lambda p: p.write_bytes(p.read_bytes() + bytes(8)), EVAL,
                      id="blob-trailing-bytes"),
         pytest.param("model/layer0.router.tnsr", _nan_last_entry,
                      "score --model model --data data -o g2", id="blob-nan"),
+        # a layer's expert count is its router's row count, at most N_e
+        pytest.param("model/model.json", _old_model_layout, SCORE, id="model-per-expert-blobs"),
+        pytest.param("model/layer1.experts.tnsr", _resize_experts(-1), SCORE,
+                     id="experts-fewer-than-router-rows"),
+        pytest.param("model/layer1.experts.tnsr", _resize_experts(+1, router=True), SCORE,
+                     id="experts-more-than-n-e"),
         pytest.param("graphs/graphs.json", _edit(lambda o: o.update(experts_per_layer=5)),
                      "prune --graphs graphs --m 1 -o pr2", id="graph-index-disagrees"),
         pytest.param("paths/sample{first}.paths.json",
@@ -532,6 +562,15 @@ def test_gen_data_runs_on_a_pruned_model(staged):
     _pruned_model(staged / "pruned" / "pruned-model")
     assert run_cli(*"gen-data --model pruned/pruned-model --samples 2 --tokens 3 --seed 1 -o d2".split()) == 0
     assert len(load_data(staged / "d2")) == 2
+
+
+def test_prune_model_rerun_leaves_no_stale_blob(staged):
+    for m in (16, 1):
+        assert run_cli(*f"prune --graphs graphs --m {m} --model model -o pr2".split()) == 0
+    out = staged / "pr2" / "pruned-model"
+    layers = json.loads((out / "model.json").read_text())["layers"]
+    listed = {layer["router"] for layer in layers} | {layer["experts"] for layer in layers}
+    assert {p.name for p in out.iterdir()} == listed | {"model.json", "remap.json"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -715,6 +754,33 @@ def test_damaged_artifact_is_exit_0_identical_or_exit_2_named(staged, capsys, da
         def corrupt(work):
             (work / name).write_bytes(raw[:cut])
 
+    _assert_identical_or_named(staged, capsys, name, argv, corrupt)
+
+
+# the .tnsr blobs score reads: each layer's router and experts, and the tokens
+BLOBS = [
+    *(f"model/layer{l}.{kind}.tnsr" for l in range(3) for kind in ("router", "experts")),
+    "data/tokens.tnsr",
+]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tnsr_header_bit_flip_is_exit_0_identical_or_exit_2_named(staged, capsys, data):
+    name = data.draw(st.sampled_from(BLOBS))
+    raw = bytearray((staged / name).read_bytes())
+    (rank,) = struct.unpack_from("<I", raw, 5)
+    # header: magic, version byte, u32 rank, one u32 per dimension
+    bit = data.draw(st.integers(0, 8 * (9 + 4 * rank) - 1))
+    raw[bit // 8] ^= 1 << (bit % 8)
+    _assert_identical_or_named(staged, capsys, name, "score --model model --data data -o out",
+                               lambda work: (work / name).write_bytes(raw))
+
+
+def _assert_identical_or_named(staged, capsys, name, argv, corrupt):
+    """The damage contract: on the damaged copy, argv exits 0 with the
+    outputs of the intact copy, or exits 2 naming the damaged file."""
     ref_code, ref_out = _run_in_copy(staged, argv)
     assert ref_code == 0
     capsys.readouterr()

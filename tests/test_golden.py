@@ -21,7 +21,11 @@ to run one forward per block of stacked samples, as evaluation does: the
 expert and router products over a block round differently, so 308 of the
 1,536 graph floats moved, by at most 4.4e-16 relative, and 3 of the 128
 top-16 path weights with them; no expert sequence changed, and every other
-digest held.  The digests hold on x86-64 with numpy's
+digest held.  When a layer's experts became one blob, the 48 per-expert
+blob digests gave way to six layer{l}.experts.tnsr digests and model.json
+was re-captured; each new blob's payload is its layer's eight old payloads
+in order, and the old digests still pin each expert matrix through
+EXPERT_SLICES.  The digests hold on x86-64 with numpy's
 bundled OpenBLAS, with one BLAS thread or two; another BLAS may round the
 model's matrix products differently and move every float.
 """
@@ -29,6 +33,7 @@ model's matrix products differently and move every float.
 import hashlib
 
 from moe_pathfinder.cli import main
+from moe_pathfinder.numerics import load_tensor, save_tensor
 
 GOLDEN = {
     "calib.json": "549c397a55e7f42175457405989ffe13b3e99d0e5183432dec8ea9aff5671dd1",
@@ -49,61 +54,19 @@ GOLDEN = {
     "graphs/sample0063.json": "3758ac9476f8f9a651a889e48b73cb278379dba48801ed8143bf9280cfc28611",
     "heatmap1.csv": "ffec49c1c3aa4b1bd1393da2a98ca7c0ac0779f0835d089f9f653d06b6474c75",
     "heatmap16.csv": "0323e3978ef5869bca6e6ded95b73f1f72b909ff2353bebaaf40cebb220b2113",
-    "model/layer0.expert0.tnsr": "5cad98429dfbd0b9b3d0546767d2f2d27ea8ab059ac794deb64c84019c70deb2",
-    "model/layer0.expert1.tnsr": "1ea7b16cd97b3f33803bfa7f0d2c3180037c5127ff2de7c96cc1f34c86d59de3",
-    "model/layer0.expert2.tnsr": "0624e21a3fd6ab9df64e1e3fb9f5feb39bb272c3b65c36ae333bb8e3dd7912f3",
-    "model/layer0.expert3.tnsr": "599a4dd6194cf9e79afdda71b296bf65a2371fa22521336d541ce48e76085319",
-    "model/layer0.expert4.tnsr": "454948938435a10a3782c901f2b27fae28bc50d7c5b54fb276abf9538114802e",
-    "model/layer0.expert5.tnsr": "679eab3d691ebfcdf082e8c786130414118ced68797e4f640de4276ae8f8d1a9",
-    "model/layer0.expert6.tnsr": "65060a381413467700aed01759170c22c201c50af98bd443f279a39ca99ad87a",
-    "model/layer0.expert7.tnsr": "0d59b6b05b49ac96a19eea8e43e2b6feba1a1adb2a26b6d88deb647aadbd6561",
+    "model/layer0.experts.tnsr": "f39bfd68519df65449daf6b2884421a869a719173d38c5cf74c019c3b6e98220",
     "model/layer0.router.tnsr": "0dc30b086991fd29fc1a4d1f36f95eae812fcb0e2d50c8eb243862e72ee590c1",
-    "model/layer1.expert0.tnsr": "9a1f7a37f9fd8b88c0b01fabd8aadce78582af94b23823a2fac70cc2b7d420bf",
-    "model/layer1.expert1.tnsr": "b131a66fba3da01e855fea81be87aebc67a50414c0660c4f51b879c346deb6b1",
-    "model/layer1.expert2.tnsr": "391e5c152e723ef58680b89b2f2951840ef6a15478f5d654c45e76bdcdddb89d",
-    "model/layer1.expert3.tnsr": "d3c3f83e46becdb46504ea459fa6d857b88e1674f637932304d50304d24f2827",
-    "model/layer1.expert4.tnsr": "11debba526fbfb79a18d71adae236fcf3e660b8a060420986f803bb17448c5aa",
-    "model/layer1.expert5.tnsr": "c48727a7de7c96377d2ffe1e34a5601477d0e6aeadcb49f4b96d9c95c6e352cb",
-    "model/layer1.expert6.tnsr": "5643894dd542b2f1253125e25a05cfd3809ae0d1eaa4c2ceda0afd607d6172fc",
-    "model/layer1.expert7.tnsr": "281975a8a9ca3d24056f5b264e70e12a8de0bdee4cd13a667471050681476cb2",
+    "model/layer1.experts.tnsr": "1540840b1158d1d1079e9183d54c2afbbe3dab75aa78d50bb351b819bc038456",
     "model/layer1.router.tnsr": "f47da08a1dabb279615d3ee39bcbdbdc7f258af95010be57c714ebbf6c0ed481",
-    "model/layer2.expert0.tnsr": "39341dc2df43287dce77991d661d540990b977d7dab6b7c28388384ddc6f303a",
-    "model/layer2.expert1.tnsr": "2056b4b554d0efde23e314c405e11f2d8c00544a72083db6eb0172923f344cc8",
-    "model/layer2.expert2.tnsr": "d2c8155490eff194c805a9f65ad3e36ff109363b5f711061a7c439d7d35689bc",
-    "model/layer2.expert3.tnsr": "a472df3eddb4d0d9af25be86e3eda8f2e79faa83b344218bbb21ba6a50066fb4",
-    "model/layer2.expert4.tnsr": "acf1960e5f029bdeb8aed7e85ef9b73b19e731e5f1495ab4d72b35bab6fba095",
-    "model/layer2.expert5.tnsr": "c66faf543d2dd13214cf55266be03c0f98e66b19556b7e4b5b97607b79721277",
-    "model/layer2.expert6.tnsr": "2c9f4a58e40df355887df93db37e405ccd7f587b6c2d3533a47e4d65608b641e",
-    "model/layer2.expert7.tnsr": "efe60c0444f89c5dcf6c0a2f51ee5e1cdcd4fd788f6fa45740a3edb8472b04eb",
+    "model/layer2.experts.tnsr": "9fd68930603ddf717eafd1d810184466ea9af70a40eff70d48590c1c72434541",
     "model/layer2.router.tnsr": "9e09c72f277995f7b70edc273b8c3ef409300c99bc8d90b652b9750e909e84eb",
-    "model/layer3.expert0.tnsr": "38e50920e5f26c88702525b83367114242d218ffd42aec5e40d3b9e71b25cda3",
-    "model/layer3.expert1.tnsr": "d68a0f565eea148f8c70214bb99d3fc1ec911c364544851517cd006b08fdff87",
-    "model/layer3.expert2.tnsr": "6b5bd783d6dd0592d4aa7fa44f98c131ee241149298a91858b9e011476d2256f",
-    "model/layer3.expert3.tnsr": "b25f97d5579d2e6233398ea5c9ca63589a62cb310fafb761e9cc751d8b3d9270",
-    "model/layer3.expert4.tnsr": "d3679c84ca5e5dbc226eb4ff576e4f0c5daf3d841212b394a715d5d02a9813ae",
-    "model/layer3.expert5.tnsr": "dc53cead1f69154de32f3a464fc28cacfabdf5a445fbb24599b37c708f97609f",
-    "model/layer3.expert6.tnsr": "ef81c5e93f0e7b584ae6173ed310957eae1be51cec5581e161c43f95aabdf18c",
-    "model/layer3.expert7.tnsr": "b645088274915211f88a9eb82b60da5d188cfc451eb28809dabe07d89169e9f1",
+    "model/layer3.experts.tnsr": "54d2aae62271d000dbf734cbdfefd40ca397cda6bda3297437ce21a1e2a3b845",
     "model/layer3.router.tnsr": "fc2b665ffdca380c25a2f5c0d0b78ecbabf4f349222a5ae9049df274f44c6484",
-    "model/layer4.expert0.tnsr": "50af73ef569217250ac7bfd0a852d7d308e0316f6023c15978ee9d42e49f088d",
-    "model/layer4.expert1.tnsr": "cc473d6db65f71371fa4f68ba8870424c31f55811c78b71e7b112fbc20b00b38",
-    "model/layer4.expert2.tnsr": "dc9714ca6508d8dbd8f319005b718f2fb4257e0725aaccb614af7f7803432e0d",
-    "model/layer4.expert3.tnsr": "e942881b272f8ff0352d2aab8424ccf20e2ef0922faba3431a6053133650be8a",
-    "model/layer4.expert4.tnsr": "f75c27de48a8f963e60e938f7fb9ba508fb1c3ada14ffa85b0f329814de31c07",
-    "model/layer4.expert5.tnsr": "916b856343a5726dd481ac3572bf2a9c9d9d9fa870f4de18e4f97d99e6ef74ec",
-    "model/layer4.expert6.tnsr": "b2363cd58d7bc8edfe2b89c8111b148ca054e6727a035a8799c272b07a89c425",
-    "model/layer4.expert7.tnsr": "0f41a094c4b2718dbdb914120d6be3f9f66ec776e24788cf07a519dab0e1479e",
+    "model/layer4.experts.tnsr": "caa3ca2750207337cdc302c7ea03f44895f5a55dc611fcaa0019c7dcbea56add",
     "model/layer4.router.tnsr": "8655145dc49353208429709e610c04d9b2f186918c77aff6a29e404bd232f1c0",
-    "model/layer5.expert0.tnsr": "b592c31699236846425e7fcec1eb4f699452a91adb9bdebc653f83c03e15e56a",
-    "model/layer5.expert1.tnsr": "f818419355f4cbc282a08588e6fc306e8096e9a32cc93bfbc15d477fdc944f67",
-    "model/layer5.expert2.tnsr": "d224f894881011ad12c8f945b545e8d1a9408aee5a32f9a9887f6b9f778797dc",
-    "model/layer5.expert3.tnsr": "50f96d0283144b499d459ef9546f0ef05ae228e0ea7488803505e82c3f109079",
-    "model/layer5.expert4.tnsr": "fc8db94a1025ec49346b6cf0e724264a2edaed19c14b370fddf1d4c02ab3d6eb",
-    "model/layer5.expert5.tnsr": "04e447b6e6f18298a48ef2eecea14bc8c966c44023c7155a646e82a7d809fde3",
-    "model/layer5.expert6.tnsr": "b755ecf7e1310ef3463f6fef4456bde84c72c1eabab3ae28094fead63e703b40",
-    "model/layer5.expert7.tnsr": "d01b37b7ef4f755a378de8d4f18965ae5c15b4d815157885068c34dfd2d72519",
+    "model/layer5.experts.tnsr": "3b77bbecd88321396d77aa5a8586fcfe5ffc08ed459aa1e14e3c443e84836294",
     "model/layer5.router.tnsr": "47a5e5660ac71c4399b106b670ae4bf4155a1fe11da5f9e96a0ae71f09e2bfbf",
-    "model/model.json": "e45203db70f816589735eab4356d97d0f446653327479fcd25b622e0082a44f0",
+    "model/model.json": "5b33642fdba464bf488c01d2f5b00fc1682e6fc3840830b84b5d392129089b2f",
     "paths1/paths.json": "53b621d2e7ff88b2ff3a3890ad821eb23ca3cfc86849767009574e423b381a56",
     "paths1/sample0005.paths.json": "e66fae29ea369e4a309638184f7b4041cfad498b44a27b92c769f34536e831fd",
     "paths1/sample0015.paths.json": "686b83e163fd1190e613c0f3ec5128418786f77e971723b4ed663bafcd1e9a0d",
@@ -128,6 +91,61 @@ GOLDEN = {
     "pruned1/report.json": "12be44a32ab37116d2f7bf857b8df8ec8eda864ee5d562bfa893ba3f9915f40d",
     "pruned16/mask.json": "480eeefe61f7c28a68938da8ba84f5795624700eaa8d848149d363f72f63b93c",
     "pruned16/report.json": "88a1bbd3a696612e890c418d81bf1d0c86304b71d57f77663c0991f4c32384f1",
+}
+
+# Digests of the per-expert blobs the model directory held before each
+# layer's experts became one blob.  Each slice of layer{l}.experts.tnsr,
+# re-serialized as a 2-D .tnsr of its own, must still match, which keeps the
+# scalar SplitMix64 draws pinned through the format change.
+EXPERT_SLICES = {
+    "layer0.expert0.tnsr": "5cad98429dfbd0b9b3d0546767d2f2d27ea8ab059ac794deb64c84019c70deb2",
+    "layer0.expert1.tnsr": "1ea7b16cd97b3f33803bfa7f0d2c3180037c5127ff2de7c96cc1f34c86d59de3",
+    "layer0.expert2.tnsr": "0624e21a3fd6ab9df64e1e3fb9f5feb39bb272c3b65c36ae333bb8e3dd7912f3",
+    "layer0.expert3.tnsr": "599a4dd6194cf9e79afdda71b296bf65a2371fa22521336d541ce48e76085319",
+    "layer0.expert4.tnsr": "454948938435a10a3782c901f2b27fae28bc50d7c5b54fb276abf9538114802e",
+    "layer0.expert5.tnsr": "679eab3d691ebfcdf082e8c786130414118ced68797e4f640de4276ae8f8d1a9",
+    "layer0.expert6.tnsr": "65060a381413467700aed01759170c22c201c50af98bd443f279a39ca99ad87a",
+    "layer0.expert7.tnsr": "0d59b6b05b49ac96a19eea8e43e2b6feba1a1adb2a26b6d88deb647aadbd6561",
+    "layer1.expert0.tnsr": "9a1f7a37f9fd8b88c0b01fabd8aadce78582af94b23823a2fac70cc2b7d420bf",
+    "layer1.expert1.tnsr": "b131a66fba3da01e855fea81be87aebc67a50414c0660c4f51b879c346deb6b1",
+    "layer1.expert2.tnsr": "391e5c152e723ef58680b89b2f2951840ef6a15478f5d654c45e76bdcdddb89d",
+    "layer1.expert3.tnsr": "d3c3f83e46becdb46504ea459fa6d857b88e1674f637932304d50304d24f2827",
+    "layer1.expert4.tnsr": "11debba526fbfb79a18d71adae236fcf3e660b8a060420986f803bb17448c5aa",
+    "layer1.expert5.tnsr": "c48727a7de7c96377d2ffe1e34a5601477d0e6aeadcb49f4b96d9c95c6e352cb",
+    "layer1.expert6.tnsr": "5643894dd542b2f1253125e25a05cfd3809ae0d1eaa4c2ceda0afd607d6172fc",
+    "layer1.expert7.tnsr": "281975a8a9ca3d24056f5b264e70e12a8de0bdee4cd13a667471050681476cb2",
+    "layer2.expert0.tnsr": "39341dc2df43287dce77991d661d540990b977d7dab6b7c28388384ddc6f303a",
+    "layer2.expert1.tnsr": "2056b4b554d0efde23e314c405e11f2d8c00544a72083db6eb0172923f344cc8",
+    "layer2.expert2.tnsr": "d2c8155490eff194c805a9f65ad3e36ff109363b5f711061a7c439d7d35689bc",
+    "layer2.expert3.tnsr": "a472df3eddb4d0d9af25be86e3eda8f2e79faa83b344218bbb21ba6a50066fb4",
+    "layer2.expert4.tnsr": "acf1960e5f029bdeb8aed7e85ef9b73b19e731e5f1495ab4d72b35bab6fba095",
+    "layer2.expert5.tnsr": "c66faf543d2dd13214cf55266be03c0f98e66b19556b7e4b5b97607b79721277",
+    "layer2.expert6.tnsr": "2c9f4a58e40df355887df93db37e405ccd7f587b6c2d3533a47e4d65608b641e",
+    "layer2.expert7.tnsr": "efe60c0444f89c5dcf6c0a2f51ee5e1cdcd4fd788f6fa45740a3edb8472b04eb",
+    "layer3.expert0.tnsr": "38e50920e5f26c88702525b83367114242d218ffd42aec5e40d3b9e71b25cda3",
+    "layer3.expert1.tnsr": "d68a0f565eea148f8c70214bb99d3fc1ec911c364544851517cd006b08fdff87",
+    "layer3.expert2.tnsr": "6b5bd783d6dd0592d4aa7fa44f98c131ee241149298a91858b9e011476d2256f",
+    "layer3.expert3.tnsr": "b25f97d5579d2e6233398ea5c9ca63589a62cb310fafb761e9cc751d8b3d9270",
+    "layer3.expert4.tnsr": "d3679c84ca5e5dbc226eb4ff576e4f0c5daf3d841212b394a715d5d02a9813ae",
+    "layer3.expert5.tnsr": "dc53cead1f69154de32f3a464fc28cacfabdf5a445fbb24599b37c708f97609f",
+    "layer3.expert6.tnsr": "ef81c5e93f0e7b584ae6173ed310957eae1be51cec5581e161c43f95aabdf18c",
+    "layer3.expert7.tnsr": "b645088274915211f88a9eb82b60da5d188cfc451eb28809dabe07d89169e9f1",
+    "layer4.expert0.tnsr": "50af73ef569217250ac7bfd0a852d7d308e0316f6023c15978ee9d42e49f088d",
+    "layer4.expert1.tnsr": "cc473d6db65f71371fa4f68ba8870424c31f55811c78b71e7b112fbc20b00b38",
+    "layer4.expert2.tnsr": "dc9714ca6508d8dbd8f319005b718f2fb4257e0725aaccb614af7f7803432e0d",
+    "layer4.expert3.tnsr": "e942881b272f8ff0352d2aab8424ccf20e2ef0922faba3431a6053133650be8a",
+    "layer4.expert4.tnsr": "f75c27de48a8f963e60e938f7fb9ba508fb1c3ada14ffa85b0f329814de31c07",
+    "layer4.expert5.tnsr": "916b856343a5726dd481ac3572bf2a9c9d9d9fa870f4de18e4f97d99e6ef74ec",
+    "layer4.expert6.tnsr": "b2363cd58d7bc8edfe2b89c8111b148ca054e6727a035a8799c272b07a89c425",
+    "layer4.expert7.tnsr": "0f41a094c4b2718dbdb914120d6be3f9f66ec776e24788cf07a519dab0e1479e",
+    "layer5.expert0.tnsr": "b592c31699236846425e7fcec1eb4f699452a91adb9bdebc653f83c03e15e56a",
+    "layer5.expert1.tnsr": "f818419355f4cbc282a08588e6fc306e8096e9a32cc93bfbc15d477fdc944f67",
+    "layer5.expert2.tnsr": "d224f894881011ad12c8f945b545e8d1a9408aee5a32f9a9887f6b9f778797dc",
+    "layer5.expert3.tnsr": "50f96d0283144b499d459ef9546f0ef05ae228e0ea7488803505e82c3f109079",
+    "layer5.expert4.tnsr": "fc8db94a1025ec49346b6cf0e724264a2edaed19c14b370fddf1d4c02ab3d6eb",
+    "layer5.expert5.tnsr": "04e447b6e6f18298a48ef2eecea14bc8c966c44023c7155a646e82a7d809fde3",
+    "layer5.expert6.tnsr": "b755ecf7e1310ef3463f6fef4456bde84c72c1eabab3ae28094fead63e703b40",
+    "layer5.expert7.tnsr": "d01b37b7ef4f755a378de8d4f18965ae5c15b4d815157885068c34dfd2d72519",
 }
 
 
@@ -173,5 +191,21 @@ def artifact_digests(tmp) -> dict[str, str]:
     }
 
 
+def expert_slice_digests(model_dir, out_dir) -> dict[str, str]:
+    """sha256 of each expert matrix of each layer, saved as its own .tnsr
+    under the name its blob had in the per-expert file format."""
+    out_dir.mkdir()
+    digests = {}
+    for l in range(6):
+        for i, w in enumerate(load_tensor(model_dir / f"layer{l}.experts.tnsr")):
+            path = out_dir / f"layer{l}.expert{i}.tnsr"
+            save_tensor(path, w)
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def test_planner_artifacts_match_golden_bytes(tmp_path):
-    assert artifact_digests(tmp_path) == GOLDEN
+    run = tmp_path / "run"
+    run.mkdir()
+    assert artifact_digests(run) == GOLDEN
+    assert expert_slice_digests(run / "model", tmp_path / "slices") == EXPERT_SLICES

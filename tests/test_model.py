@@ -451,7 +451,7 @@ def test_save_load_roundtrip_bit_identical(tmp_path):
 def test_load_model_truncated_blob(tmp_path):
     model = gen_model(small_config(), 22)
     save_model(model, tmp_path)
-    blob = tmp_path / "layer1.expert2.tnsr"
+    blob = tmp_path / "layer1.experts.tnsr"
     blob.write_bytes(blob.read_bytes()[:-9])
     with pytest.raises(FormatError, match="unexpected end of tensor payload"):
         load_model(tmp_path)
@@ -461,10 +461,10 @@ def test_load_model_wrong_router_shape_names_layer(tmp_path):
     model = gen_model(small_config(), 23)
     save_model(model, tmp_path)
     manifest = json.loads((tmp_path / "model.json").read_text())
-    # point layer 2's router at an expert blob of the wrong shape
-    manifest["layers"][2]["router"] = "layer0.expert0.tnsr"
+    # point layer 2's router at an experts blob, of the wrong rank
+    manifest["layers"][2]["router"] = "layer0.experts.tnsr"
     (tmp_path / "model.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="layer 2"):
+    with pytest.raises(FormatError, match="layer 2 router blob"):
         load_model(tmp_path)
 
 

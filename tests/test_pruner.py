@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moe_pathfinder.errors import InvariantError
-from moe_pathfinder.model import MoEConfig, gen_data, gen_model, model_forward
+from moe_pathfinder.model import (
+    MoEConfig,
+    gen_data,
+    gen_model,
+    load_model,
+    model_forward,
+    save_model,
+)
 from moe_pathfinder.numerics import Rng
 from moe_pathfinder.planner import PathSet, PrefixPath, random_sample_graph, top_m_paths_dp
 from moe_pathfinder.pruner import (
@@ -264,7 +271,8 @@ def test_apply_mask_all_true_identity():
     model = small_model(1)
     pruned, kept = apply_mask(model, PruneMask(np.ones((3, 4), dtype=bool)))
     assert kept == [[0, 1, 2, 3]] * 3
-    assert pruned.config.layer_expert_counts == (4, 4, 4)
+    assert [len(layer.experts) for layer in pruned.layers] == [4, 4, 4]
+    assert pruned.config == model.config
     for la, lb in zip(model.layers, pruned.layers):
         assert la.router.tobytes() == lb.router.tobytes()
         for wa, wb in zip(la.experts, lb.experts):
@@ -302,6 +310,23 @@ def test_apply_mask_matches_masked_forward():
         a = model_forward(model, x, mask=mask).hidden_states[-1]
         b = model_forward(pruned, x).hidden_states[-1]
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_pruned_model_save_load_roundtrip_uneven_counts(tmp_path):
+    model = small_model(5)
+    keep = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 1]], dtype=bool)
+    pruned, _ = apply_mask(model, PruneMask(keep))
+    save_model(pruned, tmp_path)
+    back = load_model(tmp_path)
+    assert back.config == pruned.config
+    assert [len(layer.experts) for layer in back.layers] == [3, 1, 3]
+    for la, lb in zip(pruned.layers, back.layers):
+        assert la.router.tobytes() == lb.router.tobytes()
+        assert la.experts.tobytes() == lb.experts.tobytes()
+    x = gen_data(model.config, 1, 6, 51)[0]
+    a, b = model_forward(pruned, x), model_forward(back, x)
+    for ha, hb in zip(a.hidden_states, b.hidden_states):
+        assert ha.tobytes() == hb.tobytes()
 
 
 def test_apply_mask_empty_layer_rejected():

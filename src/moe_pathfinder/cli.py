@@ -354,13 +354,16 @@ def cmd_prune(args) -> int:
 
 def _load_unpruned_model(path) -> MoEModel:
     """score, prune and eval index experts on one L x N_e grid, so a model
-    pruned to fewer experts in some layer is a FormatError naming it."""
+    whose layers do not all hold the experts_per_layer of its model.json, as
+    a pruned model's do not, is a FormatError naming both counts."""
     model = load_model(path)
     counts = [len(layer.experts) for layer in model.layers]
-    if set(counts) != {model.config.experts_per_layer}:
+    n = model.config.experts_per_layer
+    if set(counts) != {n}:
         raise FormatError(
-            f"model {path} is pruned to {counts} experts per layer; "
-            "score, prune and eval need an unpruned model"
+            f"model {path} holds {counts} experts per layer, but "
+            f"{os.path.join(path, 'model.json')} lists experts_per_layer {n}; "
+            "score, prune and eval need an unpruned model, with that many in every layer"
         )
     return model
 

@@ -290,11 +290,11 @@ def _parse_model_manifest(manifest) -> tuple[MoEConfig, list[tuple[str, str]]]:
 
 
 def load_model(dirpath) -> MoEModel:
-    """Each layer's expert count n is its router's row count: the experts
-    blob must be n x d x d with 1 <= n <= experts_per_layer."""
-    config, blobs = load_json(
-        os.path.join(dirpath, "model.json"), "model manifest", _parse_model_manifest
-    )
+    """Each layer's expert count n is its router's row count: the router
+    must be n x d and the experts blob n x d x d, with d the hidden_dim and
+    1 <= n <= experts_per_layer that model.json lists."""
+    manifest = os.path.join(dirpath, "model.json")
+    config, blobs = load_json(manifest, "model manifest", _parse_model_manifest)
     d, n_max = config.hidden_dim, config.experts_per_layer
     layers = []
     for l, (router_blob, experts_blob) in enumerate(blobs):
@@ -303,14 +303,20 @@ def load_model(dirpath) -> MoEModel:
         n = router.shape[0] if router.ndim else 0
         if router.shape != (n, d):
             raise FormatError(
-                f"{path}: layer {l} router blob has shape {router.shape}, expected (n, {d})"
+                f"{path}: layer {l} router blob has shape {router.shape}, expected (n, {d}) "
+                f"for the hidden_dim {d} that {manifest} lists"
             )
         path = os.path.join(dirpath, experts_blob)
         experts = load_tensor(path)
-        if experts.shape != (n, d, d) or not 1 <= n <= n_max:
+        if experts.shape != (n, d, d):
             raise FormatError(
                 f"{path}: layer {l} experts blob has shape {experts.shape}, expected "
-                f"({n}, {d}, {d}) to match the router, with 1 to {n_max} experts"
+                f"({n}, {d}, {d}) to match the router"
+            )
+        if not 1 <= n <= n_max:
+            raise FormatError(
+                f"{path}: layer {l} holds {n} experts, but {manifest} lists "
+                f"experts_per_layer {n_max}, and a layer holds 1 to that many"
             )
         layers.append(MoELayer(experts=experts, router=router))
     return MoEModel(config=config, layers=layers)

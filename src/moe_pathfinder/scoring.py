@@ -10,8 +10,8 @@ activation x next-layer routing preference, so a path's log weight splits
 into one score per expert: its clamped log importance, plus its clamped log
 activation toward the next layer, plus its clamped log routing preference
 from the previous one.  A graph holds the four per-layer vectors and these
-per-node scores; a graph file stores only the vectors, and loading
-recomputes the scores.
+per-node scores; a graph file is the vectors alone, one (L, 4, N_e) `.tnsr`
+blob, and loading recomputes the scores.
 
 Everything is computed for all experts, routed-to or not, from one forward
 pass per block of stacked samples (model.sample_blocks): each layer's
@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FormatError
 from .model import MoEModel, SampleBatch, layer_states, sample_blocks
-from .numerics import as_index, load_json, save_json, softmax_rows
+from .numerics import load_tensor, save_tensor, softmax_rows
 
 LOG_CLAMP = 1e-300
 _GRAPH_FIELDS = ("activation", "routing", "recon_loss", "importance")
@@ -154,51 +155,30 @@ def graph_from_scores(
 
 
 def save_graph(graph: SampleGraph, dirpath, stem: str) -> str:
-    """Write `{stem}.json` with the per-layer score vectors; returns its
+    """Write `{stem}.tnsr`, the graph's (L, 4, N_e) score array; returns its
     filename.  Node scores are not stored: they are rebuilt on load."""
     os.makedirs(dirpath, exist_ok=True)
-    obj = {
-        "num_layers": graph.num_layers,
-        "experts_per_layer": graph.experts_per_layer,
-        "layers": [dict(zip(_GRAPH_FIELDS, layer.tolist())) for layer in graph.scores],
-    }
-    name = f"{stem}.json"
-    save_json(os.path.join(dirpath, name), obj)
+    name = f"{stem}.tnsr"
+    save_tensor(os.path.join(dirpath, name), graph.scores)
     return name
 
 
-def _parse_scores(obj) -> np.ndarray:
-    L = as_index(obj["num_layers"], "num_layers", 1)
-    n = as_index(obj["experts_per_layer"], "experts_per_layer", 1)
-    layers = obj["layers"]
-    if len(layers) != L:
-        raise ValueError(
-            f"{len(layers)} layers listed, num_layers is {L}, experts_per_layer is {n}"
-        )
-    # one (L, 4, n) array; a vector that is not n numbers counts as not finite
-    v = np.array([[_vector_or_nan(e[field], n) for field in _GRAPH_FIELDS] for e in layers])
+def load_graph(dirpath, name: str) -> SampleGraph:
+    """Read a graph written by save_graph: an (L, 4, N_e) blob with no zero
+    dimension, every entry nonnegative and routing's at most 1.  The node
+    scores are recomputed by graph_from_scores, as score_samples computes
+    them, so the rebuilt graph is bit-identical to the one saved."""
+    path = os.path.join(dirpath, name)
+    scores = load_tensor(path)
+    if scores.ndim != 3 or scores.shape[1] != len(_GRAPH_FIELDS) or 0 in scores.shape:
+        raise FormatError(f"graph {path} has shape {scores.shape}, expected (L, 4, N_e)")
     # every vector is nonnegative by construction and routing is a mean of
     # probabilities; importance is not bounded by 1 at the last layer
     hi = np.array([1.0 if field == "routing" else np.inf for field in _GRAPH_FIELDS])
-    finite = np.isfinite(v).all(axis=2)
-    bad = ~finite | ~((v >= 0.0) & (v <= hi[:, None])).all(axis=2)
+    bad = ~((scores >= 0.0) & (scores <= hi[:, None])).all(axis=2)
     if bad.any():
         l, f = np.argwhere(bad)[0]  # the first in file order
-        field = _GRAPH_FIELDS[f]
-        if not finite[l, f]:
-            raise ValueError(f"layer {l} field {field!r} must hold {n} finite numbers")
-        raise ValueError(f"layer {l} field {field!r} must lie in [0, {hi[f]:g}]")
-    return v
-
-
-def _vector_or_nan(x, n: int) -> np.ndarray:
-    v = np.array(x, dtype=np.float64)
-    return v if v.shape == (n,) else np.full(n, np.nan)
-
-
-def load_graph(dirpath, name: str) -> SampleGraph:
-    """Read a graph written by save_graph.  Every per-layer vector must hold
-    experts_per_layer finite nonnegative numbers, routing's at most 1; the
-    node scores are recomputed by graph_from_scores, as score_sample
-    computes them, so the rebuilt graph is bit-identical to the one saved."""
-    return graph_from_scores(load_json(os.path.join(dirpath, name), "graph", _parse_scores))
+        raise FormatError(
+            f"graph {path}: layer {l} field {_GRAPH_FIELDS[f]!r} must lie in [0, {hi[f]:g}]"
+        )
+    return graph_from_scores(scores)

@@ -55,9 +55,11 @@ def test_pipeline_end_to_end(pipeline, capsys):
     ) == 0
     index = json.loads((graphs / "graphs.json").read_text())
     assert len(index["samples"]) == 4
+    blob = Path(index["samples"][0]["graph"])
+    assert blob.suffix == ".tnsr" and load_tensor(graphs / blob).shape == (3, 4, 4)
 
     assert run_cli("plan", "--graphs", graphs, "--m", 2, "-o", paths) == 0
-    first = json.loads((paths / index["samples"][0]["graph"].replace(".json", ".paths.json")).read_text())
+    first = json.loads((paths / f"{blob.stem}.paths.json").read_text())
     assert first["m"] == 2
     assert all(len(p["experts"]) == 3 for p in first["paths"])
 
@@ -146,18 +148,23 @@ def test_missing_data_is_format_error(tmp_path):
                    "-o", tmp_path / "c.json") == 2
 
 
-@pytest.mark.parametrize("activation", [[1.0, 2.0], [float("nan"), 1.0, 1.0, 1.0]])
+# layer 1's activation vector with a NaN entry, or the activation field
+# dropped from every layer, which leaves a blob of 3 fields
+@pytest.mark.parametrize("activation", [[float("nan"), 1.0, 1.0, 1.0], []])
 def test_plan_rejects_malformed_graph_vector(pipeline, capsys, activation):
     tmp, model, data = pipeline
     graphs = tmp / "graphs"
     run_cli("score", "--model", model, "--data", data, "-o", graphs)
-    graph_file = graphs / "sample0003.json"
-    obj = json.loads(graph_file.read_text())
-    obj["layers"][1]["activation"] = activation
-    graph_file.write_text(json.dumps(obj))
+    graph_file = graphs / "sample0003.tnsr"
+    scores = load_tensor(graph_file)
+    if activation:
+        scores[1, 0] = activation
+    else:
+        scores = scores[:, 1:]
+    save_tensor(graph_file, scores)
     assert run_cli("plan", "--graphs", graphs, "--m", 2, "-o", tmp / "paths") == 2
     err = capsys.readouterr().err
-    assert str(graph_file) in err and "'activation'" in err
+    assert str(graph_file) in err and "Traceback" not in err
 
 
 def test_prune_rejects_truncated_path_set(pipeline, capsys):
@@ -258,10 +265,8 @@ def test_calibration_score_plans_the_paths_of_a_full_score(tmp_path):
         runs[name] = (graphs, paths)
     for i in ids:
         (gc, pc), (gf, pf) = runs["calib"], runs["full"]
-        a, b = (json.loads((g / f"sample{i:04d}.json").read_text())["layers"] for g in (gc, gf))
-        np.testing.assert_allclose(
-            [list(e.values()) for e in a], [list(e.values()) for e in b], rtol=1e-12, atol=0
-        )
+        a, b = (load_tensor(g / f"sample{i:04d}.tnsr") for g in (gc, gf))
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
         a, b = (load_pathset(p / f"sample{i:04d}.paths.json") for p in (pc, pf))
         assert [p.experts for p in a.paths] == [p.experts for p in b.paths]
 
@@ -378,9 +383,45 @@ def _edit(fn):
     return apply
 
 
+GRAPH_FIELDS = ("activation", "routing", "recon_loss", "importance")
+
+
+def _naming(*texts, corrupt):
+    # corrupt, and the error must also hold each of texts
+    def apply(p):
+        corrupt(p)
+
+    apply.names = texts
+    return apply
+
+
 def _graph_entry(field, value):
-    # sets the first expert's entry of one layer's score vector
-    return _edit(lambda o: o["layers"][1][field].__setitem__(0, value))
+    # sets the first expert's entry of layer 1's score vector for field
+    def apply(p):
+        scores = load_tensor(p)
+        scores[1, GRAPH_FIELDS.index(field), 0] = value
+        save_tensor(p, scores)
+
+    return _naming(f"layer 1 field '{field}'", corrupt=apply)
+
+
+def _old_graph_layout(p):
+    # every graph as the JSON file it was before graphs became blobs, and
+    # graphs.json listing those files
+    for blob in p.parent.glob("sample*.tnsr"):
+        scores = load_tensor(blob)
+        blob.with_suffix(".json").write_text(json.dumps({
+            "num_layers": scores.shape[0],
+            "experts_per_layer": scores.shape[2],
+            "layers": [dict(zip(GRAPH_FIELDS, layer.tolist())) for layer in scores],
+        }))
+        blob.unlink()
+    index = p.parent / "graphs.json"
+    index.write_text(index.read_text().replace(".tnsr", ".json"))
+
+
+def _model_config(**fields):
+    return _edit(lambda o: o["config"].update(fields))
 
 
 def _nan_last_entry(p):
@@ -516,17 +557,35 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("paths/paths.json", _edit(lambda o: o["samples"].append(o["samples"][1])),
                      "heatmap --paths paths -o h.csv", id="path-index-id-repeated"),
         # graph score vectors are nonnegative, and routing preferences at most 1
-        pytest.param("graphs/sample{first}.json", _graph_entry("routing", -1.0),
+        pytest.param("graphs/sample{first}.tnsr", _graph_entry("routing", -1.0),
                      "plan --graphs graphs --m 2 -o p2", id="graph-routing-negative"),
-        pytest.param("graphs/sample{first}.json", _graph_entry("routing", 1.5),
+        pytest.param("graphs/sample{first}.tnsr", _graph_entry("routing", 1.5),
                      "prune --graphs graphs --target-retention 0.5 -o pr2",
                      id="graph-routing-above-1"),
-        pytest.param("graphs/sample{first}.json", _graph_entry("recon_loss", -3.0),
+        pytest.param("graphs/sample{first}.tnsr", _graph_entry("recon_loss", -3.0),
                      "plan --graphs graphs --m 2 -o p2", id="graph-recon-loss-negative"),
-        pytest.param("graphs/sample{first}.json", _graph_entry("activation", -0.5),
+        pytest.param("graphs/sample{first}.tnsr", _graph_entry("activation", -0.5),
                      "prune --graphs graphs --m 1 -o pr2", id="graph-activation-negative"),
-        pytest.param("graphs/sample{first}.json", _graph_entry("importance", -1e-9),
+        pytest.param("graphs/sample{first}.tnsr", _graph_entry("importance", -1e-9),
                      "plan --graphs graphs --m 2 -o p2", id="graph-importance-negative"),
+        # a graph directory written before graphs became blobs; rerunning
+        # score rewrites it
+        pytest.param("graphs/sample{first}.json", _old_graph_layout,
+                     "plan --graphs graphs --m 2 -o p2", id="graph-json-layout"),
+        # model.json and the blobs disagree: the error names model.json and
+        # both numbers
+        pytest.param("model/model.json",
+                     _naming("[4, 4, 4]", "experts_per_layer 1000000",
+                             corrupt=_model_config(experts_per_layer=10**6)),
+                     SCORE, id="model-experts-per-layer-above-blobs"),
+        pytest.param("model/model.json",
+                     _naming("4 experts", "experts_per_layer 2",
+                             corrupt=_model_config(experts_per_layer=2)),
+                     SCORE, id="model-experts-per-layer-below-blobs"),
+        pytest.param("model/model.json",
+                     _naming("(4, 8)", "hidden_dim 1000000",
+                             corrupt=_model_config(hidden_dim=10**6)),
+                     SCORE, id="model-hidden-dim-disagrees"),
         pytest.param("pruned/pruned-model", _pruned_model,
                      "score --model pruned/pruned-model --data data -o g2", id="pruned-model-score"),
         pytest.param("pruned/pruned-model", _pruned_model,
@@ -554,6 +613,7 @@ def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
     assert run_cli(*argv.split()) == 2
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+    assert all(text in err for text in getattr(corrupt, "names", ())), err
     argv = argv.split()
     assert not (staged / argv[argv.index("-o") + 1]).exists()
 
@@ -685,7 +745,6 @@ READERS = [
     ("data/data.json", "calibrate --data data --k 4 --seed 9 -o out/calib.json"),
     ("calib.json", "score --model model --data data --calibration calib.json -o out"),
     ("graphs/graphs.json", "plan --graphs graphs --m 3 -o out"),
-    ("graphs/sample{first}.json", "plan --graphs graphs --m 3 -o out"),
     ("paths/paths.json", "prune --paths paths -o out"),
     ("paths/sample{first}.paths.json", "heatmap --paths paths --outliers outliers.json -o out/h.csv"),
     ("outliers.json", "heatmap --paths paths --outliers outliers.json -o out/h.csv"),
@@ -757,10 +816,13 @@ def test_damaged_artifact_is_exit_0_identical_or_exit_2_named(staged, capsys, da
     _assert_identical_or_named(staged, capsys, name, argv, corrupt)
 
 
-# the .tnsr blobs score reads: each layer's router and experts, and the tokens
+# (.tnsr blob, the stage that reads it): each layer's router and experts,
+# the tokens, and one sample graph
 BLOBS = [
-    *(f"model/layer{l}.{kind}.tnsr" for l in range(3) for kind in ("router", "experts")),
-    "data/tokens.tnsr",
+    *((f"model/layer{l}.{kind}.tnsr", "score --model model --data data -o out")
+      for l in range(3) for kind in ("router", "experts")),
+    ("data/tokens.tnsr", "score --model model --data data -o out"),
+    ("graphs/sample{first}.tnsr", "plan --graphs graphs --m 3 -o out"),
 ]
 
 
@@ -768,13 +830,14 @@ BLOBS = [
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_tnsr_header_bit_flip_is_exit_0_identical_or_exit_2_named(staged, capsys, data):
-    name = data.draw(st.sampled_from(BLOBS))
+    name, argv = data.draw(st.sampled_from(BLOBS))
+    name = name.format(first=_first_id(staged))
     raw = bytearray((staged / name).read_bytes())
     (rank,) = struct.unpack_from("<I", raw, 5)
     # header: magic, version byte, u32 rank, one u32 per dimension
     bit = data.draw(st.integers(0, 8 * (9 + 4 * rank) - 1))
     raw[bit // 8] ^= 1 << (bit % 8)
-    _assert_identical_or_named(staged, capsys, name, "score --model model --data data -o out",
+    _assert_identical_or_named(staged, capsys, name, argv,
                                lambda work: (work / name).write_bytes(raw))
 
 

@@ -1,7 +1,7 @@
 """Golden artifact bytes for the README pipeline and one desk comparison seed.
 
 The digests pin the generated model and data blobs with their JSON indexes,
-the calibration set, the graph files, path sets, masks, reports, heatmaps
+the calibration set, the graph blobs, path sets, masks, reports, heatmaps
 and comparison rows.  The generator and calibration digests were taken
 before the PRNG drew its arrays in numpy, so they hold every draw of the
 scalar SplitMix64 loop to its bytes.  The mask, report, heatmap, eval and comparison digests
@@ -25,7 +25,11 @@ digest held.  When a layer's experts became one blob, the 48 per-expert
 blob digests gave way to six layer{l}.experts.tnsr digests and model.json
 was re-captured; each new blob's payload is its layer's eight old payloads
 in order, and the old digests still pin each expert matrix through
-EXPERT_SLICES.  The digests hold on x86-64 with numpy's
+EXPERT_SLICES.  When each sample graph became one (L, 4, N_e) blob, the
+eight graph JSON digests gave way to eight sample{i}.tnsr digests and
+graphs.json, which now lists the blobs, was re-captured; every float is
+unchanged, and the old digests still pin each graph through GRAPH_JSON.
+The digests hold on x86-64 with numpy's
 bundled OpenBLAS, with one BLAS thread or two; another BLAS may round the
 model's matrix products differently and move every float.
 """
@@ -33,7 +37,7 @@ model's matrix products differently and move every float.
 import hashlib
 
 from moe_pathfinder.cli import main
-from moe_pathfinder.numerics import load_tensor, save_tensor
+from moe_pathfinder.numerics import load_tensor, save_json, save_tensor
 
 GOLDEN = {
     "calib.json": "549c397a55e7f42175457405989ffe13b3e99d0e5183432dec8ea9aff5671dd1",
@@ -43,15 +47,15 @@ GOLDEN = {
     "data/data.json": "c21b57d401bf60c88b5fbcac2c43a1111c4aa54bc79218e390b91da3f888d460",
     "data/tokens.tnsr": "d51047174ba2195eee126c70a366321ab4abb742f163f108ef3da6125247cffa",
     "eval.json": "09fc01fe006060161f4fc1e735f0555c41ac04d89af1158789668969475a9db7",
-    "graphs/graphs.json": "339dc1671888604387163ec906e1a3cbd394cec06c9d01b3cc17903ae0285938",
-    "graphs/sample0005.json": "66865df6cd3635d24507a0e3a5a370e1db8aab64a79592e609967b53a21b5009",
-    "graphs/sample0015.json": "ffc3b8e650d17143d528a59926fdd7e24ca285a84e626bad108838dadf9ef6e1",
-    "graphs/sample0021.json": "9e861f3023e2db57c3fef71e1bbe7f8ff4e6d715549b0225cf43308b7733bf31",
-    "graphs/sample0032.json": "b9755ca2f712c888c0a5bc98d62a28918e0107cc910c7bfa5faba3009033a4b5",
-    "graphs/sample0036.json": "8766c73db6d1fcd7da8843d34fa0c568ecb36debf960b9dc06b29b95bed4f192",
-    "graphs/sample0041.json": "e03811effa3b636c52c6ba2612ddeb79930ba4096b85d6985964ad651666fec3",
-    "graphs/sample0050.json": "aef45ae198fa67011426ea9932950f2609a08e95bfd2162ce5c444df14004cb5",
-    "graphs/sample0063.json": "3758ac9476f8f9a651a889e48b73cb278379dba48801ed8143bf9280cfc28611",
+    "graphs/graphs.json": "8507744f1b7ee46c9d59aa34650d82a2641c981665bc1ba946d7f29d13107798",
+    "graphs/sample0005.tnsr": "26e26b3d200c1838cdde0918939329eb058e66df1ded521a334f396bca7f1be5",
+    "graphs/sample0015.tnsr": "54e6edc10ea97dd28ab3f0745014095589dd348ff0376860d60e11b5490175da",
+    "graphs/sample0021.tnsr": "893029e4309661535a4453eeace41d403253eda98ad13b21627b4616db37f86a",
+    "graphs/sample0032.tnsr": "876a7feac6fb06046a6cef8bf2fc9c9739e309fa00911f8c3280c8f6a46e9506",
+    "graphs/sample0036.tnsr": "3efa1f37d161ea0af2300f51e39bd3ac39abe1213f68c87e6f9d892c8ec8b2a7",
+    "graphs/sample0041.tnsr": "3c0224f9344b438de8e4a820afeef4513a7938b58194f6f560916896ce95f643",
+    "graphs/sample0050.tnsr": "6f01c4e1838754c6a9c1f1c26f7a0b8a7518f77f9ea07ebb472e94704b87651d",
+    "graphs/sample0063.tnsr": "de8155f210ebcb84d0beec9aa3095f33e7026195de2343f2d9c9f0837f7ddce7",
     "heatmap1.csv": "ffec49c1c3aa4b1bd1393da2a98ca7c0ac0779f0835d089f9f653d06b6474c75",
     "heatmap16.csv": "0323e3978ef5869bca6e6ded95b73f1f72b909ff2353bebaaf40cebb220b2113",
     "model/layer0.experts.tnsr": "f39bfd68519df65449daf6b2884421a869a719173d38c5cf74c019c3b6e98220",
@@ -148,6 +152,22 @@ EXPERT_SLICES = {
     "layer5.expert7.tnsr": "d01b37b7ef4f755a378de8d4f18965ae5c15b4d815157885068c34dfd2d72519",
 }
 
+# Digests of the JSON files each sample graph was before it became one blob:
+# per layer a dict of its four vectors, under its num_layers and
+# experts_per_layer.  Each graph blob, re-serialized in that layout, must
+# still match, so every graph float stays pinned through the format change.
+GRAPH_JSON = {
+    "sample0005.json": "66865df6cd3635d24507a0e3a5a370e1db8aab64a79592e609967b53a21b5009",
+    "sample0015.json": "ffc3b8e650d17143d528a59926fdd7e24ca285a84e626bad108838dadf9ef6e1",
+    "sample0021.json": "9e861f3023e2db57c3fef71e1bbe7f8ff4e6d715549b0225cf43308b7733bf31",
+    "sample0032.json": "b9755ca2f712c888c0a5bc98d62a28918e0107cc910c7bfa5faba3009033a4b5",
+    "sample0036.json": "8766c73db6d1fcd7da8843d34fa0c568ecb36debf960b9dc06b29b95bed4f192",
+    "sample0041.json": "e03811effa3b636c52c6ba2612ddeb79930ba4096b85d6985964ad651666fec3",
+    "sample0050.json": "aef45ae198fa67011426ea9932950f2609a08e95bfd2162ce5c444df14004cb5",
+    "sample0063.json": "3758ac9476f8f9a651a889e48b73cb278379dba48801ed8143bf9280cfc28611",
+}
+GRAPH_FIELDS = ("activation", "routing", "recon_loss", "importance")
+
 
 def run_cli(*args):
     assert main([str(a) for a in args]) == 0
@@ -182,8 +202,7 @@ def artifact_digests(tmp) -> dict[str, str]:
         p for p in wanted
         if p.suffix == ".csv" or p.name in ("mask.json", "report.json", "eval.json")
         or p.name.endswith(".paths.json") or p.name == "paths.json"
-        or (p.parent.name == "graphs" and p.suffix == ".json")
-        or p.parent.name in ("model", "data") or p.name == "calib.json"
+        or p.parent.name in ("model", "data", "graphs") or p.name == "calib.json"
     ]
     return {
         p.relative_to(tmp).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -204,8 +223,26 @@ def expert_slice_digests(model_dir, out_dir) -> dict[str, str]:
     return digests
 
 
+def graph_json_digests(graphs_dir, out_dir) -> dict[str, str]:
+    """sha256 of each graph blob, saved in the JSON layout of graph files
+    before they became blobs, under the name that file had."""
+    out_dir.mkdir()
+    digests = {}
+    for blob in sorted(graphs_dir.glob("sample*.tnsr")):
+        scores = load_tensor(blob)
+        path = out_dir / f"{blob.stem}.json"
+        save_json(path, {
+            "num_layers": scores.shape[0],
+            "experts_per_layer": scores.shape[2],
+            "layers": [dict(zip(GRAPH_FIELDS, layer.tolist())) for layer in scores],
+        })
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def test_planner_artifacts_match_golden_bytes(tmp_path):
     run = tmp_path / "run"
     run.mkdir()
     assert artifact_digests(run) == GOLDEN
     assert expert_slice_digests(run / "model", tmp_path / "slices") == EXPERT_SLICES
+    assert graph_json_digests(run / "graphs", tmp_path / "graph-json") == GRAPH_JSON

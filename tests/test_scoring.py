@@ -14,7 +14,8 @@ from moe_pathfinder.model import (
     route,
 )
 from moe_pathfinder.harness import ExperimentConfig, experiment_data, experiment_model
-from moe_pathfinder.numerics import softmax_rows
+from moe_pathfinder.errors import FormatError
+from moe_pathfinder.numerics import load_tensor, save_tensor, softmax_rows
 from moe_pathfinder.scoring import (
     LOG_CLAMP,
     activation_strength,
@@ -373,11 +374,19 @@ def test_graph_save_load_roundtrip(tmp_path):
     model = gen_model(cfg, 24)
     graph = score_sample(model, gen_data(cfg, 1, 4, 25)[0])
     name = save_graph(graph, tmp_path, "sample0000")
-    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert [p.name for p in tmp_path.iterdir()] == [name] == ["sample0000.tnsr"]
+    assert load_tensor(tmp_path / name).tobytes() == graph.scores.tobytes()
     back = load_graph(tmp_path, name)
     assert back.num_layers == graph.num_layers
     assert back.scores.tobytes() == graph.scores.tobytes()
     assert back.node_scores.tobytes() == graph.node_scores.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 3), (3, 4, 0), (3, 3, 3), (3, 4), (2, 3, 4, 3)])
+def test_load_graph_rejects_a_blob_not_l_by_4_by_n_e(tmp_path, shape):
+    save_tensor(tmp_path / "g.tnsr", np.full(shape, 0.5))
+    with pytest.raises(FormatError, match="g.tnsr has shape"):
+        load_graph(tmp_path, "g.tnsr")
 
 
 def per_layer_node_scores(scores, use_importance=True, use_transition=True):

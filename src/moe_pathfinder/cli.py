@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -515,7 +515,10 @@ COMPARE_FLAGS = (
 )
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parse_args keeps no state
+    between calls, so every call of main parses as a fresh parser would."""
     parser = _Parser(prog="moe-pathfinder", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

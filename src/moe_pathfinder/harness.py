@@ -168,10 +168,15 @@ def random_mask(
     num_layers: int, experts_per_layer: int, retention_fraction: float, seed: int
 ) -> PruneMask:
     """Layer-uniform baseline: each layer keeps ceil(fraction * N_e) experts
-    drawn uniformly without replacement."""
+    drawn uniformly without replacement.  A product within 1e-9 of an
+    integer counts as that integer, so a fraction read off a kept count
+    (0.28 of 25 is 7.000000000000001 in floats) keeps 7, not 8."""
     if not (0.0 < retention_fraction <= 1.0):
         raise ValueError("retention_fraction must be in (0, 1]")
-    per_layer = max(1, int(np.ceil(retention_fraction * experts_per_layer)))
+    share = retention_fraction * experts_per_layer
+    if abs(share - round(share)) <= 1e-9:
+        share = round(share)
+    per_layer = max(1, math.ceil(share))
     rng = Rng(seed)
     keep = np.zeros((num_layers, experts_per_layer), dtype=bool)
     for l in range(num_layers):

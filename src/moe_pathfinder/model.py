@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import FormatError, InvariantError
 from .numerics import (
-    Rng, as_index, load_json, load_tensor, save_json, save_tensor, softmax_rows,
+    Rng, as_index, load_json, load_tensor, pairwise_sum, save_json, save_tensor,
+    softmax_rows,
 )
 
 NONLINEARITIES = ("none", "tanh")
@@ -114,20 +115,33 @@ def layer_forward(
     expert_outputs.
 
     Returns (output, selected, probs, outs): selected is n_tokens x k' of
-    sorted expert indices, probs the n_tokens x N_e softmax the gates came
-    from, and outs every expert's output, as expert_outputs stacks them.
+    sorted expert indices, probs the C-contiguous n_tokens x N_e softmax the
+    gates came from, and outs every expert's output, as expert_outputs
+    stacks them.
+
+    Each step is a few vector operations over all tokens: k' rounds of a
+    row argmax pick the top-k', and argmax takes the first of equal maxima,
+    so equal probabilities resolve to the lower index, as a stable argsort
+    of -probs ranks them.  The gates sum in numpy's row-sum order
+    (pairwise_sum), so no float differs from the per-row form.
     """
     probs = softmax_rows(h @ layer.router.T)
-    k = min(top_k, len(layer.experts))
+    T, n = probs.shape
+    k = min(top_k, n)
 
-    # stable argsort on -probs: equal probabilities resolve to the lower index
-    order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-    selected = np.sort(order, axis=1)
-    gates = np.take_along_axis(probs, selected, axis=1)
-    gates = gates / gates.sum(axis=1, keepdims=True)
+    # each round marks one pick per token below every probability
+    picked = probs.copy()
+    tokens = np.arange(T)
+    starts = tokens * n  # flat index of each token's expert 0
+    for _ in range(k):
+        picked.ravel()[starts + picked.argmax(axis=1)] = -1.0
+    flat = np.flatnonzero(picked < 0).reshape(T, k)  # each token's picks, ascending
+    selected = flat - starts[:, None]
+    gates = probs.ravel()[flat]
+    gates /= pairwise_sum(gates.T)[:, None]
 
     outs = expert_outputs(layer, h)
-    mixed = outs[selected, np.arange(h.shape[0])[:, None]]
+    mixed = np.take(outs.reshape(n * T, h.shape[1]), selected * T + tokens[:, None], axis=0)
     return np.einsum("tk,tkd->td", gates, mixed), selected, probs, outs
 
 

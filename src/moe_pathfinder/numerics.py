@@ -107,12 +107,46 @@ def strict(fn, *args):
         return fn(*args)
 
 
+def pairwise_sum(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ... elementwise, added in the order numpy's
+    pairwise summation adds the terms of one contiguous row: one by one
+    from 0 under 8 terms, in 8 running sums combined pairwise from 8 to 128,
+    split in halves at a multiple of 8 above that.  So summing the columns
+    of a transposed array is bit-identical to `a.sum(axis=1)`, as vector
+    operations over the rows instead of one short reduction per row."""
+    n = len(rows)
+    if n < 8:
+        total = rows[0] + 0.0
+        for row in rows[1:]:
+            total += row
+        return total
+    if n <= 128:
+        acc = rows[:8].copy()
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            acc += rows[i:i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in rows[tail:]:
+            total += row
+        return total
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(rows[:half]) + pairwise_sum(rows[half:])
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax; -inf entries are allowed and get weight 0."""
-    logits = np.asarray(logits, dtype=np.float64)
-    m = np.max(logits, axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise stable softmax of T x n logits; -inf entries are allowed
+    and get weight 0.
+
+    Each step runs on the n x T transpose as a vector operation over all T
+    rows at once, not as one n-wide reduction per row; the sum is
+    pairwise_sum.  Each row's max, exp, sum and quotient are bit for bit
+    those of the row-wise form `e = exp(x - x.max(axis=1)); e / e.sum(axis=1)`.
+    Returns a C-contiguous T x n array."""
+    e = np.asarray(logits, dtype=np.float64).T.copy()
+    e -= e.max(axis=0)
+    np.exp(e, out=e)
+    e /= pairwise_sum(e)
+    return e.T.copy()
 
 
 def save_tensor(path, arr: np.ndarray) -> None:

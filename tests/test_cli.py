@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from moe_pathfinder.cli import load_data, main
+from moe_pathfinder.cli import build_parser, load_data, main
 from moe_pathfinder.model import MoEConfig, gen_model, save_model
 from moe_pathfinder.numerics import load_tensor, save_tensor
 from moe_pathfinder.planner import load_pathset
@@ -141,6 +141,26 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def test_unknown_command_is_usage_error():
     assert run_cli("frobnicate") == 1
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
+    parser = build_parser()
+    assert build_parser() is parser
+    model, data = tmp_path / "model", tmp_path / "data"
+    stages = [
+        ["gen-model", "--layers", 3, "--experts", 4, "--dim", 8, "--topk", 2, "--seed", 7,
+         "-o", model],
+        ["gen-data", "--model", model, "--samples", 4, "--tokens", 5, "--seed", 8, "-o", data],
+    ]
+    argvs = [[str(a) for a in argv] for argv in stages]
+    assert main(argvs[0]) == 0
+    # a usage error in between leaves nothing behind for the next stage
+    assert main(["gen-data", "--model", str(model), "--samples", "0", "-o", str(data)]) == 1
+    assert "--samples" in capsys.readouterr().err
+    assert main(argvs[1]) == 0
+    assert [x.tokens.shape for x in load_data(data)] == [(5, 8)] * 4
+    for argv in argvs:
+        assert vars(parser.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
 
 
 def test_missing_data_is_format_error(tmp_path):

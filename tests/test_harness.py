@@ -51,6 +51,14 @@ def test_random_mask_min_fraction_one_per_layer():
     assert np.array_equal(mask.keep.sum(axis=1), np.ones(6))
 
 
+def test_random_mask_keeps_the_count_a_kept_fraction_names():
+    # 28 of 4 x 25 kept is 0.28, and 0.28 * 25 is 7.000000000000001 in floats
+    for seed in range(5):
+        assert random_mask(4, 25, 0.28, seed).keep.sum(axis=1).tolist() == [7] * 4
+    # a product that is not an integer still rounds up
+    assert random_mask(2, 10, 0.25, seed=0).keep.sum(axis=1).tolist() == [3, 3]
+
+
 def test_random_mask_seed_deterministic():
     a = random_mask(5, 6, 0.5, seed=42)
     b = random_mask(5, 6, 0.5, seed=42)

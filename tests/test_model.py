@@ -181,6 +181,69 @@ def test_layer_forward_matches_per_expert_gather_loop_on_random_layers():
             _assert_kernel_matches_loop(layer, h, top_k)
 
 
+def row_wise_layer_forward(layer, h, top_k):
+    """layer_forward as it was before routing ran along the token axis: a
+    softmax, a stable argsort, a sort and a gate sum per token row."""
+    logits = h @ layer.router.T
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    k = min(top_k, len(layer.experts))
+    order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    selected = np.sort(order, axis=1)
+    gates = np.take_along_axis(probs, selected, axis=1)
+    gates = gates / gates.sum(axis=1, keepdims=True)
+    outs = expert_outputs(layer, h)
+    mixed = outs[selected, np.arange(h.shape[0])[:, None]]
+    return np.einsum("tk,tkd->td", gates, mixed), selected, probs, outs
+
+
+def _random_router(rng, n, d):
+    router = rng.uniform(-1.0, 1.0, (n, d))
+    kind = rng.integers(4)
+    if kind == 1:  # two twin rows: their probabilities tie exactly
+        router[rng.integers(n)] = router[rng.integers(n)]
+    elif kind == 2:  # every probability ties
+        router[:] = 0.0
+    elif kind == 3:  # the first half all alike
+        router[: (n + 1) // 2] = router[0]
+    return router
+
+
+def test_layer_forward_is_bit_identical_to_the_row_wise_kernel():
+    rng = np.random.default_rng(23)
+    shapes = [(40, 4, 1024), (1, 3, 7), (8, 5, 0)]
+    shapes += [(rng.integers(1, 41), rng.integers(1, 17), rng.integers(1, 1025))
+               for _ in range(14)]
+    for n, d, rows in shapes:
+        layer = MoELayer(experts=rng.uniform(-1.0, 1.0, (n, d, d)),
+                         router=_random_router(rng, n, d))
+        h = rng.uniform(-1.0, 1.0, (rows, d))
+        h[: rows // 8] = 0.0  # zero tokens tie every expert too
+        for top_k in range(1, n + 1):
+            got = layer_forward(layer, h, top_k)
+            assert got[2].flags.c_contiguous
+            for a, b in zip(got, row_wise_layer_forward(layer, h, top_k)):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+
+def test_layer_forward_sorts_no_rows(monkeypatch):
+    rng = np.random.default_rng(24)
+    layer = MoELayer(experts=rng.uniform(-1.0, 1.0, (6, 4, 4)),
+                     router=rng.uniform(-1.0, 1.0, (6, 4)))
+    h = rng.uniform(-1.0, 1.0, (32, 4))
+    want = row_wise_layer_forward(layer, h, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("layer_forward sorted a row")
+
+    for name in ("argsort", "sort", "take_along_axis"):
+        monkeypatch.setattr(np, name, refuse)
+    got = layer_forward(layer, h, 3)
+    monkeypatch.undo()
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
 def test_masked_forward_respects_retained_set():
     rng = np.random.default_rng(6)
     cfg = MoEConfig(num_layers=2, experts_per_layer=4, hidden_dim=5, top_k=2, nonlinearity="none")

@@ -12,6 +12,7 @@ from moe_pathfinder.numerics import (
     Rng,
     load_json,
     load_tensor,
+    pairwise_sum,
     save_json,
     save_tensor,
     softmax_rows,
@@ -129,6 +130,36 @@ def test_softmax_rows_with_masked_entries():
     logits = np.array([[0.0, -np.inf, 0.0], [3.0, -np.inf, -np.inf]])
     out = softmax_rows(logits)
     assert np.allclose(out, [[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+
+
+def row_wise_softmax(logits):
+    """softmax_rows as it was before it ran along the token axis: one max,
+    one sum and one quotient per row."""
+    logits = np.asarray(logits, dtype=np.float64)
+    m = np.max(logits, axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def test_pairwise_sum_of_columns_is_numpy_row_sum():
+    # widths across the 8-term and 128-term switches and the halving above
+    rng = np.random.default_rng(21)
+    for width in range(1, 301):
+        a = rng.standard_normal((3, width)) * 10.0 ** rng.integers(-3, 4, (3, width))
+        assert pairwise_sum(np.ascontiguousarray(a.T)).tobytes() == a.sum(axis=1).tobytes()
+        assert pairwise_sum(a.T).tobytes() == a.sum(axis=1).tobytes()
+
+
+def test_softmax_rows_is_bit_identical_to_the_row_wise_form():
+    rng = np.random.default_rng(22)
+    for width in range(1, 301):
+        for rows in (1, 2, 7, 8, 50, int(rng.integers(1, 51))):
+            logits = rng.standard_normal((rows, width)) * rng.choice([0.1, 1.0, 40.0])
+            logits[rng.random((rows, width)) < 0.2] = -np.inf
+            logits[np.arange(rows), rng.integers(0, width, rows)] = 0.0  # one finite entry
+            out = softmax_rows(logits)
+            assert out.flags.c_contiguous and out.shape == (rows, width)
+            assert out.tobytes() == row_wise_softmax(logits).tobytes()
 
 
 def test_tnsr_roundtrip_bit_identical(tmp_path):

@@ -18,10 +18,11 @@ import numpy as np
 
 from .calibration import build_calibration_set
 from .model import (
-    MoEConfig, MoEModel, SampleBatch, gen_data, gen_model, layer_states, sample_blocks,
+    MoEConfig, MoEModel, SampleBatch, apply_mask, gen_data, gen_model, layer_states,
+    sample_blocks,
 )
 from .numerics import Rng, _write_atomic, strict
-from .pruner import PruneMask, RetentionReport, target_sparsity_search
+from .pruner import PruneMask, RetentionReport, kept_count, target_sparsity_search
 from .scoring import score_samples
 
 
@@ -167,16 +168,11 @@ def experiment_data(
 def random_mask(
     num_layers: int, experts_per_layer: int, retention_fraction: float, seed: int
 ) -> PruneMask:
-    """Layer-uniform baseline: each layer keeps ceil(fraction * N_e) experts
-    drawn uniformly without replacement.  A product within 1e-9 of an
-    integer counts as that integer, so a fraction read off a kept count
-    (0.28 of 25 is 7.000000000000001 in floats) keeps 7, not 8."""
+    """Layer-uniform baseline: each layer keeps kept_count(fraction, N_e)
+    experts, at least one, drawn uniformly without replacement."""
     if not (0.0 < retention_fraction <= 1.0):
         raise ValueError("retention_fraction must be in (0, 1]")
-    share = retention_fraction * experts_per_layer
-    if abs(share - round(share)) <= 1e-9:
-        share = round(share)
-    per_layer = max(1, math.ceil(share))
+    per_layer = max(1, kept_count(retention_fraction, experts_per_layer))
     rng = Rng(seed)
     keep = np.zeros((num_layers, experts_per_layer), dtype=bool)
     for l in range(num_layers):
@@ -191,14 +187,16 @@ def _block_gaps(
     model: MoEModel, masks: list[PruneMask | None], block: list[SampleBatch]
 ) -> np.ndarray:
     """masks x L x len(block): each sample's mean squared gap per token
-    between the full and the masked hidden states after each layer.  The
-    block's states are freed on return, so eval holds one block at a time."""
+    between the full and the pruned model's hidden states after each layer.
+    Each pruned model is built when its mask comes up, and the block's
+    states are freed on return, so eval holds one of each at a time."""
     n, T = len(block), block[0].tokens.shape[0]
     x = np.concatenate([s.tokens for s in block])
     full = [h for *_, h in layer_states(model, x)]
     gaps = np.empty((len(masks), len(full), n))
     for mask_gaps, mask in zip(gaps, masks):
-        for l, (*_, h) in enumerate(layer_states(model, x, mask)):
+        pruned = model if mask is None else apply_mask(model, mask)[0]
+        for l, (*_, h) in enumerate(layer_states(pruned, x)):
             sq = full[l] - h
             sq *= sq
             mask_gaps[l] = sq.reshape(n, -1).sum(axis=1) / T
@@ -209,8 +207,8 @@ def eval_masks(
     model: MoEModel, masks: list[PruneMask | None], eval_samples: list[SampleBatch]
 ) -> list[EvalResult]:
     """Per mask: mean squared final-hidden-state gap per token between the
-    full forward and the masked forward, averaged over samples; plus
-    per-layer gaps.
+    full model's forward and its pruned model's (apply_mask), averaged over
+    samples; plus per-layer gaps.
 
     Samples are stacked into the blocks of model.sample_blocks.  Each
     block's full forward runs once, keeping only its hidden states, and each

@@ -84,13 +84,14 @@ class SampleBatch:
 
 @dataclass
 class ForwardTrace:
-    """routing_probs[l] is the softmax layer l gated with: the full routing
-    softmax (bit-identical to `route`) unmasked, and under a mask the softmax
-    over the retained experts, zero elsewhere."""
+    """routing_probs[l] is the softmax layer l gated with, bit-identical to
+    `route`.  A masked trace is the pruned model's trace: selected_experts
+    holds indices into the layer's kept experts (apply_mask's kept[l]), and
+    routing_probs has one column per kept expert."""
 
     hidden_states: list[np.ndarray]  # L+1 entries, hidden_states[0] is the input
     layer_outputs: list[np.ndarray]  # L entries, pre-nonlinearity
-    routing_probs: list[np.ndarray]  # L entries, n_tokens x N_e gating softmax
+    routing_probs: list[np.ndarray]  # L entries, n_tokens x n_l gating softmax
     selected_experts: list[np.ndarray]  # L entries, n_tokens x k' sorted index sets
 
 
@@ -162,39 +163,35 @@ def retained_ids(model: MoEModel, mask) -> list[np.ndarray]:
     return [np.flatnonzero(row) for row in keep]
 
 
+def apply_mask(model: MoEModel, mask) -> tuple[MoEModel, list[list[int]]]:
+    """(pruned, kept): the model whose layers are the `subset`s (copies) of
+    the experts `mask` keeps, and each layer's original ids in their new
+    order, kept[l][new_id] == old_id.  The one builder of pruned layers."""
+    kept = retained_ids(model, mask)
+    layers = [layer.subset(ids) for layer, ids in zip(model.layers, kept)]
+    return MoEModel(model.config, layers), [ids.tolist() for ids in kept]
+
+
 def _apply_nonlinearity(y: np.ndarray, kind: str) -> np.ndarray:
     if kind == "tanh":
         return np.tanh(y)
     return y
 
 
-def layer_states(model: MoEModel, h: np.ndarray, mask=None):
+def layer_states(model: MoEModel, h: np.ndarray):
     """Yield (output, selected, probs, outs, next_hidden) for each layer in
     turn: layer_forward's four results and the nonlinearity of its output,
     which feeds the next layer.  A caller that keeps only what it needs
     holds one layer's states at a time; model_forward keeps them all but
-    the expert outputs.
-
-    Under a PruneMask each layer runs as its pruned layer, `layer.subset` of
-    the kept ids, as apply_mask builds it; selected is mapped back to the
-    layer's expert ids, probs is zero for the experts pruned, and outs holds
-    the kept experts only.
+    the expert outputs.  To run a pruned model, pass apply_mask's.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.config.hidden_dim:
         raise ValueError(
             f"sample width {h.shape} does not match hidden_dim {model.config.hidden_dim}"
         )
-    top_k = model.config.top_k
-    kept = retained_ids(model, mask) if mask is not None else [None] * len(model.layers)
-    for layer, ids in zip(model.layers, kept):
-        if ids is None:
-            y, selected, p, outs = layer_forward(layer, h, top_k)
-        else:
-            y, local, local_p, outs = layer_forward(layer.subset(ids), h, top_k)
-            selected = ids[local]
-            p = np.zeros((h.shape[0], len(layer.experts)))
-            p[:, ids] = local_p
+    for layer in model.layers:
+        y, selected, p, outs = layer_forward(layer, h, model.config.top_k)
         h = _apply_nonlinearity(y, model.config.nonlinearity)
         yield y, selected, p, outs, h
 
@@ -228,11 +225,13 @@ def sample_blocks(samples: list[SampleBatch]):
 def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
     """Run all layers, recording hidden states, pre-nonlinearity outputs, the
     gating softmax, and the per-token selections; one router pass per layer.
-    `mask` is as in layer_states; an all-true mask gives the same trace as
-    none."""
+    Under a PruneMask `mask` it runs apply_mask's pruned model, so the trace
+    is that model's; an all-true mask gives the same trace as none."""
+    if mask is not None:
+        model = apply_mask(model, mask)[0]
     h = np.asarray(x.tokens, dtype=np.float64)
     trace = ForwardTrace([h], [], [], [])
-    for y, selected, p, _, h in layer_states(model, h, mask):
+    for y, selected, p, _, h in layer_states(model, h):
         trace.layer_outputs.append(y)
         trace.routing_probs.append(p)
         trace.selected_experts.append(selected)

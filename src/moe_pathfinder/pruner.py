@@ -1,21 +1,22 @@
-"""From per-sample path sets to a dataset-level retention mask, a sparsity
-search over m, and the materialized pruned model.
+"""From per-sample path sets to a dataset-level retention mask and a sparsity
+search over m; model.apply_mask, imported here, materializes the pruned model.
 
 Retention is controlled by m only coarsely (each path pins one expert per
 layer, and per-sample sets are unioned), so the search advances every
 sample's ranked path stream one rank at a time to the first m whose union
-meets the target and, on overshoot, trims least-frequently selected experts
-back to the exact budget without ever emptying a layer.
+meets the kept_count and, on overshoot, trims least-frequently selected
+experts back to it without ever emptying a layer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvariantError
-from .model import MoEModel, retained_ids
+from .model import apply_mask  # noqa: F401  (re-exported)
 from .numerics import as_index, load_json, save_json
 from .planner import PathSet, ranked_paths
 from .scoring import SampleGraph
@@ -92,6 +93,14 @@ class RetentionReport:
         }
 
 
+def kept_count(fraction: float, total: int) -> int:
+    """Experts a retention `fraction` of `total` keeps: ceil(fraction * total),
+    a product within 1e-9 of an integer counting as that integer (0.28 of 25
+    is 7.000000000000001 in floats, and keeps 7)."""
+    share = fraction * total
+    return round(share) if abs(share - round(share)) <= 1e-9 else math.ceil(share)
+
+
 def selection_frequency(
     pathsets: list[PathSet],
     num_layers: int,
@@ -129,10 +138,10 @@ def target_sparsity_search(
     target_retention: float,
     m_max: int = 65536,
 ) -> tuple[PruneMask, RetentionReport]:
-    """Smallest m whose union mask retains at least the target fraction, in
-    one lockstep pass: step m draws every sample's m-th ranked path, so the
-    mask after it is the union of the top-m path sets.  Overshoot is trimmed
-    back to exactly ceil(target * L * N_e) experts by ascending selection
+    """Smallest m whose union mask keeps at least kept_count(target, L * N_e)
+    experts, in one lockstep pass: step m draws every sample's m-th ranked
+    path, so the mask after it is the union of the top-m path sets.
+    Overshoot is trimmed back to exactly that count by ascending selection
     frequency over those paths, pruning higher layers then higher expert
     indices first on ties, and never emptying a layer."""
     if not graphs:
@@ -144,6 +153,7 @@ def target_sparsity_search(
     if any((g.num_layers, g.experts_per_layer) != (L, n) for g in graphs):
         raise ValueError("graphs disagree on L x N_e")
 
+    target_count = kept_count(target_retention, L * n)
     freq = np.zeros((L, n), dtype=np.int64)
     layers = np.arange(L)
     # same-shape streams all end right after the step that fills the mask
@@ -151,7 +161,7 @@ def target_sparsity_search(
         for path in paths:
             freq[layers, path.experts] += 1
         mask = PruneMask(freq > 0)
-        if mask.retention_fraction() >= target_retention:
+        if mask.retained_total() >= target_count:
             break
         if m >= m_max:
             raise InvariantError(
@@ -159,7 +169,6 @@ def target_sparsity_search(
                 f"best achievable fraction is {mask.retention_fraction():.6f}"
             )
 
-    target_count = int(np.ceil(target_retention * L * n))
     trimmed: list[tuple[int, int]] = []
     if mask.retained_total() > target_count:
         kept = [(l, i) for l in range(L) for i in range(n) if mask.keep[l, i]]
@@ -177,18 +186,6 @@ def target_sparsity_search(
             trimmed.append((l, i))
 
     return mask, RetentionReport.from_mask(mask, m, len(graphs), trimmed)
-
-
-def apply_mask(model: MoEModel, mask: PruneMask) -> tuple[MoEModel, list[list[int]]]:
-    """Materialize the pruned model: each layer's `subset` of the experts
-    the mask keeps, which copies their matrices and router rows.
-
-    Returns (pruned_model, kept) where kept[l] lists the original expert ids
-    in their new order (so kept[l][new_id] == old_id).
-    """
-    kept = retained_ids(model, mask)
-    layers = [layer.subset(ids) for layer, ids in zip(model.layers, kept)]
-    return MoEModel(model.config, layers), [ids.tolist() for ids in kept]
 
 
 def save_mask(mask: PruneMask, path) -> None:

@@ -22,7 +22,8 @@ from moe_pathfinder.harness import (
     run_comparison,
 )
 from moe_pathfinder.model import (
-    MoEConfig, SampleBatch, gen_data, gen_model, layer_states, model_forward, sample_blocks,
+    MoEConfig, SampleBatch, apply_mask, gen_data, gen_model, layer_states, model_forward,
+    sample_blocks,
 )
 from moe_pathfinder.numerics import Rng
 from moe_pathfinder.planner import random_sample_graph, top_m_paths_bruteforce, top_m_paths_dp
@@ -57,6 +58,26 @@ def test_random_mask_keeps_the_count_a_kept_fraction_names():
         assert random_mask(4, 25, 0.28, seed).keep.sum(axis=1).tolist() == [7] * 4
     # a product that is not an integer still rounds up
     assert random_mask(2, 10, 0.25, seed=0).keep.sum(axis=1).tolist() == [3, 3]
+
+
+def test_compare_keeps_the_count_a_retention_names(monkeypatch):
+    # 0.28 of 4 x 25 is 28.000000000000004 in floats: the search keeps 28,
+    # and every random mask 7 per layer, the same count rule for both
+    drawn = []
+
+    def spy(*args):
+        drawn.append(random_mask(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr("moe_pathfinder.harness.random_mask", spy)
+    config = ExperimentConfig(moe=MoEConfig(num_layers=4, experts_per_layer=25, hidden_dim=32,
+                                            top_k=2),
+                              model_seeds=(0,), target_retention=0.28, n_random_masks=3)
+    (outcome,) = run_comparison(config).outcomes
+    assert outcome.retention_fraction == 0.28
+    assert len(drawn) == 3
+    for mask in drawn:
+        assert mask.keep.sum(axis=1).tolist() == [7] * 4
 
 
 def test_random_mask_seed_deterministic():
@@ -181,10 +202,10 @@ def test_eval_masks_matches_two_forwards_per_mask(monkeypatch, make_samples, blo
     samples = make_samples(cfg)
     full_rows = []
 
-    def spy(model, h, mask=None):
-        if mask is None:
+    def spy(forwarded, h):
+        if forwarded is model:
             full_rows.append(h.shape[0])
-        return layer_states(model, h, mask)
+        return layer_states(forwarded, h)
 
     monkeypatch.setattr("moe_pathfinder.harness.layer_states", spy)
     got = eval_masks(model, masks, samples)
@@ -208,7 +229,8 @@ def per_slice_eval_masks(model, masks, eval_samples):
         rows = list(zip(bounds, bounds[1:]))
         full = [h for *_, h in layer_states(model, x)]
         for errs, mask in zip(layer_errs, masks):
-            for l, (*_, h) in enumerate(layer_states(model, x, mask)):
+            pruned = model if mask is None else apply_mask(model, mask)[0]
+            for l, (*_, h) in enumerate(layer_states(pruned, x)):
                 sq = full[l] - h
                 sq *= sq
                 for a, b in rows:
@@ -262,10 +284,13 @@ def test_eval_monotone_under_nested_masks_when_selections_coincide():
     if not np.all(big.keep >= small.keep):
         pytest.skip("masks not nested for this seed")
     coincide = True
+    kept_small, kept_big = apply_mask(model, small)[1], apply_mask(model, big)[1]
     for s in eval_samples:
+        # a masked trace selects kept-expert indices; compare parent ids
         a = model_forward(model, s, mask=small).selected_experts
         b = model_forward(model, s, mask=big).selected_experts
-        if not all(np.array_equal(x, y) for x, y in zip(a, b)):
+        if not all(np.array_equal(np.array(ks)[x], np.array(kb)[y])
+                   for ks, kb, x, y in zip(kept_small, kept_big, a, b)):
             coincide = False
     err_small = eval_mask(model, small, eval_samples).mean_final_error
     err_big = eval_mask(model, big, eval_samples).mean_final_error

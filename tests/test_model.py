@@ -255,16 +255,21 @@ def test_masked_forward_respects_retained_set():
     for retained in [{0}, {1, 3}, {0, 2, 3}]:
         keep = np.ones((2, 4), dtype=bool)
         keep[0] = [i in retained for i in range(4)]
-        y, selected, probs, outs, _ = next(layer_states(model, h, PruneMask(keep)))
-        assert set(np.unique(selected)) <= retained
+        pruned, kept = apply_mask(model, PruneMask(keep))
+        ids = np.array(kept[0])
+        assert ids.tolist() == sorted(retained)
+        y, selected, probs, outs, _ = next(layer_states(pruned, h))
+        # selected indexes the kept experts; mapped through kept, it names ids
+        assert set(np.unique(ids[selected])) <= retained
         # the expert outputs are the kept experts' only, in id order
-        assert outs.tobytes() == expert_outputs(layer.subset(sorted(retained)), h).tobytes()
-        assert np.all(probs[:, [i for i in range(4) if i not in retained]] == 0.0)
+        assert outs.tobytes() == expert_outputs(layer.subset(ids), h).tobytes()
+        assert probs.shape == (8, len(retained))
         want_y, want_sel = dense_gather_oracle(layer, h, 2, retained)
         assert np.allclose(y, want_y, rtol=1e-10, atol=1e-12)
-        assert [list(row) for row in selected] == want_sel
+        assert [list(row) for row in ids[selected]] == want_sel
         trace = model_forward(model, SampleBatch(h), mask=PruneMask(keep))
         assert trace.layer_outputs[0].tobytes() == y.tobytes()
+        assert trace.selected_experts[0].tobytes() == selected.tobytes()
 
 
 def test_mask_check_rejects_an_empty_layer_naming_it():
@@ -381,12 +386,14 @@ def test_model_forward_runs_the_router_once_per_layer(monkeypatch):
     full = model_forward(model, x)
     masked = model_forward(model, x, mask=PruneMask(keep))
     monkeypatch.undo()
+    pruned, _ = apply_mask(model, PruneMask(keep))
     for l, layer in enumerate(model.layers):
         # unmasked, the trace holds exactly the full routing softmax
         assert full.routing_probs[l].tobytes() == route(layer, full.hidden_states[l]).tobytes()
-        # masked, the softmax the layer gated with: over the retained experts
-        assert np.all(masked.routing_probs[l][:, 1] == 0.0)
-        assert np.allclose(masked.routing_probs[l].sum(axis=1), 1.0, atol=1e-12)
+        # masked, exactly the pruned layer's: over the retained experts only
+        assert masked.routing_probs[l].tobytes() == route(
+            pruned.layers[l], masked.hidden_states[l]).tobytes()
+        assert masked.routing_probs[l].shape == (5, cfg.experts_per_layer - 1)
 
 
 def test_model_forward_rejects_wrong_width():
@@ -403,7 +410,8 @@ def test_layer_states_yields_what_model_forward_records():
     keep[:, 0] = False
     for mask, n_kept in ((None, 4), (PruneMask(keep), 3)):
         trace = model_forward(model, x, mask=mask)
-        states = list(layer_states(model, x.tokens, mask))
+        forwarded = model if mask is None else apply_mask(model, mask)[0]
+        states = list(layer_states(forwarded, x.tokens))
         assert len(states) == cfg.num_layers
         for l, (y, selected, probs, outs, h) in enumerate(states):
             assert y.tobytes() == trace.layer_outputs[l].tobytes()
@@ -431,14 +439,13 @@ def test_masked_forward_on_a_block_equals_the_materialized_model_bit_for_bit():
     model, _, block, masks = _desk_block()
     for mask in masks:
         masked = model_forward(model, block, mask=mask)
-        pruned, kept = apply_mask(model, mask)
-        materialized = model_forward(pruned, block)
-        for a, b in zip(masked.hidden_states, materialized.hidden_states):
-            assert a.tobytes() == b.tobytes()
-        for l, ids in enumerate(kept):
-            assert np.array_equal(masked.selected_experts[l],
-                                  np.array(ids)[materialized.selected_experts[l]])
-            assert masked.routing_probs[l][:, ids].tobytes() == materialized.routing_probs[l].tobytes()
+        materialized = model_forward(apply_mask(model, mask)[0], block)
+        for field in ("hidden_states", "layer_outputs", "routing_probs", "selected_experts"):
+            got, want = getattr(masked, field), getattr(materialized, field)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
 
 
 def test_stacked_forward_selects_what_per_sample_forwards_select():

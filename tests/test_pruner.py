@@ -18,6 +18,7 @@ from moe_pathfinder.pruner import (
     PruneMask,
     RetentionReport,
     apply_mask,
+    kept_count,
     load_mask,
     mask_from_pathsets,
     save_mask,
@@ -171,9 +172,10 @@ def test_target_search_trim_is_least_frequent_first():
 
 def bisection_search_reference(graphs, target_retention, m_max=65536):
     """The sparsity search as it was before the lockstep pass: re-plan every
-    sample at m = 1, 2, 4, ... until the union meets the target, then bisect
-    for the smallest such m, and trim as target_sparsity_search does."""
+    sample at m = 1, 2, 4, ... until the union keeps the kept_count, then
+    bisect for the smallest such m, and trim as target_sparsity_search does."""
     L, n = graphs[0].num_layers, graphs[0].experts_per_layer
+    target_count = kept_count(target_retention, L * n)
 
     def retention_at(m):
         pathsets = [top_m_paths_dp(g, m) for g in graphs]
@@ -181,7 +183,7 @@ def bisection_search_reference(graphs, target_retention, m_max=65536):
 
     m = 1
     mask, pathsets = retention_at(m)
-    if mask.retention_fraction() < target_retention:
+    if mask.retained_total() < target_count:
         lo = m
         while True:
             if m >= m_max:
@@ -191,20 +193,19 @@ def bisection_search_reference(graphs, target_retention, m_max=65536):
                 )
             m = min(m * 2, m_max)
             mask, pathsets = retention_at(m)
-            if mask.retention_fraction() >= target_retention:
+            if mask.retained_total() >= target_count:
                 break
             lo = m
         hi = m
         while lo + 1 < hi:
             mid = (lo + hi) // 2
             cand_mask, cand_sets = retention_at(mid)
-            if cand_mask.retention_fraction() >= target_retention:
+            if cand_mask.retained_total() >= target_count:
                 hi, mask, pathsets = mid, cand_mask, cand_sets
             else:
                 lo = mid
         m = hi
 
-    target_count = int(np.ceil(target_retention * L * n))
     trimmed = []
     if mask.retained_total() > target_count:
         freq = selection_frequency(pathsets, L, n)
@@ -242,6 +243,22 @@ def test_target_search_equals_bisection_reference(graphs, target, m_max):
     assert _search_outcome(target_sparsity_search, graphs, target, m_max) == _search_outcome(
         bisection_search_reference, graphs, target, m_max
     )
+
+
+def test_target_search_keeps_the_count_a_retention_names():
+    # 0.28 of 4 x 25 is 28.000000000000004 in floats; the union overshoots
+    # 28 and the trim stops at 28, where harness.random_mask keeps 7 a layer
+    graphs = [random_sample_graph(4, 25, Rng(seed)) for seed in range(6)]
+    mask, report = target_sparsity_search(graphs, 0.28)
+    assert report.trimmed
+    assert mask.retained_total() == report.retained_total == 28
+    assert report.retention_fraction == 0.28
+
+
+def test_pruner_prunes_through_the_model_modules_apply_mask():
+    from moe_pathfinder import model, pruner
+
+    assert pruner.apply_mask is model.apply_mask
 
 
 def test_target_search_unreachable_reports_fraction():

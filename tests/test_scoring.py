@@ -280,9 +280,9 @@ def test_score_samples_matches_per_sample_scoring(monkeypatch, family):
     model, samples = family(4, 40)
     rows = []
 
-    def spy(model, h, mask=None):
+    def spy(model, h):
         rows.append(h.shape[0])
-        return layer_states(model, h, mask)
+        return layer_states(model, h)
 
     monkeypatch.setattr("moe_pathfinder.scoring.layer_states", spy)
     got = score_samples(model, samples)

@@ -167,11 +167,9 @@ def select_representatives(
     return reps
 
 
-def build_calibration_set(
-    samples: list[SampleBatch], k: int, seed: int, max_iters: int = 100
-) -> CalibrationSet:
+def build_calibration_set(samples: list[SampleBatch], k: int, seed: int) -> CalibrationSet:
     features = np.stack([featurize(s) for s in samples])
-    result = kmeans(features, k, seed, max_iters)
+    result = kmeans(features, k, seed)
     ids = select_representatives(features, result.centroids, result.assignments)
     return CalibrationSet(sample_ids=ids, K=k, seed=seed, distortion=result.distortion)
 

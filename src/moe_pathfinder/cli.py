@@ -191,7 +191,7 @@ def cmd_calibrate(args) -> int:
     if args.k > len(samples):
         sys.stderr.write(f"calibrate: --k {args.k} exceeds the {len(samples)} samples\n")
         return 1
-    calib = build_calibration_set(samples, args.k, args.seed, args.max_iters)
+    calib = build_calibration_set(samples, args.k, args.seed)
     save_calibration(calib, args.out)
     if args.manifest:
         update_manifest(args.manifest, "calibrate", args.out, args.seed)
@@ -221,19 +221,20 @@ def cmd_score(args) -> int:
             for g in gs
         ]
     os.makedirs(args.out, exist_ok=True)
-    index = {
-        "num_layers": model.config.num_layers,
-        "experts_per_layer": model.config.experts_per_layer,
-        "samples": [],
-    }
-    for i, graph in zip(ids, graphs):
-        name = save_graph(graph, args.out, f"sample{i:04d}")
-        index["samples"].append({"id": i, "graph": name})
-    save_json(os.path.join(args.out, "graphs.json"), index)
+    names = [save_graph(graph, args.out, f"sample{i:04d}") for i, graph in zip(ids, graphs)]
+    _save_index(args.out, "graphs.json", "graph", ids, names, num_layers=model.config.num_layers,
+                experts_per_layer=model.config.experts_per_layer)
     if args.manifest:
         update_manifest(args.manifest, "score", args.out)
     print(f"scored {len(ids)} samples -> {args.out}")
     return 0
+
+
+def _save_index(dirpath, name: str, entry: str, ids, files, **keys) -> None:
+    """The stage index _load_index reads: `keys`, then "samples" as one
+    {"id", `entry`} object per (id, file) pair."""
+    samples = [{"id": i, entry: f} for i, f in zip(ids, files)]
+    save_json(os.path.join(dirpath, name), {**keys, "samples": samples})
 
 
 def _load_index(dirpath, name: str, entry: str, keys: tuple[str, ...]) -> dict:
@@ -270,17 +271,12 @@ def cmd_plan(args) -> int:
     index, graphs = _load_graphs(args.graphs)
     pathsets = map_jobs(partial(top_m_paths_dp, m=args.m), graphs, args.jobs)
     os.makedirs(args.out, exist_ok=True)
-    out_index = {
-        "m": args.m,
-        "num_layers": index["num_layers"],
-        "experts_per_layer": index["experts_per_layer"],
-        "samples": [],
-    }
-    for (i, _), ps in zip(index["samples"], pathsets):
-        name = f"sample{i:04d}.paths.json"
+    ids = [i for i, _ in index["samples"]]
+    names = [f"sample{i:04d}.paths.json" for i in ids]
+    for name, ps in zip(names, pathsets):
         save_pathset(ps, os.path.join(args.out, name))
-        out_index["samples"].append({"id": i, "paths": name})
-    save_json(os.path.join(args.out, "paths.json"), out_index)
+    _save_index(args.out, "paths.json", "paths", ids, names, m=args.m,
+                num_layers=index["num_layers"], experts_per_layer=index["experts_per_layer"])
     if args.manifest:
         update_manifest(args.manifest, "plan", args.out)
     print(f"planned top-{args.m} paths for {len(graphs)} samples -> {args.out}")
@@ -308,9 +304,11 @@ def _load_path_index(dirpath) -> tuple[dict, list[PathSet]]:
 
 
 def cmd_prune(args) -> int:
-    # the parser already makes --paths/--graphs and --m/--target-retention exclusive
-    if (args.paths is not None) == (args.m is not None or args.target_retention is not None):
-        sys.stderr.write("prune: --graphs needs --m or --target-retention; --paths fixes m\n")
+    # the parser already requires exactly one of --paths and --graphs
+    if (args.graphs is None) != (args.target_retention is None) or (args.paths and args.m_max):
+        sys.stderr.write(
+            "prune: --graphs needs --target-retention, and --paths takes neither it nor --m-max\n"
+        )
         return 1
 
     if args.paths:
@@ -318,15 +316,10 @@ def cmd_prune(args) -> int:
         mask = mask_from_pathsets(pathsets, index["experts_per_layer"])
         report = RetentionReport.from_mask(mask, index["m"], len(pathsets))
     else:
-        gindex, graphs = _load_graphs(args.graphs)
-        if args.m is not None:
-            pathsets = [top_m_paths_dp(g, args.m) for g in graphs]
-            mask = mask_from_pathsets(pathsets, gindex["experts_per_layer"])
-            report = RetentionReport.from_mask(mask, args.m, len(graphs))
-        else:
-            mask, report = target_sparsity_search(
-                graphs, args.target_retention, m_max=args.m_max
-            )
+        m_max = {} if args.m_max is None else {"m_max": args.m_max}
+        mask, report = target_sparsity_search(
+            _load_graphs(args.graphs)[1], args.target_retention, **m_max
+        )
 
     if args.model:  # a bad --model fails the stage before it writes anything
         model = _load_unpruned_model(args.model)
@@ -550,7 +543,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-iters", type=_positive_int, default=100)
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
     p.set_defaults(func=cmd_calibrate)
@@ -576,10 +568,8 @@ def build_parser() -> _Parser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--paths", help="path-set directory from `plan`")
     source.add_argument("--graphs", help="graph directory from `score`")
-    size = p.add_mutually_exclusive_group()
-    size.add_argument("--m", type=_positive_int, default=None)
-    size.add_argument("--target-retention", type=_fraction, default=None)
-    p.add_argument("--m-max", type=_positive_int, default=65536)
+    p.add_argument("--target-retention", type=_fraction)
+    p.add_argument("--m-max", type=_positive_int)
     p.add_argument("--model", help="also materialize the pruned model")
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)

@@ -47,12 +47,22 @@ class MoELayer:
     experts: np.ndarray  # n_experts x d x d; expert i maps h to h @ experts[i].T
     router: np.ndarray  # n_experts x d
 
-    def validate(self, d: int) -> None:
-        n = len(self.experts)
-        if self.experts.shape != (n, d, d):
-            raise ValueError(f"experts shape {self.experts.shape} != ({n}, {d}, {d})")
+    def validate(self, l: int, config: MoEConfig) -> None:
+        """The one rule for layer l's arrays, which save_model and load_model
+        both apply: its expert count n is the router's row count, the router
+        is n x d and the experts n x d x d, with d the hidden_dim, and
+        1 <= n <= experts_per_layer.  A failure is a ValueError naming the
+        layer and both numbers."""
+        d, n_max = config.hidden_dim, config.experts_per_layer
+        n = self.router.shape[0] if self.router.ndim else 0
         if self.router.shape != (n, d):
-            raise ValueError(f"router shape {self.router.shape} != ({n}, {d})")
+            raise ValueError(f"layer {l} router blob has shape {self.router.shape}, "
+                             f"expected (n, {d}) for hidden_dim {d}")
+        if self.experts.shape != (n, d, d):
+            raise ValueError(f"layer {l} experts blob has shape {self.experts.shape}, "
+                             f"expected ({n}, {d}, {d}) to match the router")
+        if not 1 <= n <= n_max:
+            raise ValueError(f"layer {l} holds {n} experts, not 1 to experts_per_layer {n_max}")
 
     def subset(self, ids) -> "MoELayer":
         """The layer that keeps experts `ids` (ascending) and their router
@@ -69,12 +79,7 @@ class MoEModel:
         if len(self.layers) != self.config.num_layers:
             raise ValueError("layer count does not match config")
         for l, layer in enumerate(self.layers):
-            if not 1 <= len(layer.experts) <= self.config.experts_per_layer:
-                raise ValueError(
-                    f"layer {l} holds {len(layer.experts)} experts, "
-                    f"not 1 to {self.config.experts_per_layer}"
-                )
-            layer.validate(self.config.hidden_dim)
+            layer.validate(l, self.config)
 
 
 @dataclass
@@ -303,33 +308,17 @@ def _parse_model_manifest(manifest) -> tuple[MoEConfig, list[tuple[str, str]]]:
 
 
 def load_model(dirpath) -> MoEModel:
-    """Each layer's expert count n is its router's row count: the router
-    must be n x d and the experts blob n x d x d, with d the hidden_dim and
-    1 <= n <= experts_per_layer that model.json lists."""
+    """The model of a save_model directory; a layer whose blobs break
+    MoELayer.validate is a FormatError naming both blobs and model.json."""
     manifest = os.path.join(dirpath, "model.json")
     config, blobs = load_json(manifest, "model manifest", _parse_model_manifest)
-    d, n_max = config.hidden_dim, config.experts_per_layer
     layers = []
-    for l, (router_blob, experts_blob) in enumerate(blobs):
-        path = os.path.join(dirpath, router_blob)
-        router = load_tensor(path)
-        n = router.shape[0] if router.ndim else 0
-        if router.shape != (n, d):
-            raise FormatError(
-                f"{path}: layer {l} router blob has shape {router.shape}, expected (n, {d}) "
-                f"for the hidden_dim {d} that {manifest} lists"
-            )
-        path = os.path.join(dirpath, experts_blob)
-        experts = load_tensor(path)
-        if experts.shape != (n, d, d):
-            raise FormatError(
-                f"{path}: layer {l} experts blob has shape {experts.shape}, expected "
-                f"({n}, {d}, {d}) to match the router"
-            )
-        if not 1 <= n <= n_max:
-            raise FormatError(
-                f"{path}: layer {l} holds {n} experts, but {manifest} lists "
-                f"experts_per_layer {n_max}, and a layer holds 1 to that many"
-            )
-        layers.append(MoELayer(experts=experts, router=router))
+    for l, names in enumerate(blobs):
+        router_path, experts_path = (os.path.join(dirpath, name) for name in names)
+        layer = MoELayer(router=load_tensor(router_path), experts=load_tensor(experts_path))
+        try:
+            layer.validate(l, config)
+        except ValueError as e:
+            raise FormatError(f"{router_path} and {experts_path} do not fit {manifest}: {e}") from e
+        layers.append(layer)
     return MoEModel(config=config, layers=layers)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -92,6 +94,7 @@ def test_m1_pipeline_retains_one_expert_per_layer(tmp_path):
     model = tmp_path / "model"
     data = tmp_path / "data"
     graphs = tmp_path / "graphs"
+    paths = tmp_path / "paths"
     pruned = tmp_path / "pruned"
     assert run_cli(
         "gen-model", "--layers", 6, "--experts", 8, "--dim", 16, "--topk", 2,
@@ -101,7 +104,8 @@ def test_m1_pipeline_retains_one_expert_per_layer(tmp_path):
         "gen-data", "--model", model, "--samples", 1, "--tokens", 4, "--seed", 4, "-o", data
     ) == 0
     assert run_cli("score", "--model", model, "--data", data, "-o", graphs) == 0
-    assert run_cli("prune", "--graphs", graphs, "--m", 1, "-o", pruned) == 0
+    assert run_cli("plan", "--graphs", graphs, "--m", 1, "-o", paths) == 0
+    assert run_cli("prune", "--paths", paths, "-o", pruned) == 0
     mask = load_mask(pruned / "mask.json")
     assert mask.retained_total() == 6
     assert np.array_equal(mask.keep.sum(axis=1), np.ones(6))
@@ -125,13 +129,21 @@ def test_prune_flag_conflicts(pipeline):
     tmp, model, data = pipeline
     graphs = tmp / "graphs"
     run_cli("score", "--model", model, "--data", data, "-o", graphs)
-    out = tmp / "x"
-    assert run_cli("prune", "--graphs", graphs, "--m", 1, "--target-retention", 0.5, "-o", out) == 1
-    assert run_cli("prune", "--graphs", graphs, "-o", out) == 1
-    assert run_cli("prune", "-o", out) == 1
     paths = tmp / "paths"
     run_cli("plan", "--graphs", graphs, "--m", 1, "-o", paths)
-    assert run_cli("prune", "--paths", paths, "--m", 1, "-o", out) == 1
+    out = tmp / "x"
+    # prune only unions planned paths or searches a target; `plan` plans
+    for argv in [
+        ("prune", "--graphs", graphs, "--m", 1),
+        ("prune", "--graphs", graphs),
+        ("prune",),
+        ("prune", "--paths", paths, "--m", 1),
+        ("prune", "--paths", paths, "--target-retention", 0.5),
+        ("prune", "--paths", paths, "--m-max", 3),
+        ("calibrate", "--data", data, "--k", 2, "--seed", 0, "--max-iters", 5),
+    ]:
+        assert run_cli(*argv, "-o", out) == 1, argv
+        assert not out.exists(), argv
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -161,6 +173,35 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
     assert [x.tokens.shape for x in load_data(data)] == [(5, 8)] * 4
     for argv in argvs:
         assert vars(parser.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+
+
+def _readme_commands():
+    """The words of each `moe-pathfinder <sub> ...` command in README's
+    fenced blocks, `\\` continuations joined and comments dropped, and of
+    each inline code span."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    fence = re.compile(r"^```.*?^```", re.M | re.S)
+    for block in fence.findall(text):
+        for line in block.replace("\\\n", " ").splitlines():
+            if "moe-pathfinder " in line:
+                yield line.split("moe-pathfinder ", 1)[1].split(" #")[0].split()
+    for span in re.findall(r"`([^`]+)`", fence.sub("", text)):
+        yield span.split()
+
+
+def test_readme_gives_each_subcommand_only_its_own_flags():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    seen = set()
+    for words in _readme_commands():
+        if not words or words[0] not in subparsers:
+            continue
+        seen.add(words[0])
+        options = subparsers[words[0]]._option_string_actions
+        for flag in (w.split("=")[0] for w in words[1:] if w.startswith("--")):
+            assert flag in options, f"README gives `{words[0]}` {flag}: {' '.join(words)}"
+    assert seen == set(subparsers)
 
 
 def test_missing_data_is_format_error(tmp_path):
@@ -214,7 +255,8 @@ def test_mask_model_shape_mismatch_is_format_error(pipeline, capsys):
             "--seed", 7, "-o", other)
     graphs, pruned = tmp / "graphs", tmp / "pruned"
     run_cli("score", "--model", model, "--data", data, "-o", graphs)
-    assert run_cli("prune", "--graphs", graphs, "--m", 1, "--model", other, "-o", pruned) == 2
+    assert run_cli("prune", "--graphs", graphs, "--target-retention", 0.5, "--model", other,
+                   "-o", pruned) == 2
     err = capsys.readouterr().err
     assert str(graphs) in err and str(other) in err
     assert not pruned.exists()
@@ -533,7 +575,8 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("model/layer1.experts.tnsr", _resize_experts(+1, router=True), SCORE,
                      id="experts-more-than-n-e"),
         pytest.param("graphs/graphs.json", _edit(lambda o: o.update(experts_per_layer=5)),
-                     "prune --graphs graphs --m 1 -o pr2", id="graph-index-disagrees"),
+                     "prune --graphs graphs --target-retention 0.5 -o pr2",
+                     id="graph-index-disagrees"),
         pytest.param("paths/sample{first}.paths.json",
                      _edit(lambda o: o["paths"][0].update(experts=[0, 4, 1])),
                      "heatmap --paths paths -o h.csv", id="path-outside-index"),
@@ -585,7 +628,8 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("graphs/sample{first}.tnsr", _graph_entry("recon_loss", -3.0),
                      "plan --graphs graphs --m 2 -o p2", id="graph-recon-loss-negative"),
         pytest.param("graphs/sample{first}.tnsr", _graph_entry("activation", -0.5),
-                     "prune --graphs graphs --m 1 -o pr2", id="graph-activation-negative"),
+                     "prune --graphs graphs --target-retention 0.5 -o pr2",
+                     id="graph-activation-negative"),
         pytest.param("graphs/sample{first}.tnsr", _graph_entry("importance", -1e-9),
                      "plan --graphs graphs --m 2 -o p2", id="graph-importance-negative"),
         # a graph directory written before graphs became blobs; rerunning
@@ -612,7 +656,7 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      "eval --model pruned/pruned-model --mask pruned/mask.json --data data "
                      "-o eval.json", id="pruned-model-eval"),
         pytest.param("pruned/pruned-model", _pruned_model,
-                     "prune --graphs graphs --m 1 --model pruned/pruned-model -o pr2",
+                     "prune --paths paths --model pruned/pruned-model -o pr2",
                      id="pruned-model-prune"),
         *[
             pytest.param(name, corrupt, argv, id=f"{case}-{argv.split()[0]}")
@@ -646,7 +690,8 @@ def test_gen_data_runs_on_a_pruned_model(staged):
 
 def test_prune_model_rerun_leaves_no_stale_blob(staged):
     for m in (16, 1):
-        assert run_cli(*f"prune --graphs graphs --m {m} --model model -o pr2".split()) == 0
+        assert run_cli(*f"plan --graphs graphs --m {m} -o p{m}".split()) == 0
+        assert run_cli(*f"prune --paths p{m} --model model -o pr2".split()) == 0
     out = staged / "pr2" / "pruned-model"
     layers = json.loads((out / "model.json").read_text())["layers"]
     listed = {layer["router"] for layer in layers} | {layer["experts"] for layer in layers}

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from moe_pathfinder.model import (
     route,
     save_model,
 )
-from moe_pathfinder.numerics import softmax_rows
+from moe_pathfinder.numerics import save_tensor, softmax_rows
 from moe_pathfinder.pruner import PruneMask, apply_mask
 
 MASK64 = (1 << 64) - 1
@@ -536,6 +537,45 @@ def test_load_model_wrong_router_shape_names_layer(tmp_path):
     (tmp_path / "model.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="layer 2 router blob"):
         load_model(tmp_path)
+
+
+def _grow(w):
+    # one more expert: a copy of the first
+    return np.concatenate([w, w[:1]])
+
+
+@pytest.mark.parametrize("fault, texts", [
+    pytest.param(lambda l: MoELayer(l.experts, l.router[:, :-1]),
+                 ("layer 1 router blob", "(4, 5)", "(n, 6)"), id="router-too-narrow"),
+    pytest.param(lambda l: MoELayer(l.experts[:-1], l.router),
+                 ("layer 1 experts blob", "(3, 6, 6)", "(4, 6, 6)"),
+                 id="experts-disagree-with-router"),
+    pytest.param(lambda l: MoELayer(_grow(l.experts), _grow(l.router)),
+                 ("layer 1 holds 5 experts", "experts_per_layer 4"),
+                 id="more-than-experts-per-layer"),
+])
+def test_save_and_load_reject_a_bad_layer_with_one_message(tmp_path, fault, texts):
+    model = gen_model(small_config(), 24)
+    model.layers[1] = fault(model.layers[1])
+    with pytest.raises(ValueError) as saved:
+        save_model(model, tmp_path / "saved")
+    assert not (tmp_path / "saved" / "model.json").exists()
+    assert all(text in str(saved.value) for text in texts), saved.value
+
+    # the same arrays as blobs, listed by a hand-made model.json
+    d = tmp_path / "loaded"
+    d.mkdir()
+    layers = []
+    for l, layer in enumerate(model.layers):
+        layers.append({"router": f"r{l}.tnsr", "experts": f"e{l}.tnsr"})
+        save_tensor(d / layers[-1]["router"], layer.router)
+        save_tensor(d / layers[-1]["experts"], layer.experts)
+    (d / "model.json").write_text(json.dumps({"config": asdict(model.config), "layers": layers}))
+    with pytest.raises(FormatError) as loaded:
+        load_model(d)
+    err = str(loaded.value)
+    assert str(saved.value) in err
+    assert all(str(d / name) in err for name in ("r1.tnsr", "e1.tnsr", "model.json")), err
 
 
 def test_load_model_missing_manifest(tmp_path):

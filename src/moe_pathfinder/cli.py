@@ -43,16 +43,11 @@ from .model import (
     save_model,
 )
 from .numerics import (
-    _write_atomic, as_index, load_json, load_tensor, save_json, save_tensor, strict,
+    _write_atomic, as_index, load_index, load_json, load_tensor, save_index, save_json, strict,
 )
-from .planner import (
-    PathSet,
-    load_pathset,
-    oracle_selfcheck,
-    save_pathset,
-    top_m_paths_dp,
-)
+from .planner import PathSet, load_pathset, oracle_selfcheck, top_m_paths_dp
 from .pruner import (
+    M_MAX,
     apply_mask,
     load_mask,
     mask_from_pathsets,
@@ -109,9 +104,7 @@ def _fraction(text: str) -> float:
 
 
 def save_data(samples: list[SampleBatch], seed: int, dirpath) -> None:
-    os.makedirs(dirpath, exist_ok=True)
     stacked = np.stack([s.tokens for s in samples])
-    save_tensor(os.path.join(dirpath, "tokens.tnsr"), stacked)
     meta = {
         "n_samples": len(samples),
         "tokens_per_sample": int(stacked.shape[1]),
@@ -119,22 +112,17 @@ def save_data(samples: list[SampleBatch], seed: int, dirpath) -> None:
         "seed": seed,
         "blob": "tokens.tnsr",
     }
-    save_json(os.path.join(dirpath, "data.json"), meta)
+    save_index(dirpath, "data.json", meta, [("tokens.tnsr", stacked)])
 
 
 def load_data(dirpath) -> list[SampleBatch]:
     """The samples of a gen-data directory; a blob that is empty or whose
     shape disagrees with data.json is a FormatError naming it."""
+    blob_path, shape = load_index(dirpath, "data.json", "data manifest", lambda meta, member: (
+        member(meta["blob"]),
+        tuple(as_index(meta[k], k) for k in ("n_samples", "tokens_per_sample", "hidden_dim")),
+    ))
     meta_path = os.path.join(dirpath, "data.json")
-    blob, shape = load_json(
-        meta_path,
-        "data manifest",
-        lambda meta: (
-            str(meta["blob"]),
-            tuple(as_index(meta[k], k) for k in ("n_samples", "tokens_per_sample", "hidden_dim")),
-        ),
-    )
-    blob_path = os.path.join(dirpath, blob)
     stacked = load_tensor(blob_path)
     if stacked.ndim == 3 and 0 in stacked.shape[:2]:
         raise FormatError(
@@ -220,48 +208,44 @@ def cmd_score(args) -> int:
             g for gs in map_jobs(partial(strict, score_samples, model), blocks, args.jobs)
             for g in gs
         ]
-    os.makedirs(args.out, exist_ok=True)
     names = [save_graph(graph, args.out, f"sample{i:04d}") for i, graph in zip(ids, graphs)]
-    _save_index(args.out, "graphs.json", "graph", ids, names, num_layers=model.config.num_layers,
-                experts_per_layer=model.config.experts_per_layer)
+    save_index(args.out, "graphs.json", {
+        "num_layers": model.config.num_layers, "experts_per_layer": model.config.experts_per_layer,
+        "samples": [{"id": i, "graph": name} for i, name in zip(ids, names)],
+    })
     if args.manifest:
         update_manifest(args.manifest, "score", args.out)
     print(f"scored {len(ids)} samples -> {args.out}")
     return 0
 
 
-def _save_index(dirpath, name: str, entry: str, ids, files, **keys) -> None:
-    """The stage index _load_index reads: `keys`, then "samples" as one
-    {"id", `entry`} object per (id, file) pair."""
-    samples = [{"id": i, entry: f} for i, f in zip(ids, files)]
-    save_json(os.path.join(dirpath, name), {**keys, "samples": samples})
-
-
 def _load_index(dirpath, name: str, entry: str, keys: tuple[str, ...]) -> dict:
-    """A stage index: its integer `keys`, and "samples" as (id, file) pairs
+    """A stage index: its integer `keys`, and "samples" as (id, path) pairs
     read from each sample's "id" and `entry` fields: at least one, and no id
     twice."""
 
-    def parse(obj) -> dict:
+    def parse(obj, member) -> dict:
         index = {key: as_index(obj[key], key, 1) for key in keys}
-        index["samples"] = [(as_index(e["id"], "sample id"), str(e[entry])) for e in obj["samples"]]
+        index["samples"] = [
+            (as_index(e["id"], "sample id"), member(e[entry])) for e in obj["samples"]
+        ]
         ids = [i for i, _ in index["samples"]]
         if not ids or len(set(ids)) != len(ids):
             raise ValueError(f"samples must list at least one sample, each id once, got ids {ids}")
         return index
 
-    return load_json(os.path.join(dirpath, name), "index", parse)
+    return load_index(dirpath, name, "index", parse)
 
 
 def _load_graphs(dirpath) -> tuple[dict, list]:
     """graphs.json and every graph it lists, each checked against its L x Ne."""
     index = _load_index(dirpath, "graphs.json", "graph", ("num_layers", "experts_per_layer"))
     L, n = index["num_layers"], index["experts_per_layer"]
-    graphs = [load_graph(dirpath, name) for _, name in index["samples"]]
-    for (_, name), g in zip(index["samples"], graphs):
+    graphs = [load_graph(*os.path.split(path)) for _, path in index["samples"]]
+    for (_, path), g in zip(index["samples"], graphs):
         if (g.num_layers, g.experts_per_layer) != (L, n):
             raise FormatError(
-                f"graph {os.path.join(dirpath, name)} is {g.num_layers} x {g.experts_per_layer} "
+                f"graph {path} is {g.num_layers} x {g.experts_per_layer} "
                 f"(L x Ne), but {os.path.join(dirpath, 'graphs.json')} lists {L} x {n}"
             )
     return index, graphs
@@ -270,13 +254,13 @@ def _load_graphs(dirpath) -> tuple[dict, list]:
 def cmd_plan(args) -> int:
     index, graphs = _load_graphs(args.graphs)
     pathsets = map_jobs(partial(top_m_paths_dp, m=args.m), graphs, args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-    ids = [i for i, _ in index["samples"]]
-    names = [f"sample{i:04d}.paths.json" for i in ids]
-    for name, ps in zip(names, pathsets):
-        save_pathset(ps, os.path.join(args.out, name))
-    _save_index(args.out, "paths.json", "paths", ids, names, m=args.m,
-                num_layers=index["num_layers"], experts_per_layer=index["experts_per_layer"])
+    names = [f"sample{i:04d}.paths.json" for i, _ in index["samples"]]
+    save_index(args.out, "paths.json", {
+        "m": args.m,
+        "num_layers": index["num_layers"],
+        "experts_per_layer": index["experts_per_layer"],
+        "samples": [{"id": i, "paths": name} for (i, _), name in zip(index["samples"], names)],
+    }, [(name, ps.to_json()) for name, ps in zip(names, pathsets)])
     if args.manifest:
         update_manifest(args.manifest, "plan", args.out)
     print(f"planned top-{args.m} paths for {len(graphs)} samples -> {args.out}")
@@ -289,8 +273,7 @@ def _load_path_index(dirpath) -> tuple[dict, list[PathSet]]:
     index = _load_index(dirpath, "paths.json", "paths", ("m", "num_layers", "experts_per_layer"))
     m, L, n = index["m"], index["num_layers"], index["experts_per_layer"]
     pathsets = []
-    for _, name in index["samples"]:
-        path = os.path.join(dirpath, name)
+    for _, path in index["samples"]:
         ps = load_pathset(path)
         if ps.m != m or not 0 < len(ps.paths) <= m or any(
             len(p.experts) != L or not all(0 <= i < n for i in p.experts) for p in ps.paths
@@ -316,25 +299,25 @@ def cmd_prune(args) -> int:
         mask = mask_from_pathsets(pathsets, index["experts_per_layer"])
         report = RetentionReport.from_mask(mask, index["m"], len(pathsets))
     else:
-        m_max = {} if args.m_max is None else {"m_max": args.m_max}
         mask, report = target_sparsity_search(
-            _load_graphs(args.graphs)[1], args.target_retention, **m_max
+            _load_graphs(args.graphs)[1], args.target_retention, args.m_max or M_MAX
         )
 
     if args.model:  # a bad --model fails the stage before it writes anything
         model = _load_unpruned_model(args.model)
         _check_mask_fits(mask, args.paths or args.graphs, model, args.model)
-    os.makedirs(args.out, exist_ok=True)
     mask_path = os.path.join(args.out, "mask.json")
     report_path = os.path.join(args.out, "report.json")
+    pruned_dir = os.path.join(args.out, "pruned-model")
+    os.makedirs(pruned_dir if args.model else args.out, exist_ok=True)
     save_mask(mask, mask_path)
     save_report(report, report_path)
     outputs = [mask_path, report_path]
     if args.model:
         pruned, kept = apply_mask(model, mask)
-        pruned_dir = os.path.join(args.out, "pruned-model")
-        save_model(pruned, pruned_dir)
+        # remap.json first, so that model.json is the last file written
         save_remap(kept, os.path.join(pruned_dir, "remap.json"))
+        save_model(pruned, pruned_dir)
         outputs.append(pruned_dir)
     if args.manifest:
         update_manifest(args.manifest, "prune", outputs)

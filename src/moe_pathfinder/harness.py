@@ -22,7 +22,7 @@ from .model import (
     sample_blocks,
 )
 from .numerics import Rng, _write_atomic, strict
-from .pruner import PruneMask, RetentionReport, kept_count, target_sparsity_search
+from .pruner import M_MAX, PruneMask, RetentionReport, kept_count, target_sparsity_search
 from .scoring import score_samples
 
 
@@ -58,7 +58,7 @@ class ExperimentConfig:
     n_random_masks: int = 20
     use_importance: bool = True
     use_transition: bool = True
-    m_max: int = 65536
+    m_max: int = M_MAX
     kmeans_seed: int = 4000
     expert_scale: float = 2.5
     router_gain: float = 64.0
@@ -245,7 +245,7 @@ def pathfinder_mask(
     target_retention: float,
     use_importance: bool = True,
     use_transition: bool = True,
-    m_max: int = 65536,
+    m_max: int = M_MAX,
 ) -> tuple[PruneMask, RetentionReport]:
     graphs = score_samples(model, calibration_samples, use_importance, use_transition)
     return target_sparsity_search(graphs, target_retention, m_max=m_max)

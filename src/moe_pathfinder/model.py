@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantError
 from .numerics import (
-    Rng, as_index, load_json, load_tensor, pairwise_sum, save_json, save_tensor,
-    softmax_rows,
+    Rng, as_index, load_index, load_tensor, pairwise_sum, save_index, softmax_rows,
 )
 
 NONLINEARITIES = ("none", "tanh")
@@ -279,18 +278,15 @@ def save_model(model: MoEModel, dirpath) -> None:
     and the n x d x d experts.  A pruned layer's n is its blobs' first
     dimension."""
     model.validate()
-    os.makedirs(dirpath, exist_ok=True)
-    manifest_layers = []
+    blobs, members = [], []
     for l, layer in enumerate(model.layers):
         router, experts = f"layer{l}.router.tnsr", f"layer{l}.experts.tnsr"
-        save_tensor(os.path.join(dirpath, router), layer.router)
-        save_tensor(os.path.join(dirpath, experts), layer.experts)
-        manifest_layers.append({"router": router, "experts": experts})
-    manifest = {"config": asdict(model.config), "layers": manifest_layers}
-    save_json(os.path.join(dirpath, "model.json"), manifest)
+        blobs.append({"router": router, "experts": experts})
+        members += [(router, layer.router), (experts, layer.experts)]
+    save_index(dirpath, "model.json", {"config": asdict(model.config), "layers": blobs}, members)
 
 
-def _parse_model_manifest(manifest) -> tuple[MoEConfig, list[tuple[str, str]]]:
+def _parse_model_manifest(manifest, member) -> tuple[MoEConfig, list[tuple[str, str]]]:
     c = manifest["config"]
     config = MoEConfig(
         num_layers=as_index(c["num_layers"], "num_layers", 2),
@@ -299,9 +295,7 @@ def _parse_model_manifest(manifest) -> tuple[MoEConfig, list[tuple[str, str]]]:
         top_k=as_index(c["top_k"], "top_k", 1),
         nonlinearity=c["nonlinearity"],
     )
-    blobs = [(e["router"], e["experts"]) for e in manifest["layers"]]
-    if not all(isinstance(name, str) for pair in blobs for name in pair):
-        raise ValueError("each layer must name one router blob and one experts blob")
+    blobs = [(member(e["router"]), member(e["experts"])) for e in manifest["layers"]]
     if len(blobs) != config.num_layers:
         raise ValueError(f"{len(blobs)} layers listed, config says {config.num_layers}")
     return config, blobs
@@ -310,11 +304,10 @@ def _parse_model_manifest(manifest) -> tuple[MoEConfig, list[tuple[str, str]]]:
 def load_model(dirpath) -> MoEModel:
     """The model of a save_model directory; a layer whose blobs break
     MoELayer.validate is a FormatError naming both blobs and model.json."""
+    config, blobs = load_index(dirpath, "model.json", "model manifest", _parse_model_manifest)
     manifest = os.path.join(dirpath, "model.json")
-    config, blobs = load_json(manifest, "model manifest", _parse_model_manifest)
     layers = []
-    for l, names in enumerate(blobs):
-        router_path, experts_path = (os.path.join(dirpath, name) for name in names)
+    for l, (router_path, experts_path) in enumerate(blobs):
         layer = MoELayer(router=load_tensor(router_path), experts=load_tensor(experts_path))
         try:
             layer.validate(l, config)

@@ -1,5 +1,5 @@
 """Dense float64 kernels, deterministic randomness, and the on-disk formats:
-`.tnsr` blobs and JSON artifacts, each written atomically.
+`.tnsr` blobs, JSON artifacts and multi-file indexes, each written atomically.
 
 Matrices are plain 2-D float64 numpy arrays (row-major).  The PRNG is
 SplitMix64, spelled out in full so that generated models are bit-identical
@@ -247,3 +247,29 @@ def load_json(path, what: str, parse=lambda obj: obj):
         raise FormatError(f"{what} {path} has no key {e}") from e
     except (ValueError, TypeError, IndexError, AttributeError) as e:
         raise FormatError(f"malformed {what} {path}: {e}") from e
+
+
+def _member(dirpath, file) -> str:
+    """`file`'s path in `dirpath`, if it is a plain file name: a non-string,
+    "", ".", "..", or a name holding a path separator or NUL is a ValueError."""
+    bad = not isinstance(file, str) or file in ("", ".", "..")
+    if bad or set(file) & {os.sep, os.altsep, "\0"}:
+        raise ValueError(f"member {file!r} is not a plain file name")
+    return os.path.join(dirpath, file)
+
+
+def save_index(dirpath, name: str, obj, members=()) -> None:
+    """Create `dirpath`, write each (file, value) member, an ndarray as a
+    `.tnsr` blob and anything else as JSON, and then, last, the index `name`
+    holding obj: a write cut short leaves no new index over unwritten members."""
+    os.makedirs(dirpath, exist_ok=True)
+    for file, value in members:
+        (save_tensor if isinstance(value, np.ndarray) else save_json)(_member(dirpath, file), value)
+    save_json(os.path.join(dirpath, name), obj)
+
+
+def load_index(dirpath, name: str, what: str, parse):
+    """parse(obj, member) of the index `name` in `dirpath`; member(file) is
+    `file`'s path there, and a bad name a FormatError naming the index."""
+    path = os.path.join(dirpath, name)
+    return load_json(path, what, lambda obj: parse(obj, lambda file: _member(dirpath, file)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .numerics import Rng, as_finite, as_index, load_json, save_json
+from .numerics import Rng, as_finite, as_index, load_json
 from .scoring import SampleGraph, graph_from_scores
 
 BRUTEFORCE_CAP = 10**6
@@ -224,10 +224,6 @@ def oracle_selfcheck(trials: int, seed: int, tol: float = 1e-9) -> tuple[int, li
         if ok:
             passes += 1
     return passes, mismatches
-
-
-def save_pathset(pathset: PathSet, path) -> None:
-    save_json(path, pathset.to_json())
 
 
 def load_pathset(path) -> PathSet:

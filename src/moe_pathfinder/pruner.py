@@ -21,6 +21,8 @@ from .numerics import as_index, load_json, save_json
 from .planner import PathSet, ranked_paths
 from .scoring import SampleGraph
 
+M_MAX = 65536  # the sparsity search's default cap on m
+
 
 @dataclass
 class PruneMask:
@@ -136,7 +138,7 @@ def mask_from_pathsets(pathsets: list[PathSet], experts_per_layer: int) -> Prune
 def target_sparsity_search(
     graphs: list[SampleGraph],
     target_retention: float,
-    m_max: int = 65536,
+    m_max: int = M_MAX,
 ) -> tuple[PruneMask, RetentionReport]:
     """Smallest m whose union mask keeps at least kept_count(target, L * N_e)
     experts, in one lockstep pass: step m draws every sample's m-th ranked

@@ -524,6 +524,25 @@ def _resize_experts(delta, router=False):
     return apply
 
 
+def _member_outside(field, where=None, entry=lambda o: o["samples"][0]):
+    # entry(index)[field] names a valid file outside the index's own
+    # directory: the member itself by its absolute path, or, with `where`,
+    # the member in the sibling directory `where`, a copy of this one
+    def apply(p):
+        obj = json.loads(p.read_text())
+        name = entry(obj)[field]
+        if where is None:
+            entry(obj)[field] = str(p.parent.resolve() / name)
+        else:
+            if p.parent.name != where:
+                shutil.copytree(p.parent, p.parent.parent / where)
+            entry(obj)[field] = f"../{where}/{name}"
+        p.write_text(json.dumps(obj))
+
+    apply.names = ("not a plain file name",)
+    return apply
+
+
 def _pruned_model(_):
     # writes pruned/pruned-model next to its mask, as a README-style run does
     assert run_cli(*"prune --graphs graphs --target-retention 0.5 --model model -o pruned".split()) == 0
@@ -650,6 +669,17 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      _naming("(4, 8)", "hidden_dim 1000000",
                              corrupt=_model_config(hidden_dim=10**6)),
                      SCORE, id="model-hidden-dim-disagrees"),
+        # an index names files in its own directory only
+        pytest.param("model/model.json",
+                     _member_outside("router", "other", entry=lambda o: o["layers"][0]),
+                     SCORE, id="model-member-outside-dir"),
+        pytest.param("data/data.json", _member_outside("blob", "data", entry=lambda o: o),
+                     "calibrate --data data --k 2 --seed 0 -o c2.json",
+                     id="data-member-outside-dir"),
+        pytest.param("graphs/graphs.json", _member_outside("graph", "g"),
+                     "plan --graphs graphs --m 2 -o p2", id="graph-member-outside-dir"),
+        pytest.param("paths/paths.json", _member_outside("paths"),
+                     "heatmap --paths paths -o h.csv", id="path-member-absolute"),
         pytest.param("pruned/pruned-model", _pruned_model,
                      "score --model pruned/pruned-model --data data -o g2", id="pruned-model-score"),
         pytest.param("pruned/pruned-model", _pruned_model,
@@ -686,6 +716,23 @@ def test_gen_data_runs_on_a_pruned_model(staged):
     _pruned_model(staged / "pruned" / "pruned-model")
     assert run_cli(*"gen-data --model pruned/pruned-model --samples 2 --tokens 3 --seed 1 -o d2".split()) == 0
     assert len(load_data(staged / "d2")) == 2
+
+
+def test_prune_writes_the_pruned_model_index_last(staged, monkeypatch):
+    # a rerun cut short while writing pruned-model/ leaves its model.json,
+    # the last file written, and so the whole directory, as the first run did
+    assert run_cli(*"prune --paths paths --model model -o pr2".split()) == 0
+    out = staged / "pr2" / "pruned-model"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # the same weights with another top_k: only model.json would differ
+    assert run_cli(*"gen-model --layers 3 --experts 4 --dim 8 --topk 1 --seed 7 -o m1".split()) == 0
+
+    def fail(kept, path):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr("moe_pathfinder.cli.save_remap", fail)
+    assert run_cli(*"prune --paths paths --model m1 -o pr2".split()) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_prune_model_rerun_leaves_no_stale_blob(staged):

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moe_pathfinder.errors import FormatError
+from moe_pathfinder import numerics
 from moe_pathfinder.numerics import (
     Rng,
+    load_index,
     load_json,
     load_tensor,
     pairwise_sum,
+    save_index,
     save_json,
     save_tensor,
     softmax_rows,
@@ -289,3 +292,49 @@ def test_load_json_failures_name_the_file(tmp_path, content, parse, message):
     with pytest.raises(FormatError, match=message) as info:
         load_json(path, "thing", parse)
     assert f"thing {path}" in str(info.value)
+
+
+def _blob_member(obj, member):
+    return member(obj["blob"])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [5, None, "", ".", "..", "a/b", "../x.tnsr", "{tmp}/x.tnsr", "x\0.tnsr"],
+    ids=["int", "null", "empty", "dot", "dotdot", "subdir", "parent", "absolute", "nul"],
+)
+def test_load_index_member_must_be_a_plain_file_name(tmp_path, name):
+    # the one member-name rule: an index names files in its own directory only
+    if isinstance(name, str):
+        name = name.format(tmp=tmp_path)
+        save_tensor(tmp_path / "x.tnsr", np.zeros(2))  # "../x.tnsr" and "/.../x.tnsr" exist
+    save_index(tmp_path / "d", "index.json", {"blob": name})
+    with pytest.raises(FormatError, match="not a plain file name") as info:
+        load_index(tmp_path / "d", "index.json", "test index", _blob_member)
+    assert f"test index {tmp_path / 'd' / 'index.json'}" in str(info.value)
+
+
+def test_load_index_member_is_its_path_in_the_index_directory(tmp_path):
+    save_index(tmp_path, "index.json", {"blob": "layer0.router.tnsr"})
+    member = load_index(tmp_path, "index.json", "test index", _blob_member)
+    assert member == os.path.join(tmp_path, "layer0.router.tnsr")
+
+
+def test_save_index_writes_each_member_then_the_index_last(tmp_path, monkeypatch):
+    written = []
+    write = numerics._write_atomic
+    monkeypatch.setattr(
+        numerics, "_write_atomic", lambda path, data: (written.append(path), write(path, data))
+    )
+    arr = np.arange(6.0).reshape(2, 3)
+    out = tmp_path / "new" / "dir"
+    save_index(out, "index.json", {"blob": "a.tnsr"}, [("a.tnsr", arr), ("b.json", {"k": [1]})])
+    assert [os.path.basename(p) for p in written] == ["a.tnsr", "b.json", "index.json"]
+    assert load_tensor(out / "a.tnsr").tobytes() == arr.tobytes()
+    assert json.loads((out / "b.json").read_text()) == {"k": [1]}
+    assert json.loads((out / "index.json").read_text()) == {"blob": "a.tnsr"}
+
+    # a writer is held to the same rule, and a refused member leaves no index
+    with pytest.raises(ValueError, match="not a plain file name"):
+        save_index(tmp_path / "bad", "index.json", {}, [("a.tnsr", arr), ("../b.json", {})])
+    assert sorted(os.listdir(tmp_path / "bad")) == ["a.tnsr"]

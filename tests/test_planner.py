@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from moe_pathfinder.errors import InvariantError
 from moe_pathfinder.harness import ExperimentConfig, experiment_data, experiment_model
-from moe_pathfinder.numerics import Rng
+from moe_pathfinder.numerics import Rng, save_json
 from moe_pathfinder.planner import (
     PathSet,
     PrefixPath,
@@ -17,7 +17,6 @@ from moe_pathfinder.planner import (
     path_log_weight,
     random_sample_graph,
     ranked_paths,
-    save_pathset,
     top_m_paths_bruteforce,
     top_m_paths_dp,
     with_twin,
@@ -301,6 +300,6 @@ def test_oracle_selfcheck_passes():
 def test_pathset_json_roundtrip(tmp_path):
     ps = PathSet(m=3, paths=[PrefixPath((0, 2, 1), -1.5), PrefixPath((1, 0, 0), -2.25)])
     path = tmp_path / "paths.json"
-    save_pathset(ps, path)
+    save_json(path, ps.to_json())  # as `plan` writes each path set
     back = load_pathset(path)
     assert back == ps

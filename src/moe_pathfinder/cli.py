@@ -6,7 +6,9 @@ inspected and re-run.  All randomness takes an explicit --seed; re-running a
 stage with identical inputs overwrites its outputs byte-identically.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 invariant
-violation.
+violation.  A stage handler only loads, computes and writes, and returns the
+outputs it wrote; `main` maps the errors it raises to exit codes and records
+its outputs in the --manifest file.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import build_calibration_set, load_calibration, save_calibration
-from .errors import FormatError, InvariantError
+from .errors import FormatError, InvariantError, UsageError
 from .harness import (
     ExperimentConfig,
     comparison_csv,
@@ -59,24 +61,6 @@ from .pruner import (
     RetentionReport,
 )
 from .scoring import load_graph, save_graph, score_samples
-
-
-def _parse_manifest(obj) -> dict:
-    """The manifest's stage -> outputs and stage -> seed maps."""
-    return {"stages": dict(obj["stages"]), "seeds": dict(obj["seeds"])}
-
-
-def update_manifest(path, stage: str, outputs, seed: int | None = None) -> None:
-    """Record a stage's outputs (and seed) in the staged-run manifest,
-    stamped with this tool version; any other top-level key is dropped."""
-    if os.path.exists(path):
-        manifest = load_json(path, "manifest", _parse_manifest)
-    else:
-        manifest = {"stages": {}, "seeds": {}}
-    manifest["stages"][stage] = outputs
-    if seed is not None:
-        manifest["seeds"][stage] = seed
-    save_json(path, {"tool_version": __version__, **manifest})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,53 +125,44 @@ def load_data(dirpath) -> list[SampleBatch]:
 
 
 def _config_from_flags(args) -> MoEConfig:
-    return MoEConfig(
-        num_layers=args.layers,
-        experts_per_layer=args.experts,
-        hidden_dim=args.dim,
-        top_k=args.topk,
-        nonlinearity=args.nonlinearity,
-    )
-
-
-def cmd_gen_model(args) -> int:
     try:
-        config = _config_from_flags(args)
+        return MoEConfig(
+            num_layers=args.layers,
+            experts_per_layer=args.experts,
+            hidden_dim=args.dim,
+            top_k=args.topk,
+            nonlinearity=args.nonlinearity,
+        )
     except ValueError as e:
-        sys.stderr.write(f"gen-model: {e}\n")
-        return 1
-    model = gen_model(config, args.seed)
+        raise UsageError(e) from e
+
+
+def cmd_gen_model(args) -> str:
+    model = gen_model(_config_from_flags(args), args.seed)
     save_model(model, args.out)
-    if args.manifest:
-        update_manifest(args.manifest, "gen-model", args.out, args.seed)
     print(f"wrote model to {args.out}")
-    return 0
+    return args.out
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> str:
     model = load_model(args.model)
     samples = gen_data(model.config, args.samples, args.tokens, args.seed)
     save_data(samples, args.seed, args.out)
-    if args.manifest:
-        update_manifest(args.manifest, "gen-data", args.out, args.seed)
     print(f"wrote {len(samples)} samples to {args.out}")
-    return 0
+    return args.out
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> str:
     samples = load_data(args.data)
     if args.k > len(samples):
-        sys.stderr.write(f"calibrate: --k {args.k} exceeds the {len(samples)} samples\n")
-        return 1
+        raise UsageError(f"--k {args.k} exceeds the {len(samples)} samples")
     calib = build_calibration_set(samples, args.k, args.seed)
     save_calibration(calib, args.out)
-    if args.manifest:
-        update_manifest(args.manifest, "calibrate", args.out, args.seed)
     print(f"selected {len(calib.sample_ids)} of {len(samples)} samples -> {args.out}")
-    return 0
+    return args.out
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> str:
     model = _load_unpruned_model(args.model)
     samples = load_data(args.data)
     _check_data_fits(samples, args.data, model, args.model)
@@ -213,16 +188,14 @@ def cmd_score(args) -> int:
         "num_layers": model.config.num_layers, "experts_per_layer": model.config.experts_per_layer,
         "samples": [{"id": i, "graph": name} for i, name in zip(ids, names)],
     })
-    if args.manifest:
-        update_manifest(args.manifest, "score", args.out)
     print(f"scored {len(ids)} samples -> {args.out}")
-    return 0
+    return args.out
 
 
 def _load_index(dirpath, name: str, entry: str, keys: tuple[str, ...]) -> dict:
     """A stage index: its integer `keys`, and "samples" as (id, path) pairs
     read from each sample's "id" and `entry` fields: at least one, and no id
-    twice."""
+    or file twice."""
 
     def parse(obj, member) -> dict:
         index = {key: as_index(obj[key], key, 1) for key in keys}
@@ -230,8 +203,10 @@ def _load_index(dirpath, name: str, entry: str, keys: tuple[str, ...]) -> dict:
             (as_index(e["id"], "sample id"), member(e[entry])) for e in obj["samples"]
         ]
         ids = [i for i, _ in index["samples"]]
-        if not ids or len(set(ids)) != len(ids):
-            raise ValueError(f"samples must list at least one sample, each id once, got ids {ids}")
+        files = {path for _, path in index["samples"]}
+        if not ids or len(set(ids)) != len(ids) or len(files) != len(ids):
+            raise ValueError(f"samples must list at least one sample, each id and each {entry} "
+                             f"once, got ids {ids}")
         return index
 
     return load_index(dirpath, name, "index", parse)
@@ -251,7 +226,7 @@ def _load_graphs(dirpath) -> tuple[dict, list]:
     return index, graphs
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> str:
     index, graphs = _load_graphs(args.graphs)
     pathsets = map_jobs(partial(top_m_paths_dp, m=args.m), graphs, args.jobs)
     names = [f"sample{i:04d}.paths.json" for i, _ in index["samples"]]
@@ -261,10 +236,8 @@ def cmd_plan(args) -> int:
         "experts_per_layer": index["experts_per_layer"],
         "samples": [{"id": i, "paths": name} for (i, _), name in zip(index["samples"], names)],
     }, [(name, ps.to_json()) for name, ps in zip(names, pathsets)])
-    if args.manifest:
-        update_manifest(args.manifest, "plan", args.out)
     print(f"planned top-{args.m} paths for {len(graphs)} samples -> {args.out}")
-    return 0
+    return args.out
 
 
 def _load_path_index(dirpath) -> tuple[dict, list[PathSet]]:
@@ -286,13 +259,12 @@ def _load_path_index(dirpath) -> tuple[dict, list[PathSet]]:
     return index, pathsets
 
 
-def cmd_prune(args) -> int:
+def cmd_prune(args) -> list[str]:
     # the parser already requires exactly one of --paths and --graphs
     if (args.graphs is None) != (args.target_retention is None) or (args.paths and args.m_max):
-        sys.stderr.write(
-            "prune: --graphs needs --target-retention, and --paths takes neither it nor --m-max\n"
+        raise UsageError(
+            "--graphs needs --target-retention, and --paths takes neither it nor --m-max"
         )
-        return 1
 
     if args.paths:
         index, pathsets = _load_path_index(args.paths)
@@ -319,13 +291,11 @@ def cmd_prune(args) -> int:
         save_remap(kept, os.path.join(pruned_dir, "remap.json"))
         save_model(pruned, pruned_dir)
         outputs.append(pruned_dir)
-    if args.manifest:
-        update_manifest(args.manifest, "prune", outputs)
     print(
         f"mask retains {report.retained_total} experts "
         f"(fraction {report.retention_fraction!r}) with m={report.m_used} -> {args.out}"
     )
-    return 0
+    return outputs
 
 
 def _load_unpruned_model(path) -> MoEModel:
@@ -375,7 +345,7 @@ def _finite_forward(model_path, data_path):
         ) from e
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> str:
     model = _load_unpruned_model(args.model)
     mask = load_mask(args.mask)
     _check_mask_fits(mask, args.mask, model, args.model)
@@ -389,13 +359,11 @@ def cmd_eval(args) -> int:
         "retention_fraction": result.retention_fraction,
     }
     save_json(args.out, obj)
-    if args.manifest:
-        update_manifest(args.manifest, "eval", args.out)
     print(f"mean final-layer error {result.mean_final_error!r} -> {args.out}")
-    return 0
+    return args.out
 
 
-def cmd_heatmap(args) -> int:
+def cmd_heatmap(args) -> str:
     index, pathsets = _load_path_index(args.paths)
     L, n = index["num_layers"], index["experts_per_layer"]
 
@@ -403,16 +371,17 @@ def cmd_heatmap(args) -> int:
         return {(as_index(l, "outlier layer", 0, L), as_index(i, "outlier expert", 0, n))
                 for l, i in pairs}
 
-    outliers = load_json(args.outliers, "outlier file", parse_outliers) if args.outliers else None
-    counts = selection_frequency(pathsets, L, n, outliers)
+    counts = selection_frequency(pathsets, L, n)
+    if args.outliers:  # drawn at the peak count: a heatmap convention, never applied to masks
+        peak = counts.max()
+        for l, i in load_json(args.outliers, "outlier file", parse_outliers):
+            counts[l, i] = peak
     export_heatmap(counts, args.out)
-    if args.manifest:
-        update_manifest(args.manifest, "heatmap", args.out)
     print(f"wrote heatmap for {len(pathsets)} path sets -> {args.out}")
-    return 0
+    return args.out
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> str:
     try:
         config = ExperimentConfig(
             moe=_config_from_flags(args),
@@ -422,16 +391,14 @@ def cmd_compare(args) -> int:
             **{field: getattr(args, field) for _, _, field in COMPARE_FLAGS},
         )
     except ValueError as e:
-        sys.stderr.write(f"compare: {e}\n")
-        return 1
+        raise UsageError(e) from e
     try:
         report = run_comparison(config, jobs=args.jobs)
     except FloatingPointError as e:
-        sys.stderr.write(
-            f"compare: this instance family overflows the forward pass ({e}); "
-            "lower --expert-scale or --router-gain, or pick a bounded --nonlinearity\n"
-        )
-        return 1
+        raise UsageError(
+            f"this instance family overflows the forward pass ({e}); "
+            "lower --expert-scale or --router-gain, or pick a bounded --nonlinearity"
+        ) from e
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "comparison.csv")
     _write_atomic(csv_path, comparison_csv(report).encode())
@@ -455,17 +422,16 @@ def cmd_compare(args) -> int:
         f"\npathfinder wins {report.wins}/{len(report.outcomes)} seeds -> {args.out} "
         f"(mean error {mean_error:.4e}, mean ratio {np.mean(ratios):.2f})"
     )
-    return 0
+    return args.out
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args) -> None:
     passes, mismatches = oracle_selfcheck(args.trials, args.seed)
     print(f"oracle: {passes}/{args.trials}")
     if mismatches:
         for line in mismatches:
             sys.stderr.write(line + "\n")
         raise InvariantError(f"{len(mismatches)} oracle mismatches")
-    return 0
 
 
 # ------------------------------------------------------------------- parser
@@ -607,11 +573,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    manifest_path = getattr(args, "manifest", None)
+    manifest = {"stages": {}, "seeds": {}}
     try:
-        # a bad manifest fails the stage before it writes anything
-        if getattr(args, "manifest", None) and os.path.exists(args.manifest):
-            load_json(args.manifest, "manifest", _parse_manifest)
-        return args.func(args)
+        if manifest_path and os.path.exists(manifest_path):
+            # a bad manifest fails the stage before it writes anything
+            manifest = load_json(manifest_path, "manifest", lambda obj: {
+                "stages": dict(obj["stages"]), "seeds": dict(obj["seeds"])})
+        outputs = args.func(args)
+        if manifest_path:  # what the stage wrote, and its seed, stamped with this tool version
+            manifest["stages"][args.command] = outputs
+            if hasattr(args, "seed"):
+                manifest["seeds"][args.command] = args.seed
+            save_json(manifest_path, {"tool_version": __version__, **manifest})
+        return 0
+    except UsageError as e:
+        sys.stderr.write(f"{args.command}: {e}\n")
+        return 1
     except FormatError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

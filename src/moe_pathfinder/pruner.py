@@ -104,14 +104,10 @@ def kept_count(fraction: float, total: int) -> int:
 
 
 def selection_frequency(
-    pathsets: list[PathSet],
-    num_layers: int,
-    experts_per_layer: int,
-    outlier_ids: set[tuple[int, int]] | None = None,
+    pathsets: list[PathSet], num_layers: int, experts_per_layer: int
 ) -> np.ndarray:
     """count[l][i] = number of (pathset, path) pairs choosing expert i at
-    layer l.  Outlier experts are overwritten with the global maximum count
-    (a visualization convention; never applied to masks)."""
+    layer l."""
     counts = np.zeros((num_layers, experts_per_layer), dtype=np.int64)
     layers = np.arange(num_layers)
     for ps in pathsets:
@@ -119,10 +115,6 @@ def selection_frequency(
             if len(p.experts) != num_layers:
                 raise ValueError(f"path {p.experts} does not have {num_layers} layers")
             counts[layers, p.experts] += 1
-    if outlier_ids:
-        peak = int(counts.max())
-        for l, i in outlier_ids:
-            counts[l, i] = peak
     return counts
 
 

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from moe_pathfinder import __version__
 from moe_pathfinder.cli import build_parser, load_data, main
 from moe_pathfinder.model import MoEConfig, gen_model, save_model
-from moe_pathfinder.numerics import load_tensor, save_tensor
+from moe_pathfinder.numerics import load_tensor, save_index, save_tensor
 from moe_pathfinder.planner import load_pathset
 from moe_pathfinder.pruner import load_mask
 
@@ -333,15 +334,57 @@ def test_calibration_score_plans_the_paths_of_a_full_score(tmp_path):
         assert [p.experts for p in a.paths] == [p.experts for p in b.paths]
 
 
-def test_manifest_accumulates_and_validates(pipeline):
-    tmp, model, data = pipeline
-    manifest = tmp / "manifest.json"
-    graphs = tmp / "graphs"
-    run_cli("score", "--model", model, "--data", data, "-o", graphs, "--manifest", manifest)
-    run_cli("plan", "--graphs", graphs, "--m", 1, "-o", tmp / "paths", "--manifest", manifest)
+def test_manifest_accumulates_and_validates(tmp_path, monkeypatch):
+    # every stage records what it wrote, and its --seed if it takes one
+    monkeypatch.chdir(tmp_path)
+    for argv in [
+        "gen-model --layers 3 --experts 4 --dim 8 --topk 2 --seed 7 -o model",
+        "gen-data --model model --samples 10 --tokens 5 --seed 8 -o data",
+        "calibrate --data data --k 4 --seed 9 -o calib.json",
+        "score --model model --data data --calibration calib.json -o graphs",
+        "plan --graphs graphs --m 2 -o paths",
+        "prune --paths paths --model model -o pruned",
+        "eval --model model --mask pruned/mask.json --data data -o eval.json",
+        "heatmap --paths paths -o heatmap.csv",
+    ]:
+        assert run_cli(*argv.split(), "--manifest", "manifest.json") == 0, argv
+    manifest = tmp_path / "manifest.json"
     obj = json.loads(manifest.read_text())
     assert list(obj) == ["tool_version", "stages", "seeds"]
-    assert set(obj["stages"]) == {"score", "plan"}
+    assert obj["tool_version"] == __version__
+    assert obj["stages"] == {
+        "gen-model": "model", "gen-data": "data", "calibrate": "calib.json", "score": "graphs",
+        "plan": "paths", "prune": ["pruned/mask.json", "pruned/report.json", "pruned/pruned-model"],
+        "eval": "eval.json", "heatmap": "heatmap.csv",
+    }
+    assert obj["seeds"] == {"gen-model": 7, "gen-data": 8, "calibrate": 9}
+
+    # a stage that fails records nothing
+    before = manifest.read_bytes()
+    for argv, code in [
+        ("calibrate --data data --k 11 --seed 9 -o c2.json", 1),
+        ("plan --graphs nosuch --m 1 -o p2", 2),
+        ("prune --graphs graphs --target-retention 1.0 --m-max 1 -o p3", 3),
+    ]:
+        assert run_cli(*argv.split(), "--manifest", "manifest.json") == code, argv
+        assert manifest.read_bytes() == before, argv
+
+
+def test_heatmap_outliers_take_the_peak_count(tmp_path):
+    paths = [{"experts": e, "log_weight": 0.0} for e in ([0, 0], [0, 1], [0, 1])]
+    save_index(tmp_path / "paths", "paths.json", {
+        "m": 3, "num_layers": 2, "experts_per_layer": 2,
+        "samples": [{"id": 0, "paths": "sample0000.paths.json"}],
+    }, [("sample0000.paths.json", {"m": 3, "paths": paths})])
+    (tmp_path / "outliers.json").write_text("[[1, 0]]")
+    out = tmp_path / "heatmap.csv"
+    assert run_cli("heatmap", "--paths", tmp_path / "paths", "--outliers",
+                   tmp_path / "outliers.json", "-o", out) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    counts = {(int(l), int(i)): int(c) for l, i, c in rows}
+    assert counts[0, 0] == 3  # global max
+    assert counts[1, 0] == 3  # overwritten with global max
+    assert counts[1, 1] == 2
 
 
 def _compare_rows(out):
@@ -680,6 +723,12 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      "plan --graphs graphs --m 2 -o p2", id="graph-member-outside-dir"),
         pytest.param("paths/paths.json", _member_outside("paths"),
                      "heatmap --paths paths -o h.csv", id="path-member-absolute"),
+        pytest.param("graphs/graphs.json", _naming("each id and each graph once", corrupt=_edit(
+            lambda o: o["samples"][1].update(graph=o["samples"][0]["graph"]))),
+                     "plan --graphs graphs --m 2 -o p2", id="graph-member-twice"),
+        pytest.param("paths/paths.json", _naming("each id and each paths once", corrupt=_edit(
+            lambda o: o["samples"][2].update(paths=o["samples"][0]["paths"]))),
+                     "heatmap --paths paths -o h.csv", id="path-member-twice"),
         pytest.param("pruned/pruned-model", _pruned_model,
                      "score --model pruned/pruned-model --data data -o g2", id="pruned-model-score"),
         pytest.param("pruned/pruned-model", _pruned_model,
@@ -817,6 +866,10 @@ def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
                      id="prune-m-max"),
         pytest.param("gen-data --model model --samples 0 --tokens 5 --seed 1 -o x", "--samples",
                      id="gen-data-samples"),
+        pytest.param("gen-model --layers 1 --experts 4 --dim 8 --topk 2 --seed 1 -o x",
+                     "num_layers", id="gen-model-layers"),
+        pytest.param("gen-model --layers 3 --experts 4 --dim 8 --topk 5 --seed 1 -o x", "top_k",
+                     id="gen-model-topk-over-experts"),
         pytest.param("compare --seed 1 --retention 0 -o x", "--retention", id="compare-retention"),
         pytest.param("compare --seed 1 --k 9 --pool 8 -o x", "calibration_k=9", id="compare-k-over-pool"),
         pytest.param("compare --seed 1 --cluster-radius nan -o x", "cluster_radius",
@@ -836,6 +889,24 @@ def test_bad_flag_value_is_usage_error(staged, capsys, argv, named):
     assert run_cli(*argv.split()) == 1
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    assert not (staged / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param("gen-model --layers 1 --experts 4 --dim 8 --topk 2 --seed 1 -o x",
+                 id="gen-model-config"),
+    pytest.param("calibrate --data data --k 11 --seed 9 -o x", id="calibrate-k-over-samples"),
+    pytest.param("prune --graphs graphs -o x", id="prune-mode"),
+    pytest.param("compare --seed 1 --layers 1 -o x", id="compare-moe-config"),
+    pytest.param("compare --seed 1 --k 9 --pool 8 -o x", id="compare-config"),
+    pytest.param("compare --seed 0 --trials 1 --expert-scale 1e200 --nonlinearity none -o x",
+                 id="compare-overflow"),
+])
+def test_usage_error_is_one_line_led_by_its_subcommand(staged, capsys, argv):
+    capsys.readouterr()
+    assert run_cli(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(argv.split()[0] + ": ") and err.count("\n") == 1, err
     assert not (staged / "x").exists()
 
 

@@ -112,13 +112,6 @@ def test_selection_frequency_uniform_graph_combinatorics():
     assert np.all(counts == 4)
 
 
-def test_selection_frequency_outlier_overwrite():
-    counts = selection_frequency([pathset_of([0, 0], [0, 1], [0, 1])], 2, 2, outlier_ids={(1, 0)})
-    assert counts[0, 0] == 3  # global max
-    assert counts[1, 0] == 3  # overwritten with global max
-    assert counts[1, 1] == 2
-
-
 def test_selection_frequency_rejects_paths_of_another_depth():
     with pytest.raises(ValueError, match="3 layers"):
         selection_frequency([pathset_of([0, 1, 2], [0, 1])], 3, 3)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SampleBatch
-from .numerics import Rng, as_finite, as_index, load_json, save_json
+from .numerics import Rng, as_finite, as_index, load_json
 
 
 @dataclass
@@ -26,19 +26,11 @@ class KMeansResult:
 
 
 @dataclass
-class CalibrationSet:
-    sample_ids: list[int]
+class CalibrationSet:  # a record: save_json writes its fields in this order
     K: int
     seed: int
+    sample_ids: list[int]
     distortion: float
-
-    def to_json(self) -> dict:
-        return {
-            "K": self.K,
-            "seed": self.seed,
-            "sample_ids": list(self.sample_ids),
-            "distortion": self.distortion,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "CalibrationSet":
@@ -64,8 +56,14 @@ def featurize(sample: SampleBatch) -> np.ndarray:
 
 
 def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Each point's squared distance to center.  einsum overflows to inf
+    without raising, even under np.errstate, so an inf is raised here as the
+    FloatingPointError numpy.errstate(over="raise") would give."""
     diff = points - center[None, :]
-    return np.einsum("ij,ij->i", diff, diff)
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    if not np.isfinite(d2).all():
+        raise FloatingPointError("overflow encountered in squared distance")
+    return d2
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
@@ -172,10 +170,6 @@ def build_calibration_set(samples: list[SampleBatch], k: int, seed: int) -> Cali
     result = kmeans(features, k, seed)
     ids = select_representatives(features, result.centroids, result.assignments)
     return CalibrationSet(sample_ids=ids, K=k, seed=seed, distortion=result.distortion)
-
-
-def save_calibration(calib: CalibrationSet, path) -> None:
-    save_json(path, calib.to_json())
 
 
 def load_calibration(path) -> CalibrationSet:

@@ -22,7 +22,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__
-from .calibration import build_calibration_set, load_calibration, save_calibration
+from .calibration import build_calibration_set, load_calibration
 from .errors import FormatError, InvariantError, UsageError
 from .harness import (
     ExperimentConfig,
@@ -32,7 +32,6 @@ from .harness import (
     export_heatmap,
     map_jobs,
     run_comparison,
-    run_manifest,
 )
 from .model import (
     MoEConfig,
@@ -99,9 +98,10 @@ def save_data(samples: list[SampleBatch], seed: int, dirpath) -> None:
     save_index(dirpath, "data.json", meta, [("tokens.tnsr", stacked)])
 
 
-def load_data(dirpath) -> list[SampleBatch]:
-    """The samples of a gen-data directory; a blob that is empty or whose
-    shape disagrees with data.json is a FormatError naming it."""
+def load_data(dirpath) -> tuple[list[SampleBatch], str]:
+    """The samples of a gen-data directory and the path of their blob; a
+    blob that is empty or whose shape disagrees with data.json is a
+    FormatError naming it."""
     blob_path, shape = load_index(dirpath, "data.json", "data manifest", lambda meta, member: (
         member(meta["blob"]),
         tuple(as_index(meta[k], k) for k in ("n_samples", "tokens_per_sample", "hidden_dim")),
@@ -118,7 +118,7 @@ def load_data(dirpath) -> list[SampleBatch]:
             f"data blob {blob_path} has shape {stacked.shape}, but {meta_path} lists "
             f"{shape[0]} samples of {shape[1]} tokens of width {shape[2]}"
         )
-    return [SampleBatch(stacked[i]) for i in range(stacked.shape[0])]
+    return [SampleBatch(stacked[i]) for i in range(stacked.shape[0])], blob_path
 
 
 # ----------------------------------------------------------------- handlers
@@ -153,18 +153,19 @@ def cmd_gen_data(args) -> str:
 
 
 def cmd_calibrate(args) -> str:
-    samples = load_data(args.data)
+    samples, blob = load_data(args.data)
     if args.k > len(samples):
         raise UsageError(f"--k {args.k} exceeds the {len(samples)} samples")
-    calib = build_calibration_set(samples, args.k, args.seed)
-    save_calibration(calib, args.out)
+    with _overflow_names(f"data blob {blob}", "the k-means distances"):
+        calib = strict(build_calibration_set, samples, args.k, args.seed)
+    save_json(args.out, calib)
     print(f"selected {len(calib.sample_ids)} of {len(samples)} samples -> {args.out}")
     return args.out
 
 
 def cmd_score(args) -> str:
     model = _load_unpruned_model(args.model)
-    samples = load_data(args.data)
+    samples, _ = load_data(args.data)
     _check_data_fits(samples, args.data, model, args.model)
     if args.calibration:
         ids = load_calibration(args.calibration).sample_ids
@@ -178,7 +179,7 @@ def cmd_score(args) -> str:
         ids = list(range(len(samples)))
     # workers take whole blocks, so the graph bytes do not depend on --jobs
     blocks = list(sample_blocks([samples[i] for i in ids]))
-    with _finite_forward(args.model, args.data):
+    with _overflow_names(f"model {args.model} on data {args.data}", "the forward pass"):
         graphs = [
             g for gs in map_jobs(partial(strict, score_samples, model), blocks, args.jobs)
             for g in gs
@@ -235,7 +236,7 @@ def cmd_plan(args) -> str:
         "num_layers": index["num_layers"],
         "experts_per_layer": index["experts_per_layer"],
         "samples": [{"id": i, "paths": name} for (i, _), name in zip(index["samples"], names)],
-    }, [(name, ps.to_json()) for name, ps in zip(names, pathsets)])
+    }, list(zip(names, pathsets)))
     print(f"planned top-{args.m} paths for {len(graphs)} samples -> {args.out}")
     return args.out
 
@@ -334,31 +335,24 @@ def _check_data_fits(samples, data_path, model, model_path) -> None:
 
 
 @contextmanager
-def _finite_forward(model_path, data_path):
-    """Every blob is finite, yet the forward of this model on this data may
-    still overflow: that pair of inputs is a format error naming both."""
+def _overflow_names(inputs: str, computation: str):
+    """Every blob is finite, yet a computation on these inputs may still
+    overflow: that is a format error naming the inputs."""
     try:
         yield
     except FloatingPointError as e:
-        raise FormatError(
-            f"model {model_path} on data {data_path} overflows the forward pass ({e})"
-        ) from e
+        raise FormatError(f"{inputs} overflows {computation} ({e})") from e
 
 
 def cmd_eval(args) -> str:
     model = _load_unpruned_model(args.model)
     mask = load_mask(args.mask)
     _check_mask_fits(mask, args.mask, model, args.model)
-    samples = load_data(args.data)
+    samples, _ = load_data(args.data)
     _check_data_fits(samples, args.data, model, args.model)
-    with _finite_forward(args.model, args.data):
+    with _overflow_names(f"model {args.model} on data {args.data}", "the forward pass"):
         result = strict(eval_mask, model, mask, samples)
-    obj = {
-        "mean_final_error": result.mean_final_error,
-        "per_layer_errors": result.per_layer_errors,
-        "retention_fraction": result.retention_fraction,
-    }
-    save_json(args.out, obj)
+    save_json(args.out, result)
     print(f"mean final-layer error {result.mean_final_error!r} -> {args.out}")
     return args.out
 
@@ -404,10 +398,10 @@ def cmd_compare(args) -> str:
     _write_atomic(csv_path, comparison_csv(report).encode())
     summary_path = os.path.join(args.out, "summary.json")
     save_json(summary_path, comparison_summary(report))
-    save_json(
-        os.path.join(args.out, "manifest.json"),
-        run_manifest(config, __version__, {"comparison": csv_path, "summary": summary_path}),
-    )
+    save_json(os.path.join(args.out, "manifest.json"), {
+        "tool_version": __version__, "config": config,
+        "outputs": {"comparison": csv_path, "summary": summary_path},
+    })
 
     print(f"{'seed':>6} {'pathfinder':>12} {'rand median':>12} {'ratio':>7}  win")
     ratios = []
@@ -574,18 +568,18 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     manifest_path = getattr(args, "manifest", None)
-    manifest = {"stages": {}, "seeds": {}}
+    stages = {}
     try:
         if manifest_path and os.path.exists(manifest_path):
             # a bad manifest fails the stage before it writes anything
-            manifest = load_json(manifest_path, "manifest", lambda obj: {
-                "stages": dict(obj["stages"]), "seeds": dict(obj["seeds"])})
+            stages = load_json(manifest_path, "manifest", lambda obj: {
+                out: dict(record) for out, record in obj["stages"].items()})
         outputs = args.func(args)
-        if manifest_path:  # what the stage wrote, and its seed, stamped with this tool version
-            manifest["stages"][args.command] = outputs
+        if manifest_path:  # one record per -o path, stamped with this tool version
+            stages[args.out] = {"command": args.command, "outputs": outputs}
             if hasattr(args, "seed"):
-                manifest["seeds"][args.command] = args.seed
-            save_json(manifest_path, {"tool_version": __version__, **manifest})
+                stages[args.out]["seed"] = args.seed
+            save_json(manifest_path, {"tool_version": __version__, "stages": stages})
         return 0
     except UsageError as e:
         sys.stderr.write(f"{args.command}: {e}\n")

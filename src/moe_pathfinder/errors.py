@@ -4,8 +4,8 @@ UsageError covers a flag value the stage cannot run with.
 FormatError covers anything wrong with an input file, and its message names
 the file: missing or unreadable, truncated, bad JSON, a missing key or a value
 of the wrong type, trailing bytes or a non-finite entry in a `.tnsr` blob, or
-shapes that disagree with a manifest, an index or the model, or a model whose
-forward pass overflows on the data.
+shapes that disagree with a manifest, an index or the model, a model whose
+forward pass overflows on the data, or data whose k-means distances overflow.
 InvariantError covers violations of runtime contracts (fully pruned layer,
 unreachable sparsity target, failed selfcheck).  `cli.main` maps them to exit
 codes 1, 2 and 3.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .scoring import score_samples
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig:  # a record: save_json writes its fields in this order
     """Comparison-experiment settings.
 
     The default instance family is deliberately non-degenerate: raw
@@ -83,7 +83,7 @@ class ExperimentConfig:
 
 
 @dataclass
-class EvalResult:
+class EvalResult:  # a record: save_json writes its fields in this order
     mean_final_error: float
     per_layer_errors: list[float]
     retention_fraction: float
@@ -356,12 +356,6 @@ def comparison_summary(report: ComparisonReport) -> dict:
             for o in report.outcomes
         ],
     }
-
-
-def run_manifest(config: ExperimentConfig, version: str, outputs: dict) -> dict:
-    cfg = asdict(config)
-    cfg["moe"] = asdict(config.moe)
-    return {"tool_version": version, "config": cfg, "outputs": outputs}
 
 
 def export_heatmap(counts: np.ndarray, path) -> None:

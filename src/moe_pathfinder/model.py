@@ -10,7 +10,7 @@ selection always break toward the lower expert index.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ NONLINEARITIES = ("none", "tanh")
 
 
 @dataclass(frozen=True)
-class MoEConfig:
+class MoEConfig:  # a record: save_json writes its fields in this order
     num_layers: int
     experts_per_layer: int
     hidden_dim: int
@@ -283,7 +283,7 @@ def save_model(model: MoEModel, dirpath) -> None:
         router, experts = f"layer{l}.router.tnsr", f"layer{l}.experts.tnsr"
         blobs.append({"router": router, "experts": experts})
         members += [(router, layer.router), (experts, layer.experts)]
-    save_index(dirpath, "model.json", {"config": asdict(model.config), "layers": blobs}, members)
+    save_index(dirpath, "model.json", {"config": model.config, "layers": blobs}, members)
 
 
 def _parse_model_manifest(manifest, member) -> tuple[MoEConfig, list[tuple[str, str]]]:

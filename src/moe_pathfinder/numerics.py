@@ -1,6 +1,11 @@
 """Dense float64 kernels, deterministic randomness, and the on-disk formats:
 `.tnsr` blobs, JSON artifacts and multi-file indexes, each written atomically.
 
+save_json is the one rule for turning a record into JSON: a dataclass is
+written as {field: value} in declaration order, nested records included, so
+a record type's field order is its file's key order, and no artifact may
+hold NaN or Infinity.
+
 Matrices are plain 2-D float64 numpy arrays (row-major).  The PRNG is
 SplitMix64, spelled out in full so that generated models are bit-identical
 across machines and reimplementations; numpy's own generators are never used
@@ -13,6 +18,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -80,13 +86,14 @@ class Rng:
         Scans the running sum for the first index that strictly exceeds
         u * total, so zero-weight entries are never chosen.  The total is
         accumulated in the same order as the scan, which guarantees the scan
-        terminates (threshold < total == final running sum).
+        terminates (threshold < total == final running sum); a total that
+        is not positive and finite is a ValueError.
         """
         total = 0.0
         for w in weights:
             total += float(w)
-        if total <= 0.0:
-            raise ValueError("choice_weighted needs a positive total weight")
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"choice_weighted needs a positive finite total weight, got {total}")
         threshold = self.uniform() * total
         acc = 0.0
         for i, w in enumerate(weights):
@@ -205,9 +212,18 @@ def _write_atomic(path, data: bytes) -> None:
         raise
 
 
+def _record_fields(record) -> dict:
+    """A dataclass as {field: value} in declaration order; any other type
+    json cannot encode is a TypeError."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def save_json(path, obj) -> None:
-    """Write obj as JSON with indent=2 and a trailing newline, atomically."""
-    _write_atomic(path, (json.dumps(obj, indent=2) + "\n").encode())
+    """Write obj as JSON with indent=2 and a trailing newline, atomically;
+    each dataclass in it as its fields.  NaN or an infinity is a ValueError,
+    met before anything is written."""
+    text = json.dumps(obj, indent=2, allow_nan=False, default=_record_fields)
+    _write_atomic(path, (text + "\n").encode())
 
 
 def as_index(value, what: str, lo: int | None = 0, hi: int | None = None) -> int:

@@ -34,7 +34,7 @@ BRUTEFORCE_CAP = 10**6
 
 
 @dataclass(frozen=True)
-class PrefixPath:
+class PrefixPath:  # a record: save_json writes its fields in this order
     experts: tuple[int, ...]
     log_weight: float
 
@@ -43,18 +43,9 @@ class PrefixPath:
 
 
 @dataclass
-class PathSet:
+class PathSet:  # a record: save_json writes its fields in this order
     m: int
     paths: list[PrefixPath]
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "paths": [
-                {"experts": list(p.experts), "log_weight": p.log_weight}
-                for p in self.paths
-            ],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "PathSet":

@@ -43,6 +43,7 @@ class PruneMask:
         return self.retained_total() / self.keep.size
 
     def to_json(self) -> dict:
+        # not a record: the file is a 0/1 grid under an L/Ne header, not its field
         return {
             "L": self.num_layers,
             "Ne": self.experts_per_layer,
@@ -63,7 +64,7 @@ class PruneMask:
 
 
 @dataclass
-class RetentionReport:
+class RetentionReport:  # a record: save_json writes its fields in this order
     retained_per_layer: list[int]
     retained_total: int
     retention_fraction: float
@@ -83,16 +84,6 @@ class RetentionReport:
             samples_used=samples_used,
             trimmed=list(trimmed),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "retained_per_layer": list(self.retained_per_layer),
-            "retained_total": self.retained_total,
-            "retention_fraction": self.retention_fraction,
-            "m_used": self.m_used,
-            "samples_used": self.samples_used,
-            "trimmed": [[l, i] for l, i in self.trimmed],
-        }
 
 
 def kept_count(fraction: float, total: int) -> int:
@@ -191,7 +182,7 @@ def load_mask(path) -> PruneMask:
 
 
 def save_report(report: RetentionReport, path) -> None:
-    save_json(path, report.to_json())
+    save_json(path, report)
 
 
 def save_remap(kept: list[list[int]], path) -> None:

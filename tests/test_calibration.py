@@ -6,11 +6,10 @@ from moe_pathfinder.calibration import (
     featurize,
     kmeans,
     load_calibration,
-    save_calibration,
     select_representatives,
 )
 from moe_pathfinder.model import SampleBatch
-from moe_pathfinder.numerics import Rng
+from moe_pathfinder.numerics import Rng, save_json
 
 
 def test_featurize_single_token():
@@ -149,6 +148,14 @@ def test_build_calibration_set_roundtrip(tmp_path):
     assert calib.sample_ids == again.sample_ids
 
     path = tmp_path / "calib.json"
-    save_calibration(calib, path)
+    save_json(path, calib)  # as `calibrate` writes it
     back = load_calibration(path)
     assert back == calib
+
+
+def test_kmeans_raises_on_overflowing_distances():
+    # finite points whose squared distances overflow: einsum gives inf
+    # without raising, and k-means++ would scan an infinite total
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 1e200], [2.0, 1.0]])
+    with pytest.raises(FloatingPointError, match="squared distance"):
+        kmeans(points, 2, seed=3)

@@ -171,7 +171,7 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
     assert main(["gen-data", "--model", str(model), "--samples", "0", "-o", str(data)]) == 1
     assert "--samples" in capsys.readouterr().err
     assert main(argvs[1]) == 0
-    assert [x.tokens.shape for x in load_data(data)] == [(5, 8)] * 4
+    assert [x.tokens.shape for x in load_data(data)[0]] == [(5, 8)] * 4
     for argv in argvs:
         assert vars(parser.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
 
@@ -335,29 +335,42 @@ def test_calibration_score_plans_the_paths_of_a_full_score(tmp_path):
 
 
 def test_manifest_accumulates_and_validates(tmp_path, monkeypatch):
-    # every stage records what it wrote, and its --seed if it takes one
+    # every stage records, under its -o path, what it wrote and its --seed if
+    # it takes one; a rerun into the same -o replaces its record, and runs
+    # into other -o paths keep theirs
     monkeypatch.chdir(tmp_path)
     for argv in [
         "gen-model --layers 3 --experts 4 --dim 8 --topk 2 --seed 7 -o model",
+        "gen-data --model model --samples 10 --tokens 5 --seed 6 -o data",
         "gen-data --model model --samples 10 --tokens 5 --seed 8 -o data",
+        "gen-data --model model --samples 10 --tokens 5 --seed 5 -o data2",
         "calibrate --data data --k 4 --seed 9 -o calib.json",
         "score --model model --data data --calibration calib.json -o graphs",
         "plan --graphs graphs --m 2 -o paths",
         "prune --paths paths --model model -o pruned",
+        "prune --graphs graphs --target-retention 0.5 -o pruned-target",
         "eval --model model --mask pruned/mask.json --data data -o eval.json",
         "heatmap --paths paths -o heatmap.csv",
     ]:
         assert run_cli(*argv.split(), "--manifest", "manifest.json") == 0, argv
     manifest = tmp_path / "manifest.json"
     obj = json.loads(manifest.read_text())
-    assert list(obj) == ["tool_version", "stages", "seeds"]
+    assert list(obj) == ["tool_version", "stages"]
     assert obj["tool_version"] == __version__
     assert obj["stages"] == {
-        "gen-model": "model", "gen-data": "data", "calibrate": "calib.json", "score": "graphs",
-        "plan": "paths", "prune": ["pruned/mask.json", "pruned/report.json", "pruned/pruned-model"],
-        "eval": "eval.json", "heatmap": "heatmap.csv",
+        "model": {"command": "gen-model", "outputs": "model", "seed": 7},
+        "data": {"command": "gen-data", "outputs": "data", "seed": 8},
+        "data2": {"command": "gen-data", "outputs": "data2", "seed": 5},
+        "calib.json": {"command": "calibrate", "outputs": "calib.json", "seed": 9},
+        "graphs": {"command": "score", "outputs": "graphs"},
+        "paths": {"command": "plan", "outputs": "paths"},
+        "pruned": {"command": "prune", "outputs": [
+            "pruned/mask.json", "pruned/report.json", "pruned/pruned-model"]},
+        "pruned-target": {"command": "prune", "outputs": [
+            "pruned-target/mask.json", "pruned-target/report.json"]},
+        "eval.json": {"command": "eval", "outputs": "eval.json"},
+        "heatmap.csv": {"command": "heatmap", "outputs": "heatmap.csv"},
     }
-    assert obj["seeds"] == {"gen-model": 7, "gen-data": 8, "calibrate": 9}
 
     # a stage that fails records nothing
     before = manifest.read_bytes()
@@ -432,7 +445,8 @@ def test_compare_small_run(tmp_path, capsys):
 
 def test_gen_data_roundtrip_via_load(pipeline):
     tmp, model, data = pipeline
-    samples = load_data(data)
+    samples, blob = load_data(data)
+    assert blob == str(data / "tokens.tnsr")
     assert len(samples) == 10
     assert samples[0].tokens.shape == (5, 8)
 
@@ -533,6 +547,17 @@ def _nan_last_entry(p):
     p.write_bytes(p.read_bytes()[:-8] + struct.pack("<d", float("nan")))
 
 
+def _scale_sample(i, factor):
+    # every token of sample i times factor: each entry finite, but squared
+    # distances between the samples' features overflow
+    def apply(p):
+        tokens = load_tensor(p)
+        tokens[i] *= factor
+        save_tensor(p, tokens)
+
+    return apply
+
+
 def _empty_data(*shape):
     # an empty tokens blob with a data.json that agrees with its shape
     def apply(p):
@@ -624,6 +649,15 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("manifest.json", _truncate(30),
                      "plan --graphs graphs --m 1 -o p2 --manifest manifest.json",
                      id="manifest-truncated"),
+        # a manifest that keys its stages by subcommand, as before records
+        # were keyed by their -o path
+        pytest.param("manifest.json", _replace({"tool_version": "0.1.0", "stages": {
+            "plan": "paths"}, "seeds": {}}),
+                     "plan --graphs graphs --m 1 -o p2 --manifest manifest.json",
+                     id="manifest-keyed-by-subcommand"),
+        pytest.param("data/tokens.tnsr", _scale_sample(3, 1e200),
+                     "calibrate --data data --k 4 --seed 3 -o c2.json",
+                     id="data-overflows-k-means"),
         pytest.param("model/layer1.experts.tnsr", Path.unlink, EVAL, id="blob-missing"),
         pytest.param("model/layer1.experts.tnsr",
                      lambda p: p.write_bytes(p.read_bytes() + bytes(8)), EVAL,
@@ -764,7 +798,7 @@ def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
 def test_gen_data_runs_on_a_pruned_model(staged):
     _pruned_model(staged / "pruned" / "pruned-model")
     assert run_cli(*"gen-data --model pruned/pruned-model --samples 2 --tokens 3 --seed 1 -o d2".split()) == 0
-    assert len(load_data(staged / "d2")) == 2
+    assert len(load_data(staged / "d2")[0]) == 2
 
 
 def test_prune_writes_the_pruned_model_index_last(staged, monkeypatch):

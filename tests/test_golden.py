@@ -29,6 +29,8 @@ EXPERT_SLICES.  When each sample graph became one (L, 4, N_e) blob, the
 eight graph JSON digests gave way to eight sample{i}.tnsr digests and
 graphs.json, which now lists the blobs, was re-captured; every float is
 unchanged, and the old digests still pin each graph through GRAPH_JSON.
+The three comparison summary.json digests were captured before save_json
+began to write every record, so they pin that the summaries kept their bytes.
 The digests hold on x86-64 with numpy's
 bundled OpenBLAS, with one BLAS thread or two; another BLAS may round the
 model's matrix products differently and move every float.
@@ -42,8 +44,11 @@ from moe_pathfinder.numerics import load_tensor, save_json, save_tensor
 GOLDEN = {
     "calib.json": "549c397a55e7f42175457405989ffe13b3e99d0e5183432dec8ea9aff5671dd1",
     "compare-no-importance/comparison.csv": "d30fada91373ed46f31940e72d18cbbd577944990da37f1b04d4f8e14f55d845",
+    "compare-no-importance/summary.json": "cd6b253b03cbeff10ac78efd054c2c57356133907cb9b0949b03e64f88f2d9c9",
     "compare-no-transition/comparison.csv": "f75b6bd82512f3d6d18e2c8c1fa10c922f2cc56cebba3ceea1a292c1ab530ebb",
+    "compare-no-transition/summary.json": "33c275ad0c3c2fd2bdda213dfdb16be225c883e4827317a9cc79321d41fa8051",
     "compare/comparison.csv": "7b233f6ef6202e5e8444f7de070e17c366ffdaa4815ce5d6d28a328c29b97b19",
+    "compare/summary.json": "63ec8aac93aa79eed4c04ed3591192579e312b21351e8b2c96f100f4a5950288",
     "data/data.json": "c21b57d401bf60c88b5fbcac2c43a1111c4aa54bc79218e390b91da3f888d460",
     "data/tokens.tnsr": "d51047174ba2195eee126c70a366321ab4abb742f163f108ef3da6125247cffa",
     "eval.json": "09fc01fe006060161f4fc1e735f0555c41ac04d89af1158789668969475a9db7",
@@ -200,7 +205,7 @@ def artifact_digests(tmp) -> dict[str, str]:
     wanted = [p for p in sorted(tmp.rglob("*")) if p.is_file()]
     wanted = [
         p for p in wanted
-        if p.suffix == ".csv" or p.name in ("mask.json", "report.json", "eval.json")
+        if p.suffix == ".csv" or p.name in ("mask.json", "report.json", "eval.json", "summary.json")
         or p.name.endswith(".paths.json") or p.name == "paths.json"
         or p.parent.name in ("model", "data", "graphs") or p.name == "calib.json"
     ]

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -98,6 +99,10 @@ def test_rng_randrange_and_weighted_choice():
     assert picks <= {1, 3}
     with pytest.raises(ValueError):
         rng.choice_weighted(np.zeros(3))
+    # a total that overflowed, or is NaN, has no scan to draw from
+    for weights in ([1.0, np.inf], [1e308, 1e308], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="positive finite total"):
+            rng.choice_weighted(np.array(weights))
 
 
 def test_softmax_uniform_and_shift():
@@ -243,6 +248,20 @@ def test_save_json_layout_and_roundtrip(tmp_path):
     assert load_json(path, "thing", lambda o: o["b"][1]) == 2.5
 
 
+@dataclass
+class Record:
+    values: list[float]
+    name: str = "r"
+
+
+def test_save_json_writes_a_dataclass_as_its_fields(tmp_path):
+    path = tmp_path / "a.json"
+    save_json(path, {"outer": [Record([1.5]), Record([], "s")]})
+    assert path.read_text() == json.dumps(
+        {"outer": [{"values": [1.5], "name": "r"}, {"values": [], "name": "s"}]}, indent=2
+    ) + "\n"
+
+
 def test_save_json_failure_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "a.json"
     save_json(path, {"ok": True})
@@ -251,6 +270,11 @@ def test_save_json_failure_keeps_previous_file(tmp_path, monkeypatch):
     with pytest.raises(TypeError):
         save_json(path, {"first": list(range(1000)), "bad": {1, 2}})
     assert path.read_bytes() == before
+    # no artifact holds NaN or Infinity, in a record or out of one
+    for bad in ({"x": float("nan")}, Record([0.5, float("inf")]), [Record([-float("inf")])]):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_json(path, bad)
+        assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
 
     # a write that fails once the temp file is complete, for both writers

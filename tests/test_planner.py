@@ -300,6 +300,6 @@ def test_oracle_selfcheck_passes():
 def test_pathset_json_roundtrip(tmp_path):
     ps = PathSet(m=3, paths=[PrefixPath((0, 2, 1), -1.5), PrefixPath((1, 0, 0), -2.25)])
     path = tmp_path / "paths.json"
-    save_json(path, ps.to_json())  # as `plan` writes each path set
+    save_json(path, ps)  # as `plan` writes each path set
     back = load_pathset(path)
     assert back == ps

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from moe_pathfinder.pruner import (
     load_mask,
     mask_from_pathsets,
     save_mask,
+    save_report,
     selection_frequency,
     target_sparsity_search,
 )
@@ -217,11 +221,17 @@ def bisection_search_reference(graphs, target_retention, m_max=65536):
 
 
 def _search_outcome(search, graphs, target, m_max):
+    """The search's error, or the bytes of the mask and report files that
+    `prune` would write from its result."""
     try:
         mask, report = search(graphs, target, m_max=m_max)
     except InvariantError as e:
         return str(e)
-    return mask.to_json(), report.to_json()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [Path(tmp, "mask.json"), Path(tmp, "report.json")]
+        save_mask(mask, files[0])
+        save_report(report, files[1])
+        return [f.read_bytes() for f in files]
 
 
 @given(

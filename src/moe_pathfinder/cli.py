@@ -59,7 +59,7 @@ from .pruner import (
     target_sparsity_search,
     RetentionReport,
 )
-from .scoring import load_graph, save_graph, score_samples
+from .scoring import check_scores, graph_from_scores, score_samples
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,58 +184,58 @@ def cmd_score(args) -> str:
             g for gs in map_jobs(partial(strict, score_samples, model), blocks, args.jobs)
             for g in gs
         ]
-    names = [save_graph(graph, args.out, f"sample{i:04d}") for i, graph in zip(ids, graphs)]
     save_index(args.out, "graphs.json", {
         "num_layers": model.config.num_layers, "experts_per_layer": model.config.experts_per_layer,
-        "samples": [{"id": i, "graph": name} for i, name in zip(ids, names)],
-    })
+        "scores": "scores.tnsr", "samples": [{"id": i} for i in ids],
+    }, [("scores.tnsr", np.stack([g.scores for g in graphs]))])
     print(f"scored {len(ids)} samples -> {args.out}")
     return args.out
 
 
-def _load_index(dirpath, name: str, entry: str, keys: tuple[str, ...]) -> dict:
-    """A stage index: its integer `keys`, and "samples" as (id, path) pairs
-    read from each sample's "id" and `entry` fields: at least one, and no id
-    or file twice."""
+def _load_index(dirpath, name: str, keys: tuple[str, ...], blob: str | None = None,
+                entry: str | None = None) -> dict:
+    """A stage index: its integer `keys`, "ids" (each sample's "id": at least
+    one, none twice), under `blob` the member its `blob` field names, and
+    "files", each sample's own `entry` member, none twice."""
 
     def parse(obj, member) -> dict:
         index = {key: as_index(obj[key], key, 1) for key in keys}
-        index["samples"] = [
-            (as_index(e["id"], "sample id"), member(e[entry])) for e in obj["samples"]
-        ]
-        ids = [i for i, _ in index["samples"]]
-        files = {path for _, path in index["samples"]}
-        if not ids or len(set(ids)) != len(ids) or len(files) != len(ids):
-            raise ValueError(f"samples must list at least one sample, each id and each {entry} "
-                             f"once, got ids {ids}")
+        if blob:
+            index[blob] = member(obj[blob])
+        ids = index["ids"] = [as_index(e["id"], "sample id") for e in obj["samples"]]
+        files = index["files"] = [member(e[entry]) for e in obj["samples"]] if entry else []
+        if not ids or len(set(ids)) != len(ids) or len(set(files)) != len(files):
+            raise ValueError("samples must list at least one sample, each id"
+                             f"{f' and each {entry}' if entry else ''} once, got ids {ids}")
         return index
 
     return load_index(dirpath, name, "index", parse)
 
 
 def _load_graphs(dirpath) -> tuple[dict, list]:
-    """graphs.json and every graph it lists, each checked against its L x Ne."""
-    index = _load_index(dirpath, "graphs.json", "graph", ("num_layers", "experts_per_layer"))
-    L, n = index["num_layers"], index["experts_per_layer"]
-    graphs = [load_graph(*os.path.split(path)) for _, path in index["samples"]]
-    for (_, path), g in zip(index["samples"], graphs):
-        if (g.num_layers, g.experts_per_layer) != (L, n):
-            raise FormatError(
-                f"graph {path} is {g.num_layers} x {g.experts_per_layer} "
-                f"(L x Ne), but {os.path.join(dirpath, 'graphs.json')} lists {L} x {n}"
-            )
-    return index, graphs
+    """graphs.json and the graph of each sample it lists, in order: the rows
+    of its scores blob, checked once by check_scores and against its L x Ne."""
+    index = _load_index(dirpath, "graphs.json", ("num_layers", "experts_per_layer"), blob="scores")
+    path, L, n = index["scores"], index["num_layers"], index["experts_per_layer"]
+    scores = load_tensor(path)
+    check_scores(scores, path, index["ids"])
+    if (scores.shape[1], scores.shape[3]) != (L, n):
+        raise FormatError(
+            f"graph {path} holds {scores.shape[1]} x {scores.shape[3]} graphs (L x Ne), "
+            f"but {os.path.join(dirpath, 'graphs.json')} lists {L} x {n}"
+        )
+    return index, [graph_from_scores(row) for row in scores]
 
 
 def cmd_plan(args) -> str:
     index, graphs = _load_graphs(args.graphs)
     pathsets = map_jobs(partial(top_m_paths_dp, m=args.m), graphs, args.jobs)
-    names = [f"sample{i:04d}.paths.json" for i, _ in index["samples"]]
+    names = [f"sample{i:04d}.paths.json" for i in index["ids"]]
     save_index(args.out, "paths.json", {
         "m": args.m,
         "num_layers": index["num_layers"],
         "experts_per_layer": index["experts_per_layer"],
-        "samples": [{"id": i, "paths": name} for (i, _), name in zip(index["samples"], names)],
+        "samples": [{"id": i, "paths": name} for i, name in zip(index["ids"], names)],
     }, list(zip(names, pathsets)))
     print(f"planned top-{args.m} paths for {len(graphs)} samples -> {args.out}")
     return args.out
@@ -244,10 +244,11 @@ def cmd_plan(args) -> str:
 def _load_path_index(dirpath) -> tuple[dict, list[PathSet]]:
     """paths.json and every path set it lists, each checked to hold at least
     one path, at most m, and only paths that fit the index's m and L x Ne."""
-    index = _load_index(dirpath, "paths.json", "paths", ("m", "num_layers", "experts_per_layer"))
+    index = _load_index(dirpath, "paths.json", ("m", "num_layers", "experts_per_layer"),
+                        entry="paths")
     m, L, n = index["m"], index["num_layers"], index["experts_per_layer"]
     pathsets = []
-    for _, path in index["samples"]:
+    for path in index["files"]:
         ps = load_pathset(path)
         if ps.m != m or not 0 < len(ps.paths) <= m or any(
             len(p.experts) != L or not all(0 <= i < n for i in p.experts) for p in ps.paths

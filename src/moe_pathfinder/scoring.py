@@ -10,8 +10,9 @@ activation x next-layer routing preference, so a path's log weight splits
 into one score per expert: its clamped log importance, plus its clamped log
 activation toward the next layer, plus its clamped log routing preference
 from the previous one.  A graph holds the four per-layer vectors and these
-per-node scores; a graph file is the vectors alone, one (L, 4, N_e) `.tnsr`
-blob, and loading recomputes the scores.
+per-node scores; on disk it is the vectors alone, one (L, 4, N_e) row of a
+`.tnsr` blob that stacks every sample's (check_scores is the one rule for
+such arrays), and loading recomputes the scores.
 
 Everything is computed for all experts, routed-to or not, from one forward
 pass per block of stacked samples (model.sample_blocks): each layer's
@@ -163,22 +164,32 @@ def save_graph(graph: SampleGraph, dirpath, stem: str) -> str:
     return name
 
 
-def load_graph(dirpath, name: str) -> SampleGraph:
-    """Read a graph written by save_graph: an (L, 4, N_e) blob with no zero
-    dimension, every entry nonnegative and routing's at most 1.  The node
-    scores are recomputed by graph_from_scores, as score_samples computes
-    them, so the rebuilt graph is bit-identical to the one saved."""
-    path = os.path.join(dirpath, name)
-    scores = load_tensor(path)
-    if scores.ndim != 3 or scores.shape[1] != len(_GRAPH_FIELDS) or 0 in scores.shape:
-        raise FormatError(f"graph {path} has shape {scores.shape}, expected (L, 4, N_e)")
+def check_scores(scores: np.ndarray, path, ids=None) -> None:
+    """The one shape and range rule for score arrays read from `path`: one
+    graph's (L, 4, N_e) array, or a stack of one per sample id, no dimension
+    zero, every entry nonnegative and routing's at most 1.  A FormatError names
+    the path and the first bad entry's sample id (in a stack), layer and field."""
+    lead = () if ids is None else (len(ids),)
+    if (scores.ndim != len(lead) + 3 or scores.shape[:len(lead)] != lead
+            or scores.shape[-2] != len(_GRAPH_FIELDS) or 0 in scores.shape):
+        expected = "(L, 4, N_e)" if ids is None else f"({len(ids)}, L, 4, N_e), one graph per id"
+        raise FormatError(f"graph {path} has shape {scores.shape}, expected {expected}")
     # every vector is nonnegative by construction and routing is a mean of
     # probabilities; importance is not bounded by 1 at the last layer
     hi = np.array([1.0 if field == "routing" else np.inf for field in _GRAPH_FIELDS])
-    bad = ~((scores >= 0.0) & (scores <= hi[:, None])).all(axis=2)
+    bad = ~((scores >= 0.0) & (scores <= hi[:, None])).all(axis=-1)
     if bad.any():
-        l, f = np.argwhere(bad)[0]  # the first in file order
+        *k, l, f = np.argwhere(bad)[0]
+        sample = f"sample {ids[k[0]]} " if k else ""
         raise FormatError(
-            f"graph {path}: layer {l} field {_GRAPH_FIELDS[f]!r} must lie in [0, {hi[f]:g}]"
+            f"graph {path}: {sample}layer {l} field {_GRAPH_FIELDS[f]!r} must lie in [0, {hi[f]:g}]"
         )
+
+
+def load_graph(dirpath, name: str) -> SampleGraph:
+    """Read a graph written by save_graph, checked by check_scores; its node
+    scores are rebuilt by graph_from_scores, bit-identical to the saved ones."""
+    path = os.path.join(dirpath, name)
+    scores = load_tensor(path)
+    check_scores(scores, path)
     return graph_from_scores(scores)

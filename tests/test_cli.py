@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from moe_pathfinder import __version__
+from moe_pathfinder import __version__, numerics
 from moe_pathfinder.cli import build_parser, load_data, main
 from moe_pathfinder.model import MoEConfig, gen_model, save_model
 from moe_pathfinder.numerics import load_tensor, save_index, save_tensor
@@ -57,12 +57,12 @@ def test_pipeline_end_to_end(pipeline, capsys):
         "score", "--model", model, "--data", data, "--calibration", calib, "-o", graphs
     ) == 0
     index = json.loads((graphs / "graphs.json").read_text())
-    assert len(index["samples"]) == 4
-    blob = Path(index["samples"][0]["graph"])
-    assert blob.suffix == ".tnsr" and load_tensor(graphs / blob).shape == (3, 4, 4)
+    assert len(index["samples"]) == 4 and index["scores"] == "scores.tnsr"
+    assert sorted(p.name for p in graphs.iterdir()) == ["graphs.json", "scores.tnsr"]
+    assert load_tensor(graphs / "scores.tnsr").shape == (4, 3, 4, 4)
 
     assert run_cli("plan", "--graphs", graphs, "--m", 2, "-o", paths) == 0
-    first = json.loads((paths / f"{blob.stem}.paths.json").read_text())
+    first = json.loads((paths / f"sample{index['samples'][0]['id']:04d}.paths.json").read_text())
     assert first["m"] == 2
     assert all(len(p["experts"]) == 3 for p in first["paths"])
 
@@ -210,19 +210,25 @@ def test_missing_data_is_format_error(tmp_path):
                    "-o", tmp_path / "c.json") == 2
 
 
-# layer 1's activation vector with a NaN entry, or the activation field
-# dropped from every layer, which leaves a blob of 3 fields
+def graph_rows(graphs) -> dict[int, np.ndarray]:
+    """Each sample's (L, 4, N_e) score array in a graph directory, by id."""
+    index = json.loads((graphs / "graphs.json").read_text())
+    return dict(zip((e["id"] for e in index["samples"]), load_tensor(graphs / index["scores"])))
+
+
+# sample 3's layer-1 activation vector with a NaN entry, or the activation
+# field dropped from every graph, which leaves graphs of 3 fields
 @pytest.mark.parametrize("activation", [[float("nan"), 1.0, 1.0, 1.0], []])
 def test_plan_rejects_malformed_graph_vector(pipeline, capsys, activation):
     tmp, model, data = pipeline
     graphs = tmp / "graphs"
     run_cli("score", "--model", model, "--data", data, "-o", graphs)
-    graph_file = graphs / "sample0003.tnsr"
+    graph_file = graphs / "scores.tnsr"
     scores = load_tensor(graph_file)
     if activation:
-        scores[1, 0] = activation
+        scores[3, 1, 0] = activation
     else:
-        scores = scores[:, 1:]
+        scores = scores[:, :, 1:]
     save_tensor(graph_file, scores)
     assert run_cli("plan", "--graphs", graphs, "--m", 2, "-o", tmp / "paths") == 2
     err = capsys.readouterr().err
@@ -326,10 +332,10 @@ def test_calibration_score_plans_the_paths_of_a_full_score(tmp_path):
         assert run_cli("score", "--model", model, "--data", data, *extra, "-o", graphs) == 0
         assert run_cli("plan", "--graphs", graphs, "--m", 16, "-o", paths) == 0
         runs[name] = (graphs, paths)
+    (gc, pc), (gf, pf) = runs["calib"], runs["full"]
+    rows_c, rows_f = graph_rows(gc), graph_rows(gf)
     for i in ids:
-        (gc, pc), (gf, pf) = runs["calib"], runs["full"]
-        a, b = (load_tensor(g / f"sample{i:04d}.tnsr") for g in (gc, gf))
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rows_c[i], rows_f[i], rtol=1e-12, atol=0)
         a, b = (load_pathset(p / f"sample{i:04d}.paths.json") for p in (pc, pf))
         assert [p.experts for p in a.paths] == [p.experts for p in b.paths]
 
@@ -482,7 +488,7 @@ def staged(pipeline, monkeypatch):
 
 
 def _first_id(staged):
-    return f'{json.loads((staged / "graphs" / "graphs.json").read_text())["samples"][0]["id"]:04d}'
+    return json.loads((staged / "graphs" / "graphs.json").read_text())["samples"][0]["id"]
 
 
 def _truncate(n):
@@ -515,28 +521,41 @@ def _naming(*texts, corrupt):
 
 
 def _graph_entry(field, value):
-    # sets the first expert's entry of layer 1's score vector for field
+    # sets the first expert's entry of the first sample's layer-1 score
+    # vector for field
     def apply(p):
         scores = load_tensor(p)
-        scores[1, GRAPH_FIELDS.index(field), 0] = value
+        scores[0, 1, GRAPH_FIELDS.index(field), 0] = value
         save_tensor(p, scores)
 
-    return _naming(f"layer 1 field '{field}'", corrupt=apply)
+    return _naming(f"sample {{first}} layer 1 field '{field}'", corrupt=apply)
 
 
-def _old_graph_layout(p):
-    # every graph as the JSON file it was before graphs became blobs, and
-    # graphs.json listing those files
-    for blob in p.parent.glob("sample*.tnsr"):
-        scores = load_tensor(blob)
-        blob.with_suffix(".json").write_text(json.dumps({
-            "num_layers": scores.shape[0],
-            "experts_per_layer": scores.shape[2],
-            "layers": [dict(zip(GRAPH_FIELDS, layer.tolist())) for layer in scores],
-        }))
+def _per_sample_layout(suffix):
+    # graphs.json and one file per sample, as score wrote them before all
+    # scores went into one blob: a .tnsr blob each, or, from before graphs
+    # became blobs, a JSON file each
+    def apply(p):
+        index = json.loads(p.read_text())
+        blob = p.parent / index.pop("scores")
+        for e, scores in zip(index["samples"], load_tensor(blob)):
+            e["graph"] = f"sample{e['id']:04d}{suffix}"
+            if suffix == ".tnsr":
+                save_tensor(p.parent / e["graph"], scores)
+            else:
+                (p.parent / e["graph"]).write_text(json.dumps({
+                    "num_layers": scores.shape[0],
+                    "experts_per_layer": scores.shape[2],
+                    "layers": [dict(zip(GRAPH_FIELDS, layer.tolist())) for layer in scores],
+                }))
         blob.unlink()
-    index = p.parent / "graphs.json"
-    index.write_text(index.read_text().replace(".tnsr", ".json"))
+        p.write_text(json.dumps(index))
+
+    return apply
+
+
+def _drop_last_row(p):
+    save_tensor(p, load_tensor(p)[:-1])
 
 
 def _model_config(**fields):
@@ -673,7 +692,7 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("graphs/graphs.json", _edit(lambda o: o.update(experts_per_layer=5)),
                      "prune --graphs graphs --target-retention 0.5 -o pr2",
                      id="graph-index-disagrees"),
-        pytest.param("paths/sample{first}.paths.json",
+        pytest.param("paths/sample{first:04d}.paths.json",
                      _edit(lambda o: o["paths"][0].update(experts=[0, 4, 1])),
                      "heatmap --paths paths -o h.csv", id="path-outside-index"),
         pytest.param("outliers.json", _replace([[3, 0]]),
@@ -690,10 +709,10 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      "prune --paths paths -o pr2", id="path-index-m-negative"),
         pytest.param("paths/paths.json", _edit(lambda o: o.update(m=99)),
                      "prune --paths paths -o pr2", id="path-index-m-disagrees"),
-        pytest.param("paths/sample{first}.paths.json",
+        pytest.param("paths/sample{first:04d}.paths.json",
                      _edit(lambda o: o["paths"][0].update(experts=[0, 2.5, 1])),
                      "heatmap --paths paths -o h.csv", id="path-expert-float"),
-        pytest.param("paths/sample{first}.paths.json",
+        pytest.param("paths/sample{first:04d}.paths.json",
                      _edit(lambda o: o["paths"][0].update(log_weight=float("nan"))),
                      "prune --paths paths -o pr2", id="path-log-weight-nan"),
         pytest.param("calib.json", _edit(lambda o: o["sample_ids"].__setitem__(0, 1.7)),
@@ -715,23 +734,33 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      "prune --paths paths -o pr2", id="path-index-samples-empty"),
         pytest.param("paths/paths.json", _edit(lambda o: o["samples"].append(o["samples"][1])),
                      "heatmap --paths paths -o h.csv", id="path-index-id-repeated"),
-        # graph score vectors are nonnegative, and routing preferences at most 1
-        pytest.param("graphs/sample{first}.tnsr", _graph_entry("routing", -1.0),
+        # graph score vectors are nonnegative, and routing preferences at most
+        # 1; the error names the sample, the layer and the field
+        pytest.param("graphs/scores.tnsr", _graph_entry("routing", -1.0),
                      "plan --graphs graphs --m 2 -o p2", id="graph-routing-negative"),
-        pytest.param("graphs/sample{first}.tnsr", _graph_entry("routing", 1.5),
+        pytest.param("graphs/scores.tnsr", _graph_entry("routing", 1.5),
                      "prune --graphs graphs --target-retention 0.5 -o pr2",
                      id="graph-routing-above-1"),
-        pytest.param("graphs/sample{first}.tnsr", _graph_entry("recon_loss", -3.0),
+        pytest.param("graphs/scores.tnsr", _graph_entry("recon_loss", -3.0),
                      "plan --graphs graphs --m 2 -o p2", id="graph-recon-loss-negative"),
-        pytest.param("graphs/sample{first}.tnsr", _graph_entry("activation", -0.5),
+        pytest.param("graphs/scores.tnsr", _graph_entry("activation", -0.5),
                      "prune --graphs graphs --target-retention 0.5 -o pr2",
                      id="graph-activation-negative"),
-        pytest.param("graphs/sample{first}.tnsr", _graph_entry("importance", -1e-9),
+        pytest.param("graphs/scores.tnsr", _graph_entry("importance", -1e-9),
                      "plan --graphs graphs --m 2 -o p2", id="graph-importance-negative"),
-        # a graph directory written before graphs became blobs; rerunning
-        # score rewrites it
-        pytest.param("graphs/sample{first}.json", _old_graph_layout,
+        # the scores blob holds one graph per listed sample, and is there
+        pytest.param("graphs/scores.tnsr", Path.unlink, "plan --graphs graphs --m 2 -o p2",
+                     id="graph-scores-missing"),
+        pytest.param("graphs/scores.tnsr", _naming("expected (4, L, 4, N_e)", corrupt=_drop_last_row),
+                     "prune --graphs graphs --target-retention 0.5 -o pr2",
+                     id="graph-scores-fewer-than-samples"),
+        # a graph directory in an earlier layout, one file per sample;
+        # rerunning score rewrites it
+        pytest.param("graphs/graphs.json", _per_sample_layout(".json"),
                      "plan --graphs graphs --m 2 -o p2", id="graph-json-layout"),
+        pytest.param("graphs/graphs.json", _per_sample_layout(".tnsr"),
+                     "prune --graphs graphs --target-retention 0.5 -o pr2",
+                     id="graph-per-sample-layout"),
         # model.json and the blobs disagree: the error names model.json and
         # both numbers
         pytest.param("model/model.json",
@@ -753,13 +782,14 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("data/data.json", _member_outside("blob", "data", entry=lambda o: o),
                      "calibrate --data data --k 2 --seed 0 -o c2.json",
                      id="data-member-outside-dir"),
-        pytest.param("graphs/graphs.json", _member_outside("graph", "g"),
+        pytest.param("graphs/graphs.json", _member_outside("scores", "g", entry=lambda o: o),
                      "plan --graphs graphs --m 2 -o p2", id="graph-member-outside-dir"),
+        pytest.param("graphs/graphs.json", _naming("not a plain file name", corrupt=_edit(
+            lambda o: o.update(scores="../x.tnsr"))),
+                     "prune --graphs graphs --target-retention 0.5 -o pr2",
+                     id="graph-scores-in-parent-dir"),
         pytest.param("paths/paths.json", _member_outside("paths"),
                      "heatmap --paths paths -o h.csv", id="path-member-absolute"),
-        pytest.param("graphs/graphs.json", _naming("each id and each graph once", corrupt=_edit(
-            lambda o: o["samples"][1].update(graph=o["samples"][0]["graph"]))),
-                     "plan --graphs graphs --m 2 -o p2", id="graph-member-twice"),
         pytest.param("paths/paths.json", _naming("each id and each paths once", corrupt=_edit(
             lambda o: o["samples"][2].update(paths=o["samples"][0]["paths"]))),
                      "heatmap --paths paths -o h.csv", id="path-member-twice"),
@@ -784,13 +814,14 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
     ],
 )
 def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
-    name = name.format(first=_first_id(staged))
+    first = _first_id(staged)
+    name = name.format(first=first)
     corrupt(staged / name)
     capsys.readouterr()
     assert run_cli(*argv.split()) == 2
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
-    assert all(text in err for text in getattr(corrupt, "names", ())), err
+    assert all(text.format(first=first) in err for text in getattr(corrupt, "names", ())), err
     argv = argv.split()
     assert not (staged / argv[argv.index("-o") + 1]).exists()
 
@@ -816,6 +847,30 @@ def test_prune_writes_the_pruned_model_index_last(staged, monkeypatch):
     monkeypatch.setattr("moe_pathfinder.cli.save_remap", fail)
     assert run_cli(*"prune --paths paths --model m1 -o pr2".split()) == 1
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_interrupted_score_rerun_leaves_the_old_graphs(staged, monkeypatch):
+    # score rerun over graphs/ with a same-shape model of another seed, cut
+    # short at its scores blob's write: graphs/ stays as the first run wrote
+    # it, so plan plans the old graphs, never a mix of old and new
+    graphs = staged / "graphs"
+    before = {p.name: p.read_bytes() for p in graphs.iterdir()}
+    assert run_cli(*"gen-model --layers 3 --experts 4 --dim 8 --topk 2 --seed 99 -o m99".split()) == 0
+    assert run_cli(*"score --model m99 --data data --calibration calib.json -o g99".split()) == 0
+    assert (staged / "g99" / "scores.tnsr").read_bytes() != before["scores.tnsr"]
+    save_tensor_ = numerics.save_tensor
+
+    def fail(path, arr):
+        if Path(path).name == "scores.tnsr":
+            raise OSError(28, "No space left on device", str(path))
+        save_tensor_(path, arr)
+
+    monkeypatch.setattr(numerics, "save_tensor", fail)
+    assert run_cli(*"score --model m99 --data data --calibration calib.json -o graphs".split()) == 1
+    assert {p.name: p.read_bytes() for p in graphs.iterdir()} == before
+    assert run_cli(*"plan --graphs graphs --m 2 -o p2".split()) == 0
+    planned = {p.name: p.read_bytes() for p in (staged / "p2").iterdir()}
+    assert planned == {p.name: p.read_bytes() for p in (staged / "paths").iterdir()}
 
 
 def test_prune_model_rerun_leaves_no_stale_blob(staged):
@@ -963,7 +1018,9 @@ READERS = [
     ("calib.json", "score --model model --data data --calibration calib.json -o out"),
     ("graphs/graphs.json", "plan --graphs graphs --m 3 -o out"),
     ("paths/paths.json", "prune --paths paths -o out"),
-    ("paths/sample{first}.paths.json", "heatmap --paths paths --outliers outliers.json -o out/h.csv"),
+    ("paths/sample{first:04d}.paths.json",
+     "heatmap --paths paths --outliers outliers.json -o out/h.csv"),
+    ("graphs/scores.tnsr", "prune --graphs graphs --target-retention 0.5 -o out"),
     ("outliers.json", "heatmap --paths paths --outliers outliers.json -o out/h.csv"),
     ("pruned/mask.json", "eval --model model --mask pruned/mask.json --data data -o out/eval.json"),
     ("manifest.json", "plan --graphs graphs --m 1 -o out --manifest manifest.json"),
@@ -1013,7 +1070,7 @@ def test_damaged_artifact_is_exit_0_identical_or_exit_2_named(staged, capsys, da
     name, argv = data.draw(st.sampled_from(READERS))
     name = name.format(first=_first_id(staged))
     raw = (staged / name).read_bytes()
-    keys = list(_key_paths(json.loads(raw)))
+    keys = list(_key_paths(json.loads(raw))) if name.endswith(".json") else []
     if keys and data.draw(st.booleans()):
         key = data.draw(st.sampled_from(keys))
 
@@ -1034,12 +1091,12 @@ def test_damaged_artifact_is_exit_0_identical_or_exit_2_named(staged, capsys, da
 
 
 # (.tnsr blob, the stage that reads it): each layer's router and experts,
-# the tokens, and one sample graph
+# the tokens, and the sample graphs' scores
 BLOBS = [
     *((f"model/layer{l}.{kind}.tnsr", "score --model model --data data -o out")
       for l in range(3) for kind in ("router", "experts")),
     ("data/tokens.tnsr", "score --model model --data data -o out"),
-    ("graphs/sample{first}.tnsr", "plan --graphs graphs --m 3 -o out"),
+    ("graphs/scores.tnsr", "plan --graphs graphs --m 3 -o out"),
 ]
 
 
@@ -1048,7 +1105,6 @@ BLOBS = [
 @given(data=st.data())
 def test_tnsr_header_bit_flip_is_exit_0_identical_or_exit_2_named(staged, capsys, data):
     name, argv = data.draw(st.sampled_from(BLOBS))
-    name = name.format(first=_first_id(staged))
     raw = bytearray((staged / name).read_bytes())
     (rank,) = struct.unpack_from("<I", raw, 5)
     # header: magic, version byte, u32 rank, one u32 per dimension

@@ -29,6 +29,11 @@ EXPERT_SLICES.  When each sample graph became one (L, 4, N_e) blob, the
 eight graph JSON digests gave way to eight sample{i}.tnsr digests and
 graphs.json, which now lists the blobs, was re-captured; every float is
 unchanged, and the old digests still pin each graph through GRAPH_JSON.
+When every sample's graph went into one (n, L, 4, N_e) scores.tnsr, in
+graphs.json's order, the eight sample{i}.tnsr digests gave way to the
+scores.tnsr digest and graphs.json, which now names that blob, was
+re-captured; each row of the blob, re-saved alone, must still match its old
+digest in GRAPH_SLICES, and GRAPH_JSON reads the same rows.
 The three comparison summary.json digests were captured before save_json
 began to write every record, so they pin that the summaries kept their bytes.
 The digests hold on x86-64 with numpy's
@@ -37,6 +42,7 @@ model's matrix products differently and move every float.
 """
 
 import hashlib
+import json
 
 from moe_pathfinder.cli import main
 from moe_pathfinder.numerics import load_tensor, save_json, save_tensor
@@ -52,15 +58,8 @@ GOLDEN = {
     "data/data.json": "c21b57d401bf60c88b5fbcac2c43a1111c4aa54bc79218e390b91da3f888d460",
     "data/tokens.tnsr": "d51047174ba2195eee126c70a366321ab4abb742f163f108ef3da6125247cffa",
     "eval.json": "09fc01fe006060161f4fc1e735f0555c41ac04d89af1158789668969475a9db7",
-    "graphs/graphs.json": "8507744f1b7ee46c9d59aa34650d82a2641c981665bc1ba946d7f29d13107798",
-    "graphs/sample0005.tnsr": "26e26b3d200c1838cdde0918939329eb058e66df1ded521a334f396bca7f1be5",
-    "graphs/sample0015.tnsr": "54e6edc10ea97dd28ab3f0745014095589dd348ff0376860d60e11b5490175da",
-    "graphs/sample0021.tnsr": "893029e4309661535a4453eeace41d403253eda98ad13b21627b4616db37f86a",
-    "graphs/sample0032.tnsr": "876a7feac6fb06046a6cef8bf2fc9c9739e309fa00911f8c3280c8f6a46e9506",
-    "graphs/sample0036.tnsr": "3efa1f37d161ea0af2300f51e39bd3ac39abe1213f68c87e6f9d892c8ec8b2a7",
-    "graphs/sample0041.tnsr": "3c0224f9344b438de8e4a820afeef4513a7938b58194f6f560916896ce95f643",
-    "graphs/sample0050.tnsr": "6f01c4e1838754c6a9c1f1c26f7a0b8a7518f77f9ea07ebb472e94704b87651d",
-    "graphs/sample0063.tnsr": "de8155f210ebcb84d0beec9aa3095f33e7026195de2343f2d9c9f0837f7ddce7",
+    "graphs/graphs.json": "bc7ed6d94240cbfd5ec2bc81781334ea9e8a542e8df4eaf0078c4d505bc90d75",
+    "graphs/scores.tnsr": "0ed4acef32328c3e86adaa78a56295ec0568388c0b5f28596f16ec3c86f6ca46",
     "heatmap1.csv": "ffec49c1c3aa4b1bd1393da2a98ca7c0ac0779f0835d089f9f653d06b6474c75",
     "heatmap16.csv": "0323e3978ef5869bca6e6ded95b73f1f72b909ff2353bebaaf40cebb220b2113",
     "model/layer0.experts.tnsr": "f39bfd68519df65449daf6b2884421a869a719173d38c5cf74c019c3b6e98220",
@@ -157,6 +156,21 @@ EXPERT_SLICES = {
     "layer5.expert7.tnsr": "d01b37b7ef4f755a378de8d4f18965ae5c15b4d815157885068c34dfd2d72519",
 }
 
+# Digests of the blobs each sample graph was before every graph went into one
+# scores.tnsr.  Each row of that blob, re-serialized as an (L, 4, N_e) .tnsr
+# of its own under its sample's name, must still match, as EXPERT_SLICES does
+# for the experts.
+GRAPH_SLICES = {
+    "sample0005.tnsr": "26e26b3d200c1838cdde0918939329eb058e66df1ded521a334f396bca7f1be5",
+    "sample0015.tnsr": "54e6edc10ea97dd28ab3f0745014095589dd348ff0376860d60e11b5490175da",
+    "sample0021.tnsr": "893029e4309661535a4453eeace41d403253eda98ad13b21627b4616db37f86a",
+    "sample0032.tnsr": "876a7feac6fb06046a6cef8bf2fc9c9739e309fa00911f8c3280c8f6a46e9506",
+    "sample0036.tnsr": "3efa1f37d161ea0af2300f51e39bd3ac39abe1213f68c87e6f9d892c8ec8b2a7",
+    "sample0041.tnsr": "3c0224f9344b438de8e4a820afeef4513a7938b58194f6f560916896ce95f643",
+    "sample0050.tnsr": "6f01c4e1838754c6a9c1f1c26f7a0b8a7518f77f9ea07ebb472e94704b87651d",
+    "sample0063.tnsr": "de8155f210ebcb84d0beec9aa3095f33e7026195de2343f2d9c9f0837f7ddce7",
+}
+
 # Digests of the JSON files each sample graph was before it became one blob:
 # per layer a dict of its four vectors, under its num_layers and
 # experts_per_layer.  Each graph blob, re-serialized in that layout, must
@@ -228,14 +242,33 @@ def expert_slice_digests(model_dir, out_dir) -> dict[str, str]:
     return digests
 
 
+def graph_rows(graphs_dir) -> list[tuple[str, object]]:
+    """Each row of the scores blob under the stem of the file its sample's
+    graph had on its own, sample{id:04d}."""
+    index = json.loads((graphs_dir / "graphs.json").read_text())
+    rows = load_tensor(graphs_dir / index["scores"])
+    return [(f"sample{e['id']:04d}", row) for e, row in zip(index["samples"], rows)]
+
+
+def graph_slice_digests(graphs_dir, out_dir) -> dict[str, str]:
+    """sha256 of each graph's scores, saved as its own .tnsr under the name
+    its blob had before every graph went into one blob."""
+    out_dir.mkdir()
+    digests = {}
+    for stem, scores in graph_rows(graphs_dir):
+        path = out_dir / f"{stem}.tnsr"
+        save_tensor(path, scores)
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def graph_json_digests(graphs_dir, out_dir) -> dict[str, str]:
-    """sha256 of each graph blob, saved in the JSON layout of graph files
+    """sha256 of each graph's scores, saved in the JSON layout of graph files
     before they became blobs, under the name that file had."""
     out_dir.mkdir()
     digests = {}
-    for blob in sorted(graphs_dir.glob("sample*.tnsr")):
-        scores = load_tensor(blob)
-        path = out_dir / f"{blob.stem}.json"
+    for stem, scores in graph_rows(graphs_dir):
+        path = out_dir / f"{stem}.json"
         save_json(path, {
             "num_layers": scores.shape[0],
             "experts_per_layer": scores.shape[2],
@@ -250,4 +283,5 @@ def test_planner_artifacts_match_golden_bytes(tmp_path):
     run.mkdir()
     assert artifact_digests(run) == GOLDEN
     assert expert_slice_digests(run / "model", tmp_path / "slices") == EXPERT_SLICES
+    assert graph_slice_digests(run / "graphs", tmp_path / "graph-slices") == GRAPH_SLICES
     assert graph_json_digests(run / "graphs", tmp_path / "graph-json") == GRAPH_JSON

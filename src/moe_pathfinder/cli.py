@@ -360,17 +360,7 @@ def cmd_eval(args) -> str:
 
 def cmd_heatmap(args) -> str:
     index, pathsets = _load_path_index(args.paths)
-    L, n = index["num_layers"], index["experts_per_layer"]
-
-    def parse_outliers(pairs) -> set[tuple[int, int]]:
-        return {(as_index(l, "outlier layer", 0, L), as_index(i, "outlier expert", 0, n))
-                for l, i in pairs}
-
-    counts = selection_frequency(pathsets, L, n)
-    if args.outliers:  # drawn at the peak count: a heatmap convention, never applied to masks
-        peak = counts.max()
-        for l, i in load_json(args.outliers, "outlier file", parse_outliers):
-            counts[l, i] = peak
+    counts = selection_frequency(pathsets, index["num_layers"], index["experts_per_layer"])
     export_heatmap(counts, args.out)
     print(f"wrote heatmap for {len(pathsets)} path sets -> {args.out}")
     return args.out
@@ -529,7 +519,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("heatmap", help="selection-frequency CSV from path sets")
     p.add_argument("--paths", required=True)
-    p.add_argument("--outliers", help="JSON list of [layer, expert] pairs")
     p.add_argument("-o", "--out", required=True)
     add_manifest(p)
     p.set_defaults(func=cmd_heatmap)

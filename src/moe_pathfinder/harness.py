@@ -38,8 +38,9 @@ class ExperimentConfig:  # a record: save_json writes its fields in this order
     preservation through the gated mixture) and routers by router_gain
     (confident routing, as trained MoEs have), and experiment data is drawn
     from data_clusters separated token clusters (the multi-domain setting the
-    calibration stage exists for).  Setting expert_scale=1, router_gain=1,
-    data_clusters=0 recovers the raw generators.
+    calibration stage exists for).  experiment_model and experiment_data
+    pass these fields on to gen_model and gen_data; expert_scale=1,
+    router_gain=1, data_clusters=0 is the raw family, their defaults.
     """
 
     moe: MoEConfig = MoEConfig(
@@ -117,52 +118,16 @@ def derive_seeds(base: int, count: int) -> list[int]:
 
 
 def experiment_model(config: ExperimentConfig, seed: int) -> MoEModel:
-    """Instance-family model: gen_model(seed) with experts scaled by
-    expert_scale and router rows by router_gain."""
-    model = gen_model(config.moe, seed)
-    if config.expert_scale != 1.0 or config.router_gain != 1.0:
-        for layer in model.layers:
-            layer.router = config.router_gain * layer.router
-            layer.experts = config.expert_scale * layer.experts
-    return model
-
-
-def clustered_data(
-    moe: MoEConfig,
-    n_samples: int,
-    tokens_per_sample: int,
-    n_clusters: int,
-    radius: float,
-    centers_seed: int,
-    noise_seed: int,
-) -> list[SampleBatch]:
-    """Multi-domain token data: cluster centers drawn uniform on
-    [-1/sqrt(d), 1/sqrt(d)]^d from centers_seed, samples cycle through the
-    clusters (sample i belongs to cluster i mod n_clusters), tokens are the
-    center plus per-entry uniform noise of half-width radius/sqrt(d)."""
-    d = moe.hidden_dim
-    bound = 1.0 / np.sqrt(d)
-    centers = Rng(centers_seed).uniform_array((n_clusters, d), -bound, bound)
-    noise = Rng(noise_seed).uniform_array(
-        (n_samples, tokens_per_sample, d), -radius * bound, radius * bound
-    )
-    return [SampleBatch(centers[i % n_clusters][None, :] + noise[i]) for i in range(n_samples)]
+    """gen_model in config's instance family."""
+    return gen_model(config.moe, seed, config.expert_scale, config.router_gain)
 
 
 def experiment_data(
     config: ExperimentConfig, n_samples: int, centers_seed: int, noise_seed: int
 ) -> list[SampleBatch]:
-    if config.data_clusters == 0:
-        return gen_data(config.moe, n_samples, config.tokens_per_sample, noise_seed)
-    return clustered_data(
-        config.moe,
-        n_samples,
-        config.tokens_per_sample,
-        config.data_clusters,
-        config.cluster_radius,
-        centers_seed,
-        noise_seed,
-    )
+    """gen_data in config's instance family."""
+    return gen_data(config.moe, n_samples, config.tokens_per_sample, noise_seed,
+                    config.data_clusters, config.cluster_radius, centers_seed)
 
 
 def random_mask(

@@ -243,9 +243,12 @@ def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
     return trace
 
 
-def gen_model(config: MoEConfig, seed: int) -> MoEModel:
+def gen_model(
+    config: MoEConfig, seed: int, expert_scale: float = 1.0, router_gain: float = 1.0
+) -> MoEModel:
     """Seed-deterministic model with all weights i.i.d. uniform on
-    [-1/sqrt(d), 1/sqrt(d)].
+    [-1/sqrt(d), 1/sqrt(d)], then routers scaled by router_gain and experts
+    by expert_scale.  The defaults draw the raw family (x * 1.0 == x).
 
     Draw order is part of the file-format contract: one SplitMix64 stream
     seeded with `seed`; per layer, first the router (row-major), then each
@@ -258,19 +261,29 @@ def gen_model(config: MoEConfig, seed: int) -> MoEModel:
     for _ in range(config.num_layers):
         router = rng.uniform_array((config.experts_per_layer, d), -bound, bound)
         experts = rng.uniform_array((config.experts_per_layer, d, d), -bound, bound)
-        layers.append(MoELayer(experts=experts, router=router))
+        layers.append(MoELayer(experts=expert_scale * experts, router=router_gain * router))
     return MoEModel(config=config, layers=layers)
 
 
 def gen_data(
-    config: MoEConfig, n_samples: int, tokens_per_sample: int, seed: int
+    config: MoEConfig, n_samples: int, tokens_per_sample: int, seed: int,
+    clusters: int = 0, radius: float = 0.15, centers_seed: int = 0,
 ) -> list[SampleBatch]:
-    """Seed-deterministic samples with tokens i.i.d. uniform on
-    [-1/sqrt(d), 1/sqrt(d)], drawn sample by sample, row-major, in one
-    array."""
-    bound = 1.0 / np.sqrt(config.hidden_dim)
-    shape = (n_samples, tokens_per_sample, config.hidden_dim)
-    return [SampleBatch(tokens) for tokens in Rng(seed).uniform_array(shape, -bound, bound)]
+    """Seed-deterministic samples, drawn from `seed` sample by sample,
+    row-major, in one array.  With clusters == 0 (the raw family) tokens are
+    i.i.d. uniform on [-1/sqrt(d), 1/sqrt(d)].  Otherwise sample i is the
+    center of cluster i mod clusters, drawn uniform on that box from
+    centers_seed, plus noise of half-width radius/sqrt(d); only the
+    min(clusters, n_samples) centers in use are drawn."""
+    d = config.hidden_dim
+    bound = 1.0 / np.sqrt(d)
+    shape = (n_samples, tokens_per_sample, d)
+    if not clusters:
+        return [SampleBatch(tokens) for tokens in Rng(seed).uniform_array(shape, -bound, bound)]
+    n = min(clusters, n_samples)
+    centers = Rng(centers_seed).uniform_array((n, d), -bound, bound)
+    noise = Rng(seed).uniform_array(shape, -radius * bound, radius * bound)
+    return [SampleBatch(centers[i % n][None, :] + noise[i]) for i in range(n_samples)]
 
 
 def save_model(model: MoEModel, dirpath) -> None:

@@ -11,7 +11,6 @@ import numpy as np
 from moe_pathfinder.cli import main as cli_main
 from moe_pathfinder.harness import (
     ExperimentConfig,
-    clustered_data,
     experiment_data,
     experiment_model,
     pathfinder_mask,

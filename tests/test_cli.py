@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from moe_pathfinder import __version__, numerics
 from moe_pathfinder.cli import build_parser, load_data, main
 from moe_pathfinder.model import MoEConfig, gen_model, save_model
-from moe_pathfinder.numerics import load_tensor, save_index, save_tensor
+from moe_pathfinder.numerics import load_tensor, save_tensor
 from moe_pathfinder.planner import load_pathset
 from moe_pathfinder.pruner import load_mask
 
@@ -389,23 +389,6 @@ def test_manifest_accumulates_and_validates(tmp_path, monkeypatch):
         assert manifest.read_bytes() == before, argv
 
 
-def test_heatmap_outliers_take_the_peak_count(tmp_path):
-    paths = [{"experts": e, "log_weight": 0.0} for e in ([0, 0], [0, 1], [0, 1])]
-    save_index(tmp_path / "paths", "paths.json", {
-        "m": 3, "num_layers": 2, "experts_per_layer": 2,
-        "samples": [{"id": 0, "paths": "sample0000.paths.json"}],
-    }, [("sample0000.paths.json", {"m": 3, "paths": paths})])
-    (tmp_path / "outliers.json").write_text("[[1, 0]]")
-    out = tmp_path / "heatmap.csv"
-    assert run_cli("heatmap", "--paths", tmp_path / "paths", "--outliers",
-                   tmp_path / "outliers.json", "-o", out) == 0
-    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
-    counts = {(int(l), int(i)): int(c) for l, i, c in rows}
-    assert counts[0, 0] == 3  # global max
-    assert counts[1, 0] == 3  # overwritten with global max
-    assert counts[1, 1] == 2
-
-
 def _compare_rows(out):
     """The per-seed rows of compare's printed table and its footer line."""
     lines = out.splitlines()
@@ -449,6 +432,16 @@ def test_compare_small_run(tmp_path, capsys):
     assert footer.endswith("(mean error 0.0000e+00, mean ratio nan)")
 
 
+def test_compare_draws_only_the_cluster_centers_it_uses(tmp_path):
+    # 10**13 centers of 32 floats would not fit in memory; 8 pool and 2 eval
+    # samples use the first 8, so the run is the one with 8 clusters
+    argv = "compare --seed 0 --trials 1 --pool 8 --k 2 --eval-samples 2 --random-masks 2".split()
+    assert run_cli(*argv, "--clusters", 10**13, "-o", tmp_path / "huge") == 0
+    assert run_cli(*argv, "--clusters", 8, "-o", tmp_path / "eight") == 0
+    huge, eight = (tmp_path / name / "comparison.csv" for name in ("huge", "eight"))
+    assert huge.read_bytes() == eight.read_bytes()
+
+
 def test_gen_data_roundtrip_via_load(pipeline):
     tmp, model, data = pipeline
     samples, blob = load_data(data)
@@ -483,7 +476,6 @@ def staged(pipeline, monkeypatch):
     monkeypatch.chdir(tmp)
     for argv in STAGES:
         assert run_cli(*argv.split()) == 0
-    (tmp / "outliers.json").write_text("[[0, 1], [2, 3]]\n")
     return tmp
 
 
@@ -695,9 +687,6 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("paths/sample{first:04d}.paths.json",
                      _edit(lambda o: o["paths"][0].update(experts=[0, 4, 1])),
                      "heatmap --paths paths -o h.csv", id="path-outside-index"),
-        pytest.param("outliers.json", _replace([[3, 0]]),
-                     "heatmap --paths paths --outliers outliers.json -o h.csv",
-                     id="outlier-outside-index"),
         pytest.param("nosuch", lambda p: None, "prune --paths paths --model nosuch -o pr2",
                      id="prune-model-missing"),
         # integer fields must be JSON integers in range, and path weights finite
@@ -971,6 +960,8 @@ def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
         pytest.param("score --model model --data data --jobs 0 -o x", "--jobs", id="score-jobs"),
         pytest.param("plan --graphs graphs --m 1 --jobs -3 -o x", "--jobs", id="plan-jobs"),
         pytest.param("compare --seed 1 --jobs 0 -o x", "--jobs", id="compare-jobs"),
+        pytest.param("heatmap --paths paths --outliers o.json -o x", "--outliers",
+                     id="heatmap-outliers-gone"),
     ],
 )
 def test_bad_flag_value_is_usage_error(staged, capsys, argv, named):
@@ -1018,10 +1009,8 @@ READERS = [
     ("calib.json", "score --model model --data data --calibration calib.json -o out"),
     ("graphs/graphs.json", "plan --graphs graphs --m 3 -o out"),
     ("paths/paths.json", "prune --paths paths -o out"),
-    ("paths/sample{first:04d}.paths.json",
-     "heatmap --paths paths --outliers outliers.json -o out/h.csv"),
+    ("paths/sample{first:04d}.paths.json", "heatmap --paths paths -o out/h.csv"),
     ("graphs/scores.tnsr", "prune --graphs graphs --target-retention 0.5 -o out"),
-    ("outliers.json", "heatmap --paths paths --outliers outliers.json -o out/h.csv"),
     ("pruned/mask.json", "eval --model model --mask pruned/mask.json --data data -o out/eval.json"),
     ("manifest.json", "plan --graphs graphs --m 1 -o out --manifest manifest.json"),
 ]

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from moe_pathfinder.calibration import build_calibration_set
+from moe_pathfinder.cli import load_data, save_data
 from moe_pathfinder.harness import (
     ExperimentConfig,
     comparison_csv,
@@ -22,13 +24,13 @@ from moe_pathfinder.harness import (
     run_comparison,
 )
 from moe_pathfinder.model import (
-    MoEConfig, SampleBatch, apply_mask, gen_data, gen_model, layer_states, model_forward,
-    sample_blocks,
+    MoEConfig, SampleBatch, apply_mask, gen_data, gen_model, layer_states, load_model,
+    model_forward, sample_blocks, save_model,
 )
 from moe_pathfinder.numerics import Rng
 from moe_pathfinder.planner import random_sample_graph, top_m_paths_bruteforce, top_m_paths_dp
-from moe_pathfinder.pruner import PruneMask
-from moe_pathfinder.scoring import graph_from_scores
+from moe_pathfinder.pruner import PruneMask, target_sparsity_search
+from moe_pathfinder.scoring import graph_from_scores, score_samples
 
 TINY = ExperimentConfig(
     moe=MoEConfig(num_layers=2, experts_per_layer=3, hidden_dim=6, top_k=1),
@@ -400,3 +402,42 @@ def test_export_heatmap_roundtrip(tmp_path):
         back[int(row["layer"]), int(row["expert"])] = int(row["count"])
     assert np.array_equal(back, counts)
     assert back.sum(axis=1).tolist() == counts.sum(axis=1).tolist()
+
+
+def _staged_replay(cfg: ExperimentConfig, i: int, tmp_path) -> tuple[float, int]:
+    """compare's seed cfg.model_seeds[i], rerun as a staged run would: the
+    one generator pair with the family's parameters and compare's derived
+    seeds, every model and data set written and read back, then calibrate,
+    score the calibration samples, search and eval.  (error, m_used)."""
+    n = len(cfg.model_seeds)
+    pool_seed, eval_seed, centers_seed = (
+        derive_seeds(base, n)[i] for base in (cfg.data_seed, cfg.eval_seed, cfg.centers_seed))
+    save_model(gen_model(cfg.moe, cfg.model_seeds[i], cfg.expert_scale, cfg.router_gain),
+               tmp_path / "model")
+    model = load_model(tmp_path / "model")
+
+    def staged_data(name, n_samples, seed):
+        samples = gen_data(cfg.moe, n_samples, cfg.tokens_per_sample, seed,
+                           cfg.data_clusters, cfg.cluster_radius, centers_seed)
+        save_data(samples, seed, tmp_path / name)
+        return load_data(tmp_path / name)[0]
+
+    pool = staged_data("pool", cfg.pool_size, pool_seed)
+    calib = build_calibration_set(pool, cfg.calibration_k, cfg.kmeans_seed)
+    graphs = score_samples(model, [pool[j] for j in calib.sample_ids],
+                           cfg.use_importance, cfg.use_transition)
+    mask, report = target_sparsity_search(graphs, cfg.target_retention)
+    result = eval_mask(model, mask, staged_data("eval", cfg.n_eval_samples, eval_seed))
+    return result.mean_final_error, report.m_used
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(ExperimentConfig(model_seeds=(0, 1, 2)), id="default-seeds-0-2"),
+    pytest.param(ExperimentConfig(model_seeds=(0,), expert_scale=1.0, router_gain=1.0,
+                                  data_clusters=0), id="raw-seed-0"),
+])
+def test_staged_run_reproduces_compare_bit_for_bit(cfg, tmp_path):
+    outcomes = run_comparison(cfg).outcomes
+    for i, o in enumerate(outcomes):
+        error, m_used = _staged_replay(cfg, i, tmp_path / f"seed{i}")
+        assert error.hex() == o.pathfinder_error.hex() and m_used == o.m_used

@@ -24,7 +24,7 @@ from moe_pathfinder.model import (
     route,
     save_model,
 )
-from moe_pathfinder.numerics import save_tensor, softmax_rows
+from moe_pathfinder.numerics import Rng, save_tensor, softmax_rows
 from moe_pathfinder.pruner import PruneMask, apply_mask
 
 MASK64 = (1 << 64) - 1
@@ -506,6 +506,69 @@ def test_gen_data_deterministic_and_in_bounds():
         assert sa.tokens.tobytes() == sb.tokens.tobytes()
     bound = 1.0 / np.sqrt(cfg.hidden_dim)
     assert all(np.all(np.abs(s.tokens) <= bound) for s in a)
+
+
+def family_model_recipe(cfg: MoEConfig, seed, expert_scale, router_gain):
+    """(router, experts) per layer by the two-step recipe: the raw draw (one
+    stream; per layer the router, then the experts, row-major), then
+    router_gain * and expert_scale *."""
+    rng, d, n = Rng(seed), cfg.hidden_dim, cfg.experts_per_layer
+    bound = 1.0 / np.sqrt(d)
+    layers = []
+    for _ in range(cfg.num_layers):
+        router = rng.uniform_array((n, d), -bound, bound)
+        experts = rng.uniform_array((n, d, d), -bound, bound)
+        layers.append((router_gain * router, expert_scale * experts))
+    return layers
+
+
+def family_data_recipe(cfg: MoEConfig, n_samples, tokens, seed, clusters, radius, centers_seed):
+    """Each sample's tokens: raw uniform draws, or with clusters, the center
+    of cluster i mod clusters (all clusters drawn) plus per-sample noise."""
+    d = cfg.hidden_dim
+    bound = 1.0 / np.sqrt(d)
+    if clusters == 0:
+        return list(Rng(seed).uniform_array((n_samples, tokens, d), -bound, bound))
+    centers = Rng(centers_seed).uniform_array((clusters, d), -bound, bound)
+    noise = Rng(seed).uniform_array((n_samples, tokens, d), -radius * bound, radius * bound)
+    return [centers[i % clusters][None, :] + noise[i] for i in range(n_samples)]
+
+
+FAMILIES = {
+    "default": ExperimentConfig(),
+    "raw": ExperimentConfig(expert_scale=1.0, router_gain=1.0, data_clusters=0),
+    "one-cluster": ExperimentConfig(data_clusters=1),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generators_equal_the_two_step_family_recipe(family, seed):
+    cfg = FAMILIES[family]
+    moe, n, T = cfg.moe, 16, cfg.tokens_per_sample
+    want_layers = family_model_recipe(moe, seed, cfg.expert_scale, cfg.router_gain)
+    want_tokens = family_data_recipe(
+        moe, n, T, seed + 200, cfg.data_clusters, cfg.cluster_radius, seed + 100)
+    models = [gen_model(moe, seed, cfg.expert_scale, cfg.router_gain)]
+    datas = [gen_data(moe, n, T, seed + 200, cfg.data_clusters, cfg.cluster_radius, seed + 100)]
+    if family == "raw":  # the defaults draw the raw family
+        models.append(gen_model(moe, seed))
+        datas.append(gen_data(moe, n, T, seed + 200))
+    for model in models:
+        for layer, (router, experts) in zip(model.layers, want_layers, strict=True):
+            assert layer.router.tobytes() == router.tobytes()
+            assert layer.experts.tobytes() == experts.tobytes()
+    for samples in datas:
+        assert [s.tokens.tobytes() for s in samples] == [t.tobytes() for t in want_tokens]
+
+
+def test_gen_data_draws_only_the_centers_its_samples_use():
+    # 10**13 centers would not fit in memory; sample i uses center i, a
+    # leading row of the row-major draw, so it is the draw of 5 centers
+    cfg = small_config()
+    huge = gen_data(cfg, 5, 3, 7, clusters=10**13, centers_seed=8)
+    want = gen_data(cfg, 5, 3, 7, clusters=5, centers_seed=8)
+    assert [s.tokens.tobytes() for s in huge] == [s.tokens.tobytes() for s in want]
 
 
 def test_save_load_roundtrip_bit_identical(tmp_path):

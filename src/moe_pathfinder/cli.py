@@ -44,7 +44,8 @@ from .model import (
     save_model,
 )
 from .numerics import (
-    _write_atomic, as_index, load_index, load_json, load_tensor, save_index, save_json, strict,
+    _write_atomic, as_index, load_index, load_json, load_tensor, save_index, save_json,
+    save_tensor, strict,
 )
 from .planner import PathSet, load_pathset, oracle_selfcheck, top_m_paths_dp
 from .pruner import (
@@ -86,39 +87,17 @@ def _fraction(text: str) -> float:
 # ---------------------------------------------------------------- data files
 
 
-def save_data(samples: list[SampleBatch], seed: int, dirpath) -> None:
-    stacked = np.stack([s.tokens for s in samples])
-    meta = {
-        "n_samples": len(samples),
-        "tokens_per_sample": int(stacked.shape[1]),
-        "hidden_dim": int(stacked.shape[2]),
-        "seed": seed,
-        "blob": "tokens.tnsr",
-    }
-    save_index(dirpath, "data.json", meta, [("tokens.tnsr", stacked)])
-
-
-def load_data(dirpath) -> tuple[list[SampleBatch], str]:
-    """The samples of a gen-data directory and the path of their blob; a
-    blob that is empty or whose shape disagrees with data.json is a
+def load_data(path) -> list[SampleBatch]:
+    """The samples of a gen-data blob, one (n_samples, tokens_per_sample,
+    hidden_dim) array; any other blob, or one with a zero dimension, is a
     FormatError naming it."""
-    blob_path, shape = load_index(dirpath, "data.json", "data manifest", lambda meta, member: (
-        member(meta["blob"]),
-        tuple(as_index(meta[k], k) for k in ("n_samples", "tokens_per_sample", "hidden_dim")),
-    ))
-    meta_path = os.path.join(dirpath, "data.json")
-    stacked = load_tensor(blob_path)
-    if stacked.ndim == 3 and 0 in stacked.shape[:2]:
+    stacked = load_tensor(path)
+    if stacked.ndim != 3 or 0 in stacked.shape:
         raise FormatError(
-            f"data blob {blob_path} has shape {stacked.shape}: "
-            + ("no samples" if stacked.shape[0] == 0 else "no tokens per sample")
+            f"data {path} has shape {stacked.shape}, not (n_samples, tokens_per_sample, "
+            "hidden_dim) with no zero dimension"
         )
-    if stacked.shape != shape:
-        raise FormatError(
-            f"data blob {blob_path} has shape {stacked.shape}, but {meta_path} lists "
-            f"{shape[0]} samples of {shape[1]} tokens of width {shape[2]}"
-        )
-    return [SampleBatch(stacked[i]) for i in range(stacked.shape[0])], blob_path
+    return [SampleBatch(tokens) for tokens in stacked]
 
 
 # ----------------------------------------------------------------- handlers
@@ -147,16 +126,16 @@ def cmd_gen_model(args) -> str:
 def cmd_gen_data(args) -> str:
     model = load_model(args.model)
     samples = gen_data(model.config, args.samples, args.tokens, args.seed)
-    save_data(samples, args.seed, args.out)
+    save_tensor(args.out, np.stack([s.tokens for s in samples]))
     print(f"wrote {len(samples)} samples to {args.out}")
     return args.out
 
 
 def cmd_calibrate(args) -> str:
-    samples, blob = load_data(args.data)
+    samples = load_data(args.data)
     if args.k > len(samples):
         raise UsageError(f"--k {args.k} exceeds the {len(samples)} samples")
-    with _overflow_names(f"data blob {blob}", "the k-means distances"):
+    with _overflow_names(f"data {args.data}", "the k-means distances"):
         calib = strict(build_calibration_set, samples, args.k, args.seed)
     save_json(args.out, calib)
     print(f"selected {len(calib.sample_ids)} of {len(samples)} samples -> {args.out}")
@@ -165,7 +144,7 @@ def cmd_calibrate(args) -> str:
 
 def cmd_score(args) -> str:
     model = _load_unpruned_model(args.model)
-    samples, _ = load_data(args.data)
+    samples = load_data(args.data)
     _check_data_fits(samples, args.data, model, args.model)
     if args.calibration:
         ids = load_calibration(args.calibration).sample_ids
@@ -187,7 +166,7 @@ def cmd_score(args) -> str:
     save_index(args.out, "graphs.json", {
         "num_layers": model.config.num_layers, "experts_per_layer": model.config.experts_per_layer,
         "scores": "scores.tnsr", "samples": [{"id": i} for i in ids],
-    }, [("scores.tnsr", np.stack([g.scores for g in graphs]))])
+    }, [("scores.tnsr", np.stack([g.scores for g in graphs]))], owns="sample*.tnsr")
     print(f"scored {len(ids)} samples -> {args.out}")
     return args.out
 
@@ -236,7 +215,7 @@ def cmd_plan(args) -> str:
         "num_layers": index["num_layers"],
         "experts_per_layer": index["experts_per_layer"],
         "samples": [{"id": i, "paths": name} for i, name in zip(index["ids"], names)],
-    }, list(zip(names, pathsets)))
+    }, list(zip(names, pathsets)), owns="sample*.paths.json")
     print(f"planned top-{args.m} paths for {len(graphs)} samples -> {args.out}")
     return args.out
 
@@ -328,7 +307,7 @@ def _check_mask_fits(mask, mask_source, model, model_path) -> None:
 
 def _check_data_fits(samples, data_path, model, model_path) -> None:
     d = model.config.hidden_dim
-    if samples and samples[0].tokens.shape[1] != d:  # one blob, so one width
+    if samples[0].tokens.shape[1] != d:  # one blob, so one width
         raise FormatError(
             f"data {data_path} has tokens of width {samples[0].tokens.shape[1]}, "
             f"but model {model_path} has hidden_dim {d}"
@@ -349,7 +328,7 @@ def cmd_eval(args) -> str:
     model = _load_unpruned_model(args.model)
     mask = load_mask(args.mask)
     _check_mask_fits(mask, args.mask, model, args.model)
-    samples, _ = load_data(args.data)
+    samples = load_data(args.data)
     _check_data_fits(samples, args.data, model, args.model)
     with _overflow_names(f"model {args.model} on data {args.data}", "the forward pass"):
         result = strict(eval_mask, model, mask, samples)
@@ -573,6 +552,9 @@ def main(argv=None) -> int:
         return 0
     except UsageError as e:
         sys.stderr.write(f"{args.command}: {e}\n")
+        return 1
+    except MemoryError as e:  # numpy refuses an array too large to allocate at once
+        sys.stderr.write(f"{args.command}: out of memory: {e}\n")
         return 1
     except FormatError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -296,7 +296,8 @@ def save_model(model: MoEModel, dirpath) -> None:
         router, experts = f"layer{l}.router.tnsr", f"layer{l}.experts.tnsr"
         blobs.append({"router": router, "experts": experts})
         members += [(router, layer.router), (experts, layer.experts)]
-    save_index(dirpath, "model.json", {"config": model.config, "layers": blobs}, members)
+    save_index(dirpath, "model.json", {"config": model.config, "layers": blobs}, members,
+               owns="layer*.tnsr")
 
 
 def _parse_model_manifest(manifest, member) -> tuple[MoEConfig, list[tuple[str, str]]]:

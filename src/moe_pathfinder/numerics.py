@@ -14,6 +14,7 @@ for anything that ends up in a file.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import math
 import os
@@ -274,14 +275,22 @@ def _member(dirpath, file) -> str:
     return os.path.join(dirpath, file)
 
 
-def save_index(dirpath, name: str, obj, members=()) -> None:
+def save_index(dirpath, name: str, obj, members=(), owns: str | None = None) -> None:
     """Create `dirpath`, write each (file, value) member, an ndarray as a
     `.tnsr` blob and anything else as JSON, and then, last, the index `name`
-    holding obj: a write cut short leaves no new index over unwritten members."""
+    holding obj: a write cut short leaves no new index over unwritten members.
+    After the index, every file matching the glob `owns`, the stage's own
+    member pattern, that is not a member is removed, so a rerun leaves none
+    of an earlier run's members behind; no other file is touched."""
     os.makedirs(dirpath, exist_ok=True)
+    listed = set()
     for file, value in members:
         (save_tensor if isinstance(value, np.ndarray) else save_json)(_member(dirpath, file), value)
+        listed.add(file)
     save_json(os.path.join(dirpath, name), obj)
+    if owns:
+        for file in set(fnmatch.filter(os.listdir(dirpath), owns)) - listed:
+            os.remove(os.path.join(dirpath, file))
 
 
 def load_index(dirpath, name: str, what: str, parse):

@@ -208,7 +208,7 @@ def test_criterion_9_heatmap_bookkeeping():
 
 def run_pipeline(base):
     model = base / "model"
-    data = base / "data"
+    data = base / "data.tnsr"
     graphs = base / "graphs"
     paths = base / "paths"
     pruned = base / "pruned"

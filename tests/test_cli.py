@@ -29,7 +29,7 @@ def run_cli(*args):
 @pytest.fixture
 def pipeline(tmp_path):
     model = tmp_path / "model"
-    data = tmp_path / "data"
+    data = tmp_path / "data.tnsr"
     assert run_cli(
         "gen-model", "--layers", 3, "--experts", 4, "--dim", 8, "--topk", 2,
         "--seed", 7, "-o", model,
@@ -93,7 +93,7 @@ def test_pipeline_end_to_end(pipeline, capsys):
 
 def test_m1_pipeline_retains_one_expert_per_layer(tmp_path):
     model = tmp_path / "model"
-    data = tmp_path / "data"
+    data = tmp_path / "data.tnsr"
     graphs = tmp_path / "graphs"
     paths = tmp_path / "paths"
     pruned = tmp_path / "pruned"
@@ -114,7 +114,7 @@ def test_m1_pipeline_retains_one_expert_per_layer(tmp_path):
 
 def test_plan_huge_m_caps_at_path_count(tmp_path):
     model = tmp_path / "model"
-    data = tmp_path / "data"
+    data = tmp_path / "data.tnsr"
     graphs = tmp_path / "graphs"
     paths = tmp_path / "paths"
     run_cli("gen-model", "--layers", 2, "--experts", 2, "--dim", 4, "--topk", 1,
@@ -159,7 +159,7 @@ def test_unknown_command_is_usage_error():
 def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
     parser = build_parser()
     assert build_parser() is parser
-    model, data = tmp_path / "model", tmp_path / "data"
+    model, data = tmp_path / "model", tmp_path / "data.tnsr"
     stages = [
         ["gen-model", "--layers", 3, "--experts", 4, "--dim", 8, "--topk", 2, "--seed", 7,
          "-o", model],
@@ -171,7 +171,7 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
     assert main(["gen-data", "--model", str(model), "--samples", "0", "-o", str(data)]) == 1
     assert "--samples" in capsys.readouterr().err
     assert main(argvs[1]) == 0
-    assert [x.tokens.shape for x in load_data(data)[0]] == [(5, 8)] * 4
+    assert [x.tokens.shape for x in load_data(data)] == [(5, 8)] * 4
     for argv in argvs:
         assert vars(parser.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
 
@@ -310,7 +310,7 @@ def test_score_jobs_parallel_identical(pipeline):
 def test_score_jobs_parallel_identical_over_three_blocks(pipeline):
     # 40 samples of 32 tokens stack into blocks of 512, 512 and 256 rows
     tmp, model, _ = pipeline
-    data = tmp / "data-blocks"
+    data = tmp / "data-blocks.tnsr"
     run_cli("gen-data", "--model", model, "--samples", 40, "--tokens", 32, "--seed", 8, "-o", data)
     _score_jobs_1_and_2(model, data, tmp)
 
@@ -320,7 +320,7 @@ def test_calibration_score_plans_the_paths_of_a_full_score(tmp_path):
     # calibration samples share one block, the full run's 40 are three (at
     # this width some floats differ in the last place)
     tmp = tmp_path
-    model, data, calib = tmp / "model", tmp / "data", tmp / "calib.json"
+    model, data, calib = tmp / "model", tmp / "data.tnsr", tmp / "calib.json"
     run_cli("gen-model", "--layers", 3, "--experts", 4, "--dim", 32, "--topk", 2,
             "--seed", 7, "-o", model)
     run_cli("gen-data", "--model", model, "--samples", 40, "--tokens", 32, "--seed", 8, "-o", data)
@@ -347,15 +347,15 @@ def test_manifest_accumulates_and_validates(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in [
         "gen-model --layers 3 --experts 4 --dim 8 --topk 2 --seed 7 -o model",
-        "gen-data --model model --samples 10 --tokens 5 --seed 6 -o data",
-        "gen-data --model model --samples 10 --tokens 5 --seed 8 -o data",
-        "gen-data --model model --samples 10 --tokens 5 --seed 5 -o data2",
-        "calibrate --data data --k 4 --seed 9 -o calib.json",
-        "score --model model --data data --calibration calib.json -o graphs",
+        "gen-data --model model --samples 10 --tokens 5 --seed 6 -o data.tnsr",
+        "gen-data --model model --samples 10 --tokens 5 --seed 8 -o data.tnsr",
+        "gen-data --model model --samples 10 --tokens 5 --seed 5 -o data2.tnsr",
+        "calibrate --data data.tnsr --k 4 --seed 9 -o calib.json",
+        "score --model model --data data.tnsr --calibration calib.json -o graphs",
         "plan --graphs graphs --m 2 -o paths",
         "prune --paths paths --model model -o pruned",
         "prune --graphs graphs --target-retention 0.5 -o pruned-target",
-        "eval --model model --mask pruned/mask.json --data data -o eval.json",
+        "eval --model model --mask pruned/mask.json --data data.tnsr -o eval.json",
         "heatmap --paths paths -o heatmap.csv",
     ]:
         assert run_cli(*argv.split(), "--manifest", "manifest.json") == 0, argv
@@ -365,8 +365,8 @@ def test_manifest_accumulates_and_validates(tmp_path, monkeypatch):
     assert obj["tool_version"] == __version__
     assert obj["stages"] == {
         "model": {"command": "gen-model", "outputs": "model", "seed": 7},
-        "data": {"command": "gen-data", "outputs": "data", "seed": 8},
-        "data2": {"command": "gen-data", "outputs": "data2", "seed": 5},
+        "data.tnsr": {"command": "gen-data", "outputs": "data.tnsr", "seed": 8},
+        "data2.tnsr": {"command": "gen-data", "outputs": "data2.tnsr", "seed": 5},
         "calib.json": {"command": "calibrate", "outputs": "calib.json", "seed": 9},
         "graphs": {"command": "score", "outputs": "graphs"},
         "paths": {"command": "plan", "outputs": "paths"},
@@ -381,7 +381,7 @@ def test_manifest_accumulates_and_validates(tmp_path, monkeypatch):
     # a stage that fails records nothing
     before = manifest.read_bytes()
     for argv, code in [
-        ("calibrate --data data --k 11 --seed 9 -o c2.json", 1),
+        ("calibrate --data data.tnsr --k 11 --seed 9 -o c2.json", 1),
         ("plan --graphs nosuch --m 1 -o p2", 2),
         ("prune --graphs graphs --target-retention 1.0 --m-max 1 -o p3", 3),
     ]:
@@ -444,8 +444,9 @@ def test_compare_draws_only_the_cluster_centers_it_uses(tmp_path):
 
 def test_gen_data_roundtrip_via_load(pipeline):
     tmp, model, data = pipeline
-    samples, blob = load_data(data)
-    assert blob == str(data / "tokens.tnsr")
+    assert sorted(p.name for p in tmp.iterdir()) == ["data.tnsr", "model"] and data.is_file()
+    assert load_tensor(data).shape == (10, 5, 8)
+    samples = load_data(data)
     assert len(samples) == 10
     assert samples[0].tokens.shape == (5, 8)
 
@@ -463,8 +464,8 @@ def test_console_entry_point_runs():
 # Every stage run from the pipeline fixture's directory with relative paths,
 # so manifests hold no temporary-directory names and copies compare by bytes.
 STAGES = [
-    "calibrate --data data --k 4 --seed 9 -o calib.json --manifest manifest.json",
-    "score --model model --data data --calibration calib.json -o graphs --manifest manifest.json",
+    "calibrate --data data.tnsr --k 4 --seed 9 -o calib.json --manifest manifest.json",
+    "score --model model --data data.tnsr --calibration calib.json -o graphs --manifest manifest.json",
     "plan --graphs graphs --m 2 -o paths --manifest manifest.json",
     "prune --paths paths -o pruned --manifest manifest.json",
 ]
@@ -570,13 +571,18 @@ def _scale_sample(i, factor):
 
 
 def _empty_data(*shape):
-    # an empty tokens blob with a data.json that agrees with its shape
-    def apply(p):
-        save_tensor(p, np.zeros(shape))
-        _edit(lambda o: o.update(n_samples=shape[0], tokens_per_sample=shape[1]))(
-            p.parent / "data.json")
+    return lambda p: save_tensor(p, np.zeros(shape))
 
-    return apply
+
+def _old_data_layout(p):
+    # gen-data's output as a directory, data.json over tokens.tnsr, as it was
+    # written before the data file became the blob alone
+    p.mkdir()
+    tokens = load_tensor(p.parent / "data.tnsr")
+    save_tensor(p / "tokens.tnsr", tokens)
+    (p / "data.json").write_text(json.dumps(dict(
+        zip(("n_samples", "tokens_per_sample", "hidden_dim"), tokens.shape),
+        seed=8, blob="tokens.tnsr")))
 
 
 def _old_model_layout(p):
@@ -627,9 +633,9 @@ def _pruned_model(_):
     assert run_cli(*"prune --graphs graphs --target-retention 0.5 --model model -o pruned".split()) == 0
 
 
-EVAL = "eval --model model --mask pruned/mask.json --data data -o eval.json"
-SCORE = "score --model model --data data -o g2"
-SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
+EVAL = "eval --model model --mask pruned/mask.json --data data.tnsr -o eval.json"
+SCORE = "score --model model --data data.tnsr -o g2"
+SCORE_CALIB = "score --model model --data data.tnsr --calibration calib.json -o g2"
 
 
 @pytest.mark.parametrize(
@@ -655,8 +661,6 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
                      id="mask-keep-not-0-or-1"),
         pytest.param("pruned/mask.json", _edit(lambda o: o["keep"][0].__setitem__(0, True)),
                      EVAL, id="mask-keep-bool"),
-        pytest.param("data/data.json", _edit(lambda o: o.pop("blob")),
-                     "calibrate --data data --k 2 --seed 0 -o c2.json", id="data-no-blob"),
         pytest.param("manifest.json", _truncate(30),
                      "plan --graphs graphs --m 1 -o p2 --manifest manifest.json",
                      id="manifest-truncated"),
@@ -666,15 +670,15 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
             "plan": "paths"}, "seeds": {}}),
                      "plan --graphs graphs --m 1 -o p2 --manifest manifest.json",
                      id="manifest-keyed-by-subcommand"),
-        pytest.param("data/tokens.tnsr", _scale_sample(3, 1e200),
-                     "calibrate --data data --k 4 --seed 3 -o c2.json",
+        pytest.param("data.tnsr", _scale_sample(3, 1e200),
+                     "calibrate --data data.tnsr --k 4 --seed 3 -o c2.json",
                      id="data-overflows-k-means"),
         pytest.param("model/layer1.experts.tnsr", Path.unlink, EVAL, id="blob-missing"),
         pytest.param("model/layer1.experts.tnsr",
                      lambda p: p.write_bytes(p.read_bytes() + bytes(8)), EVAL,
                      id="blob-trailing-bytes"),
         pytest.param("model/layer0.router.tnsr", _nan_last_entry,
-                     "score --model model --data data -o g2", id="blob-nan"),
+                     "score --model model --data data.tnsr -o g2", id="blob-nan"),
         # a layer's expert count is its router's row count, at most N_e
         pytest.param("model/model.json", _old_model_layout, SCORE, id="model-per-expert-blobs"),
         pytest.param("model/layer1.experts.tnsr", _resize_experts(-1), SCORE,
@@ -768,9 +772,6 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         pytest.param("model/model.json",
                      _member_outside("router", "other", entry=lambda o: o["layers"][0]),
                      SCORE, id="model-member-outside-dir"),
-        pytest.param("data/data.json", _member_outside("blob", "data", entry=lambda o: o),
-                     "calibrate --data data --k 2 --seed 0 -o c2.json",
-                     id="data-member-outside-dir"),
         pytest.param("graphs/graphs.json", _member_outside("scores", "g", entry=lambda o: o),
                      "plan --graphs graphs --m 2 -o p2", id="graph-member-outside-dir"),
         pytest.param("graphs/graphs.json", _naming("not a plain file name", corrupt=_edit(
@@ -783,9 +784,9 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
             lambda o: o["samples"][2].update(paths=o["samples"][0]["paths"]))),
                      "heatmap --paths paths -o h.csv", id="path-member-twice"),
         pytest.param("pruned/pruned-model", _pruned_model,
-                     "score --model pruned/pruned-model --data data -o g2", id="pruned-model-score"),
+                     "score --model pruned/pruned-model --data data.tnsr -o g2", id="pruned-model-score"),
         pytest.param("pruned/pruned-model", _pruned_model,
-                     "eval --model pruned/pruned-model --mask pruned/mask.json --data data "
+                     "eval --model pruned/pruned-model --mask pruned/mask.json --data data.tnsr "
                      "-o eval.json", id="pruned-model-eval"),
         pytest.param("pruned/pruned-model", _pruned_model,
                      "prune --paths paths --model pruned/pruned-model -o pr2",
@@ -793,13 +794,25 @@ SCORE_CALIB = "score --model model --data data --calibration calib.json -o g2"
         *[
             pytest.param(name, corrupt, argv, id=f"{case}-{argv.split()[0]}")
             for name, corrupt, case in [
-                ("data/tokens.tnsr", _empty_data(10, 0, 8), "data-zero-tokens"),
-                ("data/tokens.tnsr", _empty_data(0, 5, 8), "data-zero-samples"),
-                ("data/data.json", _edit(lambda o: o.update(tokens_per_sample=6)),
-                 "data-manifest-disagrees"),
+                ("data.tnsr", _empty_data(10, 0, 8), "data-zero-tokens"),
+                ("data.tnsr", _empty_data(0, 5, 8), "data-zero-samples"),
             ]
             for argv in (EVAL, SCORE)
         ],
+        # tokens of width 0 fit no model, and calibrate would cluster
+        # featureless samples
+        pytest.param("data.tnsr", _empty_data(10, 5, 0),
+                     "calibrate --data data.tnsr --k 2 --seed 0 -o c2.json", id="data-zero-width"),
+        # the data file is one rank-3 blob: gen-data's older directory
+        # output, or a blob of another rank, exits 2 naming it
+        *[
+            pytest.param("old-data", _old_data_layout, argv.replace("data.tnsr", "old-data"),
+                         id=f"data-old-directory-layout-{argv.split()[0]}")
+            for argv in (EVAL, SCORE, "calibrate --data data.tnsr --k 2 --seed 0 -o c2.json")
+        ],
+        pytest.param("model/layer0.router.tnsr", _naming("shape (4, 8)", corrupt=lambda p: None),
+                     "score --model model --data model/layer0.router.tnsr -o g2",
+                     id="data-rank-2-blob"),
     ],
 )
 def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
@@ -817,8 +830,8 @@ def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
 
 def test_gen_data_runs_on_a_pruned_model(staged):
     _pruned_model(staged / "pruned" / "pruned-model")
-    assert run_cli(*"gen-data --model pruned/pruned-model --samples 2 --tokens 3 --seed 1 -o d2".split()) == 0
-    assert len(load_data(staged / "d2")[0]) == 2
+    assert run_cli(*"gen-data --model pruned/pruned-model --samples 2 --tokens 3 --seed 1 -o d2.tnsr".split()) == 0
+    assert len(load_data(staged / "d2.tnsr")) == 2
 
 
 def test_prune_writes_the_pruned_model_index_last(staged, monkeypatch):
@@ -845,7 +858,7 @@ def test_interrupted_score_rerun_leaves_the_old_graphs(staged, monkeypatch):
     graphs = staged / "graphs"
     before = {p.name: p.read_bytes() for p in graphs.iterdir()}
     assert run_cli(*"gen-model --layers 3 --experts 4 --dim 8 --topk 2 --seed 99 -o m99".split()) == 0
-    assert run_cli(*"score --model m99 --data data --calibration calib.json -o g99".split()) == 0
+    assert run_cli(*"score --model m99 --data data.tnsr --calibration calib.json -o g99".split()) == 0
     assert (staged / "g99" / "scores.tnsr").read_bytes() != before["scores.tnsr"]
     save_tensor_ = numerics.save_tensor
 
@@ -855,7 +868,7 @@ def test_interrupted_score_rerun_leaves_the_old_graphs(staged, monkeypatch):
         save_tensor_(path, arr)
 
     monkeypatch.setattr(numerics, "save_tensor", fail)
-    assert run_cli(*"score --model m99 --data data --calibration calib.json -o graphs".split()) == 1
+    assert run_cli(*"score --model m99 --data data.tnsr --calibration calib.json -o graphs".split()) == 1
     assert {p.name: p.read_bytes() for p in graphs.iterdir()} == before
     assert run_cli(*"plan --graphs graphs --m 2 -o p2".split()) == 0
     planned = {p.name: p.read_bytes() for p in (staged / "p2").iterdir()}
@@ -872,23 +885,70 @@ def test_prune_model_rerun_leaves_no_stale_blob(staged):
     assert {p.name for p in out.iterdir()} == listed | {"model.json", "remap.json"}
 
 
+def _listed_members(out) -> set[str]:
+    """The index in a stage output directory and every member it lists."""
+    for name, members in [
+        ("model.json", lambda o: [e[k] for e in o["layers"] for k in ("router", "experts")]),
+        ("paths.json", lambda o: [e["paths"] for e in o["samples"]]),
+        ("graphs.json", lambda o: [o["scores"]]),
+    ]:
+        if (out / name).exists():
+            return {name, *members(json.loads((out / name).read_text()))}
+
+
+def _runs(*argvs):
+    return lambda staged: [run_cli(*argv.split()) for argv in argvs] == [0] * len(argvs)
+
+
+def _per_sample_graphs(staged):
+    shutil.copytree(staged / "graphs", staged / "out")
+    _per_sample_layout(".tnsr")(staged / "out" / "graphs.json")
+    return True
+
+
+# (the first run into out/, the rerun into it): a 6-layer model under a
+# 3-layer one, 10 path sets under 4, and graphs in the per-sample layout
+# under one scores blob
+@pytest.mark.parametrize("first, rerun", [
+    pytest.param(_runs("gen-model --layers 6 --experts 4 --dim 8 --topk 2 --seed 7 -o out"),
+                 "gen-model --layers 3 --experts 4 --dim 8 --topk 2 --seed 7 -o out",
+                 id="gen-model-fewer-layers"),
+    pytest.param(_runs("score --model model --data data.tnsr -o g10",
+                       "plan --graphs g10 --m 2 -o out"),
+                 "plan --graphs graphs --m 1 -o out", id="plan-fewer-samples"),
+    pytest.param(_per_sample_graphs,
+                 "score --model model --data data.tnsr --calibration calib.json -o out",
+                 id="score-over-per-sample-graphs"),
+])
+def test_stage_rerun_leaves_only_its_index_and_members(staged, first, rerun):
+    assert first(staged)
+    out = staged / "out"
+    # files that the stage's member pattern does not match stay
+    (out / "notes.txt").write_text("kept\n")
+    (out / "remap.json").write_text("{}\n")
+    stale = {p.name for p in out.iterdir()} - {"notes.txt", "remap.json"}
+    assert run_cli(*rerun.split()) == 0
+    assert stale - _listed_members(out)  # the first run left members the rerun does not list
+    assert {p.name for p in out.iterdir()} == _listed_members(out) | {"notes.txt", "remap.json"}
+
+
 @pytest.mark.parametrize("argv", [
-    pytest.param("score --model wide --data data -o g2", id="score"),
-    pytest.param("eval --model wide --mask pruned/mask.json --data data -o eval2.json", id="eval"),
+    pytest.param("score --model wide --data data.tnsr -o g2", id="score"),
+    pytest.param("eval --model wide --mask pruned/mask.json --data data.tnsr -o eval2.json", id="eval"),
 ])
 def test_data_width_mismatch_exits_2_naming_both(staged, capsys, argv):
     assert run_cli(*"gen-model --layers 3 --experts 4 --dim 16 --topk 2 --seed 7 -o wide".split()) == 0
     capsys.readouterr()
     assert run_cli(*argv.split()) == 2
     err = capsys.readouterr().err
-    assert "data data " in err and "model wide " in err and "Traceback" not in err
+    assert "data data.tnsr " in err and "model wide " in err and "Traceback" not in err
     assert not (staged / argv.split()[-1]).exists()
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param("score --model big --data data -o g", id="score"),
-    pytest.param("score --model big --data data --jobs 2 -o g", id="score-jobs"),
-    pytest.param("eval --model big --mask mask.json --data data -o eval.json", id="eval"),
+    pytest.param("score --model big --data data.tnsr -o g", id="score"),
+    pytest.param("score --model big --data data.tnsr --jobs 2 -o g", id="score-jobs"),
+    pytest.param("eval --model big --mask mask.json --data data.tnsr -o eval.json", id="eval"),
 ])
 def test_overflowing_forward_exits_2_naming_both(tmp_path, monkeypatch, capsys, argv):
     # every blob is finite, but experts scaled by 1e120 overflow a linear forward
@@ -898,13 +958,13 @@ def test_overflowing_forward_exits_2_naming_both(tmp_path, monkeypatch, capsys, 
     for layer in model.layers:
         layer.experts = 1e120 * layer.experts
     save_model(model, "big")
-    assert run_cli(*"gen-data --model big --samples 4 --tokens 3 --seed 2 -o data".split()) == 0
+    assert run_cli(*"gen-data --model big --samples 4 --tokens 3 --seed 2 -o data.tnsr".split()) == 0
     (tmp_path / "mask.json").write_text(json.dumps({"L": 4, "Ne": 3, "keep": [[1, 0, 1]] * 4}))
     capsys.readouterr()
     # a RuntimeWarning would fail this test (see pyproject.toml's filterwarnings)
     assert run_cli(*argv.split()) == 2
     err = capsys.readouterr().err
-    assert "model big " in err and "data data " in err and "Traceback" not in err
+    assert "model big " in err and "data data.tnsr " in err and "Traceback" not in err
     assert not (tmp_path / argv.split()[-1]).exists()
 
 
@@ -930,13 +990,17 @@ def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
     assert not (staged / "p2").exists()
 
 
+GEN_DATA_PIB = "gen-data --model model --samples 100000000 --tokens 100000000 --seed 1 -o x"
+COMPARE_EIB = "compare --seed 0 --trials 1 --pool 100000000000 --tokens 100000 -o x"
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
         pytest.param("plan --graphs graphs --m 0 -o x", "--m", id="plan-m"),
         pytest.param("plan --graphs graphs --m two -o x", "--m", id="plan-m-not-a-number"),
-        pytest.param("calibrate --data data --k 0 --seed 9 -o x", "--k", id="calibrate-k"),
-        pytest.param("calibrate --data data --k 11 --seed 9 -o x",
+        pytest.param("calibrate --data data.tnsr --k 0 --seed 9 -o x", "--k", id="calibrate-k"),
+        pytest.param("calibrate --data data.tnsr --k 11 --seed 9 -o x",
                      "--k 11 exceeds the 10 samples", id="calibrate-k-over-samples"),
         pytest.param("prune --graphs graphs --target-retention 1.5 -o x", "--target-retention",
                      id="prune-target-retention"),
@@ -957,11 +1021,14 @@ def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
         pytest.param("compare --seed 1 --router-gain inf -o x", "router_gain",
                      id="compare-router-gain-inf"),
         pytest.param("selfcheck --trials 0 --seed 1", "--trials", id="selfcheck-trials"),
-        pytest.param("score --model model --data data --jobs 0 -o x", "--jobs", id="score-jobs"),
+        pytest.param("score --model model --data data.tnsr --jobs 0 -o x", "--jobs", id="score-jobs"),
         pytest.param("plan --graphs graphs --m 1 --jobs -3 -o x", "--jobs", id="plan-jobs"),
         pytest.param("compare --seed 1 --jobs 0 -o x", "--jobs", id="compare-jobs"),
         pytest.param("heatmap --paths paths --outliers o.json -o x", "--outliers",
                      id="heatmap-outliers-gone"),
+        # sizes that numpy refuses to allocate at once
+        pytest.param(GEN_DATA_PIB, "568. PiB", id="gen-data-beyond-memory"),
+        pytest.param(COMPARE_EIB, "2.22 EiB", id="compare-beyond-memory"),
     ],
 )
 def test_bad_flag_value_is_usage_error(staged, capsys, argv, named):
@@ -975,12 +1042,14 @@ def test_bad_flag_value_is_usage_error(staged, capsys, argv, named):
 @pytest.mark.parametrize("argv", [
     pytest.param("gen-model --layers 1 --experts 4 --dim 8 --topk 2 --seed 1 -o x",
                  id="gen-model-config"),
-    pytest.param("calibrate --data data --k 11 --seed 9 -o x", id="calibrate-k-over-samples"),
+    pytest.param("calibrate --data data.tnsr --k 11 --seed 9 -o x", id="calibrate-k-over-samples"),
     pytest.param("prune --graphs graphs -o x", id="prune-mode"),
     pytest.param("compare --seed 1 --layers 1 -o x", id="compare-moe-config"),
     pytest.param("compare --seed 1 --k 9 --pool 8 -o x", id="compare-config"),
     pytest.param("compare --seed 0 --trials 1 --expert-scale 1e200 --nonlinearity none -o x",
                  id="compare-overflow"),
+    pytest.param(GEN_DATA_PIB, id="gen-data-beyond-memory"),
+    pytest.param(COMPARE_EIB, id="compare-beyond-memory"),
 ])
 def test_usage_error_is_one_line_led_by_its_subcommand(staged, capsys, argv):
     capsys.readouterr()
@@ -991,7 +1060,7 @@ def test_usage_error_is_one_line_led_by_its_subcommand(staged, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    "eval --model model --mask pruned/mask.json --data data -o nodir/eval.json",
+    "eval --model model --mask pruned/mask.json --data data.tnsr -o nodir/eval.json",
     "heatmap --paths paths -o nodir/h.csv",
 ])
 def test_unwritable_output_is_usage_error_naming_it(staged, capsys, argv):
@@ -1004,14 +1073,14 @@ def test_unwritable_output_is_usage_error_naming_it(staged, capsys, argv):
 # (artifact, the stage that reads it); each stage writes only under out/
 # and, with --manifest, to manifest.json
 READERS = [
-    ("model/model.json", "score --model model --data data -o out"),
-    ("data/data.json", "calibrate --data data --k 4 --seed 9 -o out/calib.json"),
-    ("calib.json", "score --model model --data data --calibration calib.json -o out"),
+    ("model/model.json", "score --model model --data data.tnsr -o out"),
+    ("data.tnsr", "calibrate --data data.tnsr --k 4 --seed 9 -o out/calib.json"),
+    ("calib.json", "score --model model --data data.tnsr --calibration calib.json -o out"),
     ("graphs/graphs.json", "plan --graphs graphs --m 3 -o out"),
     ("paths/paths.json", "prune --paths paths -o out"),
     ("paths/sample{first:04d}.paths.json", "heatmap --paths paths -o out/h.csv"),
     ("graphs/scores.tnsr", "prune --graphs graphs --target-retention 0.5 -o out"),
-    ("pruned/mask.json", "eval --model model --mask pruned/mask.json --data data -o out/eval.json"),
+    ("pruned/mask.json", "eval --model model --mask pruned/mask.json --data data.tnsr -o out/eval.json"),
     ("manifest.json", "plan --graphs graphs --m 1 -o out --manifest manifest.json"),
 ]
 
@@ -1082,9 +1151,9 @@ def test_damaged_artifact_is_exit_0_identical_or_exit_2_named(staged, capsys, da
 # (.tnsr blob, the stage that reads it): each layer's router and experts,
 # the tokens, and the sample graphs' scores
 BLOBS = [
-    *((f"model/layer{l}.{kind}.tnsr", "score --model model --data data -o out")
+    *((f"model/layer{l}.{kind}.tnsr", "score --model model --data data.tnsr -o out")
       for l in range(3) for kind in ("router", "experts")),
-    ("data/tokens.tnsr", "score --model model --data data -o out"),
+    ("data.tnsr", "score --model model --data data.tnsr -o out"),
     ("graphs/scores.tnsr", "plan --graphs graphs --m 3 -o out"),
 ]
 

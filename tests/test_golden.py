@@ -1,6 +1,6 @@
 """Golden artifact bytes for the README pipeline and one desk comparison seed.
 
-The digests pin the generated model and data blobs with their JSON indexes,
+The digests pin the generated model blobs with their JSON index, the data blob,
 the calibration set, the graph blobs, path sets, masks, reports, heatmaps
 and comparison rows.  The generator and calibration digests were taken
 before the PRNG drew its arrays in numpy, so they hold every draw of the
@@ -34,6 +34,10 @@ graphs.json's order, the eight sample{i}.tnsr digests gave way to the
 scores.tnsr digest and graphs.json, which now names that blob, was
 re-captured; each row of the blob, re-saved alone, must still match its old
 digest in GRAPH_SLICES, and GRAPH_JSON reads the same rows.
+When gen-data's output became its tokens blob alone, the data/data.json
+digest went with the index it pinned, which repeated the blob's three
+dimensions and a seed; the blob's digest, once data/tokens.tnsr's, holds
+unchanged as the data file's.
 The three comparison summary.json digests were captured before save_json
 began to write every record, so they pin that the summaries kept their bytes.
 The digests hold on x86-64 with numpy's
@@ -55,8 +59,7 @@ GOLDEN = {
     "compare-no-transition/summary.json": "33c275ad0c3c2fd2bdda213dfdb16be225c883e4827317a9cc79321d41fa8051",
     "compare/comparison.csv": "7b233f6ef6202e5e8444f7de070e17c366ffdaa4815ce5d6d28a328c29b97b19",
     "compare/summary.json": "63ec8aac93aa79eed4c04ed3591192579e312b21351e8b2c96f100f4a5950288",
-    "data/data.json": "c21b57d401bf60c88b5fbcac2c43a1111c4aa54bc79218e390b91da3f888d460",
-    "data/tokens.tnsr": "d51047174ba2195eee126c70a366321ab4abb742f163f108ef3da6125247cffa",
+    "data.tnsr": "d51047174ba2195eee126c70a366321ab4abb742f163f108ef3da6125247cffa",
     "eval.json": "09fc01fe006060161f4fc1e735f0555c41ac04d89af1158789668969475a9db7",
     "graphs/graphs.json": "bc7ed6d94240cbfd5ec2bc81781334ea9e8a542e8df4eaf0078c4d505bc90d75",
     "graphs/scores.tnsr": "0ed4acef32328c3e86adaa78a56295ec0568388c0b5f28596f16ec3c86f6ca46",
@@ -196,7 +199,7 @@ def artifact_digests(tmp) -> dict[str, str]:
     """Run the README pipeline, a top-16 plan, a target-retention search,
     and one desk comparison seed with each signal set; return the sha256 of
     each artifact, keyed by its path relative to tmp."""
-    model, data, calib = tmp / "model", tmp / "data", tmp / "calib.json"
+    model, data, calib = tmp / "model", tmp / "data.tnsr", tmp / "calib.json"
     graphs, pruned = tmp / "graphs", tmp / "pruned"
     run_cli("gen-model", "--layers", 6, "--experts", 8, "--dim", 32, "--topk", 2,
             "--seed", 7, "-o", model)
@@ -221,7 +224,7 @@ def artifact_digests(tmp) -> dict[str, str]:
         p for p in wanted
         if p.suffix == ".csv" or p.name in ("mask.json", "report.json", "eval.json", "summary.json")
         or p.name.endswith(".paths.json") or p.name == "paths.json"
-        or p.parent.name in ("model", "data", "graphs") or p.name == "calib.json"
+        or p.parent.name in ("model", "graphs") or p.name in ("data.tnsr", "calib.json")
     ]
     return {
         p.relative_to(tmp).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()

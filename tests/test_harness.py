@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moe_pathfinder.calibration import build_calibration_set
-from moe_pathfinder.cli import load_data, save_data
+from moe_pathfinder.cli import load_data
 from moe_pathfinder.harness import (
     ExperimentConfig,
     comparison_csv,
@@ -27,7 +27,7 @@ from moe_pathfinder.model import (
     MoEConfig, SampleBatch, apply_mask, gen_data, gen_model, layer_states, load_model,
     model_forward, sample_blocks, save_model,
 )
-from moe_pathfinder.numerics import Rng
+from moe_pathfinder.numerics import Rng, save_tensor
 from moe_pathfinder.planner import random_sample_graph, top_m_paths_bruteforce, top_m_paths_dp
 from moe_pathfinder.pruner import PruneMask, target_sparsity_search
 from moe_pathfinder.scoring import graph_from_scores, score_samples
@@ -419,8 +419,8 @@ def _staged_replay(cfg: ExperimentConfig, i: int, tmp_path) -> tuple[float, int]
     def staged_data(name, n_samples, seed):
         samples = gen_data(cfg.moe, n_samples, cfg.tokens_per_sample, seed,
                            cfg.data_clusters, cfg.cluster_radius, centers_seed)
-        save_data(samples, seed, tmp_path / name)
-        return load_data(tmp_path / name)[0]
+        save_tensor(tmp_path / name, np.stack([s.tokens for s in samples]))
+        return load_data(tmp_path / name)
 
     pool = staged_data("pool", cfg.pool_size, pool_seed)
     calib = build_calibration_set(pool, cfg.calibration_k, cfg.kmeans_seed)

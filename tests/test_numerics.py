@@ -362,3 +362,23 @@ def test_save_index_writes_each_member_then_the_index_last(tmp_path, monkeypatch
     with pytest.raises(ValueError, match="not a plain file name"):
         save_index(tmp_path / "bad", "index.json", {}, [("a.tnsr", arr), ("../b.json", {})])
     assert sorted(os.listdir(tmp_path / "bad")) == ["a.tnsr"]
+
+
+def test_save_index_removes_only_the_unlisted_files_it_owns(tmp_path, monkeypatch):
+    arr = np.zeros(2)
+    save_index(tmp_path, "index.json", {}, [(f"sample{i}.tnsr", arr) for i in range(3)],
+               owns="sample*.tnsr")
+    for name in ("notes.txt", "sample.json", "layer0.tnsr", "sample9.tnsr.tmp"):
+        (tmp_path / name).write_text("other\n")
+    events = []
+    write, remove = numerics._write_atomic, os.remove
+    monkeypatch.setattr(numerics, "_write_atomic", lambda path, data: (
+        events.append(("write", os.path.basename(path))), write(path, data)))
+    monkeypatch.setattr(os, "remove", lambda path: (
+        events.append(("remove", os.path.basename(path))), remove(path)))
+    save_index(tmp_path, "index.json", {"n": 1}, [("sample1.tnsr", arr)], owns="sample*.tnsr")
+    # the members, the index, and only then the files it no longer lists
+    assert events[:2] == [("write", "sample1.tnsr"), ("write", "index.json")]
+    assert sorted(events[2:]) == [("remove", "sample0.tnsr"), ("remove", "sample2.tnsr")]
+    assert sorted(os.listdir(tmp_path)) == [
+        "index.json", "layer0.tnsr", "notes.txt", "sample.json", "sample1.tnsr", "sample9.tnsr.tmp"]

@@ -22,7 +22,6 @@ class KMeansResult:
     assignments: np.ndarray  # n ints
     distortion: float  # total within-cluster squared distance
     n_iters: int
-    distortion_history: list[float]
 
 
 @dataclass
@@ -101,8 +100,8 @@ def kmeans(
     Assignment ties go to the lower centroid index.  Empty clusters are
     refilled (ascending cluster index) with the point farthest from its
     centroid as measured at this pass's assignment step, before the centroids
-    moved (lowest index on ties); that point's distance is zeroed so
-    consecutive refills pick distinct points.  Stops when assignments are
+    moved (lowest index on ties), among the points whose cluster keeps
+    another member; n >= k, so one exists.  Stops when assignments are
     stable, when a pass only undoes the last pass's refills (fewer distinct
     points than clusters), or after max_iters.
     """
@@ -117,14 +116,12 @@ def kmeans(
     centroids = _kmeanspp_init(points, k, rng)
     assignments = np.full(n, -1, dtype=np.int64)
     unrefilled = assignments  # the last assignment step's result
-    history: list[float] = []
     iters = 0
     for _ in range(max_iters):
         iters += 1
         all_d2 = np.stack([_sq_dists(points, centroids[c]) for c in range(k)], axis=1)
         new_assignments = np.argmin(all_d2, axis=1)  # argmin takes lower index on ties
         point_d2 = all_d2[np.arange(n), new_assignments]
-        history.append(float(point_d2.sum()))
         if np.array_equal(new_assignments, assignments) or np.array_equal(
             new_assignments, unrefilled
         ):
@@ -138,14 +135,14 @@ def kmeans(
                 centroids[c] = points[members].mean(axis=0)
         for c in range(k):
             if not np.any(assignments == c):
-                far = int(np.argmax(point_d2))
+                shared = np.bincount(assignments, minlength=k)[assignments] > 1
+                far = int(np.argmax(np.where(shared, point_d2, -1.0)))
                 centroids[c] = points[far].copy()
                 assignments[far] = c
-                point_d2[far] = 0.0
 
     final_d2 = np.stack([_sq_dists(points, centroids[c]) for c in range(k)], axis=1)
     distortion = float(final_d2[np.arange(n), assignments].sum())
-    return KMeansResult(centroids, assignments, distortion, iters, history)
+    return KMeansResult(centroids, assignments, distortion, iters)
 
 
 def select_representatives(

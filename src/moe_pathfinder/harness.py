@@ -148,9 +148,7 @@ def random_mask(
     return PruneMask(keep)
 
 
-def _block_gaps(
-    model: MoEModel, masks: list[PruneMask | None], block: list[SampleBatch]
-) -> np.ndarray:
+def _block_gaps(model: MoEModel, masks: list[PruneMask], block: list[SampleBatch]) -> np.ndarray:
     """masks x L x len(block): each sample's mean squared gap per token
     between the full and the pruned model's hidden states after each layer.
     Each pruned model is built when its mask comes up, and the block's
@@ -160,8 +158,7 @@ def _block_gaps(
     full = [h for *_, h in layer_states(model, x)]
     gaps = np.empty((len(masks), len(full), n))
     for mask_gaps, mask in zip(gaps, masks):
-        pruned = model if mask is None else apply_mask(model, mask)[0]
-        for l, (*_, h) in enumerate(layer_states(pruned, x)):
+        for l, (*_, h) in enumerate(layer_states(apply_mask(model, mask)[0], x)):
             sq = full[l] - h
             sq *= sq
             mask_gaps[l] = sq.reshape(n, -1).sum(axis=1) / T
@@ -169,7 +166,7 @@ def _block_gaps(
 
 
 def eval_masks(
-    model: MoEModel, masks: list[PruneMask | None], eval_samples: list[SampleBatch]
+    model: MoEModel, masks: list[PruneMask], eval_samples: list[SampleBatch]
 ) -> list[EvalResult]:
     """Per mask: mean squared final-hidden-state gap per token between the
     full model's forward and its pruned model's (apply_mask), averaged over
@@ -188,18 +185,12 @@ def eval_masks(
     )
     layer_errs = np.add.accumulate(gaps, axis=2)[..., -1] / len(eval_samples)
     return [
-        EvalResult(
-            float(errs[-1]),
-            [float(e) for e in errs],
-            1.0 if mask is None else mask.retention_fraction(),
-        )
+        EvalResult(float(errs[-1]), [float(e) for e in errs], mask.retention_fraction())
         for errs, mask in zip(layer_errs, masks)
     ]
 
 
-def eval_mask(
-    model: MoEModel, mask: PruneMask | None, eval_samples: list[SampleBatch]
-) -> EvalResult:
+def eval_mask(model: MoEModel, mask: PruneMask, eval_samples: list[SampleBatch]) -> EvalResult:
     """eval_masks for one mask."""
     return eval_masks(model, [mask], eval_samples)[0]
 

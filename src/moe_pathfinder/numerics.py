@@ -14,6 +14,7 @@ for anything that ends up in a file.
 
 from __future__ import annotations
 
+import errno
 import fnmatch
 import json
 import math
@@ -199,7 +200,10 @@ def load_tensor(path) -> np.ndarray:
 def _write_atomic(path, data: bytes) -> None:
     """Write data to `path + ".tmp"` and only then replace `path` with it, so
     a stage that fails or is interrupted mid-write leaves the previous file,
-    or none, never a partial one.  An OSError is re-raised naming `path`."""
+    or none, never a partial one.  An OSError is re-raised naming `path`; an
+    existing directory at `path` is refused before anything is written."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:

@@ -13,7 +13,9 @@ head of the heap.  The stream is the whole ranking, produced lazily, so every
 top-m is a prefix of it: top_m_paths_dp takes the first m, and the sparsity
 search reads paths off it one rank at a time.  Experts of one layer with
 equal scores are enumerated as one class and expanded in lexicographic
-order, so an exact tie between twins costs one path, not one per member.
+order, so an exact tie between twins costs one heap entry, not one per
+member.  Classes and paths share one heap, where a class pops before every
+path of its weight, so tied paths leave in sequence order.
 The ranking equals top_m_paths_bruteforce exactly, sequences and weights.
 """
 
@@ -102,30 +104,29 @@ def ranked_paths(graph: SampleGraph) -> Iterator[PrefixPath]:
         return total
 
     # rank vectors form a tree: the children of r raise one coordinate at or
-    # after r's last nonzero one, so each vector is pushed exactly once
+    # after r's last nonzero one, so each vector is pushed exactly once.  The
+    # heap holds classes (-weight, 0, ranks, last) and paths (-weight, 1, seq,
+    # rest of its class's product): at equal weight classes pop first, then
+    # paths by sequence (both are unique).  entry, the last one popped, stays
+    # out of the heap, so a path that sorts first costs no heap operation
     root = (0,) * L
-    heap = [(-weight(root), root, 0)]
-    # popped classes keyed by (-weight, next member sequence), as
-    # PrefixPath.sort_key orders paths, each holding the rest of its product,
-    # which runs in lexicographic order; tied classes thereby interleave
-    ready: list = []
-    while heap or ready:
-        # the best ready path is next once no unseen path can tie its weight
-        while heap and not (ready and heap[0][0] > ready[0][0]):
-            key, ranks, last = heapq.heappop(heap)
-            for k in range(last, L):
-                if ranks[k] + 1 < len(ranked[k]):
-                    child = ranks[:k] + (ranks[k] + 1,) + ranks[k + 1 :]
-                    heapq.heappush(heap, (-weight(child), child, k))
-            product = itertools.product(*(members[l][r] for l, r in enumerate(ranks)))
-            heapq.heappush(ready, (key, next(product), product))
-        key, seq, product = ready[0]
-        yield PrefixPath(seq, -key)
-        seq = next(product, None)
-        if seq is None:
-            heapq.heappop(ready)
+    heap: list = []
+    entry = (-weight(root), 0, root, 0)
+    while entry:
+        key, is_path, head, rest = entry
+        if is_path:
+            yield PrefixPath(head, -key)
         else:
-            heapq.heapreplace(ready, (key, seq, product))
+            for k in range(rest, L):
+                if head[k] + 1 < len(ranked[k]):
+                    child = head[:k] + (head[k] + 1,) + head[k + 1 :]
+                    heapq.heappush(heap, (-weight(child), 0, child, k))
+            rest = itertools.product(*(members[l][r] for l, r in enumerate(head)))
+        seq = next(rest, None)
+        if seq is not None:
+            entry = heapq.heappushpop(heap, (key, 1, seq, rest))
+        else:
+            entry = heapq.heappop(heap) if heap else None
 
 
 def top_m_paths_dp(graph: SampleGraph, m: int) -> PathSet:
@@ -178,8 +179,10 @@ def with_twin(graph: SampleGraph, layer: int, src: int, dst: int) -> SampleGraph
 def oracle_selfcheck(trials: int, seed: int, tol: float = 1e-9) -> tuple[int, list[str]]:
     """Planner-vs-brute-force equivalence over random graphs with L in 2..5 and
     N_e in 2..4, at m in {1, 3, 10, N_e^L}.  Each trial checks the graph,
-    its two single-signal ablations, and a copy with one expert duplicated
-    (exact ties).  Returns (passes, mismatches)."""
+    its two single-signal ablations, a copy with one expert duplicated
+    (exact ties), and that copy with the duplicate's importance one ulp
+    higher (near twins, whose paths often tie only after rounding).  Returns
+    (passes, mismatches)."""
     rng = Rng(seed)
     passes = 0
     mismatches: list[str] = []
@@ -188,12 +191,16 @@ def oracle_selfcheck(trials: int, seed: int, tol: float = 1e-9) -> tuple[int, li
         n = 2 + rng.randrange(3)
         graph = random_sample_graph(L, n, rng)
         src = rng.randrange(n)
-        twin = with_twin(graph, rng.randrange(L), src, (src + 1 + rng.randrange(n - 1)) % n)
+        layer, dst = rng.randrange(L), (src + 1 + rng.randrange(n - 1)) % n
+        twin = with_twin(graph, layer, src, dst)
+        near_twin = twin.scores.copy()
+        near_twin[layer, 3, dst] = np.nextafter(near_twin[layer, 3, dst], np.inf)
         variants = {
             "graph": graph,
             "no-importance": graph_from_scores(graph.scores, use_importance=False),
             "no-transition": graph_from_scores(graph.scores, use_transition=False),
             "twin": twin,
+            "near-twin": graph_from_scores(near_twin),
         }
         ok = True
         for name, g in variants.items():

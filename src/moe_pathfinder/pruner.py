@@ -145,31 +145,28 @@ def target_sparsity_search(
     for m, paths in enumerate(zip(*(ranked_paths(g) for g in graphs)), start=1):
         for path in paths:
             freq[layers, path.experts] += 1
-        mask = PruneMask(freq > 0)
-        if mask.retained_total() >= target_count:
+        retained = np.count_nonzero(freq)
+        if retained >= target_count:
             break
         if m >= m_max:
             raise InvariantError(
                 f"target retention {target_retention} unreachable with m_max={m_max}: "
-                f"best achievable fraction is {mask.retention_fraction():.6f}"
+                f"best achievable fraction is {retained / freq.size:.6f}"
             )
 
+    keep = freq > 0
     trimmed: list[tuple[int, int]] = []
-    if mask.retained_total() > target_count:
-        kept = [(l, i) for l in range(L) for i in range(n) if mask.keep[l, i]]
-        # prune order: least frequent first; ties drop deeper layers, then
-        # higher expert indices
-        kept.sort(key=lambda li: (freq[li[0], li[1]], -li[0], -li[1]))
-        per_layer = mask.keep.sum(axis=1)
-        for l, i in kept:
-            if mask.retained_total() <= target_count:
-                break
-            if per_layer[l] <= 1:
-                continue
-            mask.keep[l, i] = False
-            per_layer[l] -= 1
+    kept = np.argwhere(keep).tolist()
+    # prune order: least frequent first; ties drop deeper layers, then
+    # higher expert indices
+    kept.sort(key=lambda li: (freq[li[0], li[1]], -li[0], -li[1]))
+    for l, i in kept:
+        if len(trimmed) == retained - target_count:
+            break
+        if np.count_nonzero(keep[l]) > 1:
+            keep[l, i] = False
             trimmed.append((l, i))
-
+    mask = PruneMask(keep)
     return mask, RetentionReport.from_mask(mask, m, len(graphs), trimmed)
 
 

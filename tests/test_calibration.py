@@ -70,8 +70,8 @@ def test_kmeans_distortion_never_increases():
     rng = np.random.default_rng(4)
     for seed in range(10):
         points = rng.standard_normal((40, 4))
-        result = kmeans(points, 5, seed=seed)
-        hist = result.distortion_history
+        passes = kmeans(points, 5, seed=seed).n_iters
+        hist = [kmeans(points, 5, seed=seed, max_iters=i).distortion for i in range(1, passes + 1)]
         assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
 
 

@@ -278,6 +278,39 @@ def test_unreachable_target_is_invariant_error(pipeline):
     assert code == 3
 
 
+@pytest.mark.parametrize("values, k", [
+    pytest.param([0.0, 0.0, 0.0], 3, id="one-distinct-sample"),
+    pytest.param([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], 4, id="two-distinct-samples"),
+    pytest.param([0.0, 1.0, 2.0, 0.0, 1.0], 5, id="three-distinct-samples"),
+    pytest.param([0.0, 0.0, 0.0, 0.0, 5.0], 4, id="one-outlier"),
+])
+def test_calibrate_on_repeated_samples_picks_k_distinct_ids(tmp_path, values, k):
+    # fewer distinct samples than --k: a k-means refill that took the only
+    # member of an earlier cluster would leave that cluster empty
+    data, calib = tmp_path / "data.tnsr", tmp_path / "calib.json"
+    save_tensor(data, np.array(values).reshape(-1, 1, 1))
+    for seed in range(6):
+        assert run_cli("calibrate", "--data", data, "--k", k, "--seed", seed, "-o", calib) == 0
+        ids = json.loads(calib.read_text())["sample_ids"]
+        assert len(ids) == k and len(set(ids)) == k
+
+
+@pytest.mark.parametrize("out", ["dd/", "dd"])
+def test_existing_directory_as_a_one_file_output_exits_1_writing_nothing(
+    pipeline, monkeypatch, capsys, out
+):
+    tmp, model, _ = pipeline
+    monkeypatch.chdir(tmp)
+    (tmp / "dd").mkdir()
+    before = sorted(tmp.rglob("*"))
+    capsys.readouterr()
+    argv = ["gen-data", "--model", model, "--samples", 2, "--tokens", 3, "--seed", 1, "-o", out]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and f"'{out}'" in err
+    assert sorted(tmp.rglob("*")) == before
+
+
 def test_selfcheck_passes(capsys):
     assert run_cli("selfcheck", "--trials", 100, "--seed", 1) == 0
     assert "oracle: 100/100" in capsys.readouterr().out

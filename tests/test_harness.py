@@ -152,19 +152,17 @@ def two_forwards_per_mask(model, mask, eval_samples):
             diff = full.hidden_states[l] - pruned.hidden_states[l]
             layer_errs[l - 1] += float(np.sum(diff * diff)) / sample.tokens.shape[0]
     layer_errs /= len(eval_samples)
-    retention = 1.0 if mask is None else mask.retention_fraction()
-    return float(layer_errs[-1]), [float(e) for e in layer_errs], retention
+    return float(layer_errs[-1]), [float(e) for e in layer_errs], mask.retention_fraction()
 
 
 def _desk_model_and_masks():
-    # a desk model with the unmasked forward, an all-true mask, a pathfinder
-    # mask and five random masks
+    # a desk model with an all-true mask, a pathfinder mask and five random ones
     cfg = ExperimentConfig()
     moe = cfg.moe
     model = experiment_model(cfg, 1)
     calib = experiment_data(cfg, cfg.calibration_k, 5000, 1000)
     pf, _ = pathfinder_mask(model, calib, cfg.target_retention)
-    masks = [None, PruneMask(np.ones((moe.num_layers, moe.experts_per_layer), dtype=bool)), pf] + [
+    masks = [PruneMask(np.ones((moe.num_layers, moe.experts_per_layer), dtype=bool)), pf] + [
         random_mask(moe.num_layers, moe.experts_per_layer, 0.5, seed) for seed in range(5)
     ]
     return cfg, model, masks
@@ -211,8 +209,8 @@ def test_eval_masks_matches_two_forwards_per_mask(monkeypatch, make_samples, blo
 
     monkeypatch.setattr("moe_pathfinder.harness.layer_states", spy)
     got = eval_masks(model, masks, samples)
-    # per block: its full forward, then the forward for mask None
-    assert full_rows == [n for n in block_rows for _ in range(2)]
+    # per block, one full forward: every mask runs its pruned model
+    assert full_rows == block_rows
     assert len(got) == len(masks)
     for result, mask in zip(got, masks):
         mean, per_layer, retention = two_forwards_per_mask(model, mask, samples)
@@ -231,8 +229,7 @@ def per_slice_eval_masks(model, masks, eval_samples):
         rows = list(zip(bounds, bounds[1:]))
         full = [h for *_, h in layer_states(model, x)]
         for errs, mask in zip(layer_errs, masks):
-            pruned = model if mask is None else apply_mask(model, mask)[0]
-            for l, (*_, h) in enumerate(layer_states(pruned, x)):
+            for l, (*_, h) in enumerate(layer_states(apply_mask(model, mask)[0], x)):
                 sq = full[l] - h
                 sq *= sq
                 for a, b in rows:

@@ -292,7 +292,7 @@ def test_mask_of_another_shape_is_rejected():
         with pytest.raises(ValueError, match="does not match model"):
             model_forward(model, samples[0], mask=mask)
         with pytest.raises(ValueError, match="does not match model"):
-            eval_masks(model, [None, mask], samples)
+            eval_masks(model, [mask], samples)
 
 
 def test_mask_check_rejects_a_pruned_model():

@@ -210,6 +210,22 @@ def test_all_equal_graph_returns_lexicographic_first_quickly():
     assert elapsed < 1.0
 
 
+def test_scores_that_tie_only_after_rounding_leave_in_sequence_order():
+    # a < b, yet a + 600 == b + 600: the class of expert 0 at layer 0 weighs
+    # less than expert 1's until layer 1 is added, so it must be expanded
+    # before any of the four tied paths leaves
+    a = 0.1
+    b = float(np.nextafter(a, 1.0))
+    assert a < b and a + 600.0 == b + 600.0
+    g = SampleGraph(np.zeros((2, 4, 2)), np.array([[a, b], [600.0, 600.0]]))
+    ranking = top_m_paths_bruteforce(g, 4).paths
+    assert [p.experts for p in ranking] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    stream = list(ranked_paths(g))
+    assert [(p.experts, p.log_weight.hex()) for p in stream] == [
+        (p.experts, p.log_weight.hex()) for p in ranking
+    ]
+
+
 def test_dp_m1_is_exhaustive_argmax():
     rng = Rng(7)
     for _ in range(10):

@@ -156,17 +156,13 @@ def cmd_score(args) -> str:
                 )
     else:
         ids = list(range(len(samples)))
-    # workers take whole blocks, so the graph bytes do not depend on --jobs
+    # workers take whole blocks, so the scores bytes do not depend on --jobs
     blocks = list(sample_blocks([samples[i] for i in ids]))
     with _overflow_names(f"model {args.model} on data {args.data}", "the forward pass"):
-        graphs = [
-            g for gs in map_jobs(partial(strict, score_samples, model), blocks, args.jobs)
-            for g in gs
-        ]
+        scores = np.concatenate(map_jobs(partial(strict, score_samples, model), blocks, args.jobs))
     save_index(args.out, "graphs.json", {
-        "num_layers": model.config.num_layers, "experts_per_layer": model.config.experts_per_layer,
         "scores": "scores.tnsr", "samples": [{"id": i} for i in ids],
-    }, [("scores.tnsr", np.stack([g.scores for g in graphs]))], owns="sample*.tnsr")
+    }, [("scores.tnsr", scores)], owns="sample*.tnsr")
     print(f"scored {len(ids)} samples -> {args.out}")
     return args.out
 
@@ -193,16 +189,10 @@ def _load_index(dirpath, name: str, keys: tuple[str, ...], blob: str | None = No
 
 def _load_graphs(dirpath) -> tuple[dict, list]:
     """graphs.json and the graph of each sample it lists, in order: the rows
-    of its scores blob, checked once by check_scores and against its L x Ne."""
-    index = _load_index(dirpath, "graphs.json", ("num_layers", "experts_per_layer"), blob="scores")
-    path, L, n = index["scores"], index["num_layers"], index["experts_per_layer"]
-    scores = load_tensor(path)
-    check_scores(scores, path, index["ids"])
-    if (scores.shape[1], scores.shape[3]) != (L, n):
-        raise FormatError(
-            f"graph {path} holds {scores.shape[1]} x {scores.shape[3]} graphs (L x Ne), "
-            f"but {os.path.join(dirpath, 'graphs.json')} lists {L} x {n}"
-        )
+    of its scores blob, checked once by check_scores."""
+    index = _load_index(dirpath, "graphs.json", (), blob="scores")
+    scores = load_tensor(index["scores"])
+    check_scores(scores, index["scores"], index["ids"])
     return index, [graph_from_scores(row) for row in scores]
 
 
@@ -212,8 +202,8 @@ def cmd_plan(args) -> str:
     names = [f"sample{i:04d}.paths.json" for i in index["ids"]]
     save_index(args.out, "paths.json", {
         "m": args.m,
-        "num_layers": index["num_layers"],
-        "experts_per_layer": index["experts_per_layer"],
+        "num_layers": graphs[0].num_layers,
+        "experts_per_layer": graphs[0].experts_per_layer,
         "samples": [{"id": i, "paths": name} for i, name in zip(index["ids"], names)],
     }, list(zip(names, pathsets)), owns="sample*.paths.json")
     print(f"planned top-{args.m} paths for {len(graphs)} samples -> {args.out}")

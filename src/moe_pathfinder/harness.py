@@ -23,7 +23,7 @@ from .model import (
 )
 from .numerics import Rng, _write_atomic, strict
 from .pruner import M_MAX, PruneMask, RetentionReport, kept_count, target_sparsity_search
-from .scoring import score_samples
+from .scoring import graph_from_scores, score_samples
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,8 @@ def pathfinder_mask(
     use_transition: bool = True,
     m_max: int = M_MAX,
 ) -> tuple[PruneMask, RetentionReport]:
-    graphs = score_samples(model, calibration_samples, use_importance, use_transition)
+    graphs = [graph_from_scores(s, use_importance, use_transition)
+              for s in score_samples(model, calibration_samples)]
     return target_sparsity_search(graphs, target_retention, m_max=m_max)
 
 

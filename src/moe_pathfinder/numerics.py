@@ -58,10 +58,9 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        # 53-bit mantissa draw in [0, 1), affinely mapped
-        u = (self.next_u64() >> 11) * 2.0**-53
-        return lo + (hi - lo) * u
+    def uniform(self) -> float:
+        # 53-bit mantissa draw in [0, 1)
+        return (self.next_u64() >> 11) * 2.0**-53
 
     def uniform_array(self, shape: tuple[int, ...], lo: float, hi: float) -> np.ndarray:
         """The next prod(shape) uniform(lo, hi) draws in row-major order, bit
@@ -87,16 +86,17 @@ class Rng:
 
         Scans the running sum for the first index that strictly exceeds
         u * total, so zero-weight entries are never chosen.  The total is
-        accumulated in the same order as the scan, which guarantees the scan
-        terminates (threshold < total == final running sum); a total that
-        is not positive and finite is a ValueError.
+        accumulated in the same order as the scan, and the threshold capped
+        one ulp below it (a subnormal total can round u * total up to
+        itself), so the scan terminates: threshold < total == final running
+        sum.  A total that is not positive and finite is a ValueError.
         """
         total = 0.0
         for w in weights:
             total += float(w)
         if not 0.0 < total < math.inf:
             raise ValueError(f"choice_weighted needs a positive finite total weight, got {total}")
-        threshold = self.uniform() * total
+        threshold = min(self.uniform() * total, math.nextafter(total, 0.0))
         acc = 0.0
         for i, w in enumerate(weights):
             acc += float(w)

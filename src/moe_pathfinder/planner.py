@@ -33,6 +33,7 @@ from .numerics import Rng, as_finite, as_index, load_json
 from .scoring import SampleGraph, graph_from_scores
 
 BRUTEFORCE_CAP = 10**6
+ORACLE_TOL = 1e-9  # oracle_selfcheck's largest log-weight gap to brute force
 
 
 @dataclass(frozen=True)
@@ -137,14 +138,14 @@ def top_m_paths_dp(graph: SampleGraph, m: int) -> PathSet:
     return PathSet(m=m, paths=list(itertools.islice(ranked_paths(graph), m)))
 
 
-def top_m_paths_bruteforce(graph: SampleGraph, m: int, cap: int = BRUTEFORCE_CAP) -> PathSet:
-    """Score every expert sequence; only usable when N_e^L fits under cap."""
+def top_m_paths_bruteforce(graph: SampleGraph, m: int) -> PathSet:
+    """Score every expert sequence; only usable when N_e^L <= BRUTEFORCE_CAP."""
     if m < 1:
         raise ValueError("m must be >= 1")
     n = graph.experts_per_layer
     total = n**graph.num_layers
-    if total > cap:
-        raise InvariantError(f"brute force over {total} paths exceeds the cap of {cap}")
+    if total > BRUTEFORCE_CAP:
+        raise InvariantError(f"brute force over {total} paths exceeds the cap of {BRUTEFORCE_CAP}")
     paths = [
         PrefixPath(seq, path_log_weight(graph, seq))
         for seq in itertools.product(range(n), repeat=graph.num_layers)
@@ -176,7 +177,7 @@ def with_twin(graph: SampleGraph, layer: int, src: int, dst: int) -> SampleGraph
     return graph_from_scores(scores)
 
 
-def oracle_selfcheck(trials: int, seed: int, tol: float = 1e-9) -> tuple[int, list[str]]:
+def oracle_selfcheck(trials: int, seed: int) -> tuple[int, list[str]]:
     """Planner-vs-brute-force equivalence over random graphs with L in 2..5 and
     N_e in 2..4, at m in {1, 3, 10, N_e^L}.  Each trial checks the graph,
     its two single-signal ablations, a copy with one expert duplicated
@@ -216,7 +217,7 @@ def oracle_selfcheck(trials: int, seed: int, tol: float = 1e-9) -> tuple[int, li
                     (abs(a.log_weight - b.log_weight) for a, b in zip(dp, ranking)),
                     default=0.0,
                 )
-                if worst > tol:
+                if worst > ORACLE_TOL:
                     mismatches.append(f"{where}: log weights differ by {worst:.3e}")
                     ok = False
         if ok:

@@ -82,14 +82,10 @@ def reconstruction_loss(outs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", diff, diff).mean(axis=-1)
 
 
-def score_samples(
-    model: MoEModel,
-    samples: list[SampleBatch],
-    use_importance: bool = True,
-    use_transition: bool = True,
-) -> list[SampleGraph]:
-    """Each sample's graph, in order, from one unmasked forward pass per
-    block of sample_blocks; the signal flags are graph_from_scores's.
+def score_samples(model: MoEModel, samples: list[SampleBatch]) -> np.ndarray:
+    """Each sample's (L, 4, N_e) score array, in order, as one (n, L, 4, N_e)
+    array, from one unmasked forward pass per block of sample_blocks;
+    graph_from_scores builds a sample's graph from its row.
 
     Each layer is scored from the states layer_states yields for the block:
     a sample's routing preference is the mean of its rows of the routing
@@ -99,7 +95,7 @@ def score_samples(
     times the sample's own routing preference at the first layer or its own
     activation strength at the last.
 
-    A graph's floats depend on its block, not on the sample alone: BLAS
+    A row's floats depend on its block, not on the sample alone: BLAS
     rounds a product by its row count, so the same sample scored beside
     other samples, or in a block of another size, can differ in the last
     place (`score --calibration` and a full `score` may write different
@@ -107,10 +103,12 @@ def score_samples(
     over workers.
     """
     L, N_e = model.config.num_layers, model.config.experts_per_layer
-    graphs: list[SampleGraph] = []
+    scores = np.empty((len(samples), L, len(_GRAPH_FIELDS), N_e))
+    start = 0
     for block in sample_blocks(samples):
         n, T = len(block), block[0].tokens.shape[0]
-        scores = np.empty((n, L, len(_GRAPH_FIELDS), N_e))
+        rows = scores[start:start + n]
+        start += n
         x = np.concatenate([s.tokens for s in block])
         for l, (y, _, p, outs, _) in enumerate(layer_states(model, x)):
             outs = outs.reshape(len(outs), n, T, -1)
@@ -123,14 +121,13 @@ def score_samples(
                 imp = imp * routing
             elif l == L - 1:
                 imp = imp * act
-            scores[:, l] = np.stack([act, routing, losses, imp], axis=1)
-        graphs += [graph_from_scores(g, use_importance, use_transition) for g in scores]
-    return graphs
+            rows[:, l] = np.stack([act, routing, losses, imp], axis=1)
+    return scores
 
 
 def score_sample(model: MoEModel, x: SampleBatch) -> SampleGraph:
-    """score_samples for one sample."""
-    return score_samples(model, [x])[0]
+    """The graph of score_samples's row for one sample."""
+    return graph_from_scores(score_samples(model, [x])[0])
 
 
 def graph_from_scores(

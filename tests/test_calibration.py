@@ -47,15 +47,8 @@ def test_kmeans_k_too_large_rejected():
 
 def blob_points(seed):
     # two tight blobs at +-(10, 10): any correct k-means separates them
-    rng = Rng(seed)
-    pts, labels = [], []
-    for label, center in enumerate([(10.0, 10.0), (-10.0, -10.0)]):
-        for _ in range(15):
-            pts.append(
-                [center[0] + rng.uniform(-0.1, 0.1), center[1] + rng.uniform(-0.1, 0.1)]
-            )
-            labels.append(label)
-    return np.array(pts), np.array(labels)
+    centers = np.repeat([[10.0, 10.0], [-10.0, -10.0]], 15, axis=0)
+    return centers + Rng(seed).uniform_array((30, 2), -0.1, 0.1), np.repeat([0, 1], 15)
 
 
 def test_kmeans_separates_blobs():
@@ -136,11 +129,7 @@ def test_select_representatives_one_per_blob():
 
 
 def test_build_calibration_set_roundtrip(tmp_path):
-    rng = Rng(8)
-    samples = [
-        SampleBatch(np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)]))
-        for _ in range(12)
-    ]
+    samples = [SampleBatch(tokens) for tokens in Rng(8).uniform_array((12, 4, 3), -1.0, 1.0)]
     calib = build_calibration_set(samples, 3, seed=5)
     assert len(calib.sample_ids) == 3
     assert len(set(calib.sample_ids)) == 3

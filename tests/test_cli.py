@@ -295,6 +295,17 @@ def test_calibrate_on_repeated_samples_picks_k_distinct_ids(tmp_path, values, k)
         assert len(ids) == k and len(set(ids)) == k
 
 
+def test_calibrate_on_subnormal_distances_picks_k_distinct_ids(tmp_path):
+    # the k-means++ distances total 4.8e-324, a subnormal, so u * total can
+    # round up to the total itself, which no running sum exceeds
+    data, calib = tmp_path / "data.tnsr", tmp_path / "calib.json"
+    save_tensor(data, np.array([0.0, 2.2e-162, 0.0]).reshape(3, 1, 1))
+    for seed in range(8):
+        assert run_cli("calibrate", "--data", data, "--k", 2, "--seed", seed, "-o", calib) == 0
+        ids = json.loads(calib.read_text())["sample_ids"]
+        assert len(ids) == 2 and len(set(ids)) == 2
+
+
 @pytest.mark.parametrize("out", ["dd/", "dd"])
 def test_existing_directory_as_a_one_file_output_exits_1_writing_nothing(
     pipeline, monkeypatch, capsys, out
@@ -675,7 +686,7 @@ SCORE_CALIB = "score --model model --data data.tnsr --calibration calib.json -o 
     "name, corrupt, argv",
     [
         pytest.param("pruned/mask.json", _truncate(30), EVAL, id="mask-truncated"),
-        pytest.param("graphs/graphs.json", _replace({"num_layers": 3}),
+        pytest.param("graphs/graphs.json", _replace({"scores": "scores.tnsr"}),
                      "plan --graphs graphs --m 2 -o p2", id="graph-index-no-samples"),
         pytest.param("paths/paths.json", _replace({}), "prune --paths paths -o pr2",
                      id="path-index-empty"),
@@ -718,9 +729,6 @@ SCORE_CALIB = "score --model model --data data.tnsr --calibration calib.json -o 
                      id="experts-fewer-than-router-rows"),
         pytest.param("model/layer1.experts.tnsr", _resize_experts(+1, router=True), SCORE,
                      id="experts-more-than-n-e"),
-        pytest.param("graphs/graphs.json", _edit(lambda o: o.update(experts_per_layer=5)),
-                     "prune --graphs graphs --target-retention 0.5 -o pr2",
-                     id="graph-index-disagrees"),
         pytest.param("paths/sample{first:04d}.paths.json",
                      _edit(lambda o: o["paths"][0].update(experts=[0, 4, 1])),
                      "heatmap --paths paths -o h.csv", id="path-outside-index"),
@@ -916,6 +924,26 @@ def test_prune_model_rerun_leaves_no_stale_blob(staged):
     layers = json.loads((out / "model.json").read_text())["layers"]
     listed = {layer["router"] for layer in layers} | {layer["experts"] for layer in layers}
     assert {p.name for p in out.iterdir()} == listed | {"model.json", "remap.json"}
+
+
+def _tree_bytes(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_graph_index_with_its_former_dimension_keys_plans_and_prunes_the_same(staged):
+    # graphs.json used to repeat the blob's L and N_e as num_layers and
+    # experts_per_layer; readers ignore keys they do not use
+    index = staged / "graphs" / "graphs.json"
+    assert set(json.loads(index.read_text())) == {"scores", "samples"}
+    shutil.copytree(staged / "graphs", staged / "old")
+    _, L, _, n = load_tensor(staged / "old" / "scores.tnsr").shape
+    _edit(lambda o: o.update(num_layers=L, experts_per_layer=n))(staged / "old" / "graphs.json")
+    for graphs in ("graphs", "old"):
+        assert run_cli(*f"plan --graphs {graphs} --m 2 -o {graphs}-paths".split()) == 0
+        assert run_cli(*f"prune --graphs {graphs} --target-retention 0.5 --model model "
+                         f"-o {graphs}-pruned".split()) == 0
+    for out in ("paths", "pruned"):
+        assert _tree_bytes(staged / f"old-{out}") == _tree_bytes(staged / f"graphs-{out}")
 
 
 def _listed_members(out) -> set[str]:

@@ -38,6 +38,9 @@ When gen-data's output became its tokens blob alone, the data/data.json
 digest went with the index it pinned, which repeated the blob's three
 dimensions and a seed; the blob's digest, once data/tokens.tnsr's, holds
 unchanged as the data file's.
+When graphs.json stopped repeating the scores blob's L and N_e as
+num_layers and experts_per_layer, its digest was re-captured; it holds the
+blob's member name and the sample ids, and scores.tnsr held.
 The three comparison summary.json digests were captured before save_json
 began to write every record, so they pin that the summaries kept their bytes.
 The digests hold on x86-64 with numpy's
@@ -61,7 +64,7 @@ GOLDEN = {
     "compare/summary.json": "63ec8aac93aa79eed4c04ed3591192579e312b21351e8b2c96f100f4a5950288",
     "data.tnsr": "d51047174ba2195eee126c70a366321ab4abb742f163f108ef3da6125247cffa",
     "eval.json": "09fc01fe006060161f4fc1e735f0555c41ac04d89af1158789668969475a9db7",
-    "graphs/graphs.json": "bc7ed6d94240cbfd5ec2bc81781334ea9e8a542e8df4eaf0078c4d505bc90d75",
+    "graphs/graphs.json": "912df811e7dac09d50637140b1b77ddaf75b6bc4e360170e053f4e96f19b0d11",
     "graphs/scores.tnsr": "0ed4acef32328c3e86adaa78a56295ec0568388c0b5f28596f16ec3c86f6ca46",
     "heatmap1.csv": "ffec49c1c3aa4b1bd1393da2a98ca7c0ac0779f0835d089f9f653d06b6474c75",
     "heatmap16.csv": "0323e3978ef5869bca6e6ded95b73f1f72b909ff2353bebaaf40cebb220b2113",

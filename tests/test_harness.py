@@ -421,8 +421,8 @@ def _staged_replay(cfg: ExperimentConfig, i: int, tmp_path) -> tuple[float, int]
 
     pool = staged_data("pool", cfg.pool_size, pool_seed)
     calib = build_calibration_set(pool, cfg.calibration_k, cfg.kmeans_seed)
-    graphs = score_samples(model, [pool[j] for j in calib.sample_ids],
-                           cfg.use_importance, cfg.use_transition)
+    graphs = [graph_from_scores(s, cfg.use_importance, cfg.use_transition)
+              for s in score_samples(model, [pool[j] for j in calib.sample_ids])]
     mask, report = target_sparsity_search(graphs, cfg.target_retention)
     result = eval_mask(model, mask, staged_data("eval", cfg.n_eval_samples, eval_seed))
     return result.mean_final_error, report.m_used
@@ -432,6 +432,10 @@ def _staged_replay(cfg: ExperimentConfig, i: int, tmp_path) -> tuple[float, int]
     pytest.param(ExperimentConfig(model_seeds=(0, 1, 2)), id="default-seeds-0-2"),
     pytest.param(ExperimentConfig(model_seeds=(0,), expert_scale=1.0, router_gain=1.0,
                                   data_clusters=0), id="raw-seed-0"),
+    pytest.param(ExperimentConfig(model_seeds=(0, 1, 2), use_importance=False),
+                 id="no-importance-seeds-0-2"),
+    pytest.param(ExperimentConfig(model_seeds=(0, 1, 2), use_transition=False),
+                 id="no-transition-seeds-0-2"),
 ])
 def test_staged_run_reproduces_compare_bit_for_bit(cfg, tmp_path):
     outcomes = run_comparison(cfg).outcomes

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moe_pathfinder import planner
 from moe_pathfinder.errors import InvariantError
 from moe_pathfinder.harness import ExperimentConfig, experiment_data, experiment_model
 from moe_pathfinder.numerics import Rng, save_json
@@ -48,10 +49,7 @@ def test_path_log_weight_matches_linear_product():
     rng = Rng(1)
     for _ in range(30):
         L, n = 2 + rng.randrange(3), 2 + rng.randrange(3)
-        imp, act, rout = (
-            np.array([[rng.uniform(0.05, 2.0) for _ in range(n)] for _ in range(L)])
-            for _ in range(3)
-        )
+        imp, act, rout = (rng.uniform_array((L, n), 0.05, 2.0) for _ in range(3))
         g = graph_from_vectors(imp, act, rout)
         path = [rng.randrange(n) for _ in range(L)]
         linear = 1.0
@@ -86,12 +84,15 @@ def test_dp_equals_bruteforce_on_random_graphs():
 def per_layer_random_scores(num_layers, n, rng):
     """random_sample_graph's scores as they were drawn before a graph held one
     score array: one scalar draw at a time, layer by layer."""
+    def draws(lo, hi):
+        return np.array([lo + (hi - lo) * rng.uniform() for _ in range(n)])
+
     scores = []
     for _ in range(num_layers):
-        activation = np.array([rng.uniform(0.0, 2.0) for _ in range(n)])
-        routing = np.array([rng.uniform(0.05, 1.0) for _ in range(n)])
+        activation = draws(0.0, 2.0)
+        routing = draws(0.05, 1.0)
         routing = routing / routing.sum()
-        importance = np.array([rng.uniform(0.01, 1.0) for _ in range(n)])
+        importance = draws(0.01, 1.0)
         scores.append([activation, routing, np.zeros(n), importance])
     return np.array(scores)
 
@@ -290,13 +291,14 @@ def test_layer_shift_invariance():
         assert a.log_weight == pytest.approx(b.log_weight + c, rel=1e-12)
 
 
-def test_bruteforce_counts_and_cap():
+def test_bruteforce_counts_and_cap(monkeypatch):
     g = graph_from_vectors(np.ones((2, 2)))
     ps = top_m_paths_bruteforce(g, 999)
     assert len(ps.paths) == 4
     assert [p.experts for p in top_m_paths_bruteforce(g, 2).paths] == [(0, 0), (0, 1)]
-    with pytest.raises(InvariantError, match="cap"):
-        top_m_paths_bruteforce(g, 1, cap=3)
+    monkeypatch.setattr(planner, "BRUTEFORCE_CAP", 3)
+    with pytest.raises(InvariantError, match="cap of 3"):
+        top_m_paths_bruteforce(g, 1)
 
 
 def test_m_must_be_positive():

@@ -287,9 +287,10 @@ def test_score_samples_matches_per_sample_scoring(monkeypatch, family):
     monkeypatch.setattr("moe_pathfinder.scoring.layer_states", spy)
     got = score_samples(model, samples)
     assert rows == [512, 512, 256]
-    assert len(got) == len(samples)
-    for g, x in zip(got, samples):
-        want = per_sample_scores(model, x)
+    cfg = model.config
+    assert got.shape == (len(samples), cfg.num_layers, 4, cfg.experts_per_layer)
+    for row, x in zip(got, samples):
+        g, want = graph_from_scores(row), per_sample_scores(model, x)
         np.testing.assert_allclose(g.scores, want.scores, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(g.node_scores, want.node_scores, rtol=1e-12, atol=0.0)
         assert ([p.experts for p in top_m_paths_dp(g, 16).paths]
@@ -409,7 +410,7 @@ def _oracle_graphs():
     # scored graphs of three families, and random ones down to a single layer
     for family in (_desk_family, _raw_family, _wide_family):
         model, samples = family(5, 3)
-        yield from score_samples(model, samples)
+        yield from map(graph_from_scores, score_samples(model, samples))
     rng = Rng(31)
     for L, n in ((1, 3), (2, 2), (4, 5), (6, 12)):
         yield random_sample_graph(L, n, rng)
@@ -444,12 +445,3 @@ def test_log_edge_equals_per_layer_outer_products():
     assert edge_is([1.0, 0.0], [0.3, 0.7], [[0.3, 0.7], [0.0, 0.0]])
     assert edge_is([0.5, 0.5], [0.5, 0.5], np.full((2, 2), 0.25))
     assert edge_is([1.0, 2.0], [0.25, 0.75], [[0.25, 0.75], [0.5, 1.5]])
-
-
-@pytest.mark.parametrize("signals", _SIGNALS[1:], ids=["no-transition", "no-importance"])
-def test_score_samples_signal_flags_equal_rebuilt_graphs(signals):
-    model, samples = _desk_family(6, 20)
-    got = score_samples(model, samples, *signals)
-    for g, full in zip(got, score_samples(model, samples), strict=True):
-        assert g.scores.tobytes() == full.scores.tobytes()
-        assert g.node_scores.tobytes() == graph_from_scores(full.scores, *signals).node_scores.tobytes()

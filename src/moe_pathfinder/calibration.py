@@ -33,7 +33,8 @@ class CalibrationSet:  # a record: save_json writes its fields in this order
 
     @classmethod
     def from_json(cls, obj: dict) -> "CalibrationSet":
-        """The set, which must list exactly K distinct sample ids."""
+        """The set, which must list exactly K distinct sample ids and a
+        distortion of at least 0, as a sum of squared distances is."""
         calib = cls(
             sample_ids=[as_index(i, "sample id") for i in obj["sample_ids"]],
             K=as_index(obj["K"], "K", 1),
@@ -43,6 +44,8 @@ class CalibrationSet:  # a record: save_json writes its fields in this order
         ids = calib.sample_ids
         if len(ids) != calib.K or len(set(ids)) != len(ids):
             raise ValueError(f"sample_ids must be K = {calib.K} distinct ids, got {ids}")
+        if calib.distortion < 0:
+            raise ValueError(f"distortion must be >= 0, got {calib.distortion!r}")
         return calib
 
 

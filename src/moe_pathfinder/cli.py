@@ -47,7 +47,7 @@ from .numerics import (
     _write_atomic, as_index, load_index, load_json, load_tensor, save_index, save_json,
     save_tensor, strict,
 )
-from .planner import PathSet, load_pathset, oracle_selfcheck, top_m_paths_dp
+from .planner import PathSet, load_pathset, top_m_paths_dp
 from .pruner import (
     M_MAX,
     apply_mask,
@@ -379,15 +379,6 @@ def cmd_compare(args) -> str:
     return args.out
 
 
-def cmd_selfcheck(args) -> None:
-    passes, mismatches = oracle_selfcheck(args.trials, args.seed)
-    print(f"oracle: {passes}/{args.trials}")
-    if mismatches:
-        for line in mismatches:
-            sys.stderr.write(line + "\n")
-        raise InvariantError(f"{len(mismatches)} oracle mismatches")
-
-
 # ------------------------------------------------------------------- parser
 
 # compare flags that set one ExperimentConfig field each, with the field's
@@ -511,11 +502,6 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("selfcheck", help="planner vs brute-force oracle suite")
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_selfcheck)
 
     return parser
 

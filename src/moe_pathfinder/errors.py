@@ -7,8 +7,7 @@ of the wrong type, trailing bytes or a non-finite entry in a `.tnsr` blob, or
 shapes that disagree with a manifest, an index or the model, a model whose
 forward pass overflows on the data, or data whose k-means distances overflow.
 InvariantError covers violations of runtime contracts (fully pruned layer,
-unreachable sparsity target, failed selfcheck).  `cli.main` maps them to exit
-codes 1, 2 and 3.
+unreachable sparsity target).  `cli.main` maps them to exit codes 1, 2 and 3.
 """
 
 

@@ -20,7 +20,7 @@ from moe_pathfinder.harness import (
 from moe_pathfinder.calibration import build_calibration_set
 from moe_pathfinder.model import MoEConfig, gen_data, gen_model, model_forward
 from moe_pathfinder.numerics import Rng
-from moe_pathfinder.planner import oracle_selfcheck, top_m_paths_bruteforce, top_m_paths_dp
+from moe_pathfinder.planner import top_m_paths_dp
 from moe_pathfinder.pruner import (
     PruneMask,
     apply_mask,
@@ -29,6 +29,7 @@ from moe_pathfinder.pruner import (
     target_sparsity_search,
 )
 from moe_pathfinder.scoring import graph_from_scores, score_sample
+from oracles import oracle_selfcheck, top_m_paths_bruteforce
 
 DESK = MoEConfig(num_layers=6, experts_per_layer=8, hidden_dim=32, top_k=2)
 

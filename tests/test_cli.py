@@ -322,11 +322,6 @@ def test_existing_directory_as_a_one_file_output_exits_1_writing_nothing(
     assert sorted(tmp.rglob("*")) == before
 
 
-def test_selfcheck_passes(capsys):
-    assert run_cli("selfcheck", "--trials", 100, "--seed", 1) == 0
-    assert "oracle: 100/100" in capsys.readouterr().out
-
-
 def test_stage_rerun_is_byte_identical(pipeline):
     tmp, model, data = pipeline
     graphs = tmp / "graphs"
@@ -497,12 +492,12 @@ def test_gen_data_roundtrip_via_load(pipeline):
 
 def test_console_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "moe_pathfinder.cli", "selfcheck", "--trials", "3", "--seed", "2"],
+        [sys.executable, "-m", "moe_pathfinder.cli", "--version"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert "oracle: 3/3" in proc.stdout
+    assert proc.stdout == __version__ + "\n"
 
 
 # Every stage run from the pipeline fixture's directory with relative paths,
@@ -759,6 +754,10 @@ SCORE_CALIB = "score --model model --data data.tnsr --calibration calib.json -o 
                      id="calibration-ids-empty"),
         pytest.param("calib.json", _edit(lambda o: o["sample_ids"].pop()), SCORE_CALIB,
                      id="calibration-ids-fewer-than-k"),
+        # k-means distortion is a sum of squared distances
+        pytest.param("calib.json", _naming("distortion", corrupt=_edit(
+            lambda o: o.update(distortion=-5.0))), SCORE_CALIB,
+                     id="calibration-distortion-negative"),
         pytest.param("graphs/graphs.json", _edit(lambda o: o.update(samples=[])),
                      "plan --graphs graphs --m 2 -o p2", id="graph-index-samples-empty"),
         pytest.param("graphs/graphs.json", _edit(lambda o: o["samples"].append(o["samples"][0])),
@@ -1081,7 +1080,8 @@ COMPARE_EIB = "compare --seed 0 --trials 1 --pool 100000000000 --tokens 100000 -
                      id="compare-expert-scale-nan"),
         pytest.param("compare --seed 1 --router-gain inf -o x", "router_gain",
                      id="compare-router-gain-inf"),
-        pytest.param("selfcheck --trials 0 --seed 1", "--trials", id="selfcheck-trials"),
+        # a removed subcommand is an unknown one
+        pytest.param("selfcheck --trials 3 --seed 2", "invalid choice", id="selfcheck-gone"),
         pytest.param("score --model model --data data.tnsr --jobs 0 -o x", "--jobs", id="score-jobs"),
         pytest.param("plan --graphs graphs --m 1 --jobs -3 -o x", "--jobs", id="plan-jobs"),
         pytest.param("compare --seed 1 --jobs 0 -o x", "--jobs", id="compare-jobs"),

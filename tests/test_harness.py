@@ -28,9 +28,10 @@ from moe_pathfinder.model import (
     model_forward, sample_blocks, save_model,
 )
 from moe_pathfinder.numerics import Rng, save_tensor
-from moe_pathfinder.planner import random_sample_graph, top_m_paths_bruteforce, top_m_paths_dp
+from moe_pathfinder.planner import top_m_paths_dp
 from moe_pathfinder.pruner import PruneMask, target_sparsity_search
 from moe_pathfinder.scoring import graph_from_scores, score_samples
+from oracles import random_sample_graph, top_m_paths_bruteforce
 
 TINY = ExperimentConfig(
     moe=MoEConfig(num_layers=2, experts_per_layer=3, hidden_dim=6, top_k=1),

@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moe_pathfinder import planner
 from moe_pathfinder.errors import InvariantError
 from moe_pathfinder.harness import ExperimentConfig, experiment_data, experiment_model
 from moe_pathfinder.numerics import Rng, save_json
-from moe_pathfinder.planner import (
-    PathSet,
-    PrefixPath,
-    load_pathset,
+from moe_pathfinder.planner import PathSet, PrefixPath, load_pathset, ranked_paths, top_m_paths_dp
+from moe_pathfinder.scoring import SampleGraph, graph_from_scores, score_sample
+import oracles
+from oracles import (
     oracle_selfcheck,
     path_log_weight,
     random_sample_graph,
-    ranked_paths,
+    sort_key,
     top_m_paths_bruteforce,
-    top_m_paths_dp,
     with_twin,
 )
-from moe_pathfinder.scoring import SampleGraph, graph_from_scores, score_sample
 
 
 def graph_from_vectors(importance, activation=None, routing=None):
@@ -245,7 +242,7 @@ def test_dp_exhaustive_m_returns_all_paths_sorted():
     g = random_sample_graph(3, 2, Rng(8))
     ps = top_m_paths_dp(g, 999999)
     assert len(ps.paths) == 8
-    keys = [p.sort_key() for p in ps.paths]
+    keys = [sort_key(p) for p in ps.paths]
     assert keys == sorted(keys)
     assert len({p.experts for p in ps.paths}) == 8
 
@@ -296,7 +293,7 @@ def test_bruteforce_counts_and_cap(monkeypatch):
     ps = top_m_paths_bruteforce(g, 999)
     assert len(ps.paths) == 4
     assert [p.experts for p in top_m_paths_bruteforce(g, 2).paths] == [(0, 0), (0, 1)]
-    monkeypatch.setattr(planner, "BRUTEFORCE_CAP", 3)
+    monkeypatch.setattr(oracles, "BRUTEFORCE_CAP", 3)
     with pytest.raises(InvariantError, match="cap of 3"):
         top_m_paths_bruteforce(g, 1)
 
@@ -309,10 +306,37 @@ def test_m_must_be_positive():
         top_m_paths_bruteforce(g, 0)
 
 
-def test_oracle_selfcheck_passes():
-    passes, mismatches = oracle_selfcheck(25, seed=5)
-    assert passes == 25
+# which near twins tie only after rounding varies with the draws, so the
+# oracle runs at several seeds
+@pytest.mark.parametrize("trials, seed", [(25, 5), (100, 1), (300, 2)])
+def test_oracle_selfcheck_passes(trials, seed):
+    passes, mismatches = oracle_selfcheck(trials, seed)
+    assert passes == trials
     assert mismatches == []
+
+
+def test_an_expert_enters_the_stream_at_its_swap_path():
+    # the first path through expert (l, i) is the swap path: the rank-1 path
+    # with layer l set to i; half the graphs hold a pair of exact twins
+    rng = Rng(31)
+    for t in range(400):
+        L, n = 2 + rng.randrange(4), 2 + rng.randrange(3)
+        g = random_sample_graph(L, n, rng)
+        if t % 2:
+            src = rng.randrange(n)
+            g = with_twin(g, rng.randrange(L), src, (src + 1 + rng.randrange(n - 1)) % n)
+        stream = [p.experts for p in ranked_paths(g)]
+        assert len(stream) == n**L
+        position = {seq: k for k, seq in enumerate(stream)}
+        first = {}
+        for k, seq in enumerate(stream):
+            for l, i in enumerate(seq):
+                first.setdefault((l, i), k)
+        assert len(first) == L * n
+        best = stream[0]
+        for (l, i), k in first.items():
+            swap = best[:l] + (i,) + best[l + 1 :]
+            assert k == position[swap], f"graph {t}: expert {(l, i)} enters at {k}, not {position[swap]}"
 
 
 def test_pathset_json_roundtrip(tmp_path):

@@ -16,7 +16,7 @@ from moe_pathfinder.model import (
     save_model,
 )
 from moe_pathfinder.numerics import Rng
-from moe_pathfinder.planner import PathSet, PrefixPath, random_sample_graph, top_m_paths_dp
+from moe_pathfinder.planner import PathSet, PrefixPath, top_m_paths_dp
 from moe_pathfinder.pruner import (
     PruneMask,
     RetentionReport,
@@ -29,6 +29,7 @@ from moe_pathfinder.pruner import (
     selection_frequency,
     target_sparsity_search,
 )
+from oracles import random_sample_graph
 from test_planner import rank1_graphs
 
 

@@ -27,7 +27,8 @@ from moe_pathfinder.scoring import (
     score_samples,
 )
 from moe_pathfinder.numerics import Rng
-from moe_pathfinder.planner import random_sample_graph, top_m_paths_dp
+from moe_pathfinder.planner import top_m_paths_dp
+from oracles import random_sample_graph
 
 
 def fields(graph):

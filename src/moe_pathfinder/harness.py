@@ -11,8 +11,9 @@ the natural internal measure.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -152,14 +153,18 @@ def _block_gaps(model: MoEModel, masks: list[PruneMask], block: list[SampleBatch
     """masks x L x len(block): each sample's mean squared gap per token
     between the full and the pruned model's hidden states after each layer.
     Each pruned model is built when its mask comes up, and the block's
-    states are freed on return, so eval holds one of each at a time."""
+    states are freed on return, so eval holds one of each at a time; map
+    passes on only each layer's hidden state, so no layer's expert outputs
+    outlive it."""
     n, T = len(block), block[0].tokens.shape[0]
     x = np.concatenate([s.tokens for s in block])
-    full = [h for *_, h in layer_states(model, x)]
+    full = list(map(itemgetter(-1), layer_states(model, x)))
     gaps = np.empty((len(masks), len(full), n))
+    sq = np.empty_like(full[0])
     for mask_gaps, mask in zip(gaps, masks):
-        for l, (*_, h) in enumerate(layer_states(apply_mask(model, mask)[0], x)):
-            sq = full[l] - h
+        pruned = map(itemgetter(-1), layer_states(apply_mask(model, mask)[0], x))
+        for l, h in enumerate(pruned):
+            np.subtract(full[l], h, out=sq)
             sq *= sq
             mask_gaps[l] = sq.reshape(n, -1).sum(axis=1) / T
     return gaps
@@ -257,16 +262,40 @@ def _seed_task(args) -> SeedOutcome:
     return strict(_seed_outcome, *args)
 
 
+# set for --jobs workers only: each runs one BLAS thread, so workers and
+# BLAS threads do not contend for the cores
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def map_jobs(fn, items, jobs: int = 1) -> list:
     """[fn(x) for x in items], spread over min(jobs, len(items)) worker
     processes when that is more than one; the order of results follows items
-    either way.  The pool forks all its workers at the first submit, so it
-    never asks for more than there are items."""
+    either way.  The pool spawns its workers as items are submitted, so it
+    never starts more than there are items, and each starts with
+    _WORKER_ENV, set in this process only while the pool runs, before it
+    imports numpy.  A spawned worker re-imports the main module, so a script
+    that calls this needs an `if __name__ == "__main__":` guard.  The pool's
+    modules are imported here, so a run that starts no pool never loads
+    them."""
     jobs = min(jobs, len(items))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    import concurrent.futures
+    import multiprocessing
+
+    saved = {var: os.environ.get(var) for var in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+        ) as ex:
             return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
 
 
 def run_comparison(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:

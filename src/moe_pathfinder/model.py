@@ -185,9 +185,12 @@ def _apply_nonlinearity(y: np.ndarray, kind: str) -> np.ndarray:
 def layer_states(model: MoEModel, h: np.ndarray):
     """Yield (output, selected, probs, outs, next_hidden) for each layer in
     turn: layer_forward's four results and the nonlinearity of its output,
-    which feeds the next layer.  A caller that keeps only what it needs
-    holds one layer's states at a time; model_forward keeps them all but
-    the expert outputs.  To run a pruned model, pass apply_mask's.
+    which feeds the next layer.  The stream drops each layer's arrays once
+    it resumes, so a caller that releases them before asking for the next
+    layer holds one layer's states at a time (a name bound to them, such as
+    a loop target, or the tuple that enumerate or zip reuse, keeps them
+    alive through the next layer's products); model_forward keeps them all
+    but the expert outputs.  To run a pruned model, pass apply_mask's.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.config.hidden_dim:
@@ -198,6 +201,7 @@ def layer_states(model: MoEModel, h: np.ndarray):
         y, selected, p, outs = layer_forward(layer, h, model.config.top_k)
         h = _apply_nonlinearity(y, model.config.nonlinearity)
         yield y, selected, p, outs, h
+        del y, selected, p, outs
 
 
 # Rows per stacked forward, in evaluation and scoring.  Measured with
@@ -235,7 +239,8 @@ def model_forward(model: MoEModel, x: SampleBatch, mask=None) -> ForwardTrace:
         model = apply_mask(model, mask)[0]
     h = np.asarray(x.tokens, dtype=np.float64)
     trace = ForwardTrace([h], [], [], [])
-    for y, selected, p, _, h in layer_states(model, h):
+    for y, selected, p, outs, h in layer_states(model, h):
+        del outs  # the trace keeps no expert outputs
         trace.layer_outputs.append(y)
         trace.routing_probs.append(p)
         trace.selected_experts.append(selected)

@@ -66,14 +66,27 @@ class Rng:
         """The next prod(shape) uniform(lo, hi) draws in row-major order, bit
         for bit.  Draw i = 1..n mixes state + i * gamma (mod 2^64), so all n
         are mixed as one uint64 array.  Every wrapping operation stays on
-        arrays: numpy checks a scalar uint64 multiply for overflow."""
+        arrays: numpy checks a scalar uint64 multiply for overflow.  The bits
+        are mixed in place, through one scratch array that then holds the
+        floats, so a draw peaks at twice its output's bytes."""
         n = math.prod(shape)
-        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
         self._state = (self._state + n * _GAMMA) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return (lo + (hi - lo) * u).reshape(shape)
+        scratch = np.empty_like(z)
+        z ^= np.right_shift(z, np.uint64(30), out=scratch)
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=scratch)
+        z *= np.uint64(_MIX2)
+        z ^= np.right_shift(z, np.uint64(31), out=scratch)
+        z >>= np.uint64(11)
+        u = scratch.view(np.float64)
+        u[...] = z
+        u *= 2.0**-53
+        u *= hi - lo
+        u += lo
+        return u.reshape(shape)
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n). Modulo bias of n/2^64 is accepted and documented."""

@@ -77,8 +77,9 @@ def activation_strength(outs: np.ndarray) -> np.ndarray:
 
 def reconstruction_loss(outs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean per-token squared error of each expert's output against y, over
-    the token axis as in activation_strength."""
-    diff = y - outs
+    the token axis as in activation_strength.  The errors overwrite outs, so
+    scoring a layer allocates no second array of its size."""
+    diff = np.subtract(y, outs, out=outs)
     return np.einsum("...j,...j->...", diff, diff).mean(axis=-1)
 
 
@@ -110,10 +111,15 @@ def score_samples(model: MoEModel, samples: list[SampleBatch]) -> np.ndarray:
         rows = scores[start:start + n]
         start += n
         x = np.concatenate([s.tokens for s in block])
-        for l, (y, _, p, outs, _) in enumerate(layer_states(model, x)):
+        # next, not enumerate: enumerate's reused tuple would keep a layer's
+        # arrays alive through the next layer's products
+        states = layer_states(model, x)
+        for l in range(L):
+            y, _, p, outs, _ = next(states)
             outs = outs.reshape(len(outs), n, T, -1)
             act = activation_strength(outs).T
             routing = p.reshape(n, T, -1).mean(axis=1)
+            # the last use of outs, which reconstruction_loss overwrites;
             # contiguous rows, so each row's softmax sums as a lone row does
             losses = np.ascontiguousarray(reconstruction_loss(outs, y.reshape(n, T, -1)).T)
             imp = softmax_rows(-losses)
@@ -122,6 +128,7 @@ def score_samples(model: MoEModel, samples: list[SampleBatch]) -> np.ndarray:
             elif l == L - 1:
                 imp = imp * act
             rows[:, l] = np.stack([act, routing, losses, imp], axis=1)
+            del y, p, outs
     return scores
 
 

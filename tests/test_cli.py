@@ -354,6 +354,15 @@ def test_score_jobs_parallel_identical_over_three_blocks(pipeline):
     _score_jobs_1_and_2(model, data, tmp)
 
 
+def test_plan_jobs_parallel_identical(pipeline):
+    tmp, model, data = pipeline
+    run_cli("score", "--model", model, "--data", data, "-o", tmp / "graphs")
+    for jobs in (1, 2):
+        run_cli("plan", "--graphs", tmp / "graphs", "--m", 4, "--jobs", jobs, "-o", tmp / f"p{jobs}")
+    files = [{p.name: p.read_bytes() for p in (tmp / f"p{jobs}").iterdir()} for jobs in (1, 2)]
+    assert files[0] == files[1] and len(files[0]) == 11  # ten path sets and the index
+
+
 def test_calibration_score_plans_the_paths_of_a_full_score(tmp_path):
     # a graph's floats depend on the block its sample is scored in: the 8
     # calibration samples share one block, the full run's 40 are three (at

@@ -1,6 +1,10 @@
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,8 @@ from moe_pathfinder.planner import top_m_paths_dp
 from moe_pathfinder.pruner import PruneMask, target_sparsity_search
 from moe_pathfinder.scoring import graph_from_scores, score_samples
 from oracles import random_sample_graph, top_m_paths_bruteforce
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TINY = ExperimentConfig(
     moe=MoEConfig(num_layers=2, experts_per_layer=3, hidden_dim=6, top_k=1),
@@ -324,7 +330,7 @@ class _RecordingPool:
     # stands in for ProcessPoolExecutor: records max_workers, starts nothing
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -341,10 +347,30 @@ class _RecordingPool:
     (64, 8, [8]), (3, 8, [3]), (64, 1, []), (4, 0, []), (1, 8, []),
 ])
 def test_map_jobs_starts_at_most_one_worker_per_item(monkeypatch, jobs, n_items, want_pool):
-    monkeypatch.setattr("moe_pathfinder.harness.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     assert map_jobs(abs, [-i for i in range(n_items)], jobs) == list(range(n_items))
     assert _RecordingPool.sizes == want_pool
+
+
+def test_map_jobs_workers_run_one_blas_thread_and_the_parent_keeps_its_own(monkeypatch):
+    # real spawned workers: each reports the BLAS thread variables it started with
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "")
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    assert map_jobs(os.getenv, names, 2) == ["1", "1", "1"]
+    assert [os.environ.get(name) for name in names] == ["2", None, ""]
+
+
+def test_importing_the_program_loads_no_worker_pool():
+    # a run that never starts a pool does not pay for its modules
+    code = ("import sys, moe_pathfinder.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures.process', "
+            "'multiprocessing'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert out == "[]\n"
 
 
 def test_run_comparison_full_retention_ties():

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -26,6 +27,7 @@ from moe_pathfinder.model import (
 )
 from moe_pathfinder.numerics import Rng, save_tensor, softmax_rows
 from moe_pathfinder.pruner import PruneMask, apply_mask
+from moe_pathfinder.scoring import score_samples
 
 MASK64 = (1 << 64) - 1
 
@@ -458,6 +460,31 @@ def test_stacked_forward_selects_what_per_sample_forwards_select():
             assert np.array_equal(
                 selected, np.concatenate([t.selected_experts[l] for t in per_sample])
             )
+
+
+@pytest.mark.parametrize("run", ["eval_masks", "score_samples", "model_forward"])
+def test_one_layers_expert_outputs_are_alive_at_a_time(monkeypatch, run):
+    # each product is the largest array of a forward; before the next one
+    # starts, every earlier one must be freed
+    model, samples, block, masks = _desk_block()
+    products, alive_at_start = [], []
+
+    def tracked(layer, h):
+        alive_at_start.append(sum(ref() is not None for ref in products))
+        out = expert_outputs(layer, h)
+        products.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr("moe_pathfinder.model.expert_outputs", tracked)
+    if run == "eval_masks":
+        eval_masks(model, masks[:2], samples)
+    elif run == "score_samples":
+        score_samples(model, samples)
+    else:
+        model_forward(model, block)
+    L = model.config.num_layers
+    assert len(products) == {"eval_masks": 3 * L}.get(run, L)
+    assert alive_at_start == [0] * len(products)
 
 
 def test_gen_model_deterministic_and_seed_sensitive():

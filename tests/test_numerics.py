@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_rng_frozen_values():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1 << 63, MASK64, 0x9E3779B97F4A7C15])
-@pytest.mark.parametrize("shape", [(), (0,), (3, 5), (65536,)])
+@pytest.mark.parametrize("shape", [(), (0,), (3, 5), (65536,), (3, 5, 7)])
 def test_uniform_array_equals_scalar_draws(seed, shape):
     # oracle: the per-entry uniform() loop, affinely mapped, that the numpy
     # stream replaced
@@ -75,6 +76,20 @@ def test_uniform_array_equals_scalar_draws(seed, shape):
     assert got.shape == shape and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
     assert fast._state == slow._state
+
+
+@pytest.mark.parametrize("shape", [(64, 32, 32), (8, 32, 32)])
+def test_uniform_array_peaks_at_twice_its_output(shape):
+    # the bits are mixed in place through one scratch array, which then holds
+    # the floats: no temporary per mixing step
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = Rng(7).uniform_array(shape, -1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * out.nbytes, peak / out.nbytes
 
 
 def test_rng_same_seed_same_stream():

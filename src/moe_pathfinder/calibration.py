@@ -15,6 +15,8 @@ import numpy as np
 from .model import SampleBatch
 from .numerics import Rng, as_finite, as_index, load_json
 
+MAX_ITERS = 100  # Lloyd passes that kmeans runs at most
+
 
 @dataclass
 class KMeansResult:
@@ -92,12 +94,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     return points[chosen].copy()
 
 
-def kmeans(
-    features: list[np.ndarray] | np.ndarray,
-    k: int,
-    seed: int,
-    max_iters: int = 100,
-) -> KMeansResult:
+def kmeans(features: list[np.ndarray] | np.ndarray, k: int, seed: int) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding.
 
     Assignment ties go to the lower centroid index.  Empty clusters are
@@ -106,7 +103,7 @@ def kmeans(
     moved (lowest index on ties), among the points whose cluster keeps
     another member; n >= k, so one exists.  Stops when assignments are
     stable, when a pass only undoes the last pass's refills (fewer distinct
-    points than clusters), or after max_iters.
+    points than clusters), or after MAX_ITERS passes.
     """
     points = np.asarray(features, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -120,7 +117,7 @@ def kmeans(
     assignments = np.full(n, -1, dtype=np.int64)
     unrefilled = assignments  # the last assignment step's result
     iters = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         iters += 1
         all_d2 = np.stack([_sq_dists(points, centroids[c]) for c in range(k)], axis=1)
         new_assignments = np.argmin(all_d2, axis=1)  # argmin takes lower index on ties

@@ -27,7 +27,6 @@ from .errors import FormatError, InvariantError, UsageError
 from .harness import (
     ExperimentConfig,
     comparison_csv,
-    comparison_summary,
     eval_mask,
     export_heatmap,
     map_jobs,
@@ -335,7 +334,7 @@ def cmd_heatmap(args) -> str:
     return args.out
 
 
-def cmd_compare(args) -> str:
+def cmd_compare(args) -> list[str]:
     try:
         config = ExperimentConfig(
             moe=_config_from_flags(args),
@@ -357,11 +356,7 @@ def cmd_compare(args) -> str:
     csv_path = os.path.join(args.out, "comparison.csv")
     _write_atomic(csv_path, comparison_csv(report).encode())
     summary_path = os.path.join(args.out, "summary.json")
-    save_json(summary_path, comparison_summary(report))
-    save_json(os.path.join(args.out, "manifest.json"), {
-        "tool_version": __version__, "config": config,
-        "outputs": {"comparison": csv_path, "summary": summary_path},
-    })
+    save_json(summary_path, report)
 
     print(f"{'seed':>6} {'pathfinder':>12} {'rand median':>12} {'ratio':>7}  win")
     ratios = []
@@ -376,7 +371,7 @@ def cmd_compare(args) -> str:
         f"\npathfinder wins {report.wins}/{len(report.outcomes)} seeds -> {args.out} "
         f"(mean error {mean_error:.4e}, mean ratio {np.mean(ratios):.2f})"
     )
-    return args.out
+    return [csv_path, summary_path]
 
 
 # ------------------------------------------------------------------- parser
@@ -384,17 +379,12 @@ def cmd_compare(args) -> str:
 # compare flags that set one ExperimentConfig field each, with the field's
 # default as theirs
 COMPARE_FLAGS = (
-    ("--data-seed", int, "data_seed"),
-    ("--eval-seed", int, "eval_seed"),
-    ("--mask-seed", int, "mask_seed"),
-    ("--kmeans-seed", int, "kmeans_seed"),
     ("--pool", _positive_int, "pool_size"),
     ("--tokens", _positive_int, "tokens_per_sample"),
     ("--k", _positive_int, "calibration_k"),
     ("--eval-samples", _positive_int, "n_eval_samples"),
     ("--retention", _fraction, "target_retention"),
     ("--random-masks", _positive_int, "n_random_masks"),
-    ("--centers-seed", int, "centers_seed"),
     ("--expert-scale", float, "expert_scale"),
     ("--router-gain", float, "router_gain"),
     ("--clusters", int, "data_clusters"),
@@ -501,6 +491,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-transition", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("-o", "--out", required=True)
+    add_manifest(p)
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -70,6 +70,13 @@ class ExperimentConfig:  # a record: save_json writes its fields in this order
     def __post_init__(self):
         if not (self.use_importance or self.use_transition):
             raise ValueError("at least one of use_importance/use_transition must be on")
+        if not self.model_seeds:
+            raise ValueError("model_seeds must name at least one seed")
+        for name in ("tokens_per_sample", "n_eval_samples", "n_random_masks", "m_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (0.0 < self.target_retention <= 1.0):
+            raise ValueError(f"target_retention must be in (0, 1], got {self.target_retention}")
         for name in ("expert_scale", "router_gain", "cluster_radius"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -92,7 +99,7 @@ class EvalResult:  # a record: save_json writes its fields in this order
 
 
 @dataclass
-class SeedOutcome:
+class SeedOutcome:  # a record: save_json writes its fields in this order
     model_seed: int
     pathfinder_error: float
     random_errors: list[float]
@@ -103,13 +110,10 @@ class SeedOutcome:
 
 
 @dataclass
-class ComparisonReport:
+class ComparisonReport:  # a record: save_json writes its fields in this order
+    wins: int  # first, so that summary.json leads with the headline count
     config: ExperimentConfig
     outcomes: list[SeedOutcome]
-
-    @property
-    def wins(self) -> int:
-        return sum(1 for o in self.outcomes if o.win)
 
 
 def derive_seeds(base: int, count: int) -> list[int]:
@@ -312,7 +316,8 @@ def run_comparison(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:
         (config, ms, pool_seeds[i], eval_seeds[i], mask_seeds[i], centers_seeds[i])
         for i, ms in enumerate(config.model_seeds)
     ]
-    return ComparisonReport(config=config, outcomes=map_jobs(_seed_task, tasks, jobs))
+    outcomes = map_jobs(_seed_task, tasks, jobs)
+    return ComparisonReport(sum(o.win for o in outcomes), config, outcomes)
 
 
 def comparison_csv(report: ComparisonReport) -> str:
@@ -324,24 +329,6 @@ def comparison_csv(report: ComparisonReport) -> str:
         rows += [f"{o.model_seed},random,{j},{err!r},{o.retention_fraction!r}"
                  for j, err in enumerate(o.random_errors)]
     return "\n".join(rows) + "\n"
-
-
-def comparison_summary(report: ComparisonReport) -> dict:
-    return {
-        "wins": report.wins,
-        "n_seeds": len(report.outcomes),
-        "per_seed": [
-            {
-                "model_seed": o.model_seed,
-                "pathfinder_error": o.pathfinder_error,
-                "random_median": o.random_median,
-                "win": o.win,
-                "retention_fraction": o.retention_fraction,
-                "m_used": o.m_used,
-            }
-            for o in report.outcomes
-        ],
-    }
 
 
 def export_heatmap(counts: np.ndarray, path) -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moe_pathfinder import calibration
 from moe_pathfinder.calibration import (
     build_calibration_set,
     featurize,
@@ -59,12 +60,20 @@ def test_kmeans_separates_blobs():
     assert (np.all(a == labels) or np.all(a == 1 - labels))
 
 
-def test_kmeans_distortion_never_increases():
+def kmeans_passes(monkeypatch, passes, *args, **kwargs):
+    """kmeans stopped after at most `passes` Lloyd passes."""
+    with monkeypatch.context() as m:
+        m.setattr(calibration, "MAX_ITERS", passes)
+        return kmeans(*args, **kwargs)
+
+
+def test_kmeans_distortion_never_increases(monkeypatch):
     rng = np.random.default_rng(4)
     for seed in range(10):
         points = rng.standard_normal((40, 4))
         passes = kmeans(points, 5, seed=seed).n_iters
-        hist = [kmeans(points, 5, seed=seed, max_iters=i).distortion for i in range(1, passes + 1)]
+        hist = [kmeans_passes(monkeypatch, i, points, 5, seed=seed).distortion
+                for i in range(1, passes + 1)]
         assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
 
 
@@ -76,32 +85,32 @@ def test_kmeans_seed_reproducible():
     assert a.centroids.tobytes() == b.centroids.tobytes()
 
 
-def test_kmeans_refill_of_identical_points_takes_the_lowest_index():
+def test_kmeans_refill_of_identical_points_takes_the_lowest_index(monkeypatch):
     # every point ties with both seeds, so the first pass assigns all of them
     # to cluster 0 and cluster 1 is refilled with point 0
-    result = kmeans(np.full((4, 2), 0.1), 2, seed=0, max_iters=1)
+    result = kmeans_passes(monkeypatch, 1, np.full((4, 2), 0.1), 2, seed=0)
     assert result.assignments.tolist() == [1, 0, 0, 0]
 
 
-def test_kmeans_stops_once_a_pass_only_undoes_the_refill():
+def test_kmeans_stops_once_a_pass_only_undoes_the_refill(monkeypatch):
     # with one distinct point, every pass empties cluster 1 and refills it
     # with point 0; the second pass changes nothing else, so the loop stops
     points = np.full((4, 2), 0.1)
     result = kmeans(points, 2, seed=0)
-    first_pass = kmeans(points, 2, seed=0, max_iters=1)
+    first_pass = kmeans_passes(monkeypatch, 1, points, 2, seed=0)
     assert result.n_iters <= 3
     assert result.assignments.tolist() == [1, 0, 0, 0]
     assert result.centroids.tobytes() == first_pass.centroids.tobytes()
     assert np.all(np.bincount(result.assignments, minlength=2) > 0)
 
 
-def test_kmeans_refill_ranks_points_at_the_assignment_step():
+def test_kmeans_refill_ranks_points_at_the_assignment_step(monkeypatch):
     # seeds 9, 8, 0; pass 1 moves centroids to 9, 20/3, 1.5; pass 2 empties
     # cluster 1.  Measured against the centroids pass 2 assigned with, point 2
     # (4.0, at 6.25 from 1.5) is the farthest; after the update point 0 would
     # be (0.0, at 49/9 from 7/3).  The refill takes point 2.
     points = np.array([[0.0], [8.0], [4.0], [9.0], [8.0], [3.0]])
-    result = kmeans(points, 3, seed=44, max_iters=2)
+    result = kmeans_passes(monkeypatch, 2, points, 3, seed=44)
     assert result.assignments.tolist() == [2, 0, 1, 0, 0, 2]
     assert result.centroids[1, 0] == 4.0
 

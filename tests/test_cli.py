@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from moe_pathfinder import __version__, numerics
 from moe_pathfinder.cli import build_parser, load_data, main
+from moe_pathfinder.harness import ExperimentConfig, SeedOutcome, run_comparison
 from moe_pathfinder.model import MoEConfig, gen_model, save_model
 from moe_pathfinder.numerics import load_tensor, save_tensor
 from moe_pathfinder.planner import load_pathset
@@ -405,6 +407,7 @@ def test_manifest_accumulates_and_validates(tmp_path, monkeypatch):
         "prune --graphs graphs --target-retention 0.5 -o pruned-target",
         "eval --model model --mask pruned/mask.json --data data.tnsr -o eval.json",
         "heatmap --paths paths -o heatmap.csv",
+        f"{TINY_COMPARE} --trials 1 -o cmp",
     ]:
         assert run_cli(*argv.split(), "--manifest", "manifest.json") == 0, argv
     manifest = tmp_path / "manifest.json"
@@ -424,6 +427,8 @@ def test_manifest_accumulates_and_validates(tmp_path, monkeypatch):
             "pruned-target/mask.json", "pruned-target/report.json"]},
         "eval.json": {"command": "eval", "outputs": "eval.json"},
         "heatmap.csv": {"command": "heatmap", "outputs": "heatmap.csv"},
+        "cmp": {"command": "compare", "outputs": ["cmp/comparison.csv", "cmp/summary.json"],
+                "seed": 0},
     }
 
     # a stage that fails records nothing
@@ -445,29 +450,32 @@ def _compare_rows(out):
     return [line.split() for line in lines[1:blank]], lines[blank + 1]
 
 
+# a compare run small enough for the manifest and summary tests
+TINY_COMPARE = ("compare --layers 2 --experts 3 --dim 6 --topk 1 --seed 0 --pool 6 --tokens 4 "
+                "--k 2 --eval-samples 2 --random-masks 2")
+TINY_CONFIG = ExperimentConfig(
+    moe=MoEConfig(num_layers=2, experts_per_layer=3, hidden_dim=6, top_k=1),
+    model_seeds=(0, 1), pool_size=6, tokens_per_sample=4, calibration_k=2, n_eval_samples=2,
+    n_random_masks=2,
+)
+
+
 def test_compare_small_run(tmp_path, capsys):
-    tiny = ("compare --layers 2 --experts 3 --dim 6 --topk 1 --seed 0 --pool 6 --tokens 4 "
-            "--k 2 --eval-samples 2 --random-masks 2").split()
+    tiny = TINY_COMPARE.split()
     out = tmp_path / "cmp"
     capsys.readouterr()
     assert run_cli(*tiny, "--trials", 2, "--retention", 0.5, "-o", out) == 0
-    # every file written atomically: the three outputs and no leftover .tmp
-    assert sorted(p.name for p in out.iterdir()) == [
-        "comparison.csv", "manifest.json", "summary.json",
-    ]
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["n_seeds"] == 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["moe"]["num_layers"] == 2
+    assert summary["config"]["moe"]["num_layers"] == 2 and len(summary["outcomes"]) == 2
     rows, footer = _compare_rows(capsys.readouterr().out)
     ratios = []
-    for row, s in zip(rows, summary["per_seed"], strict=True):
+    for row, s in zip(rows, summary["outcomes"], strict=True):
         ratios.append(s["pathfinder_error"] / s["random_median"])
         assert row == [
             str(s["model_seed"]), f"{s['pathfinder_error']:.4e}", f"{s['random_median']:.4e}",
             f"{ratios[-1]:.2f}", "yes" if s["win"] else "no",
         ]
-    mean_error = np.mean([s["pathfinder_error"] for s in summary["per_seed"]])
+    mean_error = np.mean([s["pathfinder_error"] for s in summary["outcomes"]])
     assert footer == (
         f"pathfinder wins {summary['wins']}/2 seeds -> {out} "
         f"(mean error {mean_error:.4e}, mean ratio {np.mean(ratios):.2f})"
@@ -478,6 +486,20 @@ def test_compare_small_run(tmp_path, capsys):
     rows, footer = _compare_rows(capsys.readouterr().out)
     assert rows == [["0", "0.0000e+00", "0.0000e+00", "nan", "yes"]]
     assert footer.endswith("(mean error 0.0000e+00, mean ratio nan)")
+
+
+def test_compare_writes_its_report_record_and_nothing_else(tmp_path):
+    # -o holds the two outputs, each written atomically, so no .tmp is left;
+    # summary.json is the in-process report, every field of every outcome
+    out = tmp_path / "cmp"
+    assert run_cli(*TINY_COMPARE.split(), "--trials", 2, "-o", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    report = run_comparison(TINY_CONFIG)
+    assert list(summary) == ["wins", "config", "outcomes"]
+    assert summary == json.loads(json.dumps(asdict(report)))
+    assert [list(o) for o in summary["outcomes"]] == [[f.name for f in fields(SeedOutcome)]] * 2
+    assert summary["wins"] == sum(o["win"] for o in summary["outcomes"])
 
 
 def test_compare_draws_only_the_cluster_centers_it_uses(tmp_path):
@@ -1061,6 +1083,9 @@ def test_bad_manifest_fails_before_the_stage_writes(staged, capsys):
 
 GEN_DATA_PIB = "gen-data --model model --samples 100000000 --tokens 100000000 --seed 1 -o x"
 COMPARE_EIB = "compare --seed 0 --trials 1 --pool 100000000000 --tokens 100000 -o x"
+# compare draws its pool, eval, mask, k-means and center seeds from ExperimentConfig's
+# defaults; only a script that builds its own config sets them
+COMPARE_SEED_FLAGS = "--data-seed 1 --eval-seed 2 --mask-seed 3 --kmeans-seed 4 --centers-seed 5"
 
 
 @pytest.mark.parametrize(
@@ -1096,6 +1121,8 @@ COMPARE_EIB = "compare --seed 0 --trials 1 --pool 100000000000 --tokens 100000 -
         pytest.param("compare --seed 1 --jobs 0 -o x", "--jobs", id="compare-jobs"),
         pytest.param("heatmap --paths paths --outliers o.json -o x", "--outliers",
                      id="heatmap-outliers-gone"),
+        pytest.param(f"compare --seed 1 {COMPARE_SEED_FLAGS} -o x",
+                     f"unrecognized arguments: {COMPARE_SEED_FLAGS}", id="compare-seed-flags-gone"),
         # sizes that numpy refuses to allocate at once
         pytest.param(GEN_DATA_PIB, "568. PiB", id="gen-data-beyond-memory"),
         pytest.param(COMPARE_EIB, "2.22 EiB", id="compare-beyond-memory"),

@@ -43,6 +43,11 @@ num_layers and experts_per_layer, its digest was re-captured; it holds the
 blob's member name and the sample ids, and scores.tnsr held.
 The three comparison summary.json digests were captured before save_json
 began to write every record, so they pin that the summaries kept their bytes.
+They were re-captured when summary.json became the comparison report record
+itself: wins, the experiment config, and every field of each seed's outcome,
+the random masks' errors included, where it had held a count of seeds and
+six fields per seed.  No float moved: each summary, rewritten in the old
+layout, must still match its old digest in SUMMARY_LAYOUT_V1.
 The digests hold on x86-64 with numpy's
 bundled OpenBLAS, with one BLAS thread or two; another BLAS may round the
 model's matrix products differently and move every float.
@@ -57,11 +62,11 @@ from moe_pathfinder.numerics import load_tensor, save_json, save_tensor
 GOLDEN = {
     "calib.json": "549c397a55e7f42175457405989ffe13b3e99d0e5183432dec8ea9aff5671dd1",
     "compare-no-importance/comparison.csv": "d30fada91373ed46f31940e72d18cbbd577944990da37f1b04d4f8e14f55d845",
-    "compare-no-importance/summary.json": "cd6b253b03cbeff10ac78efd054c2c57356133907cb9b0949b03e64f88f2d9c9",
+    "compare-no-importance/summary.json": "88224b1f7d91996011d6ea76a40350eff8ae96faa4e34bdba0aa227fb5e8f3d0",
     "compare-no-transition/comparison.csv": "f75b6bd82512f3d6d18e2c8c1fa10c922f2cc56cebba3ceea1a292c1ab530ebb",
-    "compare-no-transition/summary.json": "33c275ad0c3c2fd2bdda213dfdb16be225c883e4827317a9cc79321d41fa8051",
+    "compare-no-transition/summary.json": "2e1da35f4cb8b955b82fdf40d62a0aebf3ff330cdfb956aaea4f06ec0b0ede3e",
     "compare/comparison.csv": "7b233f6ef6202e5e8444f7de070e17c366ffdaa4815ce5d6d28a328c29b97b19",
-    "compare/summary.json": "63ec8aac93aa79eed4c04ed3591192579e312b21351e8b2c96f100f4a5950288",
+    "compare/summary.json": "0e9e624328ce90c570f54bb4628017ee5dad356cce4aed48074adbcace915bf8",
     "data.tnsr": "d51047174ba2195eee126c70a366321ab4abb742f163f108ef3da6125247cffa",
     "eval.json": "09fc01fe006060161f4fc1e735f0555c41ac04d89af1158789668969475a9db7",
     "graphs/graphs.json": "912df811e7dac09d50637140b1b77ddaf75b6bc4e360170e053f4e96f19b0d11",
@@ -193,6 +198,18 @@ GRAPH_JSON = {
 }
 GRAPH_FIELDS = ("activation", "routing", "recon_loss", "importance")
 
+# Digests of the three comparison summary.json files before each became the
+# report record.  Each summary, rewritten in that layout (wins, n_seeds, and
+# per seed six of its outcome's fields), must still match.
+SUMMARY_LAYOUT_V1 = {
+    "compare": "63ec8aac93aa79eed4c04ed3591192579e312b21351e8b2c96f100f4a5950288",
+    "compare-no-importance": "cd6b253b03cbeff10ac78efd054c2c57356133907cb9b0949b03e64f88f2d9c9",
+    "compare-no-transition": "33c275ad0c3c2fd2bdda213dfdb16be225c883e4827317a9cc79321d41fa8051",
+}
+SUMMARY_V1_FIELDS = (
+    "model_seed", "pathfinder_error", "random_median", "win", "retention_fraction", "m_used",
+)
+
 
 def run_cli(*args):
     assert main([str(a) for a in args]) == 0
@@ -284,6 +301,23 @@ def graph_json_digests(graphs_dir, out_dir) -> dict[str, str]:
     return digests
 
 
+def summary_v1_digests(run, out_dir) -> dict[str, str]:
+    """sha256 of each comparison summary.json, saved in the layout it had
+    before it became the report record, under its run's name."""
+    out_dir.mkdir()
+    digests = {}
+    for name in SUMMARY_LAYOUT_V1:
+        summary = json.loads((run / name / "summary.json").read_text())
+        path = out_dir / f"{name}.json"
+        save_json(path, {
+            "wins": summary["wins"],
+            "n_seeds": len(summary["outcomes"]),
+            "per_seed": [{f: o[f] for f in SUMMARY_V1_FIELDS} for o in summary["outcomes"]],
+        })
+        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def test_planner_artifacts_match_golden_bytes(tmp_path):
     run = tmp_path / "run"
     run.mkdir()
@@ -291,3 +325,4 @@ def test_planner_artifacts_match_golden_bytes(tmp_path):
     assert expert_slice_digests(run / "model", tmp_path / "slices") == EXPERT_SLICES
     assert graph_slice_digests(run / "graphs", tmp_path / "graph-slices") == GRAPH_SLICES
     assert graph_json_digests(run / "graphs", tmp_path / "graph-json") == GRAPH_JSON
+    assert summary_v1_digests(run, tmp_path / "summaries-v1") == SUMMARY_LAYOUT_V1

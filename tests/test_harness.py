@@ -396,6 +396,22 @@ def test_experiment_config_needs_a_signal():
         ExperimentConfig(use_importance=False, use_transition=False)
 
 
+@pytest.mark.parametrize("field, value", [
+    pytest.param("n_random_masks", 0, id="no-random-masks"),
+    pytest.param("n_eval_samples", 0, id="no-eval-samples"),
+    pytest.param("tokens_per_sample", 0, id="no-tokens"),
+    pytest.param("m_max", 0, id="m-max-0"),
+    pytest.param("model_seeds", (), id="no-model-seeds"),
+    pytest.param("target_retention", 0.0, id="retention-0"),
+    pytest.param("target_retention", 1.5, id="retention-above-1"),
+    pytest.param("target_retention", float("nan"), id="retention-nan"),
+])
+def test_experiment_config_refuses_a_run_it_cannot_make(field, value):
+    # each used to fail deep inside run_comparison, or return an empty report
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
 def test_planted_model_structure():
     cfg = MoEConfig(num_layers=3, experts_per_layer=4, hidden_dim=8, top_k=2)
     model, planted, samples = planted_model(cfg, seed=0)

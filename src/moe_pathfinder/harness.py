@@ -217,6 +217,15 @@ def pathfinder_mask(
     return target_sparsity_search(graphs, target_retention, m_max=m_max)
 
 
+def _median(values: list[float]) -> float:
+    """np.median of finite floats, bit for bit: the middle value, or the
+    mean of the two middle values.  np.median imports numpy.ma on its first
+    call, a module nothing else in a comparison loads."""
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def _seed_outcome(
     config: ExperimentConfig,
     model_seed: int,
@@ -229,6 +238,7 @@ def _seed_outcome(
     pool = experiment_data(config, config.pool_size, centers_seed, pool_seed)
     calib = build_calibration_set(pool, config.calibration_k, config.kmeans_seed)
     calib_samples = [pool[i] for i in calib.sample_ids]
+    del pool  # so that eval does not hold the samples calibration passed over
     mask, report = pathfinder_mask(
         model,
         calib_samples,
@@ -250,7 +260,7 @@ def _seed_outcome(
     pf_err, *rand_errs = [
         r.mean_final_error for r in eval_masks(model, [mask, *rmasks], eval_samples)
     ]
-    median = float(np.median(rand_errs))
+    median = _median(rand_errs)
     return SeedOutcome(
         model_seed=model_seed,
         pathfinder_error=pf_err,

@@ -133,6 +133,8 @@ def target_sparsity_search(
         raise ValueError("need at least one scored sample")
     if not (0.0 < target_retention <= 1.0):
         raise ValueError("target_retention must be in (0, 1]")
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
     L = graphs[0].num_layers
     n = graphs[0].experts_per_layer
     if any((g.num_layers, g.experts_per_layer) != (L, n) for g in graphs):

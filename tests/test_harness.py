@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from moe_pathfinder import harness
 from moe_pathfinder.calibration import build_calibration_set
 from moe_pathfinder.cli import load_data
 from moe_pathfinder.harness import (
@@ -371,6 +373,52 @@ def test_importing_the_program_loads_no_worker_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
     assert out == "[]\n"
+
+
+def test_a_comparison_loads_no_masked_arrays(tmp_path):
+    # np.median imports numpy.ma on its first call; the random-mask median must not
+    code = ("import sys; from moe_pathfinder.cli import main; "
+            f"code = main(['compare', '--seed', '0', '--trials', '1', '-o', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("n", range(1, 42))
+def test_median_equals_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    ties = rng.choice(spread[:3], n)  # at most three values, so the middle two often tie
+    for values in (spread, ties, np.abs(spread), np.full(n, 1e-300)):
+        values = values.tolist()
+        assert harness._median(values).hex() == float(np.median(values)).hex()
+
+
+def test_a_seed_frees_the_samples_calibration_passed_over_before_eval(monkeypatch):
+    # TINY draws the clustered family, where each sample owns its tokens array
+    tokens, chosen, alive = [], [], []
+
+    def data(*args):
+        samples = experiment_data(*args)
+        tokens.append([weakref.ref(s.tokens) for s in samples])
+        return samples
+
+    def calibrate(*args):
+        calib = build_calibration_set(*args)
+        chosen.append(sorted(calib.sample_ids))
+        return calib
+
+    def evaluate(*args):
+        alive.append([i for i, ref in enumerate(tokens[0]) if ref() is not None])
+        return eval_masks(*args)
+
+    monkeypatch.setattr(harness, "experiment_data", data)
+    monkeypatch.setattr(harness, "build_calibration_set", calibrate)
+    monkeypatch.setattr(harness, "eval_masks", evaluate)
+    run_comparison(replace(TINY, model_seeds=(0,)))
+    assert len(tokens[0]) == TINY.pool_size
+    assert alive == chosen and len(chosen[0]) == TINY.calibration_k
 
 
 def test_run_comparison_full_retention_ties():

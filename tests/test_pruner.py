@@ -283,6 +283,14 @@ def test_target_search_rejects_bad_inputs():
         target_sparsity_search([g, random_sample_graph(3, 4, Rng(9))], 0.5)
 
 
+@pytest.mark.parametrize("m_max", [0, -3])
+def test_target_search_refuses_a_cap_below_one(m_max):
+    # the first path alone meets 0.25 of 2 x 3 experts, so the cap was never read
+    g = random_sample_graph(2, 3, Rng(9))
+    with pytest.raises(ValueError, match="m_max"):
+        target_sparsity_search([g], 0.25, m_max=m_max)
+
+
 def small_model(seed=0):
     cfg = MoEConfig(num_layers=3, experts_per_layer=4, hidden_dim=5, top_k=2)
     return gen_model(cfg, seed)

@@ -354,7 +354,7 @@ def cmd_compare(args) -> list[str]:
         ) from e
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "comparison.csv")
-    _write_atomic(csv_path, comparison_csv(report).encode())
+    _write_atomic(csv_path, [comparison_csv(report).encode()])
     summary_path = os.path.join(args.out, "summary.json")
     save_json(summary_path, report)
 

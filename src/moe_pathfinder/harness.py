@@ -237,8 +237,8 @@ def _seed_outcome(
     model = experiment_model(config, model_seed)
     pool = experiment_data(config, config.pool_size, centers_seed, pool_seed)
     calib = build_calibration_set(pool, config.calibration_k, config.kmeans_seed)
-    calib_samples = [pool[i] for i in calib.sample_ids]
-    del pool  # so that eval does not hold the samples calibration passed over
+    calib_samples = [SampleBatch(pool[i].tokens.copy()) for i in calib.sample_ids]
+    del pool  # eval holds none of the pool: a raw-family sample is a view into it
     mask, report = pathfinder_mask(
         model,
         calib_samples,
@@ -344,7 +344,7 @@ def comparison_csv(report: ComparisonReport) -> str:
 def export_heatmap(counts: np.ndarray, path) -> None:
     """CSV with header layer,expert,count in layer-major order."""
     rows = ["layer,expert,count"] + [f"{l},{i},{int(c)}" for (l, i), c in np.ndenumerate(counts)]
-    _write_atomic(path, ("\n".join(rows) + "\n").encode())
+    _write_atomic(path, [("\n".join(rows) + "\n").encode()])
 
 
 def planted_model(

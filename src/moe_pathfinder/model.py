@@ -1,5 +1,5 @@
 """Toy mixture-of-experts model: generation, forward pass with trace capture,
-and on-disk serialization.
+and on-disk serialization (model.json over one weights.tnsr blob).
 
 Experts are single d x d linear maps and a layer's output feeds the next layer
 through an elementwise nonlinearity; there is no attention or residual stream.
@@ -55,10 +55,10 @@ class MoELayer:
         d, n_max = config.hidden_dim, config.experts_per_layer
         n = self.router.shape[0] if self.router.ndim else 0
         if self.router.shape != (n, d):
-            raise ValueError(f"layer {l} router blob has shape {self.router.shape}, "
+            raise ValueError(f"layer {l} router has shape {self.router.shape}, "
                              f"expected (n, {d}) for hidden_dim {d}")
         if self.experts.shape != (n, d, d):
-            raise ValueError(f"layer {l} experts blob has shape {self.experts.shape}, "
+            raise ValueError(f"layer {l} experts have shape {self.experts.shape}, "
                              f"expected ({n}, {d}, {d}) to match the router")
         if not 1 <= n <= n_max:
             raise ValueError(f"layer {l} holds {n} experts, not 1 to experts_per_layer {n_max}")
@@ -292,20 +292,20 @@ def gen_data(
 
 
 def save_model(model: MoEModel, dirpath) -> None:
-    """model.json manifest plus two .tnsr blobs per layer: the n x d router
-    and the n x d x d experts.  A pruned layer's n is its blobs' first
-    dimension."""
+    """model.json (the config, each layer's expert count `counts`, the blob's
+    name `weights`) over one (sum(counts), d+1, d) weights.tnsr: each expert
+    in layer order, its router row over its d x d matrix.  A rerun removes
+    the per-layer blobs of the earlier layout, layer*.tnsr."""
     model.validate()
-    blobs, members = [], []
-    for l, layer in enumerate(model.layers):
-        router, experts = f"layer{l}.router.tnsr", f"layer{l}.experts.tnsr"
-        blobs.append({"router": router, "experts": experts})
-        members += [(router, layer.router), (experts, layer.experts)]
-    save_index(dirpath, "model.json", {"config": model.config, "layers": blobs}, members,
-               owns="layer*.tnsr")
+    counts, d = [len(layer.router) for layer in model.layers], model.config.hidden_dim
+    weights = np.empty((sum(counts), d + 1, d))
+    for rows, layer in zip(np.split(weights, np.cumsum(counts)[:-1]), model.layers):
+        rows[:, 0], rows[:, 1:] = layer.router, layer.experts
+    save_index(dirpath, "model.json", {"config": model.config, "counts": counts,
+               "weights": "weights.tnsr"}, [("weights.tnsr", weights)], owns="layer*.tnsr")
 
 
-def _parse_model_manifest(manifest, member) -> tuple[MoEConfig, list[tuple[str, str]]]:
+def _parse_manifest(manifest, member) -> tuple[MoEConfig, list[int], str]:
     c = manifest["config"]
     config = MoEConfig(
         num_layers=as_index(c["num_layers"], "num_layers", 2),
@@ -314,23 +314,22 @@ def _parse_model_manifest(manifest, member) -> tuple[MoEConfig, list[tuple[str, 
         top_k=as_index(c["top_k"], "top_k", 1),
         nonlinearity=c["nonlinearity"],
     )
-    blobs = [(member(e["router"]), member(e["experts"])) for e in manifest["layers"]]
-    if len(blobs) != config.num_layers:
-        raise ValueError(f"{len(blobs)} layers listed, config says {config.num_layers}")
-    return config, blobs
+    counts = [as_index(n, f"layer {l} count") for l, n in enumerate(manifest["counts"])]
+    return config, counts, member(manifest["weights"])
 
 
 def load_model(dirpath) -> MoEModel:
-    """The model of a save_model directory; a layer whose blobs break
-    MoELayer.validate is a FormatError naming both blobs and model.json."""
-    config, blobs = load_index(dirpath, "model.json", "model manifest", _parse_model_manifest)
-    manifest = os.path.join(dirpath, "model.json")
-    layers = []
-    for l, (router_path, experts_path) in enumerate(blobs):
-        layer = MoELayer(router=load_tensor(router_path), experts=load_tensor(experts_path))
-        try:
-            layer.validate(l, config)
-        except ValueError as e:
-            raise FormatError(f"{router_path} and {experts_path} do not fit {manifest}: {e}") from e
-        layers.append(layer)
-    return MoEModel(config=config, layers=layers)
+    """The model of a save_model directory, its layers views into the blob;
+    a blob that is not (sum(counts), d+1, d), or a model that breaks
+    MoEModel.validate, is a FormatError naming the blob and model.json."""
+    config, counts, path = load_index(dirpath, "model.json", "model manifest", _parse_manifest)
+    weights, n, d = load_tensor(path), sum(counts), config.hidden_dim
+    try:
+        if weights.shape != (n, d + 1, d):
+            raise ValueError(f"shape {weights.shape}, not ({n}, {d + 1}, {d}) for counts {counts}")
+        rows = np.split(weights, np.cumsum(counts)[:-1])
+        model = MoEModel(config, [MoELayer(experts=w[:, 1:], router=w[:, 0]) for w in rows])
+        model.validate()
+    except ValueError as e:
+        raise FormatError(f"{path} does not fit {os.path.join(dirpath, 'model.json')}: {e}") from e
+    return model

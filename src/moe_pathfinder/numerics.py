@@ -173,54 +173,55 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def save_tensor(path, arr: np.ndarray) -> None:
     """Write `.tnsr`: b"TNSR", version byte 1, u32 LE rank, u32 LE dims,
-    row-major little-endian f64 payload.  Written atomically."""
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    row-major little-endian f64 payload.  Written atomically, from the
+    array's own buffer when it is C-contiguous float64."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     header = struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
-    _write_atomic(
-        path, TNSR_MAGIC + bytes([TNSR_VERSION]) + header + arr.astype("<f8").tobytes()
-    )
+    _write_atomic(path, [TNSR_MAGIC + bytes([TNSR_VERSION]) + header, arr])
 
 
 def load_tensor(path) -> np.ndarray:
     """Read a `.tnsr` blob; anything but exactly one finite tensor in the
-    file is a FormatError naming it."""
+    file is a FormatError naming it.  The header is checked against the file's
+    size before the payload is read into the one array returned."""
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            size, head = os.fstat(f.fileno()).st_size, f.read(9)
+            if head[:4] != TNSR_MAGIC:
+                raise FormatError(f"{path}: bad magic, not a .tnsr file")
+            if len(head) < 5 or head[4] != TNSR_VERSION:
+                raise FormatError(f"{path}: unsupported .tnsr version")
+            rank = int.from_bytes(head[5:9], "little")
+            if len(head) < 9 or size < 9 + 4 * rank:
+                raise FormatError(f"{path}: truncated header")
+            dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
+            end = 9 + 4 * rank + 8 * math.prod(dims)
+            if size < end:
+                raise FormatError(f"{path}: unexpected end of tensor payload")
+            if size > end:
+                raise FormatError(f"{path}: {size - end} trailing bytes after tensor payload")
+            arr = np.empty(dims, dtype="<f8")
+            if f.readinto(arr) != arr.nbytes:
+                raise FormatError(f"{path}: unexpected end of tensor payload")
     except OSError as e:
         raise FormatError(f"cannot read tensor {path}: {e}") from e
-    if data[:4] != TNSR_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a .tnsr file")
-    if len(data) < 5 or data[4] != TNSR_VERSION:
-        raise FormatError(f"{path}: unsupported .tnsr version")
-    try:
-        (rank,) = struct.unpack_from("<I", data, 5)
-        dims = struct.unpack_from(f"<{rank}I", data, 9)
-    except struct.error as e:
-        raise FormatError(f"{path}: truncated header") from e
-    off = 9 + 4 * rank
-    end = off + 8 * math.prod(dims)
-    if len(data) < end:
-        raise FormatError(f"{path}: unexpected end of tensor payload")
-    if len(data) > end:
-        raise FormatError(f"{path}: {len(data) - end} trailing bytes after tensor payload")
-    arr = np.frombuffer(data, dtype="<f8", offset=off)
-    if not np.all(np.isfinite(arr)):
+    # min and max are NaN if any entry is, and allocate nothing
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise FormatError(f"{path}: non-finite entry in tensor payload")
-    return arr.reshape(dims).astype(np.float64)
+    return arr.astype(np.float64, copy=False)
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Write data to `path + ".tmp"` and only then replace `path` with it, so
-    a stage that fails or is interrupted mid-write leaves the previous file,
-    or none, never a partial one.  An OSError is re-raised naming `path`; an
-    existing directory at `path` is refused before anything is written."""
+def _write_atomic(path, parts) -> None:
+    """Write `parts` (bytes or C-contiguous arrays) to `path + ".tmp"`, then
+    replace `path` with it, so a stage that fails or is interrupted leaves
+    the previous file, or none, never a partial one.  An OSError is re-raised
+    naming `path`; an existing directory at `path` is refused up front."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            f.writelines(parts)
         os.replace(tmp, path)
     except BaseException as e:
         if os.path.exists(tmp):
@@ -241,7 +242,7 @@ def save_json(path, obj) -> None:
     each dataclass in it as its fields.  NaN or an infinity is a ValueError,
     met before anything is written."""
     text = json.dumps(obj, indent=2, allow_nan=False, default=_record_fields)
-    _write_atomic(path, (text + "\n").encode())
+    _write_atomic(path, [(text + "\n").encode()])
 
 
 def as_index(value, what: str, lo: int | None = 0, hi: int | None = None) -> int:

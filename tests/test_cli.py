@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from moe_pathfinder import __version__, numerics
 from moe_pathfinder.cli import build_parser, load_data, main
 from moe_pathfinder.harness import ExperimentConfig, SeedOutcome, run_comparison
-from moe_pathfinder.model import MoEConfig, gen_model, save_model
+from moe_pathfinder.model import MoEConfig, gen_model, load_model, save_model
 from moe_pathfinder.numerics import load_tensor, save_tensor
 from moe_pathfinder.planner import load_pathset
 from moe_pathfinder.pruner import load_mask
@@ -655,28 +655,45 @@ def _old_data_layout(p):
         seed=8, blob="tokens.tnsr")))
 
 
-def _old_model_layout(p):
-    # model.json as written when each expert had a blob of its own
-    def old(o):
-        o["config"]["layer_expert_counts"] = None
-        for l, entry in enumerate(o["layers"]):
-            entry["experts"] = [f"layer{l}.expert{i}.tnsr" for i in range(4)]
-
-    _edit(old)(p)
-
-
-def _resize_experts(delta, router=False):
-    # drops the last expert, or repeats the first; with router=True the
-    # router blob of the layer gets the same rows
-    def resize(w):
-        return w[:delta] if delta < 0 else np.concatenate([w, w[:delta]])
-
+def _per_layer_layout(per_expert=False):
+    # the model directory as written when each layer had a router blob and an
+    # experts blob of its own, or, before that, when each expert had a blob
     def apply(p):
-        names = [p, p.with_name(p.name.replace("experts", "router"))] if router else [p]
-        for name in names:
-            save_tensor(name, resize(load_tensor(name)))
+        index, model = json.loads(p.read_text()), load_model(p.parent)
+        layers = []
+        for l, layer in enumerate(model.layers):
+            layers.append({"router": f"layer{l}.router.tnsr", "experts": f"layer{l}.experts.tnsr"})
+            blobs = [(layers[-1]["router"], layer.router), (layers[-1]["experts"], layer.experts)]
+            if per_expert:
+                layers[-1]["experts"] = [f"layer{l}.expert{i}.tnsr" for i in range(len(layer.experts))]
+                blobs[1:] = zip(layers[-1]["experts"], layer.experts)
+            for name, arr in blobs:
+                save_tensor(p.parent / name, arr)
+        (p.parent / index["weights"]).unlink()
+        config = {**index["config"], **({"layer_expert_counts": None} if per_expert else {})}
+        p.write_text(json.dumps({"config": config, "layers": layers}))
 
     return apply
+
+
+def _set_count(l, n):
+    # model.json lists n experts in layer l, and the blob holds that many rows
+    # for it: its first rows, or its first row repeated
+    def apply(p):
+        index = json.loads(p.read_text())
+        blob = p.parent / index["weights"]
+        weights, start = load_tensor(blob), sum(index["counts"][:l])
+        rows = weights[start:start + index["counts"][l]]
+        rows = rows[:n] if n <= len(rows) else np.concatenate([rows, rows[:1].repeat(n - len(rows), 0)])
+        save_tensor(blob, np.concatenate([weights[:start], rows, weights[start + index["counts"][l]:]]))
+        index["counts"][l] = n
+        p.write_text(json.dumps(index))
+
+    return apply
+
+
+def _add_row(p):
+    save_tensor(p, np.concatenate([load_tensor(p), load_tensor(p)[:1]]))
 
 
 def _member_outside(field, where=None, entry=lambda o: o["samples"][0]):
@@ -743,18 +760,34 @@ SCORE_CALIB = "score --model model --data data.tnsr --calibration calib.json -o 
         pytest.param("data.tnsr", _scale_sample(3, 1e200),
                      "calibrate --data data.tnsr --k 4 --seed 3 -o c2.json",
                      id="data-overflows-k-means"),
-        pytest.param("model/layer1.experts.tnsr", Path.unlink, EVAL, id="blob-missing"),
-        pytest.param("model/layer1.experts.tnsr",
+        pytest.param("model/weights.tnsr", Path.unlink, EVAL, id="blob-missing"),
+        pytest.param("model/weights.tnsr",
                      lambda p: p.write_bytes(p.read_bytes() + bytes(8)), EVAL,
                      id="blob-trailing-bytes"),
-        pytest.param("model/layer0.router.tnsr", _nan_last_entry,
+        pytest.param("model/weights.tnsr", _nan_last_entry,
                      "score --model model --data data.tnsr -o g2", id="blob-nan"),
-        # a layer's expert count is its router's row count, at most N_e
-        pytest.param("model/model.json", _old_model_layout, SCORE, id="model-per-expert-blobs"),
-        pytest.param("model/layer1.experts.tnsr", _resize_experts(-1), SCORE,
-                     id="experts-fewer-than-router-rows"),
-        pytest.param("model/layer1.experts.tnsr", _resize_experts(+1, router=True), SCORE,
-                     id="experts-more-than-n-e"),
+        # a model directory in an earlier layout, with no counts; rerunning
+        # gen-model rewrites it
+        pytest.param("model/model.json", _naming("no key 'counts'", corrupt=_per_layer_layout(True)),
+                     SCORE, id="model-per-expert-blobs"),
+        pytest.param("model/model.json", _naming("no key 'counts'", corrupt=_per_layer_layout()),
+                     EVAL, id="model-per-layer-blobs"),
+        # the blob holds sum(counts) experts, each a router row over a d x d
+        # matrix, and a layer's count is 1 to N_e
+        pytest.param("model/weights.tnsr", _naming("(11, 9, 8)", "(12, 9, 8)", corrupt=_drop_last_row),
+                     SCORE, id="experts-fewer-than-router-rows"),
+        pytest.param("model/weights.tnsr", _naming("(13, 9, 8)", "(12, 9, 8)", corrupt=_add_row),
+                     EVAL, id="blob-rows-more-than-counts"),
+        pytest.param("model/weights.tnsr", _naming("(12, 9, 7)", "(12, 9, 8)", corrupt=lambda p:
+                     save_tensor(p, load_tensor(p)[:, :, :-1])), SCORE, id="blob-trailing-dims"),
+        pytest.param("model/model.json", _naming("layer 1 holds 5 experts", "experts_per_layer 4",
+                     corrupt=_set_count(1, 5)), SCORE, id="experts-more-than-n-e"),
+        pytest.param("model/model.json", _naming("layer 2 holds 0 experts", corrupt=_set_count(2, 0)),
+                     EVAL, id="model-count-zero"),
+        pytest.param("model/model.json", _naming("counts [4, 4]", corrupt=_edit(
+            lambda o: o["counts"].pop())), SCORE, id="model-counts-fewer-than-layers"),
+        pytest.param("model/model.json", _naming("layer 0 count must be an integer", corrupt=_edit(
+            lambda o: o["counts"].__setitem__(0, 4.0))), SCORE, id="model-count-float"),
         pytest.param("paths/sample{first:04d}.paths.json",
                      _edit(lambda o: o["paths"][0].update(experts=[0, 4, 1])),
                      "heatmap --paths paths -o h.csv", id="path-outside-index"),
@@ -836,12 +869,12 @@ SCORE_CALIB = "score --model model --data data.tnsr --calibration calib.json -o 
                              corrupt=_model_config(experts_per_layer=2)),
                      SCORE, id="model-experts-per-layer-below-blobs"),
         pytest.param("model/model.json",
-                     _naming("(4, 8)", "hidden_dim 1000000",
+                     _naming("(12, 9, 8)", "(12, 1000001, 1000000)",
                              corrupt=_model_config(hidden_dim=10**6)),
                      SCORE, id="model-hidden-dim-disagrees"),
         # an index names files in its own directory only
         pytest.param("model/model.json",
-                     _member_outside("router", "other", entry=lambda o: o["layers"][0]),
+                     _member_outside("weights", "other", entry=lambda o: o),
                      SCORE, id="model-member-outside-dir"),
         pytest.param("graphs/graphs.json", _member_outside("scores", "g", entry=lambda o: o),
                      "plan --graphs graphs --m 2 -o p2", id="graph-member-outside-dir"),
@@ -881,9 +914,9 @@ SCORE_CALIB = "score --model model --data data.tnsr --calibration calib.json -o 
                          id=f"data-old-directory-layout-{argv.split()[0]}")
             for argv in (EVAL, SCORE, "calibrate --data data.tnsr --k 2 --seed 0 -o c2.json")
         ],
-        pytest.param("model/layer0.router.tnsr", _naming("shape (4, 8)", corrupt=lambda p: None),
-                     "score --model model --data model/layer0.router.tnsr -o g2",
-                     id="data-rank-2-blob"),
+        pytest.param("routers.tnsr", _naming("shape (12, 8)", corrupt=lambda p: save_tensor(
+            p, load_tensor(p.parent / "model" / "weights.tnsr")[:, 0])),
+                     "score --model model --data routers.tnsr -o g2", id="data-rank-2-blob"),
     ],
 )
 def test_bad_artifact_exits_2_naming_it(staged, capsys, name, corrupt, argv):
@@ -946,14 +979,39 @@ def test_interrupted_score_rerun_leaves_the_old_graphs(staged, monkeypatch):
     assert planned == {p.name: p.read_bytes() for p in (staged / "paths").iterdir()}
 
 
+def test_interrupted_gen_model_rerun_leaves_the_old_model(staged, monkeypatch):
+    # gen-model rerun over model/ with another seed, cut short while writing
+    # its weights blob: model/ stays as the first run wrote it, so score
+    # scores the old model, never layers of two seeds
+    model = staged / "model"
+    before = {p.name: p.read_bytes() for p in model.iterdir()}
+    write = numerics._write_atomic
+
+    def cut(parts):
+        yield parts[0]  # the header reaches the temporary file, the payload does not
+        raise OSError(28, "No space left on device")
+
+    def fail(path, parts):
+        write(path, cut(parts) if Path(path).name == "weights.tnsr" else parts)
+
+    monkeypatch.setattr(numerics, "_write_atomic", fail)
+    assert run_cli(*"gen-model --layers 3 --experts 4 --dim 8 --topk 2 --seed 99 -o model".split()) == 1
+    assert {p.name: p.read_bytes() for p in model.iterdir()} == before
+    assert run_cli(*"score --model model --data data.tnsr --calibration calib.json -o g2".split()) == 0
+    assert _tree_bytes(staged / "g2") == _tree_bytes(staged / "graphs")
+
+
 def test_prune_model_rerun_leaves_no_stale_blob(staged):
+    # the first pruned model in the per-layer layout, as earlier versions
+    # wrote it: the rerun removes its blobs
+    out = staged / "pr2" / "pruned-model"
     for m in (16, 1):
         assert run_cli(*f"plan --graphs graphs --m {m} -o p{m}".split()) == 0
         assert run_cli(*f"prune --paths p{m} --model model -o pr2".split()) == 0
-    out = staged / "pr2" / "pruned-model"
-    layers = json.loads((out / "model.json").read_text())["layers"]
-    listed = {layer["router"] for layer in layers} | {layer["experts"] for layer in layers}
-    assert {p.name for p in out.iterdir()} == listed | {"model.json", "remap.json"}
+        if m == 16:
+            _per_layer_layout()(out / "model.json")
+            assert len(list(out.glob("layer*.tnsr"))) == 6
+    assert {p.name for p in out.iterdir()} == {"model.json", "remap.json", "weights.tnsr"}
 
 
 def _tree_bytes(root) -> dict:
@@ -979,7 +1037,7 @@ def test_graph_index_with_its_former_dimension_keys_plans_and_prunes_the_same(st
 def _listed_members(out) -> set[str]:
     """The index in a stage output directory and every member it lists."""
     for name, members in [
-        ("model.json", lambda o: [e[k] for e in o["layers"] for k in ("router", "experts")]),
+        ("model.json", lambda o: [o["weights"]]),
         ("paths.json", lambda o: [e["paths"] for e in o["samples"]]),
         ("graphs.json", lambda o: [o["scores"]]),
     ]:
@@ -997,11 +1055,17 @@ def _per_sample_graphs(staged):
     return True
 
 
-# (the first run into out/, the rerun into it): a 6-layer model under a
-# 3-layer one, 10 path sets under 4, and graphs in the per-sample layout
-# under one scores blob
+def _per_layer_model(staged):
+    assert run_cli(*"gen-model --layers 6 --experts 4 --dim 8 --topk 2 --seed 7 -o out".split()) == 0
+    _per_layer_layout()(staged / "out" / "model.json")
+    return True
+
+
+# (the first run into out/, the rerun into it): a 6-layer model in the
+# per-layer layout under a 3-layer one in one weights blob, 10 path sets
+# under 4, and graphs in the per-sample layout under one scores blob
 @pytest.mark.parametrize("first, rerun", [
-    pytest.param(_runs("gen-model --layers 6 --experts 4 --dim 8 --topk 2 --seed 7 -o out"),
+    pytest.param(_per_layer_model,
                  "gen-model --layers 3 --experts 4 --dim 8 --topk 2 --seed 7 -o out",
                  id="gen-model-fewer-layers"),
     pytest.param(_runs("score --model model --data data.tnsr -o g10",
@@ -1245,11 +1309,10 @@ def test_damaged_artifact_is_exit_0_identical_or_exit_2_named(staged, capsys, da
     _assert_identical_or_named(staged, capsys, name, argv, corrupt)
 
 
-# (.tnsr blob, the stage that reads it): each layer's router and experts,
-# the tokens, and the sample graphs' scores
+# (.tnsr blob, the stage that reads it): the model's weights, the tokens,
+# and the sample graphs' scores
 BLOBS = [
-    *((f"model/layer{l}.{kind}.tnsr", "score --model model --data data.tnsr -o out")
-      for l in range(3) for kind in ("router", "experts")),
+    ("model/weights.tnsr", "score --model model --data data.tnsr -o out"),
     ("data.tnsr", "score --model model --data data.tnsr -o out"),
     ("graphs/scores.tnsr", "plan --graphs graphs --m 3 -o out"),
 ]

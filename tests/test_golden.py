@@ -48,6 +48,14 @@ itself: wins, the experiment config, and every field of each seed's outcome,
 the random masks' errors included, where it had held a count of seeds and
 six fields per seed.  No float moved: each summary, rewritten in the old
 layout, must still match its old digest in SUMMARY_LAYOUT_V1.
+When every expert of a model went into one weights.tnsr, the twelve
+layer{l}.router.tnsr and layer{l}.experts.tnsr digests gave way to the
+weights.tnsr digest and model.json, which now lists each layer's expert
+count, was re-captured; each layer's router and experts, split out of the
+blob and re-saved alone, must still match its old digest in LAYER_SLICES.
+The two pruned models' directories were pinned with that change: their
+remap.json files kept the bytes they had, and their model.json and
+weights.tnsr hold the per-layer blobs they had, in the same layout.
 The digests hold on x86-64 with numpy's
 bundled OpenBLAS, with one BLAS thread or two; another BLAS may round the
 model's matrix products differently and move every float.
@@ -73,19 +81,8 @@ GOLDEN = {
     "graphs/scores.tnsr": "0ed4acef32328c3e86adaa78a56295ec0568388c0b5f28596f16ec3c86f6ca46",
     "heatmap1.csv": "ffec49c1c3aa4b1bd1393da2a98ca7c0ac0779f0835d089f9f653d06b6474c75",
     "heatmap16.csv": "0323e3978ef5869bca6e6ded95b73f1f72b909ff2353bebaaf40cebb220b2113",
-    "model/layer0.experts.tnsr": "f39bfd68519df65449daf6b2884421a869a719173d38c5cf74c019c3b6e98220",
-    "model/layer0.router.tnsr": "0dc30b086991fd29fc1a4d1f36f95eae812fcb0e2d50c8eb243862e72ee590c1",
-    "model/layer1.experts.tnsr": "1540840b1158d1d1079e9183d54c2afbbe3dab75aa78d50bb351b819bc038456",
-    "model/layer1.router.tnsr": "f47da08a1dabb279615d3ee39bcbdbdc7f258af95010be57c714ebbf6c0ed481",
-    "model/layer2.experts.tnsr": "9fd68930603ddf717eafd1d810184466ea9af70a40eff70d48590c1c72434541",
-    "model/layer2.router.tnsr": "9e09c72f277995f7b70edc273b8c3ef409300c99bc8d90b652b9750e909e84eb",
-    "model/layer3.experts.tnsr": "54d2aae62271d000dbf734cbdfefd40ca397cda6bda3297437ce21a1e2a3b845",
-    "model/layer3.router.tnsr": "fc2b665ffdca380c25a2f5c0d0b78ecbabf4f349222a5ae9049df274f44c6484",
-    "model/layer4.experts.tnsr": "caa3ca2750207337cdc302c7ea03f44895f5a55dc611fcaa0019c7dcbea56add",
-    "model/layer4.router.tnsr": "8655145dc49353208429709e610c04d9b2f186918c77aff6a29e404bd232f1c0",
-    "model/layer5.experts.tnsr": "3b77bbecd88321396d77aa5a8586fcfe5ffc08ed459aa1e14e3c443e84836294",
-    "model/layer5.router.tnsr": "47a5e5660ac71c4399b106b670ae4bf4155a1fe11da5f9e96a0ae71f09e2bfbf",
-    "model/model.json": "5b33642fdba464bf488c01d2f5b00fc1682e6fc3840830b84b5d392129089b2f",
+    "model/model.json": "ec8eba07b026280605d39e61c71eb6976e70e64d46dfcdb3cbcec114b2ed4d13",
+    "model/weights.tnsr": "7c5f3ca30885de6923461818777f65190704a510fb759f2fbd66b1bde27a5dec",
     "paths1/paths.json": "53b621d2e7ff88b2ff3a3890ad821eb23ca3cfc86849767009574e423b381a56",
     "paths1/sample0005.paths.json": "e66fae29ea369e4a309638184f7b4041cfad498b44a27b92c769f34536e831fd",
     "paths1/sample0015.paths.json": "686b83e163fd1190e613c0f3ec5128418786f77e971723b4ed663bafcd1e9a0d",
@@ -107,15 +104,40 @@ GOLDEN = {
     "pruned/mask.json": "58af2cdc5c457eeaa351a2a6f67f37d1094d069381fdfb0a2edfa56b1fc5b026",
     "pruned/report.json": "127281b4ca8c46d492b8376b488fa2b1919bcd93c7fe078977a1a6c8b1f6f7e1",
     "pruned1/mask.json": "3ffd35ecdc4ede282764fcb9b3beb78fa2eb4e58fed2f72d528323e40c98ff64",
+    "pruned1/pruned-model/model.json": "80bd30ab37d5be188507568923f23a77b0868effe51c534ea1eff7235b71074c",
+    "pruned1/pruned-model/remap.json": "7f2c80fe7fa30d8e06435634f56dc1f0639c1c023723dc43f0e36e070ddb5c68",
+    "pruned1/pruned-model/weights.tnsr": "561afb56f4bd057587b011496f3cbf8fe9b927e69d615ef7545a575b8caca864",
     "pruned1/report.json": "12be44a32ab37116d2f7bf857b8df8ec8eda864ee5d562bfa893ba3f9915f40d",
     "pruned16/mask.json": "480eeefe61f7c28a68938da8ba84f5795624700eaa8d848149d363f72f63b93c",
+    "pruned16/pruned-model/model.json": "b51f39460650413a44e56324cbf93dabfbf6a12f59e5d8f2b3f3a7c243dcea78",
+    "pruned16/pruned-model/remap.json": "dd7b4118a3f6a0be8d65d8e6f4082445215053be1f8d8b6e0002d38afe5b64fa",
+    "pruned16/pruned-model/weights.tnsr": "407ac00d315ca5aec574ba2368b07a81fa4691ea989bcec9aecee16771d4dde8",
     "pruned16/report.json": "88a1bbd3a696612e890c418d81bf1d0c86304b71d57f77663c0991f4c32384f1",
 }
 
 # Digests of the per-expert blobs the model directory held before each
-# layer's experts became one blob.  Each slice of layer{l}.experts.tnsr,
+# layer's experts became one blob.  Each expert matrix of weights.tnsr,
 # re-serialized as a 2-D .tnsr of its own, must still match, which keeps the
-# scalar SplitMix64 draws pinned through the format change.
+# scalar SplitMix64 draws pinned through both format changes.
+# Digests of the per-layer blobs the model directory held before every
+# expert went into one weights.tnsr.  Each layer's router rows and expert
+# matrices, split out of that blob and re-serialized as a .tnsr of their own
+# under the blob's old name, must still match.
+LAYER_SLICES = {
+    "layer0.experts.tnsr": "f39bfd68519df65449daf6b2884421a869a719173d38c5cf74c019c3b6e98220",
+    "layer0.router.tnsr": "0dc30b086991fd29fc1a4d1f36f95eae812fcb0e2d50c8eb243862e72ee590c1",
+    "layer1.experts.tnsr": "1540840b1158d1d1079e9183d54c2afbbe3dab75aa78d50bb351b819bc038456",
+    "layer1.router.tnsr": "f47da08a1dabb279615d3ee39bcbdbdc7f258af95010be57c714ebbf6c0ed481",
+    "layer2.experts.tnsr": "9fd68930603ddf717eafd1d810184466ea9af70a40eff70d48590c1c72434541",
+    "layer2.router.tnsr": "9e09c72f277995f7b70edc273b8c3ef409300c99bc8d90b652b9750e909e84eb",
+    "layer3.experts.tnsr": "54d2aae62271d000dbf734cbdfefd40ca397cda6bda3297437ce21a1e2a3b845",
+    "layer3.router.tnsr": "fc2b665ffdca380c25a2f5c0d0b78ecbabf4f349222a5ae9049df274f44c6484",
+    "layer4.experts.tnsr": "caa3ca2750207337cdc302c7ea03f44895f5a55dc611fcaa0019c7dcbea56add",
+    "layer4.router.tnsr": "8655145dc49353208429709e610c04d9b2f186918c77aff6a29e404bd232f1c0",
+    "layer5.experts.tnsr": "3b77bbecd88321396d77aa5a8586fcfe5ffc08ed459aa1e14e3c443e84836294",
+    "layer5.router.tnsr": "47a5e5660ac71c4399b106b670ae4bf4155a1fe11da5f9e96a0ae71f09e2bfbf",
+}
+
 EXPERT_SLICES = {
     "layer0.expert0.tnsr": "5cad98429dfbd0b9b3d0546767d2f2d27ea8ab059ac794deb64c84019c70deb2",
     "layer0.expert1.tnsr": "1ea7b16cd97b3f33803bfa7f0d2c3180037c5127ff2de7c96cc1f34c86d59de3",
@@ -244,7 +266,8 @@ def artifact_digests(tmp) -> dict[str, str]:
         p for p in wanted
         if p.suffix == ".csv" or p.name in ("mask.json", "report.json", "eval.json", "summary.json")
         or p.name.endswith(".paths.json") or p.name == "paths.json"
-        or p.parent.name in ("model", "graphs") or p.name in ("data.tnsr", "calib.json")
+        or p.parent.name in ("model", "pruned-model", "graphs")
+        or p.name in ("data.tnsr", "calib.json")
     ]
     return {
         p.relative_to(tmp).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -252,17 +275,47 @@ def artifact_digests(tmp) -> dict[str, str]:
     }
 
 
-def expert_slice_digests(model_dir, out_dir) -> dict[str, str]:
-    """sha256 of each expert matrix of each layer, saved as its own .tnsr
-    under the name its blob had in the per-expert file format."""
+def model_layers(model_dir) -> list[tuple[object, object]]:
+    """Each layer's (router, experts), sliced out of weights.tnsr by the
+    counts model.json lists: rows in layer order, each expert's router row
+    over its matrix."""
+    index = json.loads((model_dir / "model.json").read_text())
+    weights, layers, start = load_tensor(model_dir / index["weights"]), [], 0
+    for n in index["counts"]:
+        rows = weights[start:start + n]
+        layers.append((rows[:, 0], rows[:, 1:]))
+        start += n
+    assert start == len(weights)
+    return layers
+
+
+def saved_digests(named_arrays, out_dir) -> dict[str, str]:
+    """sha256 of each array, saved as its own .tnsr under its name."""
     out_dir.mkdir()
     digests = {}
-    for l in range(6):
-        for i, w in enumerate(load_tensor(model_dir / f"layer{l}.experts.tnsr")):
-            path = out_dir / f"layer{l}.expert{i}.tnsr"
-            save_tensor(path, w)
-            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for name, arr in named_arrays:
+        save_tensor(out_dir / name, arr)
+        digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
     return digests
+
+
+def layer_slice_digests(model_dir, out_dir) -> dict[str, str]:
+    """Each layer's router and experts under the names their blobs had in
+    the per-layer file format."""
+    return saved_digests([
+        (f"layer{l}.{kind}.tnsr", arr)
+        for l, (router, experts) in enumerate(model_layers(model_dir))
+        for kind, arr in (("router", router), ("experts", experts))
+    ], out_dir)
+
+
+def expert_slice_digests(model_dir, out_dir) -> dict[str, str]:
+    """Each expert matrix of each layer under the name its blob had in the
+    per-expert file format."""
+    return saved_digests([
+        (f"layer{l}.expert{i}.tnsr", w)
+        for l, (_, experts) in enumerate(model_layers(model_dir)) for i, w in enumerate(experts)
+    ], out_dir)
 
 
 def graph_rows(graphs_dir) -> list[tuple[str, object]]:
@@ -274,15 +327,10 @@ def graph_rows(graphs_dir) -> list[tuple[str, object]]:
 
 
 def graph_slice_digests(graphs_dir, out_dir) -> dict[str, str]:
-    """sha256 of each graph's scores, saved as its own .tnsr under the name
-    its blob had before every graph went into one blob."""
-    out_dir.mkdir()
-    digests = {}
-    for stem, scores in graph_rows(graphs_dir):
-        path = out_dir / f"{stem}.tnsr"
-        save_tensor(path, scores)
-        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
+    """Each graph's scores under the name its blob had before every graph
+    went into one blob."""
+    return saved_digests([(f"{stem}.tnsr", scores) for stem, scores in graph_rows(graphs_dir)],
+                         out_dir)
 
 
 def graph_json_digests(graphs_dir, out_dir) -> dict[str, str]:
@@ -322,6 +370,7 @@ def test_planner_artifacts_match_golden_bytes(tmp_path):
     run = tmp_path / "run"
     run.mkdir()
     assert artifact_digests(run) == GOLDEN
+    assert layer_slice_digests(run / "model", tmp_path / "layers") == LAYER_SLICES
     assert expert_slice_digests(run / "model", tmp_path / "slices") == EXPERT_SLICES
     assert graph_slice_digests(run / "graphs", tmp_path / "graph-slices") == GRAPH_SLICES
     assert graph_json_digests(run / "graphs", tmp_path / "graph-json") == GRAPH_JSON

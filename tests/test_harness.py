@@ -396,12 +396,15 @@ def test_median_equals_numpys_bit_for_bit(n):
 
 
 def test_a_seed_frees_the_samples_calibration_passed_over_before_eval(monkeypatch):
-    # TINY draws the clustered family, where each sample owns its tokens array
-    tokens, chosen, alive = [], [], []
+    # TINY draws the clustered family, where each sample owns its tokens
+    # array; the raw family draws every sample as a view into one array, so
+    # holding a chosen sample would hold the whole pool
+    owners, chosen, alive = [], [], []
 
     def data(*args):
         samples = experiment_data(*args)
-        tokens.append([weakref.ref(s.tokens) for s in samples])
+        owners.append([weakref.ref(s.tokens if s.tokens.base is None else s.tokens.base)
+                       for s in samples])
         return samples
 
     def calibrate(*args):
@@ -410,15 +413,18 @@ def test_a_seed_frees_the_samples_calibration_passed_over_before_eval(monkeypatc
         return calib
 
     def evaluate(*args):
-        alive.append([i for i, ref in enumerate(tokens[0]) if ref() is not None])
+        alive.append([i for i, ref in enumerate(owners[0]) if ref() is not None])
         return eval_masks(*args)
 
     monkeypatch.setattr(harness, "experiment_data", data)
     monkeypatch.setattr(harness, "build_calibration_set", calibrate)
     monkeypatch.setattr(harness, "eval_masks", evaluate)
-    run_comparison(replace(TINY, model_seeds=(0,)))
-    assert len(tokens[0]) == TINY.pool_size
-    assert alive == chosen and len(chosen[0]) == TINY.calibration_k
+    for config in (TINY, replace(TINY, data_clusters=0)):
+        owners.clear(), chosen.clear(), alive.clear()
+        run_comparison(replace(config, model_seeds=(0,)))
+        assert len(owners[0]) == TINY.pool_size and len(chosen[0]) == TINY.calibration_k
+        # no array holding a sample calibration passed over is alive
+        assert set(alive[0]) <= set(chosen[0]), config.data_clusters
 
 
 def test_run_comparison_full_retention_ties():

@@ -25,7 +25,7 @@ from moe_pathfinder.model import (
     route,
     save_model,
 )
-from moe_pathfinder.numerics import Rng, save_tensor, softmax_rows
+from moe_pathfinder.numerics import Rng, load_tensor, save_tensor, softmax_rows
 from moe_pathfinder.pruner import PruneMask, apply_mask
 from moe_pathfinder.scoring import score_samples
 
@@ -609,24 +609,39 @@ def test_save_load_roundtrip_bit_identical(tmp_path):
             assert wa.tobytes() == wb.tobytes()
 
 
+def test_save_model_writes_model_json_over_one_weights_blob(tmp_path):
+    # each expert in layer order, its router row over its matrix; a pruned
+    # model lists its layers' own counts
+    model = gen_model(small_config(), 25)
+    pruned, _ = apply_mask(model, PruneMask(np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 1]], bool)))
+    for i, (m, counts) in enumerate([(model, [4, 4, 4]), (pruned, [3, 1, 4])]):
+        out = tmp_path / str(i)
+        save_model(m, out)
+        assert sorted(p.name for p in out.iterdir()) == ["model.json", "weights.tnsr"]
+        index = json.loads((out / "model.json").read_text())
+        assert index == {"config": asdict(m.config), "counts": counts, "weights": "weights.tnsr"}
+        want = [np.concatenate([layer.router[i][None], layer.experts[i]])
+                for layer in m.layers for i in range(len(layer.router))]
+        assert load_tensor(out / "weights.tnsr").tobytes() == np.stack(want).tobytes()
+
+
 def test_load_model_truncated_blob(tmp_path):
     model = gen_model(small_config(), 22)
     save_model(model, tmp_path)
-    blob = tmp_path / "layer1.experts.tnsr"
+    blob = tmp_path / "weights.tnsr"
     blob.write_bytes(blob.read_bytes()[:-9])
     with pytest.raises(FormatError, match="unexpected end of tensor payload"):
         load_model(tmp_path)
 
 
-def test_load_model_wrong_router_shape_names_layer(tmp_path):
+def test_load_model_blob_of_another_shape_names_both_files(tmp_path):
     model = gen_model(small_config(), 23)
     save_model(model, tmp_path)
-    manifest = json.loads((tmp_path / "model.json").read_text())
-    # point layer 2's router at an experts blob, of the wrong rank
-    manifest["layers"][2]["router"] = "layer0.experts.tnsr"
-    (tmp_path / "model.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="layer 2 router blob"):
+    # layer 0's experts, of rank 3 but (4, 6, 6), not (12, 7, 6)
+    save_tensor(tmp_path / "weights.tnsr", model.layers[0].experts)
+    with pytest.raises(FormatError, match=r"shape \(4, 6, 6\), not \(12, 7, 6\)") as info:
         load_model(tmp_path)
+    assert all(str(tmp_path / name) in str(info.value) for name in ("weights.tnsr", "model.json"))
 
 
 def _grow(w):
@@ -634,38 +649,45 @@ def _grow(w):
     return np.concatenate([w, w[:1]])
 
 
-@pytest.mark.parametrize("fault, texts", [
+# (the layer-1 fault save_model meets, its message, the same fault in a
+# saved directory, and load_model's message): a count out of range is the
+# one fault the blob layout can hold, and both meet it with one message
+@pytest.mark.parametrize("fault, texts, damage, load_texts", [
     pytest.param(lambda l: MoELayer(l.experts, l.router[:, :-1]),
-                 ("layer 1 router blob", "(4, 5)", "(n, 6)"), id="router-too-narrow"),
+                 ("layer 1 router has shape", "(4, 5)", "(n, 6)"),
+                 lambda counts, w: (counts, w[:, :, :-1]), ("(12, 7, 5)", "(12, 7, 6)"),
+                 id="router-too-narrow"),
     pytest.param(lambda l: MoELayer(l.experts[:-1], l.router),
-                 ("layer 1 experts blob", "(3, 6, 6)", "(4, 6, 6)"),
+                 ("layer 1 experts have shape", "(3, 6, 6)", "(4, 6, 6)"),
+                 lambda counts, w: (counts, np.delete(w, 7, axis=0)), ("(11, 7, 6)", "(12, 7, 6)"),
                  id="experts-disagree-with-router"),
     pytest.param(lambda l: MoELayer(_grow(l.experts), _grow(l.router)),
                  ("layer 1 holds 5 experts", "experts_per_layer 4"),
+                 lambda counts, w: ([4, 5, 4], np.insert(w, 4, w[4], axis=0)),
+                 ("layer 1 holds 5 experts", "experts_per_layer 4"),
                  id="more-than-experts-per-layer"),
 ])
-def test_save_and_load_reject_a_bad_layer_with_one_message(tmp_path, fault, texts):
+def test_save_and_load_reject_a_bad_layer_with_one_message(tmp_path, fault, texts, damage,
+                                                            load_texts):
     model = gen_model(small_config(), 24)
+    d = tmp_path / "loaded"
+    save_model(model, d)
     model.layers[1] = fault(model.layers[1])
     with pytest.raises(ValueError) as saved:
         save_model(model, tmp_path / "saved")
     assert not (tmp_path / "saved" / "model.json").exists()
     assert all(text in str(saved.value) for text in texts), saved.value
 
-    # the same arrays as blobs, listed by a hand-made model.json
-    d = tmp_path / "loaded"
-    d.mkdir()
-    layers = []
-    for l, layer in enumerate(model.layers):
-        layers.append({"router": f"r{l}.tnsr", "experts": f"e{l}.tnsr"})
-        save_tensor(d / layers[-1]["router"], layer.router)
-        save_tensor(d / layers[-1]["experts"], layer.experts)
-    (d / "model.json").write_text(json.dumps({"config": asdict(model.config), "layers": layers}))
+    # the fault in the saved blob, and in the counts model.json lists
+    index = json.loads((d / "model.json").read_text())
+    index["counts"], weights = damage(index["counts"], load_tensor(d / "weights.tnsr"))
+    save_tensor(d / "weights.tnsr", weights)
+    (d / "model.json").write_text(json.dumps(index))
     with pytest.raises(FormatError) as loaded:
         load_model(d)
     err = str(loaded.value)
-    assert str(saved.value) in err
-    assert all(str(d / name) in err for name in ("r1.tnsr", "e1.tnsr", "model.json")), err
+    assert all(text in err for text in load_texts), err
+    assert all(str(d / name) in err for name in ("weights.tnsr", "model.json")), err
 
 
 def test_load_model_missing_manifest(tmp_path):

@@ -200,6 +200,24 @@ def test_tnsr_roundtrip_bit_identical(tmp_path):
         assert back.tobytes() == arr.tobytes()
 
 
+def test_tnsr_save_and_load_each_hold_one_copy_of_the_payload(tmp_path):
+    # the payload goes to the file from the array's own buffer, and comes
+    # back into the one array returned, its size checked first
+    arr = np.random.default_rng(4).standard_normal((64, 32, 32))
+    path = tmp_path / "x.tnsr"
+    tracemalloc.start()
+    try:
+        save_tensor(path, arr)
+        saved = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_tensor(path)
+        loaded = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == arr.tobytes()
+    assert saved <= 1.1 * arr.nbytes and loaded <= 1.1 * arr.nbytes, (saved, loaded, arr.nbytes)
+
+
 def test_tnsr_header_layout(tmp_path):
     path = tmp_path / "t.tnsr"
     save_tensor(path, np.array([[1.0, 2.0]]))

@@ -7,8 +7,10 @@ stage with identical inputs overwrites its outputs byte-identically.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 invariant
 violation.  A stage handler only loads, computes and writes, and returns the
-outputs it wrote; `main` maps the errors it raises to exit codes and records
-its outputs in the --manifest file.
+outputs it wrote; `main` runs it with numpy overflow, invalid values and
+division by zero raised, maps the errors it raises to exit codes (an
+overflow is exit 2 naming its --model and --data) and records its outputs in
+the --manifest file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from functools import cache, partial
 
 import numpy as np
@@ -26,7 +27,6 @@ from .calibration import build_calibration_set, load_calibration
 from .errors import FormatError, InvariantError, UsageError
 from .harness import (
     ExperimentConfig,
-    comparison_csv,
     eval_mask,
     export_heatmap,
     map_jobs,
@@ -43,8 +43,7 @@ from .model import (
     save_model,
 )
 from .numerics import (
-    _write_atomic, as_index, load_index, load_json, load_tensor, save_index, save_json,
-    save_tensor, strict,
+    as_index, load_index, load_json, load_tensor, save_index, save_json, save_tensor,
 )
 from .planner import PathSet, load_pathset, top_m_paths_dp
 from .pruner import (
@@ -134,8 +133,7 @@ def cmd_calibrate(args) -> str:
     samples = load_data(args.data)
     if args.k > len(samples):
         raise UsageError(f"--k {args.k} exceeds the {len(samples)} samples")
-    with _overflow_names(f"data {args.data}", "the k-means distances"):
-        calib = strict(build_calibration_set, samples, args.k, args.seed)
+    calib = build_calibration_set(samples, args.k, args.seed)
     save_json(args.out, calib)
     print(f"selected {len(calib.sample_ids)} of {len(samples)} samples -> {args.out}")
     return args.out
@@ -157,8 +155,7 @@ def cmd_score(args) -> str:
         ids = list(range(len(samples)))
     # workers take whole blocks, so the scores bytes do not depend on --jobs
     blocks = list(sample_blocks([samples[i] for i in ids]))
-    with _overflow_names(f"model {args.model} on data {args.data}", "the forward pass"):
-        scores = np.concatenate(map_jobs(partial(strict, score_samples, model), blocks, args.jobs))
+    scores = np.concatenate(map_jobs(partial(score_samples, model), blocks, args.jobs))
     save_index(args.out, "graphs.json", {
         "scores": "scores.tnsr", "samples": [{"id": i} for i in ids],
     }, [("scores.tnsr", scores)], owns="sample*.tnsr")
@@ -303,24 +300,13 @@ def _check_data_fits(samples, data_path, model, model_path) -> None:
         )
 
 
-@contextmanager
-def _overflow_names(inputs: str, computation: str):
-    """Every blob is finite, yet a computation on these inputs may still
-    overflow: that is a format error naming the inputs."""
-    try:
-        yield
-    except FloatingPointError as e:
-        raise FormatError(f"{inputs} overflows {computation} ({e})") from e
-
-
 def cmd_eval(args) -> str:
     model = _load_unpruned_model(args.model)
     mask = load_mask(args.mask)
     _check_mask_fits(mask, args.mask, model, args.model)
     samples = load_data(args.data)
     _check_data_fits(samples, args.data, model, args.model)
-    with _overflow_names(f"model {args.model} on data {args.data}", "the forward pass"):
-        result = strict(eval_mask, model, mask, samples)
+    result = eval_mask(model, mask, samples)
     save_json(args.out, result)
     print(f"mean final-layer error {result.mean_final_error!r} -> {args.out}")
     return args.out
@@ -353,8 +339,6 @@ def cmd_compare(args) -> list[str]:
             "lower --expert-scale or --router-gain, or pick a bounded --nonlinearity"
         ) from e
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "comparison.csv")
-    _write_atomic(csv_path, [comparison_csv(report).encode()])
     summary_path = os.path.join(args.out, "summary.json")
     save_json(summary_path, report)
 
@@ -371,7 +355,7 @@ def cmd_compare(args) -> list[str]:
         f"\npathfinder wins {report.wins}/{len(report.outcomes)} seeds -> {args.out} "
         f"(mean error {mean_error:.4e}, mean ratio {np.mean(ratios):.2f})"
     )
-    return [csv_path, summary_path]
+    return [summary_path]
 
 
 # ------------------------------------------------------------------- parser
@@ -510,7 +494,8 @@ def main(argv=None) -> int:
             # a bad manifest fails the stage before it writes anything
             stages = load_json(manifest_path, "manifest", lambda obj: {
                 out: dict(record) for out, record in obj["stages"].items()})
-        outputs = args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            outputs = args.func(args)
         if manifest_path:  # one record per -o path, stamped with this tool version
             stages[args.out] = {"command": args.command, "outputs": outputs}
             if hasattr(args, "seed"):
@@ -525,6 +510,11 @@ def main(argv=None) -> int:
         return 1
     except FormatError as e:
         sys.stderr.write(f"error: {e}\n")
+        return 2
+    except FloatingPointError as e:  # every blob is finite, yet their arithmetic overflows
+        inputs = [f"{flag} {getattr(args, flag)}" for flag in ("model", "data")
+                  if getattr(args, flag, None)]
+        sys.stderr.write(f"error: {' on '.join(inputs)} overflows float64 ({e})\n")
         return 2
     except (InvariantError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")

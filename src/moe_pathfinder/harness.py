@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 import numpy as np
@@ -22,7 +23,7 @@ from .model import (
     MoEConfig, MoEModel, SampleBatch, apply_mask, gen_data, gen_model, layer_states,
     sample_blocks,
 )
-from .numerics import Rng, _write_atomic, strict
+from .numerics import Rng, _write_atomic
 from .pruner import M_MAX, PruneMask, RetentionReport, kept_count, target_sparsity_search
 from .scoring import graph_from_scores, score_samples
 
@@ -226,14 +227,9 @@ def _median(values: list[float]) -> float:
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
-def _seed_outcome(
-    config: ExperimentConfig,
-    model_seed: int,
-    pool_seed: int,
-    eval_seed: int,
-    mask_seed: int,
-    centers_seed: int,
-) -> SeedOutcome:
+def _seed_outcome(config: ExperimentConfig, seeds: tuple[int, int, int, int, int]) -> SeedOutcome:
+    """seeds: (model, pool, eval, mask, centers), as run_comparison zips them."""
+    model_seed, pool_seed, eval_seed, mask_seed, centers_seed = seeds
     model = experiment_model(config, model_seed)
     pool = experiment_data(config, config.pool_size, centers_seed, pool_seed)
     calib = build_calibration_set(pool, config.calibration_k, config.kmeans_seed)
@@ -272,20 +268,17 @@ def _seed_outcome(
     )
 
 
-def _seed_task(args) -> SeedOutcome:
-    return strict(_seed_outcome, *args)
-
-
 # set for --jobs workers only: each runs one BLAS thread, so workers and
 # BLAS threads do not contend for the cores
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def map_jobs(fn, items, jobs: int = 1) -> list:
-    """[fn(x) for x in items], spread over min(jobs, len(items)) worker
-    processes when that is more than one; the order of results follows items
-    either way.  The pool spawns its workers as items are submitted, so it
-    never starts more than there are items, and each starts with
+    """[fn(x) for x in items] under the caller's numpy error state, spread
+    over min(jobs, len(items)) worker processes when that is more than one;
+    the order of results follows items either way.  The pool spawns its
+    workers as items are submitted, so it never starts more than there are
+    items, and each starts under the caller's np.geterr() and with
     _WORKER_ENV, set in this process only while the pool runs, before it
     imports numpy.  A spawned worker re-imports the main module, so a script
     that calls this needs an `if __name__ == "__main__":` guard.  The pool's
@@ -301,7 +294,8 @@ def map_jobs(fn, items, jobs: int = 1) -> list:
     os.environ.update(_WORKER_ENV)
     try:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
+            initializer=partial(np.seterr, **np.geterr()),
         ) as ex:
             return list(ex.map(fn, items))
     finally:
@@ -316,29 +310,16 @@ def run_comparison(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:
     """Per model seed: generate model and data, calibrate, score, plan, prune
     at the target retention, then compare against layer-uniform random masks
     of identical retention on held-out samples.  Seeds run in parallel when
-    jobs > 1; outcomes are order-preserved either way.  A forward pass that
-    overflows raises FloatingPointError (see numerics.strict)."""
-    pool_seeds = derive_seeds(config.data_seed, len(config.model_seeds))
-    eval_seeds = derive_seeds(config.eval_seed, len(config.model_seeds))
-    mask_seeds = derive_seeds(config.mask_seed, len(config.model_seeds))
-    centers_seeds = derive_seeds(config.centers_seed, len(config.model_seeds))
-    tasks = [
-        (config, ms, pool_seeds[i], eval_seeds[i], mask_seeds[i], centers_seeds[i])
-        for i, ms in enumerate(config.model_seeds)
-    ]
-    outcomes = map_jobs(_seed_task, tasks, jobs)
+    jobs > 1; outcomes are order-preserved either way.  Every seed computes
+    under the caller's numpy error state, so a forward pass that overflows
+    raises FloatingPointError when that state raises overflows, as
+    cli.main's does."""
+    n = len(config.model_seeds)
+    seeds = list(zip(config.model_seeds, derive_seeds(config.data_seed, n),
+                     derive_seeds(config.eval_seed, n), derive_seeds(config.mask_seed, n),
+                     derive_seeds(config.centers_seed, n)))
+    outcomes = map_jobs(partial(_seed_outcome, config), seeds, jobs)
     return ComparisonReport(sum(o.win for o in outcomes), config, outcomes)
-
-
-def comparison_csv(report: ComparisonReport) -> str:
-    """Flat error table, one row per (seed, mask); floats via repr so reruns
-    are byte-identical."""
-    rows = ["model_seed,mask,mask_id,final_error,retention"]
-    for o in report.outcomes:
-        rows.append(f"{o.model_seed},pathfinder,0,{o.pathfinder_error!r},{o.retention_fraction!r}")
-        rows += [f"{o.model_seed},random,{j},{err!r},{o.retention_fraction!r}"
-                 for j, err in enumerate(o.random_errors)]
-    return "\n".join(rows) + "\n"
 
 
 def export_heatmap(counts: np.ndarray, path) -> None:

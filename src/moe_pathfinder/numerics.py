@@ -121,14 +121,6 @@ class Rng:
         return Rng(self.next_u64())
 
 
-def strict(fn, *args):
-    """fn(*args) with numpy overflow, invalid values and division by zero
-    raised as FloatingPointError; a module-level function, so that it also
-    holds in worker processes."""
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        return fn(*args)
-
-
 def pairwise_sum(rows: np.ndarray) -> np.ndarray:
     """rows[0] + rows[1] + ... elementwise, added in the order numpy's
     pairwise summation adds the terms of one contiguous row: one by one

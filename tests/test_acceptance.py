@@ -240,7 +240,6 @@ def run_pipeline(base):
         "report": (pruned / "report.json").read_bytes(),
         "eval": (base / "eval.json").read_bytes(),
         "heatmap": heatmap.read_bytes(),
-        "comparison": (cmp_dir / "comparison.csv").read_bytes(),
         "summary": (cmp_dir / "summary.json").read_bytes(),
     }
 

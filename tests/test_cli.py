@@ -427,8 +427,7 @@ def test_manifest_accumulates_and_validates(tmp_path, monkeypatch):
             "pruned-target/mask.json", "pruned-target/report.json"]},
         "eval.json": {"command": "eval", "outputs": "eval.json"},
         "heatmap.csv": {"command": "heatmap", "outputs": "heatmap.csv"},
-        "cmp": {"command": "compare", "outputs": ["cmp/comparison.csv", "cmp/summary.json"],
-                "seed": 0},
+        "cmp": {"command": "compare", "outputs": ["cmp/summary.json"], "seed": 0},
     }
 
     # a stage that fails records nothing
@@ -489,11 +488,11 @@ def test_compare_small_run(tmp_path, capsys):
 
 
 def test_compare_writes_its_report_record_and_nothing_else(tmp_path):
-    # -o holds the two outputs, each written atomically, so no .tmp is left;
+    # -o holds the one output, written atomically, so no .tmp is left;
     # summary.json is the in-process report, every field of every outcome
     out = tmp_path / "cmp"
     assert run_cli(*TINY_COMPARE.split(), "--trials", 2, "-o", out) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "summary.json"]
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
     summary = json.loads((out / "summary.json").read_text())
     report = run_comparison(TINY_CONFIG)
     assert list(summary) == ["wins", "config", "outcomes"]
@@ -504,12 +503,14 @@ def test_compare_writes_its_report_record_and_nothing_else(tmp_path):
 
 def test_compare_draws_only_the_cluster_centers_it_uses(tmp_path):
     # 10**13 centers of 32 floats would not fit in memory; 8 pool and 2 eval
-    # samples use the first 8, so the run is the one with 8 clusters
+    # samples use the first 8, so the run's outcomes are the ones with 8
+    # clusters (the configs, which name the count, differ)
     argv = "compare --seed 0 --trials 1 --pool 8 --k 2 --eval-samples 2 --random-masks 2".split()
     assert run_cli(*argv, "--clusters", 10**13, "-o", tmp_path / "huge") == 0
     assert run_cli(*argv, "--clusters", 8, "-o", tmp_path / "eight") == 0
-    huge, eight = (tmp_path / name / "comparison.csv" for name in ("huge", "eight"))
-    assert huge.read_bytes() == eight.read_bytes()
+    huge, eight = (json.loads((tmp_path / name / "summary.json").read_text())["outcomes"]
+                   for name in ("huge", "eight"))
+    assert huge == eight
 
 
 def test_gen_data_roundtrip_via_load(pipeline):
@@ -1105,21 +1106,25 @@ def test_data_width_mismatch_exits_2_naming_both(staged, capsys, argv):
     pytest.param("score --model big --data data.tnsr --jobs 2 -o g", id="score-jobs"),
     pytest.param("eval --model big --mask mask.json --data data.tnsr -o eval.json", id="eval"),
 ])
-def test_overflowing_forward_exits_2_naming_both(tmp_path, monkeypatch, capsys, argv):
-    # every blob is finite, but experts scaled by 1e120 overflow a linear forward
+def test_overflowing_forward_exits_2_naming_both(tmp_path, monkeypatch, capfd, argv):
+    # every blob is finite, but experts scaled by 1e120 overflow a linear
+    # forward; 8 samples of 128 tokens are two 512-row blocks, so score
+    # --jobs 2 overflows in a spawned worker (capfd, not capsys: a
+    # RuntimeWarning there goes to the worker's own stderr)
     monkeypatch.chdir(tmp_path)
     model = gen_model(MoEConfig(num_layers=4, experts_per_layer=3, hidden_dim=4, top_k=2,
                                 nonlinearity="none"), 1)
     for layer in model.layers:
         layer.experts = 1e120 * layer.experts
     save_model(model, "big")
-    assert run_cli(*"gen-data --model big --samples 4 --tokens 3 --seed 2 -o data.tnsr".split()) == 0
+    assert run_cli(*"gen-data --model big --samples 8 --tokens 128 --seed 2 -o data.tnsr".split()) == 0
     (tmp_path / "mask.json").write_text(json.dumps({"L": 4, "Ne": 3, "keep": [[1, 0, 1]] * 4}))
-    capsys.readouterr()
+    capfd.readouterr()
     # a RuntimeWarning would fail this test (see pyproject.toml's filterwarnings)
     assert run_cli(*argv.split()) == 2
-    err = capsys.readouterr().err
-    assert "model big " in err and "data data.tnsr " in err and "Traceback" not in err
+    err = capfd.readouterr().err
+    assert "model big " in err and "data data.tnsr " in err
+    assert "Warning" not in err and "Traceback" not in err
     assert not (tmp_path / argv.split()[-1]).exists()
 
 

@@ -56,6 +56,11 @@ blob and re-saved alone, must still match its old digest in LAYER_SLICES.
 The two pruned models' directories were pinned with that change: their
 remap.json files kept the bytes they had, and their model.json and
 weights.tnsr hold the per-layer blobs they had, in the same layout.
+When compare stopped writing comparison.csv, its three digests went: each
+CSV row was a seed's pathfinder error or one of its random masks' errors, in
+mask order, with its retention fraction, and summary.json holds those floats
+in that order, so its digests pin them; the CSV rebuilt from each summary
+matched its old digest.
 The digests hold on x86-64 with numpy's
 bundled OpenBLAS, with one BLAS thread or two; another BLAS may round the
 model's matrix products differently and move every float.
@@ -69,11 +74,8 @@ from moe_pathfinder.numerics import load_tensor, save_json, save_tensor
 
 GOLDEN = {
     "calib.json": "549c397a55e7f42175457405989ffe13b3e99d0e5183432dec8ea9aff5671dd1",
-    "compare-no-importance/comparison.csv": "d30fada91373ed46f31940e72d18cbbd577944990da37f1b04d4f8e14f55d845",
     "compare-no-importance/summary.json": "88224b1f7d91996011d6ea76a40350eff8ae96faa4e34bdba0aa227fb5e8f3d0",
-    "compare-no-transition/comparison.csv": "f75b6bd82512f3d6d18e2c8c1fa10c922f2cc56cebba3ceea1a292c1ab530ebb",
     "compare-no-transition/summary.json": "2e1da35f4cb8b955b82fdf40d62a0aebf3ff330cdfb956aaea4f06ec0b0ede3e",
-    "compare/comparison.csv": "7b233f6ef6202e5e8444f7de070e17c366ffdaa4815ce5d6d28a328c29b97b19",
     "compare/summary.json": "0e9e624328ce90c570f54bb4628017ee5dad356cce4aed48074adbcace915bf8",
     "data.tnsr": "d51047174ba2195eee126c70a366321ab4abb742f163f108ef3da6125247cffa",
     "eval.json": "09fc01fe006060161f4fc1e735f0555c41ac04d89af1158789668969475a9db7",

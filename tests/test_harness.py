@@ -15,7 +15,6 @@ from moe_pathfinder.calibration import build_calibration_set
 from moe_pathfinder.cli import load_data
 from moe_pathfinder.harness import (
     ExperimentConfig,
-    comparison_csv,
     derive_seeds,
     eval_mask,
     eval_masks,
@@ -313,10 +312,11 @@ def test_derive_seeds_stable():
     assert derive_seeds(5, 3) != derive_seeds(6, 3)
 
 
-def test_run_comparison_reproducible_csv():
+def test_run_comparison_reproducible_outcomes():
+    # repr writes each float exactly, so equal reprs are bit-identical outcomes
     a = run_comparison(TINY)
     b = run_comparison(TINY)
-    assert comparison_csv(a) == comparison_csv(b)
+    assert repr(a.outcomes) == repr(b.outcomes)
     assert len(a.outcomes) == 2
     for o in a.outcomes:
         assert len(o.random_errors) == 3
@@ -325,14 +325,14 @@ def test_run_comparison_reproducible_csv():
 def test_run_comparison_parallel_matches_serial():
     serial = run_comparison(TINY, jobs=1)
     parallel = run_comparison(TINY, jobs=2)
-    assert comparison_csv(serial) == comparison_csv(parallel)
+    assert repr(serial.outcomes) == repr(parallel.outcomes)
 
 
 class _RecordingPool:
     # stands in for ProcessPoolExecutor: records max_workers, starts nothing
     sizes = []
 
-    def __init__(self, max_workers, mp_context=None):
+    def __init__(self, max_workers, mp_context=None, initializer=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -363,6 +363,23 @@ def test_map_jobs_workers_run_one_blas_thread_and_the_parent_keeps_its_own(monke
     names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
     assert map_jobs(os.getenv, names, 2) == ["1", "1", "1"]
     assert [os.environ.get(name) for name in names] == ["2", None, ""]
+
+
+def _worker_state(_):
+    return os.getpid(), np.geterr()
+
+
+def test_map_jobs_workers_run_under_the_callers_error_state():
+    # real spawned workers: an overflow raises in a worker exactly when it
+    # would in the caller, and each reports the caller's state, whatever it is
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            map_jobs(np.square, [1e200, 1e200], 2)
+    for state in ({}, {"over": "raise", "divide": "ignore", "under": "warn", "invalid": "print"}):
+        with np.errstate(**state):
+            reports = map_jobs(_worker_state, range(4), 2)
+            assert [errs for _, errs in reports] == [np.geterr()] * 4
+        assert os.getpid() not in {pid for pid, _ in reports}
 
 
 def test_importing_the_program_loads_no_worker_pool():
